@@ -14,7 +14,9 @@ and buffer masses.
 The solver factorizes the full bordered KKT matrix ``[[H, A^T], [A, 0]]``
 (never the normal equations, whose conditioning collapses under the tiny
 penalties), after symmetric max-norm equilibration, with iterative
-refinement when the first solve misses tolerance.
+refinement when the first solve misses tolerance.  Columns are ordered by
+COLAMD, whose fill-in stays near-flat in the horizon K where minimum degree
+on ``A^T + A`` grows with it.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ from .measurement import MeasurementConstraint
 DEFAULT_FLOW_PENALTY = 1e-10
 DEFAULT_BUFFER_PENALTY = 1e-12
 DEFAULT_TOL = 1e-8
+MAX_REFINEMENT_ROUNDS = 2
+# Fill ratio nnz(L + U) / nnz(KKT) on a 300-outlet tree at K=8:
+# 4.7 with COLAMD, 29 with MMD_AT_PLUS_A; at K=1 both give 1.6.
+KKT_ORDERING = "COLAMD"
 
 DENSE_ORACLE_MAX_VARS = 2000
 
@@ -254,15 +260,20 @@ def _equilibrate(kkt: sp.csc_matrix) -> np.ndarray:
 
 
 def _suspect_rows(problem: EstimationProblem, lu, n_vars: int) -> list[str]:
-    """Name measurement rows whose pivots collapsed during factorization."""
+    """Name measurement rows whose pivots collapsed during factorization.
+
+    SuperLU factors ``Pr A Pc = L U`` with ``Pc[j, perm_c[j]] = 1``, so
+    pivot i sits in the original column j with ``perm_c[j] == i``.
+    """
     diag = np.abs(lu.U.diagonal())
     scale = diag.max() if diag.size else 0.0
     if scale == 0.0:
         return []
     tiny = np.nonzero(diag < 1e-10 * scale)[0]
+    pivot_column = np.argsort(lu.perm_c)
     labels = []
     for i in tiny:
-        col = int(lu.perm_c[i])
+        col = int(pivot_column[i])
         if col >= n_vars:
             r = col - n_vars - problem.n_balance_rows
             if r >= 0:
@@ -276,10 +287,15 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
     """Solve via sparse LU of the equilibrated bordered KKT system.
 
     Convergence means ``||A x - b||_inf <= tol * (1 + ||b||_inf)``.  Up to
-    two rounds of iterative refinement are applied when the first solve
-    misses that; on a singular factorization the dual block is shifted by
-    ``-delta I`` (delta = 1e-12 * ||A||_inf) and the shift is surfaced in
-    the diagnostics together with the suspect rows.
+    ``MAX_REFINEMENT_ROUNDS`` rounds of iterative refinement are applied
+    while the KKT residual misses that; on a singular factorization the
+    dual block is shifted by ``-delta I`` (delta = 1e-12 * ||A||_inf) and
+    the shift is surfaced in the diagnostics together with the suspect rows.
+
+    The diagnostics also record the factorization: ``ordering``,
+    ``kkt_nnz`` (the factored matrix), ``lu_nnz`` (``L.nnz + U.nnz``),
+    ``fill_ratio`` (their quotient), and ``refinement_residuals``, the
+    KKT residual's inf-norm after the first solve and after each round.
     """
     if np.any(problem.hessian_diag <= 0):
         raise ValueError("hessian diagonal must be strictly positive")
@@ -287,14 +303,16 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
     a = problem.constraint_matrix
     rhs = np.concatenate([np.zeros(n), problem.rhs])
     diagnostics: dict = {"regularized": False, "refinement_rounds": 0,
-                         "suspect_rows": [], "tol": tol}
+                         "suspect_rows": [], "tol": tol,
+                         "ordering": KKT_ORDERING}
 
     def factorize(dual_shift: float):
         kkt = _kkt_matrix(problem, dual_shift)
         s = _equilibrate(kkt)
-        scaled = sp.diags(s) @ kkt @ sp.diags(s)
+        scaled = (sp.diags(s) @ kkt @ sp.diags(s)).tocsc()
+        diagnostics["kkt_nnz"] = scaled.nnz
         try:
-            lu = spla.splu(scaled.tocsc(), permc_spec="MMD_AT_PLUS_A",
+            lu = spla.splu(scaled, permc_spec=KKT_ORDERING,
                            options=dict(SymmetricMode=True,
                                         DiagPivotThresh=0.001))
         except RuntimeError:
@@ -314,6 +332,8 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
                 "the constraint matrix is rank deficient"
             )
 
+    diagnostics["lu_nnz"] = lu.L.nnz + lu.U.nnz
+    diagnostics["fill_ratio"] = diagnostics["lu_nnz"] / diagnostics["kkt_nnz"]
     suspects = _suspect_rows(problem, lu, n)
     if suspects and not diagnostics["regularized"]:
         diagnostics["suspect_rows"] = suspects
@@ -323,9 +343,12 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
 
     y = kkt_solve(rhs)
     b_scale = 1.0 + np.abs(problem.rhs).max(initial=0.0)
-    for _ in range(2):
+    residuals = diagnostics["refinement_residuals"] = []
+    while True:
         residual = rhs - kkt @ y
-        if np.abs(residual).max(initial=0.0) <= tol * b_scale:
+        residuals.append(float(np.abs(residual).max(initial=0.0)))
+        if (residuals[-1] <= tol * b_scale
+                or diagnostics["refinement_rounds"] == MAX_REFINEMENT_ROUNDS):
             break
         y = y + kkt_solve(residual)
         diagnostics["refinement_rounds"] += 1
