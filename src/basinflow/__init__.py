@@ -28,14 +28,17 @@ from .topology import (
 )
 from .measurement import (
     MeasurementConstraint,
+    MeasurementSystem,
     assemble_accept_constraints,
     assemble_eos_constraints,
     assemble_eot_constraints,
     assemble_transport_relations,
     compute_delivery_model,
     compute_weights,
+    expand_constraints,
     interoutlet_delivery_factor,
     outlet_delivery_factor,
+    stack_systems,
     weighted_delivery_factor,
 )
 from .synthetic import generate_synthetic
@@ -64,11 +67,12 @@ __all__ = [
     "place_index", "state_transition",
     "WatershedNetwork", "derive_connectivity_from_names",
     "instantiate_capabilities", "load_network", "validate_routing",
-    "MeasurementConstraint", "assemble_accept_constraints",
-    "assemble_eos_constraints", "assemble_eot_constraints",
-    "assemble_transport_relations", "compute_delivery_model",
-    "compute_weights", "interoutlet_delivery_factor",
-    "outlet_delivery_factor", "weighted_delivery_factor",
+    "MeasurementConstraint", "MeasurementSystem",
+    "assemble_accept_constraints", "assemble_eos_constraints",
+    "assemble_eot_constraints", "assemble_transport_relations",
+    "compute_delivery_model", "compute_weights", "expand_constraints",
+    "interoutlet_delivery_factor", "outlet_delivery_factor",
+    "stack_systems", "weighted_delivery_factor",
     "generate_synthetic",
     "EstimationProblem", "Solution", "assemble_problem",
     "dense_oracle_solve", "residual_report", "solve",

@@ -173,25 +173,18 @@ def _assemble_constraints(network, capabilities, applied, loads, dfs, areas,
                           config: RunConfig):
     delivery = measurement.compute_delivery_model(
         network, dfs or (), areas, missing_policy=config.missing_df_policy)
-    constraints = []
+    blocks = []
     skipped: list[str] = []
-    if applied:
-        rows, diag = measurement.assemble_accept_constraints(
-            applied, network, capabilities)
-        constraints += rows
-        skipped += diag
-    if loads:
-        rows, diag = measurement.assemble_eos_constraints(
-            loads, network, capabilities)
-        constraints += rows
-        skipped += diag
-        rows, diag = measurement.assemble_eot_constraints(
-            loads, network, capabilities)
-        constraints += rows
-        skipped += diag
-    constraints += measurement.assemble_transport_relations(
-        network, capabilities, delivery)
-    constraints = measurement.compute_weights(constraints)
+    for assemble, records in ((measurement.assemble_accept_constraints, applied),
+                              (measurement.assemble_eos_constraints, loads),
+                              (measurement.assemble_eot_constraints, loads)):
+        if records:
+            block, diag = assemble(records, network, capabilities)
+            blocks.append(block)
+            skipped += diag
+    blocks.append(measurement.assemble_transport_relations(
+        network, capabilities, delivery))
+    constraints = measurement.compute_weights(measurement.stack_systems(blocks))
     constraints = measurement.expand_constraints(constraints, config.k_steps)
     return constraints, delivery, skipped
 
@@ -240,11 +233,12 @@ def cmd_estimate(config: RunConfig) -> int:
         json.dump([f.to_dict() for f in families], fh, indent=1, sort_keys=True)
         fh.write("\n")
 
+    totals = solution.u.sum(axis=0)
     flows = {}
     for cap in capabilities:
         kind, entity = report.capability_entity(cap, network)
         flows[(kind, entity, cap.capability_class.operand_name)] = (
-            float(solution.u.sum(axis=0)[cap.id]))
+            float(totals[cap.id]))
     fit = report.build_fit_report(
         flows, network, applied or (), loads or (),
         outlet_river_to_bay=delivery.outlet_river_to_bay,

@@ -27,6 +27,7 @@ import scipy.sparse as sp
 
 NITROGEN = "nitrogen"
 PHOSPHORUS = "phosphorus"
+SECTORS = ("agricultural", "developed")
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .core_net import IncidenceMatrices
-from .measurement import MeasurementConstraint
+from .measurement import MeasurementSystem
 
 DEFAULT_FLOW_PENALTY = 1e-10
 DEFAULT_BUFFER_PENALTY = 1e-12
@@ -84,19 +84,6 @@ class VariableIndex:
     def total(self) -> int:
         return self.n_steps * (self.n_places + self.n_caps) + self.n_errors
 
-    def as_dict(self) -> dict[tuple, int]:
-        """Materialize the full mapping (tests and debugging)."""
-        out: dict[tuple, int] = {}
-        for k in range(2, self.n_steps + 2):
-            for p in range(self.n_places):
-                out[("q_b", k, p)] = self.q_b(k, p)
-        for k in range(1, self.n_steps + 1):
-            for c in range(self.n_caps):
-                out[("u", k, c)] = self.u(k, c)
-        for r in range(self.n_errors):
-            out[("err", r)] = self.err(r)
-        return out
-
 
 @dataclass
 class EstimationProblem:
@@ -110,7 +97,7 @@ class EstimationProblem:
     var_index: VariableIndex
     alpha: float
     beta: float
-    constraints: tuple[MeasurementConstraint, ...] = ()
+    constraints: Optional[MeasurementSystem] = None
 
     @property
     def n_variables(self) -> int:
@@ -125,7 +112,9 @@ class EstimationProblem:
         return self.n_steps * self.var_index.n_places
 
     def measurement_row_label(self, r: int) -> str:
-        return self.constraints[r].label if r < len(self.constraints) else f"row {r}"
+        if self.constraints is not None and r < len(self.constraints):
+            return self.constraints.label[r]
+        return f"row {r}"
 
 
 @dataclass
@@ -151,16 +140,18 @@ class Solution:
 
 
 def assemble_problem(incidence: IncidenceMatrices,
-                     constraints: Sequence[MeasurementConstraint],
+                     constraints: MeasurementSystem,
                      k_steps: int = 1,
                      dt: float = 1.0,
                      alpha: float = DEFAULT_FLOW_PENALTY,
                      beta: float = DEFAULT_BUFFER_PENALTY) -> EstimationProblem:
     """Build the QP from the incidence structure and measurement rows.
 
-    Balance rows come first (one block of ``n_places`` rows per step),
-    then one row per measurement constraint.  Constraints must have their
-    weights set (see ``measurement.compute_weights``).
+    ``A = [[Q_K, kron(I_K, M dt), 0], [0, D_K, -I]]``: balance rows come
+    first (one block of ``n_places`` rows per step), then one row per
+    measurement.  The measurement system must span ``k_steps`` steps (see
+    ``measurement.expand_constraints``) and have its weights set (see
+    ``measurement.compute_weights``).
     """
     if incidence.n_capabilities == 0:
         raise ValueError("cannot assemble a problem with no capabilities")
@@ -170,70 +161,33 @@ def assemble_problem(incidence: IncidenceMatrices,
         raise ValueError(f"dt must be positive, got {dt}")
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta penalties must be positive")
-    if not constraints:
+    n_places = incidence.n_places
+    n_caps = incidence.n_capabilities
+    if constraints.d.shape[1] != k_steps * n_caps:
+        raise ValueError(f"measurement system spans {constraints.n_steps} "
+                         f"step(s); the problem has {k_steps}")
+    if constraints.weight is None:
+        raise ValueError("measurement rows have no weights; run compute_weights")
+    if not len(constraints):
         warnings.warn(
             "no measurement constraints: the problem admits the all-zero "
             "trivial solution", AssemblyWarning, stacklevel=2,
         )
 
-    n_places = incidence.n_places
-    n_caps = incidence.n_capabilities
     index = VariableIndex(k_steps, n_places, n_caps, len(constraints))
-
-    h = np.empty(index.total)
-    h[: k_steps * n_places] = beta
-    h[k_steps * n_places: k_steps * (n_places + n_caps)] = alpha
-    for r, con in enumerate(constraints):
-        if con.weight is None:
-            raise ValueError(
-                f"constraint {con.label!r} has no weight; run compute_weights"
-            )
-        h[index.err(r)] = con.weight
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    m_coo = incidence.m.tocoo()
-
-    for k in range(1, k_steps + 1):
-        base = (k - 1) * n_places
-        for p in range(n_places):
-            rows.append(base + p)
-            cols.append(index.q_b(k + 1, p))
-            vals.append(-1.0)
-            if k >= 2:
-                rows.append(base + p)
-                cols.append(index.q_b(k, p))
-                vals.append(1.0)
-        for p, c, v in zip(m_coo.row, m_coo.col, m_coo.data):
-            rows.append(base + int(p))
-            cols.append(index.u(k, int(c)))
-            vals.append(float(v) * dt)
-
-    b = np.zeros(k_steps * n_places + len(constraints))
-    for r, con in enumerate(constraints):
-        row = k_steps * n_places + r
-        for (k, cap), coef in con.coefficients:
-            if not 1 <= k <= k_steps:
-                raise ValueError(
-                    f"constraint {con.label!r} references step {k} outside "
-                    f"[1, {k_steps}]"
-                )
-            rows.append(row)
-            cols.append(index.u(k, cap))
-            vals.append(coef)
-        rows.append(row)
-        cols.append(index.err(r))
-        vals.append(-1.0)
-        b[row] = con.constant
-
-    a = sp.coo_matrix((vals, (rows, cols)),
-                      shape=(b.shape[0], index.total)).tocsr()
+    h = np.concatenate([np.full(k_steps * n_places, beta),
+                        np.full(k_steps * n_caps, alpha), constraints.weight])
+    # Q_B[k + 1] - Q_B[k] with the zero initial state eliminated.
+    q_k = sp.kron(sp.eye(k_steps, k=-1) - sp.identity(k_steps),
+                  sp.identity(n_places))
+    a = sp.bmat([[q_k, sp.kron(sp.identity(k_steps), incidence.m * dt), None],
+                 [None, constraints.d, -sp.identity(len(constraints))]], format="csr")
     a.sum_duplicates()
     a.sort_indices()
+    b = np.concatenate([np.zeros(k_steps * n_places), constraints.constant])
     return EstimationProblem(
         n_steps=k_steps, dt=dt, hessian_diag=h, constraint_matrix=a, rhs=b,
-        var_index=index, alpha=alpha, beta=beta, constraints=tuple(constraints),
+        var_index=index, alpha=alpha, beta=beta, constraints=constraints,
     )
 
 
@@ -472,11 +426,9 @@ def residual_report(problem: EstimationProblem,
             "mass_balance",
             ResidualStats.from_values(row_residual[:n_balance])))
 
-    by_family: dict[str, list[int]] = {}
-    for r, con in enumerate(problem.constraints):
-        by_family.setdefault(con.family, []).append(r)
-    for family, indices in by_family.items():
-        idx = np.asarray(indices)
+    families = problem.constraints.family if problem.constraints else ()
+    for family in dict.fromkeys(families):
+        idx = np.flatnonzero(families == family)
         report.append(FamilyResiduals(
             family,
             ResidualStats.from_values(row_residual[n_balance + idx]),

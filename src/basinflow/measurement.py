@@ -1,15 +1,15 @@
-"""Dataset parsing and measurement-constraint assembly.
+"""Dataset parsing and measurement-system assembly.
 
 Behavioral datasets (applied nutrient masses, edge-of-stream and
 end-of-tide loads, per-load-source delivery factors and areas) are turned
-into rows of the measurement system ``coefficients . U - error = constant``.
-Every row carries its own error variable so imperfect data never makes the
-estimation infeasible; the per-row weight ``1 / max(constant^2, 2)``
-normalizes each squared error by the magnitude of the datum it checks.
+into the measurement system ``D U - error = constant``.  Every row carries
+its own error variable so imperfect data never makes the estimation
+infeasible; the per-row weight ``1 / max(constant^2, 2)`` normalizes each
+squared error by the magnitude of the datum it checks.
 
-Coefficient keys are ``(time_step, capability_id)`` pairs with time steps
-labeled 1..K to match the state recursion; single-step problems put
-everything at step 1.
+``D`` is the paper's capability aggregation D_E, one sparse row per datum
+or transport relation and one column per capability.  ``expand_constraints``
+lifts it onto a K-step horizon with the temporal aggregation D_T.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
-from .core_net import CapabilityClass, CapabilitySpec
+from .core_net import NITROGEN, PHOSPHORUS, SECTORS, CapabilitySpec
 
 if TYPE_CHECKING:
     from .topology import WatershedNetwork
 
-OPERAND_NAMES = ("nitrogen", "phosphorus")
-SECTORS = ("agricultural", "developed")
+OPERAND_NAMES = (NITROGEN, PHOSPHORUS)
 LOAD_KINDS = ("EoS", "EoT", "StreamToTide")
 DF_STAGES = ("landToWater", "streamToRiver", "riverToBay")
 
@@ -111,40 +111,70 @@ class AreaRecord:
 
 @dataclass(frozen=True)
 class MeasurementConstraint:
-    """One measurement row: sum(coef * U[k, cap]) - error = constant.
-
-    ``label`` is slash-separated provenance, "family/key.../operand"; the
-    leading token groups rows into the accept / eos / eot / transport
-    families used by residual reporting.
-    """
+    """One row of a :class:`MeasurementSystem`, read-only; coefficients are
+    ``((step, capability), value)`` pairs with steps 1..K."""
 
     coefficients: tuple[tuple[tuple[int, int], float], ...]
     constant: float
     label: str
     weight: Optional[float] = None
 
-    def __post_init__(self):
-        if not self.coefficients:
-            raise ValueError(f"constraint {self.label!r} has no coefficients")
-        if self.weight is not None and self.weight <= 0:
-            raise ValueError(f"constraint {self.label!r}: weight must be positive")
+
+@dataclass(frozen=True, eq=False)
+class MeasurementSystem:
+    """The measurement rows ``d @ U - error = constant`` as one sparse matrix.
+
+    ``d`` is CSR with one row per measurement and one column per (step,
+    capability), step-major: column ``(k - 1) * n_caps + cap`` is step k's
+    firing of ``cap``.  ``relation`` flags transport-relation rows, which
+    hold at every step; the other rows are data rows, which measure horizon
+    totals.  ``weight`` stays None until :func:`compute_weights`.
+
+    ``label`` is slash-separated provenance, "family/key.../operand"; the
+    leading token groups rows into the accept / eos / eot / transport
+    families used by residual reporting.
+    """
+
+    d: sp.csr_matrix
+    constant: np.ndarray
+    label: tuple[str, ...]
+    relation: np.ndarray
+    weight: Optional[np.ndarray] = None
+    n_steps: int = 1
+
+    def __len__(self) -> int:
+        return self.d.shape[0]
+
+    def __getitem__(self, r: int) -> MeasurementConstraint:
+        r = range(len(self))[r]
+        n_caps = self.d.shape[1] // self.n_steps
+        lo, hi = self.d.indptr[r], self.d.indptr[r + 1]
+        coefficients = tuple(
+            ((col // n_caps + 1, col % n_caps), value) for col, value in
+            zip(self.d.indices[lo:hi].tolist(), self.d.data[lo:hi].tolist()))
+        weight = None if self.weight is None else float(self.weight[r])
+        return MeasurementConstraint(coefficients, float(self.constant[r]),
+                                     self.label[r], weight)
 
     @property
-    def family(self) -> str:
-        return self.label.split("/", 1)[0]
+    def family(self) -> np.ndarray:
+        return np.array([label.split("/", 1)[0] for label in self.label])
 
     @property
-    def operand_name(self) -> str:
-        return self.label.rsplit("/", 1)[-1]
-
-    def coefficient_map(self) -> dict[tuple[int, int], float]:
-        return dict(self.coefficients)
+    def operand(self) -> np.ndarray:
+        return np.array([label.rsplit("/", 1)[-1] for label in self.label])
 
 
-def _constraint(coefficients: Mapping[tuple[int, int], float], constant: float,
-                label: str) -> MeasurementConstraint:
-    items = tuple(sorted(coefficients.items()))
-    return MeasurementConstraint(items, float(constant), label)
+def stack_systems(systems: Sequence[MeasurementSystem]) -> MeasurementSystem:
+    """Join row blocks over the same columns, in the given order."""
+    weights = [s.weight for s in systems]
+    return MeasurementSystem(
+        sp.vstack([s.d for s in systems], format="csr"),
+        np.concatenate([s.constant for s in systems]),
+        tuple(label for s in systems for label in s.label),
+        np.concatenate([s.relation for s in systems]),
+        None if any(w is None for w in weights) else np.concatenate(weights),
+        systems[0].n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -257,71 +287,6 @@ def write_delivery_factors(path, records: Sequence[DeliveryFactorRecord]) -> Non
 def write_areas(path, records: Sequence[AreaRecord]) -> None:
     _write_csv(path, ("segment", "load_source", "acres"),
                ((r.land_river_segment, r.load_source, r.acres) for r in records))
-
-
-# ---------------------------------------------------------------------------
-# Aggregation matrices
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AggregationMatrices:
-    """0/1 matrices mapping coarse data onto capabilities and time steps.
-
-    ``d_e`` has one row per data element and one column per capability;
-    ``d_t`` has one row per model step and one column per data step and
-    reduces to the identity for single-step problems.
-    """
-
-    d_e: np.ndarray
-    d_t: np.ndarray
-
-
-def build_capability_aggregation(groups: Sequence[Iterable[int]],
-                                 n_capabilities: int) -> np.ndarray:
-    """Rows select the capability set each data element measures."""
-    d_e = np.zeros((len(groups), n_capabilities), dtype=np.int8)
-    for row, group in enumerate(groups):
-        members = list(group)
-        if not members:
-            raise ValueError(f"data row {row} groups no capabilities")
-        for cap in members:
-            if not 0 <= cap < n_capabilities:
-                raise ValueError(
-                    f"data row {row}: capability {cap} out of range "
-                    f"[0, {n_capabilities})"
-                )
-            d_e[row, cap] = 1
-    return d_e
-
-
-def build_temporal_aggregation(k_model: int, k_data: int,
-                               mapping: Optional[Mapping[int, int]] = None,
-                               ) -> np.ndarray:
-    """Map each model step to at most one data step (0-based indices).
-
-    With no mapping the step counts must match and the identity is
-    returned, the single-step case being ``[[1]]``.
-    """
-    if k_model < 1 or k_data < 1:
-        raise ValueError("step counts must be >= 1")
-    d_t = np.zeros((k_model, k_data), dtype=np.int8)
-    if mapping is None:
-        if k_model != k_data:
-            raise ValueError(
-                f"no mapping given and model steps ({k_model}) != data "
-                f"steps ({k_data})"
-            )
-        np.fill_diagonal(d_t, 1)
-        return d_t
-    for k1, k2 in mapping.items():
-        if not 0 <= k1 < k_model:
-            raise ValueError(f"model step {k1} out of range [0, {k_model})")
-        if not 0 <= k2 < k_data:
-            raise ValueError(f"data step {k2} out of range [0, {k_data})")
-        d_t[k1, k2] = 1
-    if (d_t.sum(axis=1) > 1).any():
-        raise ValueError("a model step maps to more than one data step")
-    return d_t
 
 
 # ---------------------------------------------------------------------------
@@ -500,262 +465,254 @@ def compute_delivery_model(network: "WatershedNetwork",
     return DeliveryModel(land_factor, outlet_rtb, link_ratio)
 
 
+
+
 # ---------------------------------------------------------------------------
-# Constraint assembly (single-step coefficients; see expand_constraints)
+# Measurement-system assembly (one step; see expand_constraints)
 # ---------------------------------------------------------------------------
 
-def _cap_lookup(capabilities: Sequence[CapabilitySpec]):
-    accepts: dict[tuple[str, str, str], int] = {}
-    land_transport: dict[tuple[str, str], int] = {}
-    river_transport: dict[tuple[int, int, str], int] = {}
+@dataclass(frozen=True)
+class CapabilityTable:
+    """Capability ids by network position, -1 where the list has none.
+
+    ``accept[land, sector, operand]``, ``land_transport[land, operand]`` and
+    ``river_transport[link, operand]`` index land segments and river links
+    in network order, sectors as in ``SECTORS`` and operands as in
+    ``OPERAND_NAMES``.
+    """
+
+    accept: np.ndarray
+    land_transport: np.ndarray
+    river_transport: np.ndarray
+
+
+def capability_table(network: "WatershedNetwork",
+                     capabilities: Sequence[CapabilitySpec]) -> CapabilityTable:
+    """Index ``capabilities`` by the network positions they act on."""
+    n_ops = len(OPERAND_NAMES)
+    land_pos = {land.external_id: i for i, land in enumerate(network.land_segments)}
+    buffer_id = network.buffer_id
+    link_pos = {(buffer_id[link.from_outlet], buffer_id[link.to_node]): i
+                for i, link in enumerate(network.river_links)}
+    accept = np.full((len(land_pos), len(SECTORS), n_ops), -1, dtype=np.intp)
+    land_transport = np.full((len(land_pos), n_ops), -1, dtype=np.intp)
+    river_transport = np.full((len(link_pos), n_ops), -1, dtype=np.intp)
     for cap in capabilities:
         cls = cap.capability_class
+        op = OPERAND_NAMES.index(cls.operand_name)
         if cls.is_accept:
-            accepts[(cap.resource_id, cls.sector, cls.operand_name)] = cap.id
+            accept[land_pos[cap.resource_id], SECTORS.index(cls.sector), op] = cap.id
         elif cls.action == "transport_land":
-            land_transport[(cap.resource_id, cls.operand_name)] = cap.id
+            land_transport[land_pos[cap.resource_id], op] = cap.id
         else:
-            river_transport[(cap.origin, cap.destination, cls.operand_name)] = cap.id
-    return accepts, land_transport, river_transport
+            river_transport[link_pos[(cap.origin, cap.destination)], op] = cap.id
+    return CapabilityTable(accept, land_transport, river_transport)
+
+
+def _groups(keys: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group positions by key: group g is ``members[ptr[g]:ptr[g + 1]]``."""
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n_groups))))
+    return ptr, np.argsort(keys, kind="stable")
+
+
+def _gather(ptr: np.ndarray, members: np.ndarray,
+            groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, member) pairs listing the members of group ``groups[row]``."""
+    counts = ptr[groups + 1] - ptr[groups]
+    rows = np.repeat(np.arange(groups.size), counts)
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return rows, members[np.repeat(ptr[groups], counts) + offsets]
+
+
+def _system(rows, cols, values, constant, label, n_caps: int,
+            relation: bool) -> MeasurementSystem:
+    if (np.asarray(cols) < 0).any():
+        raise ValueError("capability list lacks a capability the network "
+                         "implies; instantiate it from the same network")
+    d = sp.csr_matrix((values, (rows, cols)), shape=(len(label), n_caps))
+    return MeasurementSystem(d, np.array(constant, dtype=float), tuple(label),
+                             np.full(len(label), relation))
+
+
+def _county_rows(totals: dict, network, family: str, what: str):
+    """Rows over the land segments of each county in ``totals`` that has any."""
+    codes: dict[str, int] = {}
+    land_county = np.array([codes.setdefault(land.county, len(codes))
+                            for land in network.land_segments], dtype=np.intp)
+    ptr, members = _groups(land_county, len(codes))
+    keys = [key for key in totals if key[0] in codes]
+    skipped = [f"{what} record for county {key[0]!r} matches no land segment; "
+               f"constraint skipped" for key in totals if key[0] not in codes]
+    rows, lands = _gather(ptr, members,
+                          np.array([codes[key[0]] for key in keys], dtype=np.intp))
+    labels = ["/".join((family,) + key) for key in keys]
+    return keys, rows, lands, labels, skipped
 
 
 def assemble_accept_constraints(
     records: Sequence[AppliedNutrientRecord],
     network: "WatershedNetwork",
     capabilities: Sequence[CapabilitySpec],
-) -> tuple[list[MeasurementConstraint], list[str]]:
+) -> tuple[MeasurementSystem, list[str]]:
     """One row per (county, sector, operand) over that county's accepts.
 
-    Returns the constraints plus diagnostics for records naming counties
-    with no land segments (skipped, not fatal).
+    Returns the rows plus diagnostics for records naming counties with no
+    land segments (skipped, not fatal).
     """
-    accepts, _, _ = _cap_lookup(capabilities)
-    land_by_county: dict[str, list[str]] = {}
-    for land in network.land_segments:
-        land_by_county.setdefault(land.county, []).append(land.external_id)
-
     totals: dict[tuple[str, str, str], float] = {}
     for rec in records:
         key = (rec.county, rec.sector, rec.operand)
         totals[key] = totals.get(key, 0.0) + rec.mass
-
-    constraints: list[MeasurementConstraint] = []
-    skipped: list[str] = []
-    for (county, sector, operand), mass in totals.items():
-        lands = land_by_county.get(county)
-        if not lands:
-            skipped.append(
-                f"applied record for county {county!r} matches no land "
-                f"segment; constraint skipped"
-            )
-            continue
-        coefficients = {(1, accepts[(lid, sector, operand)]): 1.0 for lid in lands}
-        constraints.append(_constraint(
-            coefficients, mass, f"accept/{county}/{sector}/{operand}"))
-    return constraints, skipped
+    keys, rows, lands, labels, skipped = _county_rows(
+        totals, network, "accept", "applied")
+    sector = np.array([SECTORS.index(k[1]) for k in keys], dtype=np.intp)
+    op = np.array([OPERAND_NAMES.index(k[2]) for k in keys], dtype=np.intp)
+    cols = capability_table(network, capabilities).accept[
+        lands, sector[rows], op[rows]]
+    return _system(rows, cols, np.ones(cols.size), [totals[k] for k in keys],
+                   labels, len(capabilities), relation=False), skipped
 
 
 def assemble_eos_constraints(
     records: Sequence[LoadRecord],
     network: "WatershedNetwork",
     capabilities: Sequence[CapabilitySpec],
-) -> tuple[list[MeasurementConstraint], list[str]]:
+) -> tuple[MeasurementSystem, list[str]]:
     """One row per (county, operand) over land-to-outlet transports."""
-    _, land_transport, _ = _cap_lookup(capabilities)
-    land_by_county: dict[str, list[str]] = {}
-    for land in network.land_segments:
-        land_by_county.setdefault(land.county, []).append(land.external_id)
-
     totals: dict[tuple[str, str], float] = {}
     for rec in records:
-        if rec.kind != "EoS":
-            continue
-        key = (rec.county, rec.operand)
-        totals[key] = totals.get(key, 0.0) + rec.mass
-
-    constraints: list[MeasurementConstraint] = []
-    skipped: list[str] = []
-    for (county, operand), mass in totals.items():
-        lands = land_by_county.get(county)
-        if not lands:
-            skipped.append(
-                f"EoS record for county {county!r} matches no land segment; "
-                f"constraint skipped"
-            )
-            continue
-        coefficients = {(1, land_transport[(lid, operand)]): 1.0 for lid in lands}
-        constraints.append(_constraint(coefficients, mass,
-                                       f"eos/{county}/{operand}"))
-    return constraints, skipped
+        if rec.kind == "EoS":
+            key = (rec.county, rec.operand)
+            totals[key] = totals.get(key, 0.0) + rec.mass
+    keys, rows, lands, labels, skipped = _county_rows(
+        totals, network, "eos", "EoS")
+    op = np.array([OPERAND_NAMES.index(k[1]) for k in keys], dtype=np.intp)
+    cols = capability_table(network, capabilities).land_transport[lands, op[rows]]
+    return _system(rows, cols, np.ones(cols.size), [totals[k] for k in keys],
+                   labels, len(capabilities), relation=False), skipped
 
 
 def assemble_eot_constraints(
     records: Sequence[LoadRecord],
     network: "WatershedNetwork",
     capabilities: Sequence[CapabilitySpec],
-) -> tuple[list[MeasurementConstraint], list[str]]:
+) -> tuple[MeasurementSystem, list[str]]:
     """One row per operand: all estuary-bound river transports sum to the
     end-of-tide total (summed across reporting counties)."""
-    _, _, river_transport = _cap_lookup(capabilities)
-    buffer_id = network.buffer_id
-    terminal: dict[str, list[int]] = {op: [] for op in OPERAND_NAMES}
-    for link in network.river_links:
-        if link.to_node in network.estuary_ids:
-            for operand in OPERAND_NAMES:
-                cap = river_transport.get(
-                    (buffer_id[link.from_outlet], buffer_id[link.to_node], operand))
-                if cap is not None:
-                    terminal[operand].append(cap)
-
     totals: dict[str, float] = {}
     for rec in records:
-        if rec.kind != "EoT":
-            continue
-        totals[rec.operand] = totals.get(rec.operand, 0.0) + rec.mass
-
-    constraints: list[MeasurementConstraint] = []
-    skipped: list[str] = []
+        if rec.kind == "EoT":
+            totals[rec.operand] = totals.get(rec.operand, 0.0) + rec.mass
+    terminal = [i for i, link in enumerate(network.river_links)
+                if link.to_node in network.estuary_ids]
+    river = capability_table(network, capabilities).river_transport[terminal]
+    rows, cols, constants, labels, skipped = [], [], [], [], []
     for operand, mass in totals.items():
-        caps = terminal[operand]
-        if not caps:
+        caps = river[:, OPERAND_NAMES.index(operand)]
+        caps = caps[caps >= 0]
+        if not caps.size:
             skipped.append(
                 f"EoT record for operand {operand!r} but the network has no "
-                f"estuary-bound river transport; constraint skipped"
-            )
+                f"estuary-bound river transport; constraint skipped")
             continue
-        coefficients = {(1, cap): 1.0 for cap in caps}
-        constraints.append(_constraint(coefficients, mass, f"eot/{operand}"))
-    return constraints, skipped
+        rows += [len(labels)] * caps.size
+        cols += caps.tolist()
+        constants.append(mass)
+        labels.append(f"eot/{operand}")
+    return _system(rows, cols, np.ones(len(cols)), constants, labels,
+                   len(capabilities), relation=False), skipped
 
 
 def assemble_transport_relations(
     network: "WatershedNetwork",
     capabilities: Sequence[CapabilitySpec],
     delivery: DeliveryModel,
-) -> list[MeasurementConstraint]:
+) -> MeasurementSystem:
     """Zero-constant rows tying each transport firing to its inflow.
 
     Land rows: transport - land_factor * (segment accepts) = error.
     River rows: link flow - link_ratio * (inflow to the upstream outlet,
-    i.e. its land transports plus upstream links) = error.
+    i.e. its land transports plus upstream links) = error.  Rows run land
+    by land, then link by link, operands fastest.
     """
-    accepts, land_transport, river_transport = _cap_lookup(capabilities)
+    table = capability_table(network, capabilities)
+    lands, links = network.land_segments, network.river_links
     buffer_id = network.buffer_id
-    constraints: list[MeasurementConstraint] = []
 
-    for land in network.land_segments:
-        factor = delivery.land_factor[land.external_id]
-        for operand in OPERAND_NAMES:
-            t = land_transport.get((land.external_id, operand))
-            if t is None:
-                continue
-            coefficients = {(1, t): 1.0}
-            for sector in SECTORS:
-                a = accepts.get((land.external_id, sector, operand))
-                if a is not None:
-                    coefficients[(1, a)] = -factor
-            constraints.append(_constraint(
-                coefficients, 0.0,
-                f"transport/land/{land.external_id}/{operand}"))
+    land, land_op = np.nonzero(table.land_transport >= 0)
+    factor = np.array([delivery.land_factor[l.external_id] for l in lands])
+    r, sector = np.nonzero(table.accept[land, :, land_op] >= 0)
+    rows = [np.arange(land.size), r]
+    cols = [table.land_transport[land, land_op],
+            table.accept[land[r], sector, land_op[r]]]
+    values = [np.ones(land.size), -factor[land[r]]]
 
-    for link in network.river_links:
-        ratio = delivery.link_ratio[(link.from_outlet, link.to_node)]
-        upstream_lands = network.land_by_outlet.get(link.from_outlet, ())
-        inbound_links = network.links_into.get(link.from_outlet, ())
-        for operand in OPERAND_NAMES:
-            cap = river_transport.get(
-                (buffer_id[link.from_outlet], buffer_id[link.to_node], operand))
-            if cap is None:
-                continue
-            coefficients = {(1, cap): 1.0}
-            for land in upstream_lands:
-                t = land_transport.get((land.external_id, operand))
-                if t is not None:
-                    coefficients[(1, t)] = coefficients.get((1, t), 0.0) - ratio
-            for inbound in inbound_links:
-                up_cap = river_transport.get(
-                    (buffer_id[inbound.from_outlet], buffer_id[inbound.to_node],
-                     operand))
-                if up_cap is not None:
-                    coefficients[(1, up_cap)] = (
-                        coefficients.get((1, up_cap), 0.0) - ratio)
-            constraints.append(_constraint(
-                coefficients, 0.0,
-                f"transport/river/{link.from_outlet}->{link.to_node}/{operand}"))
-    return constraints
+    link, link_op = np.nonzero(table.river_transport >= 0)
+    ratio = np.array([delivery.link_ratio[(l.from_outlet, l.to_node)]
+                      for l in links])
+    up = np.array([buffer_id[l.from_outlet] for l in links], dtype=np.intp)[link]
+    land_outlet = np.array([buffer_id[network.outlet_of_land(l).external_id]
+                            for l in lands], dtype=np.intp)
+    link_to = np.array([buffer_id[l.to_node] for l in links], dtype=np.intp)
+    base = land.size
+    rows.append(base + np.arange(link.size))
+    cols.append(table.river_transport[link, link_op])
+    values.append(np.ones(link.size))
+    for source, keys in ((table.land_transport, land_outlet),
+                         (table.river_transport, link_to)):
+        r, member = _gather(*_groups(keys, len(network.buffer_specs)), up)
+        caps = source[member, link_op[r]]
+        keep = caps >= 0
+        rows.append(base + r[keep])
+        cols.append(caps[keep])
+        values.append(-ratio[link[r[keep]]])
+
+    labels = [f"transport/land/{lands[i].external_id}/{OPERAND_NAMES[o]}"
+              for i, o in zip(land.tolist(), land_op.tolist())]
+    labels += [f"transport/river/{links[i].from_outlet}->{links[i].to_node}/"
+               f"{OPERAND_NAMES[o]}" for i, o in zip(link.tolist(), link_op.tolist())]
+    return _system(np.concatenate(rows), np.concatenate(cols),
+                   np.concatenate(values), np.zeros(len(labels)), labels,
+                   len(capabilities), relation=True)
 
 
-def compute_weights(constraints: Sequence[MeasurementConstraint],
-                    ) -> list[MeasurementConstraint]:
+def compute_weights(system: MeasurementSystem) -> MeasurementSystem:
     """Set each row's weight to ``1 / max(constant^2, 2)``."""
-    return [
-        replace(c, weight=1.0 / max(c.constant * c.constant, WEIGHT_FLOOR))
-        for c in constraints
-    ]
+    return replace(system, weight=1.0 / np.maximum(
+        system.constant * system.constant, WEIGHT_FLOOR))
 
 
-def expand_constraints(constraints: Sequence[MeasurementConstraint],
-                       k_steps: int) -> list[MeasurementConstraint]:
-    """Lift single-step rows onto a ``k_steps`` horizon.
+def expand_constraints(system: MeasurementSystem,
+                       k_steps: int) -> MeasurementSystem:
+    """Lift single-step rows onto a ``k_steps`` horizon (the paper's D_T).
 
-    Relation rows (zero constant) hold at every step and are replicated,
-    one row per step; data rows measure horizon totals, so their
-    coefficients are spread across all steps (the all-ones temporal
-    aggregation column).  With ``k_steps == 1`` rows pass through.
+    Data rows measure horizon totals and become ``kron(ones((1, K)),
+    D_data)``; relation rows hold at every step and become ``kron(I_K,
+    D_rel)``, relabelled ``head@k{k}/operand``.  Rows keep their order, each
+    relation row's K copies consecutive.  With ``k_steps == 1`` the system
+    passes through.
     """
     if k_steps < 1:
         raise ValueError("k_steps must be >= 1")
+    if system.n_steps != 1:
+        raise ValueError(f"system already spans {system.n_steps} steps")
     if k_steps == 1:
-        return list(constraints)
-    out: list[MeasurementConstraint] = []
-    for c in constraints:
-        base = c.coefficient_map()
-        if any(k != 1 for (k, _) in base):
-            raise ValueError(
-                f"constraint {c.label!r} already spans multiple steps"
-            )
-        if c.constant == 0.0:
-            head, _, operand = c.label.rpartition("/")
-            for k in range(1, k_steps + 1):
-                shifted = {(k, cap): v for (_, cap), v in base.items()}
-                out.append(replace(
-                    c, coefficients=tuple(sorted(shifted.items())),
-                    label=f"{head}@k{k}/{operand}"))
-        else:
-            spread = {
-                (k, cap): v for k in range(1, k_steps + 1)
-                for (_, cap), v in base.items()
-            }
-            out.append(replace(c, coefficients=tuple(sorted(spread.items()))))
-    return out
-
-
-def constraints_from_aggregation(
-    d_e: np.ndarray,
-    d_t: np.ndarray,
-    constants: Sequence[float],
-    data_steps: Sequence[int],
-    labels: Sequence[str],
-) -> list[MeasurementConstraint]:
-    """Turn aggregation matrices into measurement rows.
-
-    Data element ``r`` (capability group ``d_e[r]``, observed at data step
-    ``data_steps[r]``) measures the sum of its capabilities' firings over
-    every model step mapped to that data step by ``d_t``.
-    """
-    n_rows, n_caps = d_e.shape
-    if not (len(constants) == len(data_steps) == len(labels) == n_rows):
-        raise ValueError("constants, data_steps and labels must match d_e rows")
-    out = []
-    for r in range(n_rows):
-        model_steps = np.nonzero(d_t[:, data_steps[r]])[0]
-        caps = np.nonzero(d_e[r])[0]
-        if model_steps.size == 0:
-            raise ValueError(
-                f"data row {labels[r]!r}: no model step maps to data step "
-                f"{data_steps[r]}"
-            )
-        coefficients = {(int(k) + 1, int(cap)): 1.0
-                        for k in model_steps for cap in caps}
-        out.append(_constraint(coefficients, constants[r], labels[r]))
-    return out
+        return system
+    data = np.flatnonzero(~system.relation)
+    rel = np.flatnonzero(system.relation)
+    d = sp.vstack([sp.kron(np.ones((1, k_steps)), system.d[data]),
+                   sp.kron(sp.identity(k_steps), system.d[rel])], format="csr")
+    src = np.concatenate([data, np.tile(rel, k_steps)])
+    steps = np.concatenate([np.zeros(data.size, dtype=np.intp),
+                            np.repeat(np.arange(1, k_steps + 1), rel.size)])
+    reps = np.where(system.relation, k_steps, 1)
+    start = np.cumsum(reps) - reps
+    order = np.argsort(start[src] + np.maximum(steps - 1, 0))
+    src, steps = src[order], steps[order]
+    labels = []
+    for r, k in zip(src.tolist(), steps.tolist()):
+        head, _, operand = system.label[r].rpartition("/")
+        labels.append(f"{head}@k{k}/{operand}" if k else system.label[r])
+    return MeasurementSystem(
+        d[order], system.constant[src], tuple(labels), system.relation[src],
+        None if system.weight is None else system.weight[src], k_steps)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core_net import CapabilitySpec, Operand, place_index
 from .estimator import Solution
-from .measurement import MeasurementConstraint
+from .measurement import MeasurementSystem
 from .topology import WatershedNetwork
 
 NRMSE_NORMALIZERS = ("mean", "range", "std")
@@ -118,7 +118,7 @@ def export_results(solution: Solution, network: WatershedNetwork,
                    capabilities: Sequence[CapabilitySpec],
                    operands: Sequence[Operand], path,
                    fmt: str = "tabular",
-                   constraints: Sequence[MeasurementConstraint] = ()) -> None:
+                   constraints: Optional[MeasurementSystem] = None) -> None:
     """Write per-capability flows and per-buffer accumulations.
 
     Tabular: one CSV row per quantity.  Flow rows carry the firing rates
@@ -152,9 +152,12 @@ def export_results(solution: Solution, network: WatershedNetwork,
                 writer.writerow([entity, kind,
                                  cap.capability_class.operand_name, "flow",
                                  repr(float(flow_totals[cap.id]))])
-            for r, con in enumerate(constraints):
-                writer.writerow([con.label, "constraint", con.operand_name,
-                                 "error", repr(float(solution.errors[r]))])
+            if constraints is not None:
+                for label, operand, error in zip(
+                        constraints.label, constraints.operand.tolist(),
+                        solution.errors.tolist()):
+                    writer.writerow([label, "constraint", operand, "error",
+                                     repr(error)])
         return
 
     coords = {}

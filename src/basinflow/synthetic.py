@@ -19,14 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_net import CapabilitySpec, Operand, default_operands
+from .core_net import SECTORS, CapabilitySpec, Operand, default_operands
 from .measurement import (
+    OPERAND_NAMES,
     AppliedNutrientRecord,
     AreaRecord,
     DeliveryFactorRecord,
     DeliveryModel,
     LoadRecord,
-    SECTORS,
+    capability_table,
     compute_delivery_model,
 )
 from .topology import (
@@ -178,37 +179,28 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
     # The exact coefficients the estimator will derive from the datasets.
     delivery = compute_delivery_model(network, df_records, area_records)
 
-    cap_id: dict[tuple, int] = {}
-    for cap in capabilities:
-        cls = cap.capability_class
-        if cls.is_accept:
-            cap_id[("accept", cap.resource_id, cls.sector, cls.operand_name)] = cap.id
-        elif cls.action == "transport_land":
-            cap_id[("land", cap.resource_id, cls.operand_name)] = cap.id
-        else:
-            cap_id[("river", cap.origin, cap.destination, cls.operand_name)] = cap.id
+    table = capability_table(network, capabilities)
 
     u = np.zeros(len(capabilities))
     applied_records: list[AppliedNutrientRecord] = []
     land_transport: dict[tuple[str, str], float] = {}
-    for land in lands:
+    for li, land in enumerate(lands):
         for op in operands:
+            o = OPERAND_NAMES.index(op.name)
             lo_m, hi_m = _LOAD_RANGE[op.name]
             total = 0.0
-            for sector in SECTORS:
+            for s, sector in enumerate(SECTORS):
                 mass = round(rng.uniform(lo_m, hi_m) * load_scale, 9)
                 applied_records.append(AppliedNutrientRecord(
                     land.county, sector, op.name, mass))
-                u[cap_id[("accept", land.external_id, sector, op.name)]] = mass
+                u[table.accept[li, s, o]] = mass
                 total += mass
             t = delivery.land_factor[land.external_id] * total
             land_transport[(land.external_id, op.name)] = t
-            u[cap_id[("land", land.external_id, op.name)]] = t
+            u[table.land_transport[li, o]] = t
 
     # Upstream-first accumulation down the tree: inflow at an outlet is its
     # land transports plus all upstream link flows.
-    buffer_id = network.buffer_id
-    inflow: dict[tuple[str, str], float] = {}
     link_flow: dict[tuple[str, str, str], float] = {}
     for i in range(n_outlets - 1, -1, -1):
         outlet = outlets[i]
@@ -221,11 +213,9 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
             )
             for inbound in network.links_into.get(outlet.external_id, ()):
                 total += link_flow[(inbound.from_outlet, inbound.to_node, op.name)]
-            inflow[(outlet.external_id, op.name)] = total
             flow = ratio * total
             link_flow[(link.from_outlet, link.to_node, op.name)] = flow
-            u[cap_id[("river", buffer_id[link.from_outlet],
-                      buffer_id[link.to_node], op.name)]] = flow
+            u[table.river_transport[i, OPERAND_NAMES.index(op.name)]] = flow
 
     load_records: list[LoadRecord] = []
     county_order: dict[str, None] = {}

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 from .core_net import (
     NITROGEN,
     PHOSPHORUS,
+    SECTORS,
     BufferKind,
     BufferSpec,
     CapabilityClass,
@@ -509,8 +510,6 @@ _RIVER_TRANSPORT_CLASS = {
     NITROGEN: CapabilityClass.TRANSPORT_RIVER_N,
     PHOSPHORUS: CapabilityClass.TRANSPORT_RIVER_P,
 }
-
-SECTORS = ("agricultural", "developed")
 
 
 def instantiate_capabilities(network: WatershedNetwork,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
+import scipy.sparse as sp
+
 import basinflow as bf
 from basinflow import estimator, measurement
 from basinflow.core_net import build_incidence, default_operands
@@ -10,16 +13,33 @@ from basinflow.core_net import build_incidence, default_operands
 def build_constraints(network, capabilities, datasets):
     delivery = measurement.compute_delivery_model(
         network, datasets.delivery_factors, datasets.areas)
-    constraints = []
-    constraints += measurement.assemble_accept_constraints(
-        datasets.applied, network, capabilities)[0]
-    constraints += measurement.assemble_eos_constraints(
-        datasets.loads, network, capabilities)[0]
-    constraints += measurement.assemble_eot_constraints(
-        datasets.loads, network, capabilities)[0]
-    constraints += measurement.assemble_transport_relations(
-        network, capabilities, delivery)
-    return measurement.compute_weights(constraints), delivery
+    blocks = [
+        measurement.assemble_accept_constraints(
+            datasets.applied, network, capabilities)[0],
+        measurement.assemble_eos_constraints(
+            datasets.loads, network, capabilities)[0],
+        measurement.assemble_eot_constraints(
+            datasets.loads, network, capabilities)[0],
+        measurement.assemble_transport_relations(network, capabilities,
+                                                 delivery),
+    ]
+    return (measurement.compute_weights(measurement.stack_systems(blocks)),
+            delivery)
+
+
+def measurement_system(rows, n_caps, n_steps=1, weighted=True):
+    """A system from ``(coefficients {(k, cap): value}, constant, label)``
+    rows; rows labelled ``transport/...`` are relation rows."""
+    d = sp.lil_matrix((len(rows), n_steps * n_caps))
+    for r, (coefficients, _, _) in enumerate(rows):
+        for (k, cap), value in coefficients.items():
+            d[r, (k - 1) * n_caps + cap] = value
+    labels = tuple(label for _, _, label in rows)
+    system = measurement.MeasurementSystem(
+        d.tocsr(), np.array([c for _, c, _ in rows], dtype=float), labels,
+        np.array([label.startswith("transport/") for label in labels],
+                 dtype=bool), n_steps=n_steps)
+    return measurement.compute_weights(system) if weighted else system
 
 
 def assemble_bundle(n_outlets, branching=3, seed=0, **kwargs):

@@ -78,13 +78,11 @@ def test_criterion_3_oracle_equivalence():
         constraints, _ = build_constraints(network, truth.capabilities,
                                            datasets)
         # knock the data rows around so the errors are genuinely nonzero
-        noisy = []
-        for con in constraints:
-            if con.constant != 0.0 and rng.rand() < 0.5:
-                con = replace(con, constant=con.constant
-                              * (1.0 + rng.uniform(-0.2, 0.2)))
-            noisy.append(con)
-        noisy = ms.compute_weights(noisy)
+        constant = constraints.constant.copy()
+        for r, c in enumerate(constant):
+            if c != 0.0 and rng.rand() < 0.5:
+                constant[r] = c * (1.0 + rng.uniform(-0.2, 0.2))
+        noisy = ms.compute_weights(replace(constraints, constant=constant))
         incidence = build_incidence(truth.capabilities, len(truth.operands),
                                     len(network.buffer_specs))
         problem = est.assemble_problem(incidence, noisy)
@@ -216,7 +214,7 @@ def test_criterion_7_perturbation_closure():
     for solution in (sparse, dense):
         sq = solution.errors ** 2
         sharing = np.array([
-            bool({c for (_, c) in con.coefficient_map()} & estuary_path_caps)
+            bool({c for (_, c), _ in con.coefficients} & estuary_path_caps)
             for con in constraints
         ])
         assert sq.sum() > 0

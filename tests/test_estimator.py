@@ -10,28 +10,53 @@ from basinflow import estimator as est
 from basinflow import measurement as ms
 from basinflow.core_net import build_incidence, default_operands
 
-from pipeline_util import assemble_bundle, build_constraints
+from pipeline_util import assemble_bundle, build_constraints, measurement_system
 
-
-def data_row(coefficients, constant, label):
-    return ms.MeasurementConstraint(tuple(sorted(coefficients.items())),
-                                    constant, label)
+MINI_CHAIN_ROWS = [
+    ({(1, 0): 1.0}, 100.0, "accept/alpha/agricultural/nitrogen"),
+    ({(1, 1): 1.0}, 50.0, "eos/alpha/nitrogen"),
+    ({(1, 2): 1.0}, 25.0, "eot/nitrogen"),
+    ({(1, 1): 1.0, (1, 0): -0.5}, 0.0, "transport/land/land-1/nitrogen"),
+    ({(1, 2): 1.0, (1, 1): -0.5}, 0.0, "transport/river/out-1->bay/nitrogen"),
+    ({(1, 1): 1.0}, 48.0, "eos/alpha-recount/nitrogen"),
+    ({(1, 0): 1.0}, 104.0, "accept/alpha-recount/agricultural/nitrogen"),
+]
 
 
 def mini_chain_constraints():
     """Seven measurement rows over the 3-capability chain."""
-    rows = [
-        data_row({(1, 0): 1.0}, 100.0, "accept/alpha/agricultural/nitrogen"),
-        data_row({(1, 1): 1.0}, 50.0, "eos/alpha/nitrogen"),
-        data_row({(1, 2): 1.0}, 25.0, "eot/nitrogen"),
-        data_row({(1, 1): 1.0, (1, 0): -0.5}, 0.0,
-                 "transport/land/land-1/nitrogen"),
-        data_row({(1, 2): 1.0, (1, 1): -0.5}, 0.0,
-                 "transport/river/out-1->bay/nitrogen"),
-        data_row({(1, 1): 1.0}, 48.0, "eos/alpha-recount/nitrogen"),
-        data_row({(1, 0): 1.0}, 104.0, "accept/alpha-recount/agricultural/nitrogen"),
-    ]
-    return ms.compute_weights(rows)
+    return measurement_system(MINI_CHAIN_ROWS, 3)
+
+
+def reference_assembly(incidence, constraints, k_steps, dt):
+    """Entry-by-entry assembly of ``A``, ``b`` and ``h`` from the row views."""
+    n_places, n_caps = incidence.n_places, incidence.n_capabilities
+    index = est.VariableIndex(k_steps, n_places, n_caps, len(constraints))
+    entries = []  # (row, column, value)
+    m_coo = incidence.m.tocoo()
+    for k in range(1, k_steps + 1):
+        base = (k - 1) * n_places
+        for p in range(n_places):
+            entries.append((base + p, index.q_b(k + 1, p), -1.0))
+            if k >= 2:
+                entries.append((base + p, index.q_b(k, p), 1.0))
+        entries += [(base + int(p), index.u(k, int(c)), float(v) * dt)
+                    for p, c, v in zip(m_coo.row, m_coo.col, m_coo.data)]
+    b = np.zeros(k_steps * n_places + len(constraints))
+    h = np.full(index.total, est.DEFAULT_FLOW_PENALTY)
+    h[: k_steps * n_places] = est.DEFAULT_BUFFER_PENALTY
+    for r, con in enumerate(constraints):
+        row = k_steps * n_places + r
+        entries += [(row, index.u(k, cap), coef)
+                    for (k, cap), coef in con.coefficients]
+        entries.append((row, index.err(r), -1.0))
+        b[row] = con.constant
+        h[index.err(r)] = con.weight
+    rows, cols, vals = zip(*entries)
+    a = sp.coo_matrix((vals, (rows, cols)), shape=(b.size, index.total)).tocsr()
+    a.sum_duplicates()
+    a.sort_indices()
+    return a, b, h
 
 
 class TestAssembleProblem:
@@ -49,21 +74,25 @@ class TestAssembleProblem:
 
     def test_no_constraints_warns_and_solves_to_zero(self, mini_chain_incidence):
         with pytest.warns(est.AssemblyWarning, match="all-zero"):
-            problem = est.assemble_problem(mini_chain_incidence, [])
+            problem = est.assemble_problem(mini_chain_incidence,
+                                           measurement_system([], 3))
         solution = est.solve(problem)
         assert np.abs(solution.x).max() == 0.0
         assert solution.converged
 
     def test_missing_weight_rejected(self, mini_chain_incidence):
-        row = data_row({(1, 0): 1.0}, 5.0, "accept/a/agricultural/nitrogen")
+        rows = measurement_system(
+            [({(1, 0): 1.0}, 5.0, "accept/a/agricultural/nitrogen")], 3,
+            weighted=False)
         with pytest.raises(ValueError, match="weight"):
-            est.assemble_problem(mini_chain_incidence, [row])
+            est.assemble_problem(mini_chain_incidence, rows)
 
     def test_step_out_of_range(self, mini_chain_incidence):
-        row = ms.compute_weights(
-            [data_row({(2, 0): 1.0}, 5.0, "accept/a/agricultural/nitrogen")])
-        with pytest.raises(ValueError, match="step 2"):
-            est.assemble_problem(mini_chain_incidence, row, k_steps=1)
+        rows = measurement_system(
+            [({(2, 0): 1.0}, 5.0, "accept/a/agricultural/nitrogen")], 3,
+            n_steps=2)
+        with pytest.raises(ValueError, match="spans 2 step"):
+            est.assemble_problem(mini_chain_incidence, rows, k_steps=1)
 
     def test_hessian_layout(self, mini_chain_incidence):
         constraints = mini_chain_constraints()
@@ -73,10 +102,30 @@ class TestAssembleProblem:
         assert (h[3:6] == problem.alpha).all()
         assert h[6:].tolist() == [c.weight for c in constraints]
 
+    @pytest.mark.parametrize("k_steps", [1, 3, 12])
+    def test_matches_entrywise_reference(self, k_steps):
+        network, truth, datasets = bf.generate_synthetic(
+            60, branching=3, seed=7, land_per_outlet=(2, 4))
+        constraints = ms.expand_constraints(
+            build_constraints(network, truth.capabilities, datasets)[0],
+            k_steps)
+        incidence = build_incidence(truth.capabilities, len(truth.operands),
+                                    len(network.buffer_specs))
+        problem = est.assemble_problem(incidence, constraints, k_steps=k_steps,
+                                       dt=0.5)
+        a, b, h = reference_assembly(incidence, constraints, k_steps, 0.5)
+        got = problem.constraint_matrix
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(a, name)), name
+        assert np.array_equal(problem.rhs, b)
+        assert np.array_equal(problem.hessian_diag, h)
+
     def test_variable_index_bijection(self):
         index = est.VariableIndex(n_steps=2, n_places=3, n_caps=4, n_errors=5)
-        mapping = index.as_dict()
-        assert sorted(mapping.values()) == list(range(index.total))
+        columns = ([index.q_b(k, p) for k in (2, 3) for p in range(3)]
+                   + [index.u(k, c) for k in (1, 2) for c in range(4)]
+                   + [index.err(r) for r in range(5)])
+        assert columns == list(range(index.total))
         with pytest.raises(IndexError):
             index.q_b(1, 0)  # step 1 is the eliminated zero state
         with pytest.raises(IndexError):
@@ -169,14 +218,14 @@ class TestFactorizationDiagnostics:
             coef = 1e-24 if r == planted else 1.0
             a[r, cols] = coef
             constant = 0.0 if r == planted else r + 1.0
-            rows.append(data_row({(1, c): coef for c in cols}, constant,
-                                 f"eot/row{r}/nitrogen"))
+            rows.append(({(1, c): coef for c in cols}, constant,
+                         f"eot/row{r}/nitrogen"))
+        constraints = measurement_system(rows, n_x)
         problem = est.EstimationProblem(
             n_steps=1, dt=1.0, hessian_diag=np.ones(n_x),
-            constraint_matrix=sp.csr_matrix(a),
-            rhs=np.array([c.constant for c in rows]),
+            constraint_matrix=sp.csr_matrix(a), rhs=constraints.constant,
             var_index=est.VariableIndex(1, 0, n_x, 0),
-            alpha=1e-10, beta=1e-12, constraints=tuple(rows))
+            alpha=1e-10, beta=1e-12, constraints=constraints)
         diagnostics = est.solve(problem).diagnostics
         assert not diagnostics["regularized"]
         assert diagnostics["suspect_rows"] == [f"eot/row{planted}/nitrogen"]
@@ -212,10 +261,11 @@ class TestOracleAgreement:
                 land_per_outlet=(1, 2))
             constraints, _ = build_constraints(network, truth.capabilities,
                                                datasets)
-            noisy = ms.compute_weights([
-                replace(c, constant=c.constant * (1.0 + rng.uniform(-0.2, 0.2)))
-                if c.constant != 0.0 and rng.rand() < 0.5 else c
-                for c in constraints])
+            constant = constraints.constant.copy()
+            for r, c in enumerate(constant):
+                if c != 0.0 and rng.rand() < 0.5:
+                    constant[r] = c * (1.0 + rng.uniform(-0.2, 0.2))
+            noisy = ms.compute_weights(replace(constraints, constant=constant))
             incidence = build_incidence(truth.capabilities,
                                         len(truth.operands),
                                         len(network.buffer_specs))
@@ -268,8 +318,8 @@ class TestRecovery:
         dense = est.dense_oracle_solve(problem)
         scale = 1.0 + np.abs(dense.x).max()
         assert np.abs(sparse.x - dense.x).max() / scale <= 1e-6
-        eot_rows = [r for r, c in enumerate(constraints) if c.family == "eot"
-                    and c.operand_name == "nitrogen"]
+        eot_rows = np.flatnonzero((constraints.family == "eot")
+                                  & (constraints.operand == "nitrogen"))
         assert np.abs(sparse.errors[eot_rows]).max() > 0
 
 
@@ -310,17 +360,17 @@ class TestScaling:
     def test_data_row_scaling(self, mini_chain_incidence):
         # all constants comfortably above sqrt(2) so weights stay 1/C^2
         rows = [
-            data_row({(1, 0): 1.0}, 20.0, "accept/a/agricultural/nitrogen"),
-            data_row({(1, 1): 1.0}, 9.0, "eos/a/nitrogen"),
-            data_row({(1, 2): 1.0}, 4.2, "eot/nitrogen"),
+            ({(1, 0): 1.0}, 20.0, "accept/a/agricultural/nitrogen"),
+            ({(1, 1): 1.0}, 9.0, "eos/a/nitrogen"),
+            ({(1, 2): 1.0}, 4.2, "eot/nitrogen"),
         ]
         s = 5.0
 
         def solve_scaled(factor):
-            scaled = [data_row(dict(r.coefficients), r.constant * factor,
-                               r.label) for r in rows]
+            scaled = [(coefs, constant * factor, label)
+                      for coefs, constant, label in rows]
             problem = est.assemble_problem(mini_chain_incidence,
-                                           ms.compute_weights(scaled))
+                                           measurement_system(scaled, 3))
             return est.solve(problem).x
 
         x1 = solve_scaled(1.0)
@@ -382,19 +432,15 @@ class TestResidualReport:
         cons, _ = build_constraints(network, truth.capabilities, perturbed_ds)
         perturbed = est.solve(est.assemble_problem(incidence, cons))
 
-        p_rows = [r for r, c in enumerate(cons)
-                  if c.operand_name == "phosphorus"]
-        n_rows = [r for r, c in enumerate(cons)
-                  if c.operand_name == "nitrogen"]
+        p_rows = np.flatnonzero(cons.operand == "phosphorus")
+        n_rows = np.flatnonzero(cons.operand == "nitrogen")
         # phosphorus rows never shared a capability with the perturbed datum
         assert np.abs(perturbed.errors[p_rows]
                       - baseline.errors[p_rows]).max() <= 1e-10
         assert np.abs(perturbed.errors[n_rows]).max() > 1e-3
 
     def test_empty_family_omitted(self, mini_chain_incidence):
-        rows = ms.compute_weights([
-            data_row({(1, 2): 1.0}, 25.0, "eot/nitrogen"),
-        ])
+        rows = measurement_system([({(1, 2): 1.0}, 25.0, "eot/nitrogen")], 3)
         problem = est.assemble_problem(mini_chain_incidence, rows)
         report = est.residual_report(problem, est.solve(problem))
         assert {f.family for f in report} == {"mass_balance", "eot"}

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,42 +15,96 @@ from pipeline_util import build_constraints
 
 
 class TestCapabilityAggregation:
+    """The one-step matrix ``d`` is the paper's D_E."""
+
     def test_single_row(self):
-        d_e = ms.build_capability_aggregation([{0, 2}], 3)
-        assert d_e.tolist() == [[1, 0, 1]]
+        # the EoT datum's row selects each estuary-bound river transport of
+        # its operand once
+        net, truth, _ = bf.generate_synthetic(8, branching=2, seed=5)
+        system, _ = ms.assemble_eot_constraints(
+            [ms.LoadRecord("c1", "phosphorus", "EoT", 3.0)], net,
+            truth.capabilities)
+        specs = net.buffer_specs
+        terminal = {
+            cap.id for cap in truth.capabilities
+            if cap.capability_class.action == "transport_river"
+            and cap.capability_class.operand_name == "phosphorus"
+            and specs[cap.destination].external_id in net.estuary_ids}
+        assert system.d.shape == (1, len(truth.capabilities))
+        assert set(system.d.indices.tolist()) == terminal
+        assert (system.d.data == 1.0).all()
+
+    def test_empty_group_rejected(self, chain_network):
+        # a datum whose capability group is empty gives no row, only a note
+        caps = [c for c in chain_caps(chain_network)
+                if c.capability_class.action != "transport_river"]
+        system, skipped = ms.assemble_eot_constraints(
+            [ms.LoadRecord("alpha", "nitrogen", "EoT", 4.0)], chain_network,
+            caps)
+        assert len(system) == 0
+        assert "no estuary-bound river transport" in skipped[0]
 
     def test_identity_grouping(self):
-        d_e = ms.build_capability_aggregation([[0], [1], [2]], 3)
-        assert (d_e == np.eye(3)).all()
+        # one county per land segment: every accept and EoS row selects
+        # exactly one capability, and no two rows share one
+        net, truth, datasets = bf.generate_synthetic(5, seed=3)
+        for assemble, records in ((ms.assemble_accept_constraints,
+                                   datasets.applied),
+                                  (ms.assemble_eos_constraints, datasets.loads)):
+            system, _ = assemble(records, net, truth.capabilities)
+            assert (system.d.getnnz(axis=1) == 1).all()
+            assert (system.d.data == 1.0).all()
+            assert len(set(system.d.indices.tolist())) == len(system)
 
-    def test_empty_group_rejected(self):
-        with pytest.raises(ValueError, match="no capabilities"):
-            ms.build_capability_aggregation([[]], 3)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            ms.build_capability_aggregation([[5]], 3)
+    def test_out_of_range(self, chain_network):
+        caps = chain_caps(chain_network)
+        records = [ms.AppliedNutrientRecord("alpha", "developed",
+                                            "nitrogen", 1.0)]
+        with pytest.raises(ValueError, match="lacks a capability"):
+            ms.assemble_accept_constraints(
+                records, chain_network,
+                [c for c in caps if c.capability_class.sector != "developed"])
 
 
 class TestTemporalAggregation:
-    def test_single_step_identity(self):
-        assert ms.build_temporal_aggregation(1, 1).tolist() == [[1]]
+    """``expand_constraints`` applies the paper's D_T."""
 
-    def test_annual_datum_column_of_ones(self):
-        d_t = ms.build_temporal_aggregation(4, 1, {k: 0 for k in range(4)})
-        assert d_t.tolist() == [[1], [1], [1], [1]]
+    @pytest.fixture(scope="class")
+    def system(self):
+        net, truth, datasets = bf.generate_synthetic(6, branching=2, seed=4)
+        return build_constraints(net, truth.capabilities, datasets)[0]
 
-    def test_two_step_diagonal(self):
-        d_t = ms.build_temporal_aggregation(2, 2, {0: 0, 1: 1})
-        assert (d_t == np.eye(2)).all()
+    def test_annual_datum_column_of_ones(self, system):
+        data = ~system.relation
+        for k_steps in (2, 3):
+            lifted = ms.expand_constraints(system, k_steps)
+            expected = sp.kron(np.ones((1, k_steps)), system.d[data])
+            assert np.array_equal(lifted.d[~lifted.relation].toarray(),
+                                  expected.toarray())
+            assert [lifted.label[r] for r in np.flatnonzero(~lifted.relation)] \
+                == [system.label[r] for r in np.flatnonzero(data)]
+            assert np.array_equal(lifted.constant[~lifted.relation],
+                                  system.constant[data])
 
-    def test_mapping_out_of_range(self):
-        with pytest.raises(ValueError):
-            ms.build_temporal_aggregation(2, 2, {0: 5})
+    def test_two_step_diagonal(self, system):
+        lifted = ms.expand_constraints(system, 2)
+        rel = system.d[system.relation]
+        # each relation row's two copies are consecutive: undo that order
+        copies = lifted.d[lifted.relation].toarray()
+        by_step = np.vstack([copies[0::2], copies[1::2]])
+        assert np.array_equal(by_step, sp.kron(sp.identity(2), rel).toarray())
+        labels = [lifted.label[r] for r in np.flatnonzero(lifted.relation)]
+        head, _, operand = system.label[np.flatnonzero(system.relation)[0]] \
+            .rpartition("/")
+        assert labels[:2] == [f"{head}@k1/{operand}", f"{head}@k2/{operand}"]
 
-    def test_mismatch_without_mapping(self):
-        with pytest.raises(ValueError):
-            ms.build_temporal_aggregation(3, 2)
+    def test_zero_steps_rejected(self, system):
+        with pytest.raises(ValueError, match="k_steps"):
+            ms.expand_constraints(system, 0)
+
+    def test_lifted_system_rejected(self, system):
+        with pytest.raises(ValueError, match="already spans 2 steps"):
+            ms.expand_constraints(ms.expand_constraints(system, 2), 3)
 
 
 class TestWeightedDeliveryFactor:
@@ -130,7 +185,7 @@ class TestAcceptConstraints:
         con = constraints[0]
         assert con.constant == 100.0
         assert con.label == "accept/alpha/agricultural/nitrogen"
-        coefs = con.coefficient_map()
+        coefs = dict(con.coefficients)
         assert list(coefs.values()) == [1.0]
         ((_, cap_id),) = coefs.keys()
         assert caps[cap_id].capability_class.sector == "agricultural"
@@ -158,7 +213,7 @@ class TestAcceptConstraints:
         ]
         constraints, _ = ms.assemble_accept_constraints(
             records, net, truth.capabilities)
-        supports = [set(c.coefficient_map()) for c in constraints]
+        supports = [set(dict(c.coefficients)) for c in constraints]
         assert supports[0].isdisjoint(supports[1])
 
     def test_unknown_county_skipped(self, chain_network):
@@ -167,7 +222,7 @@ class TestAcceptConstraints:
                                             "nitrogen", 1.0)]
         constraints, skipped = ms.assemble_accept_constraints(
             records, chain_network, caps)
-        assert constraints == []
+        assert len(constraints) == 0
         assert "nowhere" in skipped[0]
 
 
@@ -188,7 +243,7 @@ class TestEosEotConstraints:
         records = [ms.LoadRecord("nowhere", "nitrogen", "EoS", 50.0)]
         constraints, skipped = ms.assemble_eos_constraints(
             records, chain_network, caps)
-        assert constraints == [] and skipped
+        assert len(constraints) == 0 and skipped
 
     def test_eot_single_estuary(self, chain_network):
         caps = chain_caps(chain_network)
@@ -233,8 +288,8 @@ class TestTransportRelations:
         caps = chain_caps(chain_network)
         relations = ms.assemble_transport_relations(
             chain_network, caps, self.make_delivery(chain_network, 0.5, 0.6))
-        land_rows = [c for c in relations if c.label.startswith("transport/land/")]
-        row = next(c for c in land_rows if c.operand_name == "nitrogen")
+        row = next(c for c in relations
+                   if c.label == "transport/land/land-1/nitrogen")
         assert row.constant == 0.0
         by_cap = {cap: v for (_, cap), v in row.coefficients}
         values = sorted(by_cap.values())
@@ -309,19 +364,19 @@ def bundle():
 class TestFamilyInvariants:
     def test_operand_consistency(self, bundle):
         _, truth, constraints = bundle
-        for con in constraints:
+        for con, operand in zip(constraints, constraints.operand):
             for (_, cap), _ in con.coefficients:
                 assert (truth.capabilities[cap].capability_class.operand_name
-                        == con.operand_name)
+                        == operand)
 
     def test_family_partition(self, bundle):
         _, _, constraints = bundle
         for family in ("accept", "eos", "eot"):
             seen: set[int] = set()
-            for con in constraints:
-                if con.family != family:
+            for con, con_family in zip(constraints, constraints.family):
+                if con_family != family:
                     continue
-                caps = {cap for (_, cap) in con.coefficient_map()}
+                caps = {cap for (_, cap), _ in con.coefficients}
                 assert seen.isdisjoint(caps)
                 seen |= caps
 
@@ -340,7 +395,7 @@ class TestExpandConstraints:
         cons, _ = ms.assemble_eot_constraints(
             [ms.LoadRecord("alpha", "nitrogen", "EoT", 9.0)],
             chain_network, caps)
-        assert ms.expand_constraints(cons, 1) == cons
+        assert ms.expand_constraints(cons, 1) is cons
 
     def test_relations_replicate_data_spreads(self, chain_network):
         caps = chain_caps(chain_network)
@@ -350,24 +405,28 @@ class TestExpandConstraints:
         data, _ = ms.assemble_eot_constraints(
             [ms.LoadRecord("alpha", "nitrogen", "EoT", 9.0)],
             chain_network, caps)
-        out = ms.expand_constraints(ms.compute_weights(relations + data), 3)
-        relation_rows = [c for c in out if c.family == "transport"]
+        out = ms.expand_constraints(
+            ms.compute_weights(ms.stack_systems([relations, data])), 3)
+        relation_rows = [out[r] for r in np.flatnonzero(out.relation)]
         # every relation row is replicated per step
         assert len(relation_rows) == 3 * len(relations)
         assert {k for c in relation_rows
-                for (k, _) in c.coefficient_map()} == {1, 2, 3}
-        data_rows = [c for c in out if c.family == "eot"]
+                for (k, _), _ in c.coefficients} == {1, 2, 3}
+        data_rows = [out[r] for r in np.flatnonzero(~out.relation)]
         assert len(data_rows) == 1
-        assert {k for (k, _) in data_rows[0].coefficient_map()} == {1, 2, 3}
+        assert {k for (k, _), _ in data_rows[0].coefficients} == {1, 2, 3}
 
-    def test_aggregation_bridge(self):
-        d_e = ms.build_capability_aggregation([[0, 1], [2]], 3)
-        d_t = ms.build_temporal_aggregation(2, 1, {0: 0, 1: 0})
-        rows = ms.constraints_from_aggregation(
-            d_e, d_t, [4.0, 5.0], [0, 0], ["agg/a/nitrogen", "agg/b/nitrogen"])
-        assert rows[0].coefficient_map() == {
-            (1, 0): 1.0, (1, 1): 1.0, (2, 0): 1.0, (2, 1): 1.0}
-        assert rows[1].constant == 5.0
+    def test_zero_datum_stays_one_horizon_row(self, chain_network):
+        # a zero-mass record is still a datum on the horizon total, not a
+        # relation to replicate per step
+        caps = chain_caps(chain_network)
+        data, _ = ms.assemble_accept_constraints(
+            [ms.AppliedNutrientRecord("alpha", "developed", "phosphorus", 0.0)],
+            chain_network, caps)
+        out = ms.expand_constraints(ms.compute_weights(data), 3)
+        assert len(out) == 1
+        assert out[0].label == "accept/alpha/developed/phosphorus"
+        assert {k for (k, _), _ in out[0].coefficients} == {1, 2, 3}
 
 
 class TestParsing:

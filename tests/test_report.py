@@ -11,7 +11,7 @@ from basinflow import estimator as est
 from basinflow import report as rp
 from basinflow.core_net import default_operands
 
-from pipeline_util import assemble_bundle
+from pipeline_util import assemble_bundle, measurement_system
 
 
 class TestRSquared:
@@ -136,8 +136,9 @@ class TestExport:
                                "accumulation")]
                 assert value == solution.q_b[-1][place_index(op.id, spec.id,
                                                              n_ops)]
-        for r, con in enumerate(constraints):
-            assert table[("constraint", con.label, con.operand_name,
+        for r, (label, operand) in enumerate(zip(constraints.label,
+                                                 constraints.operand)):
+            assert table[("constraint", label, operand,
                           "error")] == solution.errors[r]
 
     def test_zero_flow_solution_exports(self, solved_chain, tmp_path):
@@ -186,7 +187,8 @@ class TestExport:
         incidence = build_incidence(caps, len(operands),
                                     len(chain_network.buffer_specs))
         with pytest.warns(est.AssemblyWarning):
-            problem = est.assemble_problem(incidence, [])
+            problem = est.assemble_problem(
+                incidence, measurement_system([], len(caps)))
         solution = est.solve(problem)
         path = tmp_path / "bare.geojson"
         rp.export_results(solution, chain_network, caps, operands, path,
