@@ -32,7 +32,9 @@ from .measurement import (
     assemble_accept_constraints,
     assemble_eos_constraints,
     assemble_eot_constraints,
+    assemble_stream_to_tide,
     assemble_transport_relations,
+    capability_table,
     compute_delivery_model,
     compute_weights,
     expand_constraints,
@@ -52,6 +54,7 @@ from .estimator import (
 )
 from .report import (
     FitReport,
+    build_fit_report,
     export_results,
     median_relative_error,
     nrmse,
@@ -69,13 +72,14 @@ __all__ = [
     "instantiate_capabilities", "load_network", "validate_routing",
     "MeasurementConstraint", "MeasurementSystem",
     "assemble_accept_constraints", "assemble_eos_constraints",
-    "assemble_eot_constraints", "assemble_transport_relations",
+    "assemble_eot_constraints", "assemble_stream_to_tide",
+    "assemble_transport_relations", "capability_table",
     "compute_delivery_model", "compute_weights", "expand_constraints",
     "interoutlet_delivery_factor", "outlet_delivery_factor",
     "stack_systems", "weighted_delivery_factor",
     "generate_synthetic",
     "EstimationProblem", "Solution", "assemble_problem",
     "dense_oracle_solve", "residual_report", "solve",
-    "FitReport", "export_results", "median_relative_error", "nrmse",
-    "r_squared", "relative_error",
+    "FitReport", "build_fit_report", "export_results",
+    "median_relative_error", "nrmse", "r_squared", "relative_error",
 ]

@@ -169,24 +169,29 @@ def cmd_validate(config: RunConfig) -> int:
     return EXIT_OK if routing.ok else EXIT_VALIDATION
 
 
-def _assemble_constraints(network, capabilities, applied, loads, dfs, areas,
-                          config: RunConfig):
-    delivery = measurement.compute_delivery_model(
-        network, dfs or (), areas, missing_policy=config.missing_df_policy)
+def _assemble_constraints(network, capabilities, applied, loads, delivery):
+    """The one-step measurement system, the rows the fit report scores (the
+    system and the report-only StreamToTide rows) and the skipped-record
+    notes.  Without a delivery model (``report`` given no delivery factors)
+    the transport-relation and StreamToTide rows are left out."""
+    table = measurement.capability_table(network, capabilities)
     blocks = []
     skipped: list[str] = []
     for assemble, records in ((measurement.assemble_accept_constraints, applied),
                               (measurement.assemble_eos_constraints, loads),
                               (measurement.assemble_eot_constraints, loads)):
-        if records:
-            block, diag = assemble(records, network, capabilities)
-            blocks.append(block)
-            skipped += diag
+        block, diag = assemble(records or (), network, table)
+        blocks.append(block)
+        skipped += diag
+    if delivery is None:
+        system = measurement.stack_systems(blocks)
+        return system, system, skipped
     blocks.append(measurement.assemble_transport_relations(
-        network, capabilities, delivery))
-    constraints = measurement.compute_weights(measurement.stack_systems(blocks))
-    constraints = measurement.expand_constraints(constraints, config.k_steps)
-    return constraints, delivery, skipped
+        network, table, delivery))
+    system = measurement.stack_systems(blocks)
+    stream, diag = measurement.assemble_stream_to_tide(
+        loads or (), network, table, delivery)
+    return system, measurement.stack_systems([system, stream]), skipped + diag
 
 
 def cmd_estimate(config: RunConfig) -> int:
@@ -205,8 +210,12 @@ def cmd_estimate(config: RunConfig) -> int:
     t0 = time.perf_counter()
     operands = default_operands()
     capabilities = topology.instantiate_capabilities(network, operands)
-    constraints, delivery, skipped = _assemble_constraints(
-        network, capabilities, applied, loads, dfs, areas, config)
+    delivery = measurement.compute_delivery_model(
+        network, dfs, areas, missing_policy=config.missing_df_policy)
+    system, fit_rows, skipped = _assemble_constraints(
+        network, capabilities, applied, loads, delivery)
+    constraints = measurement.expand_constraints(
+        measurement.compute_weights(system), config.k_steps)
     for line in skipped:
         print(f"warning: {line}", file=sys.stderr)
     incidence = build_incidence(capabilities, len(operands),
@@ -233,17 +242,8 @@ def cmd_estimate(config: RunConfig) -> int:
         json.dump([f.to_dict() for f in families], fh, indent=1, sort_keys=True)
         fh.write("\n")
 
-    totals = solution.u.sum(axis=0)
-    flows = {}
-    for cap in capabilities:
-        kind, entity = report.capability_entity(cap, network)
-        flows[(kind, entity, cap.capability_class.operand_name)] = (
-            float(totals[cap.id]))
-    fit = report.build_fit_report(
-        flows, network, applied or (), loads or (),
-        outlet_river_to_bay=delivery.outlet_river_to_bay,
-        nrmse_normalizer=config.nrmse_normalizer,
-        land_factor=delivery.land_factor, link_ratio=delivery.link_ratio)
+    fit = report.build_fit_report(fit_rows, solution.u.sum(axis=0),
+                                  nrmse_normalizer=config.nrmse_normalizer)
     fit.write_csv(out / "fit_report.csv")
 
     summary = {
@@ -335,18 +335,17 @@ def cmd_synth(n_outlets: int, branching: int, seed: int, out_dir: str,
 def cmd_report(solution_path: str, config: RunConfig) -> int:
     network = topology.load_network(config.network_path)
     applied, loads, dfs, areas = _read_datasets(config)
-    table = report.import_tabular(solution_path)
-    flows = report.flows_from_tabular(table)
+    flows = report.flows_from_tabular(report.import_tabular(solution_path))
     delivery = None
     if dfs is not None:
         delivery = measurement.compute_delivery_model(
             network, dfs, areas, missing_policy=config.missing_df_policy)
+    capabilities = topology.instantiate_capabilities(network, default_operands())
+    _, fit_rows, _ = _assemble_constraints(
+        network, capabilities, applied, loads, delivery)
     fit = report.build_fit_report(
-        flows, network, applied or (), loads or (),
-        outlet_river_to_bay=delivery.outlet_river_to_bay if delivery else None,
-        nrmse_normalizer=config.nrmse_normalizer,
-        land_factor=delivery.land_factor if delivery else None,
-        link_ratio=delivery.link_ratio if delivery else None)
+        fit_rows, report.flow_totals(flows, capabilities, network),
+        nrmse_normalizer=config.nrmse_normalizer)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     fit.write_csv(out / "fit_report.csv")

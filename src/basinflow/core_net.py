@@ -98,21 +98,13 @@ class CapabilityClass(Enum):
     TRANSPORT_RIVER_N = ("transport_river", None, NITROGEN)
     TRANSPORT_RIVER_P = ("transport_river", None, PHOSPHORUS)
 
-    @property
-    def action(self) -> str:
-        return self.value[0]
-
-    @property
-    def sector(self) -> Optional[str]:
-        return self.value[1]
-
-    @property
-    def operand_name(self) -> str:
-        return self.value[2]
-
-    @property
-    def is_accept(self) -> bool:
-        return self.value[0] == "accept"
+    def __init__(self, action: str, sector: Optional[str], operand_name: str):
+        # Plain attributes: ``value`` goes through the enum descriptor,
+        # which is slow in loops over every capability.
+        self.action = action
+        self.sector = sector
+        self.operand_name = operand_name
+        self.is_accept = action == "accept"
 
 
 @dataclass(frozen=True)

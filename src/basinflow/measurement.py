@@ -9,7 +9,10 @@ squared error by the magnitude of the datum it checks.
 
 ``D`` is the paper's capability aggregation D_E, one sparse row per datum
 or transport relation and one column per capability.  ``expand_constraints``
-lifts it onto a K-step horizon with the temporal aggregation D_T.
+lifts it onto a K-step horizon with the temporal aggregation D_T.  The fit
+report scores flows through the same rows, plus StreamToTide rows that
+never enter the estimation, so only this module knows how a datum
+aggregates flows.
 """
 
 from __future__ import annotations
@@ -181,16 +184,25 @@ def stack_systems(systems: Sequence[MeasurementSystem]) -> MeasurementSystem:
 # Dataset file parsing
 # ---------------------------------------------------------------------------
 
-def _read_rows(path, required: Sequence[str]) -> Iterable[dict]:
+def _read_rows(path, required: Sequence[str]) -> Iterable[list[str]]:
+    """Yield the ``required`` fields of each nonblank row, in that order."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [col for col in required if col not in header]
         if missing:
             raise DatasetFormatError(
                 f"{path}: missing required column(s) {', '.join(missing)}"
             )
-        yield from reader
+        cols = [header.index(col) for col in required]
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < len(header):
+                raise DatasetFormatError(
+                    f"{path} line {reader.line_num}: {len(row)} fields, the "
+                    f"header has {len(header)}")
+            yield [row[i] for i in cols]
 
 
 def _parse_float(raw: str, where: str) -> float:
@@ -211,51 +223,55 @@ def _canon_operand(raw: str, where: str) -> str:
 
 def read_applied(path) -> list[AppliedNutrientRecord]:
     records = []
-    for i, row in enumerate(_read_rows(path, ("county", "sector", "operand", "mass"))):
+    for i, (county, sector, operand, mass) in enumerate(
+            _read_rows(path, ("county", "sector", "operand", "mass"))):
         where = f"{path} row {i + 2}"
         records.append(AppliedNutrientRecord(
-            row["county"].strip(),
-            row["sector"].strip().lower(),
-            _canon_operand(row["operand"], where),
-            _parse_float(row["mass"], where),
+            county.strip(),
+            sector.strip().lower(),
+            _canon_operand(operand, where),
+            _parse_float(mass, where),
         ))
     return records
 
 
 def read_loads(path) -> list[LoadRecord]:
     records = []
-    for i, row in enumerate(_read_rows(path, ("county", "operand", "kind", "mass"))):
+    for i, (county, operand, kind, mass) in enumerate(
+            _read_rows(path, ("county", "operand", "kind", "mass"))):
         where = f"{path} row {i + 2}"
         records.append(LoadRecord(
-            row["county"].strip(),
-            _canon_operand(row["operand"], where),
-            row["kind"].strip(),
-            _parse_float(row["mass"], where),
+            county.strip(),
+            _canon_operand(operand, where),
+            kind.strip(),
+            _parse_float(mass, where),
         ))
     return records
 
 
 def read_delivery_factors(path) -> list[DeliveryFactorRecord]:
     records = []
-    for i, row in enumerate(_read_rows(path, ("segment", "load_source", "stage", "factor"))):
+    for i, (segment, load_source, stage, factor) in enumerate(
+            _read_rows(path, ("segment", "load_source", "stage", "factor"))):
         where = f"{path} row {i + 2}"
         records.append(DeliveryFactorRecord(
-            row["segment"].strip(),
-            row["load_source"].strip(),
-            row["stage"].strip(),
-            _parse_float(row["factor"], where),
+            segment.strip(),
+            load_source.strip(),
+            stage.strip(),
+            _parse_float(factor, where),
         ))
     return records
 
 
 def read_areas(path) -> list[AreaRecord]:
     records = []
-    for i, row in enumerate(_read_rows(path, ("segment", "load_source", "acres"))):
+    for i, (segment, load_source, acres) in enumerate(
+            _read_rows(path, ("segment", "load_source", "acres"))):
         where = f"{path} row {i + 2}"
         records.append(AreaRecord(
-            row["segment"].strip(),
-            row["load_source"].strip(),
-            _parse_float(row["acres"], where),
+            segment.strip(),
+            load_source.strip(),
+            _parse_float(acres, where),
         ))
     return records
 
@@ -478,12 +494,14 @@ class CapabilityTable:
     ``accept[land, sector, operand]``, ``land_transport[land, operand]`` and
     ``river_transport[link, operand]`` index land segments and river links
     in network order, sectors as in ``SECTORS`` and operands as in
-    ``OPERAND_NAMES``.
+    ``OPERAND_NAMES``.  ``n_caps`` is the length of the capability list,
+    the column count of every row block built from the table.
     """
 
     accept: np.ndarray
     land_transport: np.ndarray
     river_transport: np.ndarray
+    n_caps: int
 
 
 def capability_table(network: "WatershedNetwork",
@@ -506,7 +524,8 @@ def capability_table(network: "WatershedNetwork",
             land_transport[land_pos[cap.resource_id], op] = cap.id
         else:
             river_transport[link_pos[(cap.origin, cap.destination)], op] = cap.id
-    return CapabilityTable(accept, land_transport, river_transport)
+    return CapabilityTable(accept, land_transport, river_transport,
+                           len(capabilities))
 
 
 def _groups(keys: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
@@ -552,7 +571,7 @@ def _county_rows(totals: dict, network, family: str, what: str):
 def assemble_accept_constraints(
     records: Sequence[AppliedNutrientRecord],
     network: "WatershedNetwork",
-    capabilities: Sequence[CapabilitySpec],
+    table: CapabilityTable,
 ) -> tuple[MeasurementSystem, list[str]]:
     """One row per (county, sector, operand) over that county's accepts.
 
@@ -567,35 +586,60 @@ def assemble_accept_constraints(
         totals, network, "accept", "applied")
     sector = np.array([SECTORS.index(k[1]) for k in keys], dtype=np.intp)
     op = np.array([OPERAND_NAMES.index(k[2]) for k in keys], dtype=np.intp)
-    cols = capability_table(network, capabilities).accept[
-        lands, sector[rows], op[rows]]
+    cols = table.accept[lands, sector[rows], op[rows]]
     return _system(rows, cols, np.ones(cols.size), [totals[k] for k in keys],
-                   labels, len(capabilities), relation=False), skipped
+                   labels, table.n_caps, relation=False), skipped
+
+
+def _county_load_rows(records: Sequence[LoadRecord], kind: str, family: str,
+                      network: "WatershedNetwork", table: CapabilityTable,
+                      land_weight: np.ndarray) -> tuple[MeasurementSystem, list[str]]:
+    """One row per (county, operand) of ``kind`` loads over the county's
+    land-to-outlet transports, land segment i weighted ``land_weight[i]``."""
+    totals: dict[tuple[str, str], float] = {}
+    for rec in records:
+        if rec.kind == kind:
+            key = (rec.county, rec.operand)
+            totals[key] = totals.get(key, 0.0) + rec.mass
+    keys, rows, lands, labels, skipped = _county_rows(totals, network, family, kind)
+    op = np.array([OPERAND_NAMES.index(k[1]) for k in keys], dtype=np.intp)
+    cols = table.land_transport[lands, op[rows]]
+    return _system(rows, cols, land_weight[lands], [totals[k] for k in keys],
+                   labels, table.n_caps, relation=False), skipped
 
 
 def assemble_eos_constraints(
     records: Sequence[LoadRecord],
     network: "WatershedNetwork",
-    capabilities: Sequence[CapabilitySpec],
+    table: CapabilityTable,
 ) -> tuple[MeasurementSystem, list[str]]:
     """One row per (county, operand) over land-to-outlet transports."""
-    totals: dict[tuple[str, str], float] = {}
-    for rec in records:
-        if rec.kind == "EoS":
-            key = (rec.county, rec.operand)
-            totals[key] = totals.get(key, 0.0) + rec.mass
-    keys, rows, lands, labels, skipped = _county_rows(
-        totals, network, "eos", "EoS")
-    op = np.array([OPERAND_NAMES.index(k[1]) for k in keys], dtype=np.intp)
-    cols = capability_table(network, capabilities).land_transport[lands, op[rows]]
-    return _system(rows, cols, np.ones(cols.size), [totals[k] for k in keys],
-                   labels, len(capabilities), relation=False), skipped
+    return _county_load_rows(records, "EoS", "eos", network, table,
+                             np.ones(len(network.land_segments)))
+
+
+def assemble_stream_to_tide(
+    records: Sequence[LoadRecord],
+    network: "WatershedNetwork",
+    table: CapabilityTable,
+    delivery: DeliveryModel,
+) -> tuple[MeasurementSystem, list[str]]:
+    """One row per (county, operand) of StreamToTide loads: the county's
+    land-to-outlet transports, each times its outlet's river-to-bay factor.
+
+    These rows score the fit only; they never enter the estimation.
+    """
+    rtb = np.array([
+        delivery.outlet_river_to_bay[network.outlet_of_land(land).external_id]
+        for land in network.land_segments])
+    return _county_load_rows(records, "StreamToTide", "stream_to_tide",
+                             network, table, rtb)
 
 
 def assemble_eot_constraints(
     records: Sequence[LoadRecord],
     network: "WatershedNetwork",
-    capabilities: Sequence[CapabilitySpec],
+    table: CapabilityTable,
 ) -> tuple[MeasurementSystem, list[str]]:
     """One row per operand: all estuary-bound river transports sum to the
     end-of-tide total (summed across reporting counties)."""
@@ -605,7 +649,7 @@ def assemble_eot_constraints(
             totals[rec.operand] = totals.get(rec.operand, 0.0) + rec.mass
     terminal = [i for i, link in enumerate(network.river_links)
                 if link.to_node in network.estuary_ids]
-    river = capability_table(network, capabilities).river_transport[terminal]
+    river = table.river_transport[terminal]
     rows, cols, constants, labels, skipped = [], [], [], [], []
     for operand, mass in totals.items():
         caps = river[:, OPERAND_NAMES.index(operand)]
@@ -620,12 +664,12 @@ def assemble_eot_constraints(
         constants.append(mass)
         labels.append(f"eot/{operand}")
     return _system(rows, cols, np.ones(len(cols)), constants, labels,
-                   len(capabilities), relation=False), skipped
+                   table.n_caps, relation=False), skipped
 
 
 def assemble_transport_relations(
     network: "WatershedNetwork",
-    capabilities: Sequence[CapabilitySpec],
+    table: CapabilityTable,
     delivery: DeliveryModel,
 ) -> MeasurementSystem:
     """Zero-constant rows tying each transport firing to its inflow.
@@ -635,7 +679,6 @@ def assemble_transport_relations(
     i.e. its land transports plus upstream links) = error.  Rows run land
     by land, then link by link, operands fastest.
     """
-    table = capability_table(network, capabilities)
     lands, links = network.land_segments, network.river_links
     buffer_id = network.buffer_id
 
@@ -673,7 +716,7 @@ def assemble_transport_relations(
                f"{OPERAND_NAMES[o]}" for i, o in zip(link.tolist(), link_op.tolist())]
     return _system(np.concatenate(rows), np.concatenate(cols),
                    np.concatenate(values), np.zeros(len(labels)), labels,
-                   len(capabilities), relation=True)
+                   table.n_caps, relation=True)
 
 
 def compute_weights(system: MeasurementSystem) -> MeasurementSystem:

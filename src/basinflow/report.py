@@ -215,17 +215,17 @@ def export_results(solution: Solution, network: WatershedNetwork,
 def import_tabular(path) -> dict[tuple[str, str, str, str], float]:
     """Read an exported tabular file back into a lookup keyed by
     (entity_kind, entity_id, operand, quantity_kind)."""
-    out: dict[tuple[str, str, str, str], float] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in TABULAR_HEADER if c not in (reader.fieldnames or [])]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in TABULAR_HEADER if c not in header]
         if missing:
             raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-        for row in reader:
-            key = (row["entity_kind"], row["entity_id"], row["operand"],
-                   row["quantity_kind"])
-            out[key] = float(row["value_lbs"])
-    return out
+        kind, entity, operand, quantity, value = (
+            header.index(c) for c in ("entity_kind", "entity_id", "operand",
+                                      "quantity_kind", "value_lbs"))
+        return {(row[kind], row[entity], row[operand], row[quantity]):
+                float(row[value]) for row in reader if row}
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +261,6 @@ class FitReport:
         raise KeyError((data_type, operand, metric))
 
 
-def _paired_vectors(observed: dict, predicted: dict) -> tuple[np.ndarray, np.ndarray]:
-    keys = sorted(observed)
-    obs = np.array([observed[k] for k in keys])
-    pred = np.array([predicted.get(k, 0.0) for k in keys])
-    return pred, obs
-
-
 def _safe(metric_fn, *args, **kwargs) -> tuple[float, str]:
     try:
         return metric_fn(*args, **kwargs), ""
@@ -275,163 +268,90 @@ def _safe(metric_fn, *args, **kwargs) -> tuple[float, str]:
         return float("nan"), str(exc)
 
 
-def build_fit_report(flows: dict[tuple[str, str, str], float],
-                     network: WatershedNetwork,
-                     applied_records,
-                     load_records,
-                     outlet_river_to_bay: Optional[dict[str, float]] = None,
-                     nrmse_normalizer: str = "mean",
-                     land_factor: Optional[dict[str, float]] = None,
-                     link_ratio: Optional[dict[tuple[str, str], float]] = None,
-                     ) -> FitReport:
-    """Compare estimated flows against the behavioral datasets.
+# Row family -> the data type the report scores it as, in report order.
+_DATA_TYPES = {"accept": "applied", "eos": "eos", "eot": "eot",
+               "stream_to_tide": "stream_to_tide",
+               "transport": "transport_relations"}
 
-    ``flows`` maps (entity_kind, entity_id, operand) to the estimated flow
-    (as produced by the tabular export).  Delivery coefficients are needed
-    for the stream-to-tide and transport-relation rows and those rows are
-    omitted when they are not supplied.
+
+def _relation_fit(d, totals: np.ndarray) -> list[FitRow]:
+    """Median relative error of each transport (a relation row's positive
+    entries) against the flow its delivery factors imply (its negative
+    entries, negated); rows implying no flow are not scored."""
+    transport = d.multiply(d > 0) @ totals
+    implied = -(d.multiply(d < 0) @ totals)
+    pairs = [(t, i) for t, i in zip(transport.tolist(), implied.tolist())
+             if i != 0]
+    if not pairs:
+        return []
+    value, note = _safe(median_relative_error, pairs)
+    return [FitRow("transport_relations", "both", METRIC_MEDIAN_REL, value,
+                   note or "estimated vs delivery-implied")]
+
+
+def build_fit_report(system: MeasurementSystem, totals: np.ndarray,
+                     nrmse_normalizer: str = "mean") -> FitReport:
+    """Compare estimated flows against the rows that measure them.
+
+    ``system`` holds one-step rows (``d`` over capabilities) and ``totals``
+    each capability's flow summed over the steps, so ``d @ totals``
+    predicts every row.  Data rows are scored against their constants per
+    family and operand: applied and EoS by R^2 and NRMSE, EoT by the
+    relative error of the total, StreamToTide by that and the median
+    per-county relative error.  Rows pair up in the order of the key in
+    their labels.
     """
-    operand_names = sorted({rec.operand for rec in applied_records}
-                           | {rec.operand for rec in load_records})
-    for (_, _, op) in flows:
-        if op not in operand_names and operand_names:
-            raise ValueError(
-                f"solution has flows for operand {op!r} but the datasets "
-                f"never mention it"
-            )
-    for op in operand_names:
-        if not any(key[2] == op for key in flows):
-            raise ValueError(
-                f"datasets mention operand {op!r} but the solution has no "
-                f"flows for it"
-            )
-
-    lands_by_county: dict[str, list] = {}
-    for land in network.land_segments:
-        lands_by_county.setdefault(land.county, []).append(land)
-
+    if system.n_steps != 1:
+        raise ValueError("the fit report needs the one-step system")
+    predicted = system.d @ totals
+    families, operands = system.family, system.operand
     rows: list[FitRow] = []
-
-    def county_accept_prediction(county: str, sector: str, op: str) -> float:
-        kind = f"accept_{sector}"
-        return sum(flows.get((kind, land.external_id, op), 0.0)
-                   for land in lands_by_county.get(county, ()))
-
-    for op in operand_names:
-        observed: dict = {}
-        for rec in applied_records:
-            if rec.operand == op:
-                key = (rec.county, rec.sector)
-                observed[key] = observed.get(key, 0.0) + rec.mass
-        if not observed:
+    for family, data_type in _DATA_TYPES.items():
+        in_family = np.flatnonzero(families == family)
+        if family == "transport":
+            rows += _relation_fit(system.d[in_family], totals)
             continue
-        predicted = {key: county_accept_prediction(key[0], key[1], op)
-                     for key in observed}
-        pred, obs = _paired_vectors(observed, predicted)
-        value, note = _safe(r_squared, pred, obs)
-        rows.append(FitRow("applied", op, METRIC_R2, value, note))
-        value, note = _safe(nrmse, pred, obs, nrmse_normalizer)
-        rows.append(FitRow("applied", op, METRIC_NRMSE, value,
-                           note or f"normalizer={nrmse_normalizer}"))
-
-    for op in operand_names:
-        observed = {}
-        for rec in load_records:
-            if rec.kind == "EoS" and rec.operand == op:
-                observed[rec.county] = observed.get(rec.county, 0.0) + rec.mass
-        if not observed:
-            continue
-        predicted = {
-            county: sum(flows.get(("transport_land_to_outlet", land.external_id, op), 0.0)
-                        for land in lands_by_county.get(county, ()))
-            for county in observed
-        }
-        pred, obs = _paired_vectors(observed, predicted)
-        value, note = _safe(r_squared, pred, obs)
-        rows.append(FitRow("eos", op, METRIC_R2, value, note))
-        value, note = _safe(nrmse, pred, obs, nrmse_normalizer)
-        rows.append(FitRow("eos", op, METRIC_NRMSE, value,
-                           note or f"normalizer={nrmse_normalizer}"))
-
-    terminal_links = [link for link in network.river_links
-                      if link.to_node in network.estuary_ids]
-    for op in operand_names:
-        observed_total = sum(rec.mass for rec in load_records
-                             if rec.kind == "EoT" and rec.operand == op)
-        if not any(rec.kind == "EoT" and rec.operand == op
-                   for rec in load_records):
-            continue
-        predicted_total = sum(
-            flows.get(("transport_river",
-                       f"{link.from_outlet}->{link.to_node}", op), 0.0)
-            for link in terminal_links
-        )
-        value, note = _safe(relative_error, predicted_total, observed_total)
-        rows.append(FitRow("eot", op, METRIC_REL, value, note))
-
-    if outlet_river_to_bay is not None:
-        for op in operand_names:
-            observed = {}
-            for rec in load_records:
-                if rec.kind == "StreamToTide" and rec.operand == op:
-                    observed[rec.county] = observed.get(rec.county, 0.0) + rec.mass
-            if not observed:
+        for op in sorted(set(operands[in_family].tolist())):
+            group = in_family[operands[in_family] == op]
+            paired = sorted(group.tolist(),
+                            key=lambda r: system.label[r].split("/")[1:-1])
+            pred, obs = predicted[paired], system.constant[paired]
+            if family in ("accept", "eos"):
+                value, note = _safe(r_squared, pred, obs)
+                rows.append(FitRow(data_type, op, METRIC_R2, value, note))
+                value, note = _safe(nrmse, pred, obs, nrmse_normalizer)
+                rows.append(FitRow(data_type, op, METRIC_NRMSE, value,
+                                   note or f"normalizer={nrmse_normalizer}"))
                 continue
-            predicted = {}
-            for county in observed:
-                predicted[county] = sum(
-                    flows.get(("transport_land_to_outlet", land.external_id, op), 0.0)
-                    * outlet_river_to_bay[network.outlet_of_land(land).external_id]
-                    for land in lands_by_county.get(county, ())
-                )
-            value, note = _safe(
-                relative_error, sum(predicted.values()), sum(observed.values()))
-            rows.append(FitRow("stream_to_tide", op, METRIC_REL, value,
+            value, note = _safe(relative_error, sum(predicted[group].tolist()),
+                                sum(system.constant[group].tolist()))
+            if family == "eot":
+                rows.append(FitRow(data_type, op, METRIC_REL, value, note))
+                continue
+            rows.append(FitRow(data_type, op, METRIC_REL, value,
                                note or "on totals"))
-            pairs = [(predicted[c], observed[c]) for c in sorted(observed)
-                     if observed[c] != 0]
+            pairs = [(p, o) for p, o in zip(pred.tolist(), obs.tolist()) if o != 0]
             value, note = _safe(median_relative_error, pairs)
-            rows.append(FitRow("stream_to_tide", op, METRIC_MEDIAN_REL, value,
+            rows.append(FitRow(data_type, op, METRIC_MEDIAN_REL, value,
                                note or "per county"))
-
-    if land_factor is not None and link_ratio is not None:
-        pairs = []
-        for land in network.land_segments:
-            for op in operand_names:
-                implied = land_factor[land.external_id] * (
-                    flows.get(("accept_agricultural", land.external_id, op), 0.0)
-                    + flows.get(("accept_developed", land.external_id, op), 0.0)
-                )
-                if implied != 0:
-                    pairs.append((
-                        flows.get(("transport_land_to_outlet",
-                                   land.external_id, op), 0.0),
-                        implied,
-                    ))
-        for link in network.river_links:
-            ratio = link_ratio[(link.from_outlet, link.to_node)]
-            for op in operand_names:
-                inflow = sum(
-                    flows.get(("transport_land_to_outlet", land.external_id, op), 0.0)
-                    for land in network.land_by_outlet.get(link.from_outlet, ())
-                ) + sum(
-                    flows.get(("transport_river",
-                               f"{inbound.from_outlet}->{inbound.to_node}", op), 0.0)
-                    for inbound in network.links_into.get(link.from_outlet, ())
-                )
-                implied = ratio * inflow
-                if implied != 0:
-                    pairs.append((
-                        flows.get(("transport_river",
-                                   f"{link.from_outlet}->{link.to_node}", op), 0.0),
-                        implied,
-                    ))
-        if pairs:
-            value, note = _safe(median_relative_error, pairs)
-            rows.append(FitRow("transport_relations", "both", METRIC_MEDIAN_REL,
-                               value, note or "estimated vs delivery-implied"))
-
     return FitReport(tuple(rows), nrmse_normalizer)
+
+
+def flow_totals(flows: dict[tuple[str, str, str], float],
+                capabilities: Sequence[CapabilitySpec],
+                network: WatershedNetwork) -> np.ndarray:
+    """Flows keyed (entity_kind, entity_id, operand), as the tabular export
+    names them, as one vector in capability order."""
+    totals = np.empty(len(capabilities))
+    for cap in capabilities:
+        kind, entity = capability_entity(cap, network)
+        operand = cap.capability_class.operand_name
+        try:
+            totals[cap.id] = flows[(kind, entity, operand)]
+        except KeyError:
+            raise ValueError(f"solution has no {operand} flow for {kind} "
+                             f"{entity!r}") from None
+    return totals
 
 
 def flows_from_tabular(table: dict[tuple[str, str, str, str], float],

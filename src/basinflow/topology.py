@@ -354,7 +354,9 @@ def validate_routing(network: WatershedNetwork) -> RoutingReport:
     """Check the dendritic-tree invariants, reporting violations as data.
 
     Flags outlets with zero or multiple downstream links, cycles among
-    outlets, and outlets from which no estuary can be reached.
+    outlets, and outlets from which no estuary can be reached.  Cycles and
+    reachability follow one downstream link per outlet: for an outlet with
+    several, the first in file order.
     """
     violations: list[RoutingViolation] = []
     out_links: dict[str, list[str]] = {o.external_id: [] for o in network.outlets}
@@ -374,80 +376,29 @@ def validate_routing(network: WatershedNetwork) -> RoutingReport:
                 f"outlet has {len(targets)} downstream links "
                 f"({', '.join(targets)}); the network must be dendritic"))
 
-    # Cycle detection over the outlet-to-outlet graph (estuaries terminate).
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {o: WHITE for o in out_links}
+    # With one successor per outlet the outlet graph is functional, so a
+    # walk down from each outlet either reaches an estuary, stops at an
+    # orphan, or closes on itself; each cycle is reported by the walk that
+    # first closes it.  Every outlet on a walk shares its end's verdict.
     estuary_ids = network.estuary_ids
-    for start in out_links:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        path: list[str] = []
-        color[start] = GRAY
-        path.append(start)
-        while stack:
-            node, child_ix = stack[-1]
-            targets = [t for t in out_links.get(node, ()) if t not in estuary_ids]
-            if child_ix < len(targets):
-                stack[-1] = (node, child_ix + 1)
-                nxt = targets[child_ix]
-                if nxt not in color:
-                    continue  # dangling reference; caught at load time
-                if color[nxt] == GRAY:
-                    cycle = path[path.index(nxt):] + [nxt]
-                    violations.append(RoutingViolation(
-                        "cycle", nxt,
-                        "river links form a cycle: " + " -> ".join(cycle)))
-                elif color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, 0))
-                    path.append(nxt)
-            else:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
-
-    # Estuary reachability, memoized over the (possibly cyclic) graph.
     reaches: dict[str, bool] = {}
-
-    def reaches_estuary(node: str) -> bool:
-        pending = [node]
-        visiting: set[str] = set()
-        order: list[str] = []
-        while pending:
-            cur = pending.pop()
-            if cur in reaches or cur in visiting:
-                continue
-            visiting.add(cur)
-            order.append(cur)
-            for t in out_links.get(cur, ()):
-                if t in estuary_ids:
-                    continue
-                if t in out_links and t not in reaches and t not in visiting:
-                    pending.append(t)
-        for cur in reversed(order):
-            ok = False
-            for t in out_links.get(cur, ()):
-                if t in estuary_ids or reaches.get(t, False):
-                    ok = True
-                    break
-            reaches[cur] = ok
-        # Nodes on cycles may still be unresolved after one sweep; iterate
-        # until stable (monotone, so this terminates quickly).
-        changed = True
-        while changed:
-            changed = False
-            for cur in order:
-                if not reaches[cur]:
-                    for t in out_links.get(cur, ()):
-                        if t in estuary_ids or reaches.get(t, False):
-                            reaches[cur] = True
-                            changed = True
-                            break
-        return reaches[node]
+    for start in out_links:
+        walk: dict[str, int] = {}
+        node: Optional[str] = start
+        while node in out_links and node not in reaches and node not in walk:
+            walk[node] = len(walk)
+            targets = out_links[node]
+            node = targets[0] if targets else None
+        if node in walk:
+            cycle = list(walk)[walk[node]:] + [node]
+            violations.append(RoutingViolation(
+                "cycle", node, "river links form a cycle: " + " -> ".join(cycle)))
+        ok = reaches[node] if node in reaches else node in estuary_ids
+        for visited in walk:
+            reaches[visited] = ok
 
     for outlet in network.outlets:
-        if not reaches_estuary(outlet.external_id):
+        if not reaches[outlet.external_id]:
             violations.append(RoutingViolation(
                 "unreachable_estuary", outlet.external_id,
                 "no directed path from this outlet reaches an estuary"))

@@ -6,25 +6,31 @@ import numpy as np
 import scipy.sparse as sp
 
 import basinflow as bf
-from basinflow import estimator, measurement
+from basinflow import cli, estimator, measurement, report
 from basinflow.core_net import build_incidence, default_operands
 
 
 def build_constraints(network, capabilities, datasets):
     delivery = measurement.compute_delivery_model(
         network, datasets.delivery_factors, datasets.areas)
+    table = measurement.capability_table(network, capabilities)
     blocks = [
         measurement.assemble_accept_constraints(
-            datasets.applied, network, capabilities)[0],
-        measurement.assemble_eos_constraints(
-            datasets.loads, network, capabilities)[0],
-        measurement.assemble_eot_constraints(
-            datasets.loads, network, capabilities)[0],
-        measurement.assemble_transport_relations(network, capabilities,
-                                                 delivery),
+            datasets.applied, network, table)[0],
+        measurement.assemble_eos_constraints(datasets.loads, network, table)[0],
+        measurement.assemble_eot_constraints(datasets.loads, network, table)[0],
+        measurement.assemble_transport_relations(network, table, delivery),
     ]
     return (measurement.compute_weights(measurement.stack_systems(blocks)),
             delivery)
+
+
+def fit_report(network, capabilities, totals, applied, loads, delivery=None):
+    """``build_fit_report`` over the rows the ``estimate`` and ``report``
+    commands score, for flow ``totals`` in capability order."""
+    _, rows, _ = cli._assemble_constraints(
+        network, capabilities, applied, loads, delivery)
+    return report.build_fit_report(rows, totals)
 
 
 def measurement_system(rows, n_caps, n_steps=1, weighted=True):

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from basinflow import estimator as est
 from basinflow import report as rp
 from basinflow.cli import main
 
-from pipeline_util import assemble_bundle
+from pipeline_util import assemble_bundle, fit_report
 
 
 def run(argv):
@@ -103,6 +104,27 @@ class TestEstimate:
                      "fit_report.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_single_operand_datasets(self, synth_dir, tmp_path):
+        # applied and loads hold only nitrogen: estimate and report both
+        # succeed and score no phosphorus data rows
+        bundle = tmp_path / "bundle"
+        shutil.copytree(synth_dir, bundle,
+                        ignore=shutil.ignore_patterns("results"))
+        for name in ("applied.csv", "loads.csv"):
+            header, *rows = (bundle / name).read_text().splitlines(keepends=True)
+            (bundle / name).write_text("".join(
+                [header] + [row for row in rows if ",nitrogen," in row]))
+        assert run(["estimate", "--config", str(bundle / "config.json")]) == 0
+        results = bundle / "results"
+        lines = (results / "fit_report.csv").read_text().splitlines()[1:]
+        operands = {line.split(",")[1] for line in lines}
+        assert "nitrogen" in operands and "phosphorus" not in operands
+        assert run(["report", "--solution", str(results / "solution.csv"),
+                    "--config", str(bundle / "config.json"),
+                    "--output-dir", str(tmp_path / "rep")]) == 0
+        assert (tmp_path / "rep" / "fit_report.csv").read_bytes() == \
+            (results / "fit_report.csv").read_bytes()
+
     def test_requires_delivery_factors(self, synth_dir, capsys):
         code = run(["estimate", "--network", str(synth_dir / "network.json"),
                     "--applied", str(synth_dir / "applied.csv")])
@@ -170,12 +192,9 @@ class TestReport:
         net, truth, ds = bf.generate_synthetic(1, 1, seed=5,
                                                land_per_outlet=(3, 3),
                                                county_mode="per-segment")
-        flows = {}
-        for cap in truth.capabilities:
-            kind, entity = rp.capability_entity(cap, net)
-            flows[(kind, entity, cap.capability_class.operand_name)] = \
-                float(truth.u[cap.id]) * 1.1  # uniform 10% overshoot
-        fit = rp.build_fit_report(flows, net, ds.applied, ds.loads)
+        fit = fit_report(net, truth.capabilities,
+                         truth.u * 1.1,  # uniform 10% overshoot
+                         ds.applied, ds.loads)
         obs = {}
         for rec in ds.applied:
             if rec.operand == "nitrogen":

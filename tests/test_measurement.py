@@ -23,7 +23,7 @@ class TestCapabilityAggregation:
         net, truth, _ = bf.generate_synthetic(8, branching=2, seed=5)
         system, _ = ms.assemble_eot_constraints(
             [ms.LoadRecord("c1", "phosphorus", "EoT", 3.0)], net,
-            truth.capabilities)
+            ms.capability_table(net, truth.capabilities))
         specs = net.buffer_specs
         terminal = {
             cap.id for cap in truth.capabilities
@@ -40,7 +40,7 @@ class TestCapabilityAggregation:
                 if c.capability_class.action != "transport_river"]
         system, skipped = ms.assemble_eot_constraints(
             [ms.LoadRecord("alpha", "nitrogen", "EoT", 4.0)], chain_network,
-            caps)
+            ms.capability_table(chain_network, caps))
         assert len(system) == 0
         assert "no estuary-bound river transport" in skipped[0]
 
@@ -51,7 +51,8 @@ class TestCapabilityAggregation:
         for assemble, records in ((ms.assemble_accept_constraints,
                                    datasets.applied),
                                   (ms.assemble_eos_constraints, datasets.loads)):
-            system, _ = assemble(records, net, truth.capabilities)
+            system, _ = assemble(records, net,
+                                 ms.capability_table(net, truth.capabilities))
             assert (system.d.getnnz(axis=1) == 1).all()
             assert (system.d.data == 1.0).all()
             assert len(set(system.d.indices.tolist())) == len(system)
@@ -62,8 +63,10 @@ class TestCapabilityAggregation:
                                             "nitrogen", 1.0)]
         with pytest.raises(ValueError, match="lacks a capability"):
             ms.assemble_accept_constraints(
-                records, chain_network,
-                [c for c in caps if c.capability_class.sector != "developed"])
+                records, chain_network, ms.capability_table(
+                    chain_network,
+                    [c for c in caps
+                     if c.capability_class.sector != "developed"]))
 
 
 class TestTemporalAggregation:
@@ -179,7 +182,7 @@ class TestAcceptConstraints:
         records = [ms.AppliedNutrientRecord("alpha", "agricultural",
                                             "nitrogen", 100.0)]
         constraints, skipped = ms.assemble_accept_constraints(
-            records, chain_network, caps)
+            records, chain_network, ms.capability_table(chain_network, caps))
         assert skipped == []
         assert len(constraints) == 1
         con = constraints[0]
@@ -199,7 +202,7 @@ class TestAcceptConstraints:
         records = [ms.AppliedNutrientRecord(county, "developed",
                                             "phosphorus", 10.0)]
         constraints, _ = ms.assemble_accept_constraints(
-            records, net, truth.capabilities)
+            records, net, ms.capability_table(net, truth.capabilities))
         assert len(constraints[0].coefficients) == n_in_county
         assert all(v == 1.0 for _, v in constraints[0].coefficients)
 
@@ -212,7 +215,7 @@ class TestAcceptConstraints:
                                      "agricultural", "nitrogen", 7.0),
         ]
         constraints, _ = ms.assemble_accept_constraints(
-            records, net, truth.capabilities)
+            records, net, ms.capability_table(net, truth.capabilities))
         supports = [set(dict(c.coefficients)) for c in constraints]
         assert supports[0].isdisjoint(supports[1])
 
@@ -221,7 +224,7 @@ class TestAcceptConstraints:
         records = [ms.AppliedNutrientRecord("nowhere", "agricultural",
                                             "nitrogen", 1.0)]
         constraints, skipped = ms.assemble_accept_constraints(
-            records, chain_network, caps)
+            records, chain_network, ms.capability_table(chain_network, caps))
         assert len(constraints) == 0
         assert "nowhere" in skipped[0]
 
@@ -231,7 +234,7 @@ class TestEosEotConstraints:
         caps = chain_caps(chain_network)
         records = [ms.LoadRecord("alpha", "nitrogen", "EoS", 50.0)]
         constraints, skipped = ms.assemble_eos_constraints(
-            records, chain_network, caps)
+            records, chain_network, ms.capability_table(chain_network, caps))
         assert skipped == []
         ((_, cap_id), coef), = constraints[0].coefficients
         assert coef == 1.0
@@ -242,14 +245,14 @@ class TestEosEotConstraints:
         caps = chain_caps(chain_network)
         records = [ms.LoadRecord("nowhere", "nitrogen", "EoS", 50.0)]
         constraints, skipped = ms.assemble_eos_constraints(
-            records, chain_network, caps)
+            records, chain_network, ms.capability_table(chain_network, caps))
         assert len(constraints) == 0 and skipped
 
     def test_eot_single_estuary(self, chain_network):
         caps = chain_caps(chain_network)
         records = [ms.LoadRecord("alpha", "nitrogen", "EoT", 25.0)]
         constraints, _ = ms.assemble_eot_constraints(
-            records, chain_network, caps)
+            records, chain_network, ms.capability_table(chain_network, caps))
         assert len(constraints) == 1
         ((_, cap_id), coef), = constraints[0].coefficients
         assert caps[cap_id].capability_class.action == "transport_river"
@@ -263,7 +266,7 @@ class TestEosEotConstraints:
             ms.LoadRecord("c2", "nitrogen", "EoT", 15.0),
         ]
         constraints, _ = ms.assemble_eot_constraints(
-            records, net, truth.capabilities)
+            records, net, ms.capability_table(net, truth.capabilities))
         assert len(constraints) == 1
         assert constraints[0].constant == 25.0
         assert len(constraints[0].coefficients) == len(terminal)
@@ -272,7 +275,7 @@ class TestEosEotConstraints:
         caps = chain_caps(chain_network)
         records = [ms.LoadRecord("alpha", "nitrogen", "EoT", 0.0)]
         constraints, _ = ms.assemble_eot_constraints(
-            records, chain_network, caps)
+            records, chain_network, ms.capability_table(chain_network, caps))
         assert constraints[0].constant == 0.0
 
 
@@ -287,7 +290,8 @@ class TestTransportRelations:
     def test_chain_land_relation(self, chain_network):
         caps = chain_caps(chain_network)
         relations = ms.assemble_transport_relations(
-            chain_network, caps, self.make_delivery(chain_network, 0.5, 0.6))
+            chain_network, ms.capability_table(chain_network, caps),
+            self.make_delivery(chain_network, 0.5, 0.6))
         row = next(c for c in relations
                    if c.label == "transport/land/land-1/nitrogen")
         assert row.constant == 0.0
@@ -300,7 +304,8 @@ class TestTransportRelations:
     def test_pass_through_ratio(self, chain_network):
         caps = chain_caps(chain_network)
         relations = ms.assemble_transport_relations(
-            chain_network, caps, self.make_delivery(chain_network, 0.5, 1.0))
+            chain_network, ms.capability_table(chain_network, caps),
+            self.make_delivery(chain_network, 0.5, 1.0))
         river_rows = [c for c in relations
                       if c.label.startswith("transport/river/")]
         row = river_rows[0]
@@ -315,7 +320,7 @@ class TestTransportRelations:
         delivery = ms.compute_delivery_model(
             net, datasets.delivery_factors, datasets.areas)
         relations = ms.assemble_transport_relations(
-            net, truth.capabilities, delivery)
+            net, ms.capability_table(net, truth.capabilities), delivery)
         for link in net.river_links:
             inbound = net.links_into.get(link.from_outlet, ())
             if not inbound:
@@ -338,7 +343,8 @@ class TestComputeWeights:
 
         def weight_for(constant):
             records = [ms.LoadRecord("alpha", "nitrogen", "EoT", constant)]
-            cons, _ = ms.assemble_eot_constraints(records, chain_network, caps)
+            cons, _ = ms.assemble_eot_constraints(
+                records, chain_network, ms.capability_table(chain_network, caps))
             return ms.compute_weights(cons)[0].weight
 
         assert weight_for(10.0) == 0.01
@@ -394,17 +400,18 @@ class TestExpandConstraints:
         caps = chain_caps(chain_network)
         cons, _ = ms.assemble_eot_constraints(
             [ms.LoadRecord("alpha", "nitrogen", "EoT", 9.0)],
-            chain_network, caps)
+            chain_network, ms.capability_table(chain_network, caps))
         assert ms.expand_constraints(cons, 1) is cons
 
     def test_relations_replicate_data_spreads(self, chain_network):
         caps = chain_caps(chain_network)
         delivery = ms.DeliveryModel({"land-1": 0.5}, {"out-1": 0.5},
                                     {("out-1", "bay"): 0.5})
-        relations = ms.assemble_transport_relations(chain_network, caps, delivery)
+        relations = ms.assemble_transport_relations(
+            chain_network, ms.capability_table(chain_network, caps), delivery)
         data, _ = ms.assemble_eot_constraints(
             [ms.LoadRecord("alpha", "nitrogen", "EoT", 9.0)],
-            chain_network, caps)
+            chain_network, ms.capability_table(chain_network, caps))
         out = ms.expand_constraints(
             ms.compute_weights(ms.stack_systems([relations, data])), 3)
         relation_rows = [out[r] for r in np.flatnonzero(out.relation)]
@@ -422,7 +429,7 @@ class TestExpandConstraints:
         caps = chain_caps(chain_network)
         data, _ = ms.assemble_accept_constraints(
             [ms.AppliedNutrientRecord("alpha", "developed", "phosphorus", 0.0)],
-            chain_network, caps)
+            chain_network, ms.capability_table(chain_network, caps))
         out = ms.expand_constraints(ms.compute_weights(data), 3)
         assert len(out) == 1
         assert out[0].label == "accept/alpha/developed/phosphorus"
@@ -446,6 +453,13 @@ class TestParsing:
         path = tmp_path / "bad.csv"
         path.write_text("county,sector,mass\nalpha,agricultural,5\n")
         with pytest.raises(ms.DatasetFormatError, match="operand"):
+            ms.read_applied(path)
+
+    def test_short_row_named(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("county,sector,operand,mass\n\n"
+                        "alpha,agricultural,nitrogen,5\nbeta,developed\n")
+        with pytest.raises(ms.DatasetFormatError, match="line 4: 2 fields"):
             ms.read_applied(path)
 
     def test_bad_number(self, tmp_path):

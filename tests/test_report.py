@@ -10,8 +10,16 @@ import basinflow as bf
 from basinflow import estimator as est
 from basinflow import report as rp
 from basinflow.core_net import default_operands
+from basinflow.topology import (
+    Estuary,
+    LandSegment,
+    Outlet,
+    RiverLink,
+    WatershedNetwork,
+    instantiate_capabilities,
+)
 
-from pipeline_util import assemble_bundle, measurement_system
+from pipeline_util import assemble_bundle, fit_report, measurement_system
 
 
 class TestRSquared:
@@ -204,23 +212,11 @@ class TestExport:
 
 
 class TestFitReport:
-    def truth_flows(self, network, truth):
-        flows = {}
-        for cap in truth.capabilities:
-            kind, entity = rp.capability_entity(cap, network)
-            flows[(kind, entity, cap.capability_class.operand_name)] = \
-                float(truth.u[cap.id])
-        return flows
-
     def test_ground_truth_perfect_fit(self):
         network, truth, datasets = bf.generate_synthetic(12, branching=3,
                                                          seed=31)
-        flows = self.truth_flows(network, truth)
-        fit = rp.build_fit_report(
-            flows, network, datasets.applied, datasets.loads,
-            outlet_river_to_bay=truth.delivery.outlet_river_to_bay,
-            land_factor=truth.delivery.land_factor,
-            link_ratio=truth.delivery.link_ratio)
+        fit = fit_report(network, truth.capabilities, truth.u,
+                         datasets.applied, datasets.loads, truth.delivery)
         for op in ("nitrogen", "phosphorus"):
             assert fit.lookup("applied", op, rp.METRIC_R2) == \
                 pytest.approx(1.0, abs=1e-9)
@@ -235,18 +231,70 @@ class TestFitReport:
         assert fit.lookup("transport_relations", "both",
                           rp.METRIC_MEDIAN_REL) == pytest.approx(0.0, abs=1e-9)
 
-    def test_mismatched_operands_error(self, solved_chain):
+    def test_mismatched_operands_error(self, solved_chain, tmp_path):
+        # a solution.csv without the phosphorus flows cannot be scored
         network, truth, constraints, solution = solved_chain
-        flows = self.truth_flows(network, truth)
-        nitrogen_only = [r for r in
-                         bf.generate_synthetic(1, 1, seed=42)[2].applied
-                         if r.operand == "nitrogen"]
+        path = tmp_path / "solution.csv"
+        rp.export_results(solution, network, truth.capabilities,
+                          truth.operands, path)
+        flows = rp.flows_from_tabular(rp.import_tabular(path))
+        nitrogen_only = {k: v for k, v in flows.items() if k[2] == "nitrogen"}
         with pytest.raises(ValueError, match="phosphorus"):
-            rp.build_fit_report(
-                {k: v for k, v in flows.items() if k[2] == "nitrogen"},
-                network, nitrogen_only + [
-                    bf.measurement.AppliedNutrientRecord(
-                        "alpha", "agricultural", "phosphorus", 5.0)], [])
+            rp.flow_totals(nitrogen_only, truth.capabilities, network)
+
+    def test_unmatched_county_not_scored(self):
+        # an applied record for a county with no land segments is skipped
+        # from the rows, so it cannot move the applied metrics
+        network, truth, datasets = bf.generate_synthetic(6, branching=2,
+                                                         seed=9)
+        totals = truth.u * np.linspace(0.9, 1.1, truth.u.size)
+        stray = bf.measurement.AppliedNutrientRecord(
+            "nowhere", "agricultural", "nitrogen", 5.0)
+        base = fit_report(network, truth.capabilities, totals,
+                          datasets.applied, datasets.loads)
+        more = fit_report(network, truth.capabilities, totals,
+                          [*datasets.applied, stray], datasets.loads)
+        for metric in (rp.METRIC_R2, rp.METRIC_NRMSE):
+            assert more.lookup("applied", "nitrogen", metric) == \
+                base.lookup("applied", "nitrogen", metric)
+
+    def test_stream_to_tide_row_by_hand(self):
+        # land-1 -> out-1 -> out-2 -> bay and land-2 -> out-2, one county:
+        # the row weights each land transport by its outlet's river-to-bay
+        # factor, 0.3 at out-1 and 0.6 at out-2
+        network = WatershedNetwork(
+            land_segments=(LandSegment("land-1", "alpha", "seg-1", ()),
+                           LandSegment("land-2", "alpha", "seg-2", ())),
+            outlets=(Outlet("out-1", "seg-1"), Outlet("out-2", "seg-2")),
+            river_links=(RiverLink("out-1", "out-2"), RiverLink("out-2", "bay")),
+            estuaries=(Estuary("bay"),),
+        )
+        caps = instantiate_capabilities(network, default_operands())
+        delivery = bf.measurement.DeliveryModel(
+            {"land-1": 1.0, "land-2": 1.0}, {"out-1": 0.3, "out-2": 0.6},
+            {("out-1", "out-2"): 0.5, ("out-2", "bay"): 0.6})
+        loads = [bf.measurement.LoadRecord("alpha", "nitrogen",
+                                           "StreamToTide", 7.0)]
+        table = bf.measurement.capability_table(network, caps)
+        rows, skipped = bf.measurement.assemble_stream_to_tide(
+            loads, network, table, delivery)
+        assert skipped == []
+        assert rows.label == ("stream_to_tide/alpha/nitrogen",)
+        assert rows.constant.tolist() == [7.0]
+        transport = {cap.resource_id: cap.id for cap in caps
+                     if cap.capability_class.action == "transport_land"
+                     and cap.capability_class.operand_name == "nitrogen"}
+        assert dict(rows[0].coefficients) == {(1, transport["land-1"]): 0.3,
+                                              (1, transport["land-2"]): 0.6}
+        totals = np.zeros(len(caps))
+        totals[transport["land-1"]] = 10.0
+        totals[transport["land-2"]] = 5.0
+        fit = rp.build_fit_report(rows, totals)
+        # predicted 0.3 * 10 + 0.6 * 5 = 6 against 7
+        assert fit.lookup("stream_to_tide", "nitrogen", rp.METRIC_REL) == \
+            pytest.approx(1 / 7, rel=1e-12)
+        assert fit.lookup("stream_to_tide", "nitrogen",
+                          rp.METRIC_MEDIAN_REL) == pytest.approx(1 / 7, rel=1e-12)
 
     def test_csv_round_trip(self, tmp_path):
         rows = (rp.FitRow("applied", "nitrogen", rp.METRIC_R2, 0.91),

@@ -126,6 +126,23 @@ class TestValidateRouting:
                        if v.kind == "unreachable_estuary"}
         assert unreachable == {"o1", "o2", "o3"}
 
+    def test_tail_into_cycle(self):
+        # a drains into the cycle b -> c -> b: one cycle, all three stranded
+        net = WatershedNetwork(
+            land_segments=(),
+            outlets=(Outlet("a", "sa"), Outlet("b", "sb"), Outlet("c", "sc")),
+            river_links=(RiverLink("a", "b"), RiverLink("b", "c"),
+                         RiverLink("c", "b")),
+            estuaries=(Estuary("bay"),),
+        )
+        report = validate_routing(net)
+        cycles = [v for v in report.violations if v.kind == "cycle"]
+        assert [(v.subject, v.message) for v in cycles] == [
+            ("b", "river links form a cycle: b -> c -> b")]
+        unreachable = {v.subject for v in report.violations
+                       if v.kind == "unreachable_estuary"}
+        assert unreachable == {"a", "b", "c"}
+
 
 class TestDeriveConnectivity:
     def test_single_estuarine_segment(self):
