@@ -10,6 +10,7 @@ program.
 from .core_net import (
     BufferKind,
     BufferSpec,
+    Capabilities,
     CapabilityClass,
     CapabilitySpec,
     IncidenceMatrices,
@@ -34,7 +35,6 @@ from .measurement import (
     assemble_eot_constraints,
     assemble_stream_to_tide,
     assemble_transport_relations,
-    capability_table,
     compute_delivery_model,
     compute_weights,
     expand_constraints,
@@ -65,7 +65,7 @@ from .report import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BufferKind", "BufferSpec", "CapabilityClass", "CapabilitySpec",
+    "BufferKind", "BufferSpec", "Capabilities", "CapabilityClass", "CapabilitySpec",
     "IncidenceMatrices", "Operand", "build_incidence", "default_operands",
     "place_index", "state_transition",
     "WatershedNetwork", "derive_connectivity_from_names",
@@ -73,7 +73,7 @@ __all__ = [
     "MeasurementConstraint", "MeasurementSystem",
     "assemble_accept_constraints", "assemble_eos_constraints",
     "assemble_eot_constraints", "assemble_stream_to_tide",
-    "assemble_transport_relations", "capability_table",
+    "assemble_transport_relations",
     "compute_delivery_model", "compute_weights", "expand_constraints",
     "interoutlet_delivery_factor", "outlet_delivery_factor",
     "stack_systems", "weighted_delivery_factor",

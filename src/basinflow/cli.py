@@ -14,6 +14,7 @@ runs produce byte-identical result artifacts.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -174,23 +175,22 @@ def _assemble_constraints(network, capabilities, applied, loads, delivery):
     system and the report-only StreamToTide rows) and the skipped-record
     notes.  Without a delivery model (``report`` given no delivery factors)
     the transport-relation and StreamToTide rows are left out."""
-    table = measurement.capability_table(network, capabilities)
     blocks = []
     skipped: list[str] = []
     for assemble, records in ((measurement.assemble_accept_constraints, applied),
                               (measurement.assemble_eos_constraints, loads),
                               (measurement.assemble_eot_constraints, loads)):
-        block, diag = assemble(records or (), network, table)
+        block, diag = assemble(records or (), network, capabilities)
         blocks.append(block)
         skipped += diag
     if delivery is None:
         system = measurement.stack_systems(blocks)
         return system, system, skipped
     blocks.append(measurement.assemble_transport_relations(
-        network, table, delivery))
+        network, capabilities, delivery))
     system = measurement.stack_systems(blocks)
     stream, diag = measurement.assemble_stream_to_tide(
-        loads or (), network, table, delivery)
+        loads or (), network, capabilities, delivery)
     return system, measurement.stack_systems([system, stream]), skipped + diag
 
 
@@ -305,14 +305,10 @@ def cmd_synth(n_outlets: int, branching: int, seed: int, out_dir: str,
                                        datasets.delivery_factors)
     measurement.write_areas(out / "areas.csv", datasets.areas)
 
-    import csv as _csv
     with open(out / "ground_truth.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(report.TABULAR_HEADER)
-        for cap in truth.capabilities:
-            kind, entity = report.capability_entity(cap, network)
-            writer.writerow([entity, kind, cap.capability_class.operand_name,
-                             "flow", repr(float(truth.u[cap.id]))])
+        writer.writerows(report.flow_rows(truth.capabilities, network, truth.u))
 
     config = {
         "network": "network.json",
@@ -414,12 +410,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "report":
             return cmd_report(args.solution, config)
         parser.error(f"unknown command {args.command!r}")
+    except np.linalg.LinAlgError as exc:
+        # Before ValueError, which LinAlgError subclasses.
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except (NetworkSchemaError, DatasetFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except np.linalg.LinAlgError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

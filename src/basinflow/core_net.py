@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,6 +28,7 @@ import scipy.sparse as sp
 NITROGEN = "nitrogen"
 PHOSPHORUS = "phosphorus"
 SECTORS = ("agricultural", "developed")
+OPERAND_NAMES = (NITROGEN, PHOSPHORUS)
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,47 @@ class CapabilitySpec:
             )
 
 
+CAPABILITY_CLASSES = tuple(CapabilityClass)
+
+
+@dataclass(frozen=True, eq=False)
+class Capabilities:
+    """Every capability of a network, as parallel arrays over capability ids.
+
+    ``capability_class`` indexes ``CAPABILITY_CLASSES``; ``origin`` is -1 for
+    accepts.  ``resource`` names the land or river segment performing each
+    action.  ``accept[land, sector, operand]``, ``land_transport[land,
+    operand]`` and ``river_transport[link, operand]`` give the ids by network
+    position, -1 where there is none: land segments and river links in
+    network order, sectors as in ``SECTORS`` and operands as in
+    ``OPERAND_NAMES``.  ``capabilities[i]`` is a read-only
+    :class:`CapabilitySpec` view of capability i.
+    """
+
+    capability_class: np.ndarray
+    operand: np.ndarray
+    origin: np.ndarray
+    destination: np.ndarray
+    resource: np.ndarray
+    accept: np.ndarray
+    land_transport: np.ndarray
+    river_transport: np.ndarray
+
+    @property
+    def n_caps(self) -> int:
+        return self.operand.size
+
+    def __len__(self) -> int:
+        return self.n_caps
+
+    def __getitem__(self, i: int) -> CapabilitySpec:
+        i = range(self.n_caps)[i]
+        origin = int(self.origin[i])
+        return CapabilitySpec(i, CAPABILITY_CLASSES[self.capability_class[i]],
+                              int(self.operand[i]), None if origin < 0 else origin,
+                              int(self.destination[i]), self.resource[i])
+
+
 @dataclass(frozen=True)
 class IncidenceMatrices:
     """Injection/extraction structure over places x capabilities.
@@ -178,54 +220,35 @@ def place_index(operand: int, buffer: int, n_operands: int,
     return buffer * n_operands + operand
 
 
-def build_incidence(capabilities: Sequence[CapabilitySpec], n_operands: int,
+def build_incidence(capabilities: Capabilities, n_operands: int,
                     n_buffers: int) -> IncidenceMatrices:
-    """Assemble the incidence matrices for a capability list.
+    """Assemble the incidence matrices of ``capabilities``.
 
-    Every capability contributes a +1 at (its operand, its destination);
-    transports additionally contribute a +1 to ``m_minus`` at (operand,
-    origin).  Capability ids must be exactly 0..len-1 and all buffer
-    references must be in range.
+    Every capability contributes a +1 to ``m_plus`` at (its operand, its
+    destination); transports additionally contribute a +1 to ``m_minus`` at
+    (operand, origin).  All operand and buffer references must be in range.
     """
-    n_caps = len(capabilities)
-    seen_ids = set()
-    for cap in capabilities:
-        if cap.id in seen_ids:
-            raise ValueError(f"duplicate capability id {cap.id}")
-        seen_ids.add(cap.id)
-        if not 0 <= cap.id < n_caps:
-            raise ValueError(
-                f"capability id {cap.id} outside contiguous range [0, {n_caps})"
-            )
+    caps = np.arange(capabilities.n_caps)
+    transports = np.flatnonzero(capabilities.origin != -1)
+    operand = capabilities.operand
+    for what, ids, values, bound in (
+            ("operand", caps, operand, n_operands),
+            ("destination buffer", caps, capabilities.destination, n_buffers),
+            ("origin buffer", transports, capabilities.origin[transports], n_buffers)):
+        bad = np.flatnonzero((values < 0) | (values >= bound))
+        if bad.size:
+            raise ValueError(f"capability {ids[bad[0]]}: {what} {values[bad[0]]} "
+                             f"does not exist")
 
-    plus_rows, plus_cols = [], []
-    minus_rows, minus_cols = [], []
-    for cap in capabilities:
-        if cap.destination < 0 or cap.destination >= n_buffers:
-            raise ValueError(
-                f"capability {cap.id}: destination buffer {cap.destination} "
-                f"does not exist"
-            )
-        plus_rows.append(place_index(cap.operand, cap.destination, n_operands))
-        plus_cols.append(cap.id)
-        if cap.origin is not None:
-            if cap.origin < 0 or cap.origin >= n_buffers:
-                raise ValueError(
-                    f"capability {cap.id}: origin buffer {cap.origin} "
-                    f"does not exist"
-                )
-            minus_rows.append(place_index(cap.operand, cap.origin, n_operands))
-            minus_cols.append(cap.id)
+    shape = (n_operands * n_buffers, caps.size)
 
-    shape = (n_operands * n_buffers, n_caps)
-    m_plus = sp.coo_matrix(
-        (np.ones(len(plus_rows), dtype=np.int8), (plus_rows, plus_cols)),
-        shape=shape,
-    ).tocsc()
-    m_minus = sp.coo_matrix(
-        (np.ones(len(minus_rows), dtype=np.int8), (minus_rows, minus_cols)),
-        shape=shape,
-    ).tocsc()
+    def incidence(buffers: np.ndarray, cols: np.ndarray) -> sp.csc_matrix:
+        places = buffers * n_operands + operand[cols]
+        return sp.csc_matrix((np.ones(cols.size, dtype=np.int8), (places, cols)),
+                             shape=shape)
+
+    m_plus = incidence(capabilities.destination, caps)
+    m_minus = incidence(capabilities.origin[transports], transports)
     m = (m_plus - m_minus).tocsc()
     for mat in (m_plus, m_minus, m):
         mat.sum_duplicates()

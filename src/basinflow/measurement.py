@@ -18,6 +18,7 @@ aggregates flows.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
@@ -25,12 +26,11 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .core_net import NITROGEN, PHOSPHORUS, SECTORS, CapabilitySpec
+from .core_net import OPERAND_NAMES, SECTORS, Capabilities
 
 if TYPE_CHECKING:
     from .topology import WatershedNetwork
 
-OPERAND_NAMES = (NITROGEN, PHOSPHORUS)
 LOAD_KINDS = ("EoS", "EoT", "StreamToTide")
 DF_STAGES = ("landToWater", "streamToRiver", "riverToBay")
 
@@ -184,8 +184,10 @@ def stack_systems(systems: Sequence[MeasurementSystem]) -> MeasurementSystem:
 # Dataset file parsing
 # ---------------------------------------------------------------------------
 
-def _read_rows(path, required: Sequence[str]) -> Iterable[list[str]]:
-    """Yield the ``required`` fields of each nonblank row, in that order."""
+def _read_records(path, required: Sequence[str], record) -> list:
+    """``record(*fields)`` for each nonblank row, ``fields`` being its
+    ``required`` columns in that order.  A value ``record`` rejects with a
+    ValueError is reported with the file and line that hold it."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -195,6 +197,7 @@ def _read_rows(path, required: Sequence[str]) -> Iterable[list[str]]:
                 f"{path}: missing required column(s) {', '.join(missing)}"
             )
         cols = [header.index(col) for col in required]
+        records = []
         for row in reader:
             if not row:
                 continue
@@ -202,78 +205,61 @@ def _read_rows(path, required: Sequence[str]) -> Iterable[list[str]]:
                 raise DatasetFormatError(
                     f"{path} line {reader.line_num}: {len(row)} fields, the "
                     f"header has {len(header)}")
-            yield [row[i] for i in cols]
+            try:
+                records.append(record(*[row[i] for i in cols]))
+            except ValueError as exc:
+                raise DatasetFormatError(
+                    f"{path} line {reader.line_num}: {exc}") from None
+        return records
 
 
-def _parse_float(raw: str, where: str) -> float:
+def _parse_float(raw: str) -> float:
     try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise DatasetFormatError(f"{where}: {raw!r} is not a number") from None
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"{raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
 
 
-def _canon_operand(raw: str, where: str) -> str:
+def _canon_operand(raw: str) -> str:
     name = raw.strip().lower()
     if name not in OPERAND_NAMES:
-        raise DatasetFormatError(
-            f"{where}: unknown operand {raw!r}; expected nitrogen or phosphorus"
-        )
+        raise ValueError(
+            f"unknown operand {raw!r}; expected nitrogen or phosphorus")
     return name
 
 
 def read_applied(path) -> list[AppliedNutrientRecord]:
-    records = []
-    for i, (county, sector, operand, mass) in enumerate(
-            _read_rows(path, ("county", "sector", "operand", "mass"))):
-        where = f"{path} row {i + 2}"
-        records.append(AppliedNutrientRecord(
-            county.strip(),
-            sector.strip().lower(),
-            _canon_operand(operand, where),
-            _parse_float(mass, where),
-        ))
-    return records
+    return _read_records(
+        path, ("county", "sector", "operand", "mass"),
+        lambda county, sector, operand, mass: AppliedNutrientRecord(
+            county.strip(), sector.strip().lower(), _canon_operand(operand),
+            _parse_float(mass)))
 
 
 def read_loads(path) -> list[LoadRecord]:
-    records = []
-    for i, (county, operand, kind, mass) in enumerate(
-            _read_rows(path, ("county", "operand", "kind", "mass"))):
-        where = f"{path} row {i + 2}"
-        records.append(LoadRecord(
-            county.strip(),
-            _canon_operand(operand, where),
-            kind.strip(),
-            _parse_float(mass, where),
-        ))
-    return records
+    return _read_records(
+        path, ("county", "operand", "kind", "mass"),
+        lambda county, operand, kind, mass: LoadRecord(
+            county.strip(), _canon_operand(operand), kind.strip(),
+            _parse_float(mass)))
 
 
 def read_delivery_factors(path) -> list[DeliveryFactorRecord]:
-    records = []
-    for i, (segment, load_source, stage, factor) in enumerate(
-            _read_rows(path, ("segment", "load_source", "stage", "factor"))):
-        where = f"{path} row {i + 2}"
-        records.append(DeliveryFactorRecord(
-            segment.strip(),
-            load_source.strip(),
-            stage.strip(),
-            _parse_float(factor, where),
-        ))
-    return records
+    return _read_records(
+        path, ("segment", "load_source", "stage", "factor"),
+        lambda segment, load_source, stage, factor: DeliveryFactorRecord(
+            segment.strip(), load_source.strip(), stage.strip(),
+            _parse_float(factor)))
 
 
 def read_areas(path) -> list[AreaRecord]:
-    records = []
-    for i, (segment, load_source, acres) in enumerate(
-            _read_rows(path, ("segment", "load_source", "acres"))):
-        where = f"{path} row {i + 2}"
-        records.append(AreaRecord(
-            segment.strip(),
-            load_source.strip(),
-            _parse_float(acres, where),
-        ))
-    return records
+    return _read_records(
+        path, ("segment", "load_source", "acres"),
+        lambda segment, load_source, acres: AreaRecord(
+            segment.strip(), load_source.strip(), _parse_float(acres)))
 
 
 def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -487,47 +473,6 @@ def compute_delivery_model(network: "WatershedNetwork",
 # Measurement-system assembly (one step; see expand_constraints)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CapabilityTable:
-    """Capability ids by network position, -1 where the list has none.
-
-    ``accept[land, sector, operand]``, ``land_transport[land, operand]`` and
-    ``river_transport[link, operand]`` index land segments and river links
-    in network order, sectors as in ``SECTORS`` and operands as in
-    ``OPERAND_NAMES``.  ``n_caps`` is the length of the capability list,
-    the column count of every row block built from the table.
-    """
-
-    accept: np.ndarray
-    land_transport: np.ndarray
-    river_transport: np.ndarray
-    n_caps: int
-
-
-def capability_table(network: "WatershedNetwork",
-                     capabilities: Sequence[CapabilitySpec]) -> CapabilityTable:
-    """Index ``capabilities`` by the network positions they act on."""
-    n_ops = len(OPERAND_NAMES)
-    land_pos = {land.external_id: i for i, land in enumerate(network.land_segments)}
-    buffer_id = network.buffer_id
-    link_pos = {(buffer_id[link.from_outlet], buffer_id[link.to_node]): i
-                for i, link in enumerate(network.river_links)}
-    accept = np.full((len(land_pos), len(SECTORS), n_ops), -1, dtype=np.intp)
-    land_transport = np.full((len(land_pos), n_ops), -1, dtype=np.intp)
-    river_transport = np.full((len(link_pos), n_ops), -1, dtype=np.intp)
-    for cap in capabilities:
-        cls = cap.capability_class
-        op = OPERAND_NAMES.index(cls.operand_name)
-        if cls.is_accept:
-            accept[land_pos[cap.resource_id], SECTORS.index(cls.sector), op] = cap.id
-        elif cls.action == "transport_land":
-            land_transport[land_pos[cap.resource_id], op] = cap.id
-        else:
-            river_transport[link_pos[(cap.origin, cap.destination)], op] = cap.id
-    return CapabilityTable(accept, land_transport, river_transport,
-                           len(capabilities))
-
-
 def _groups(keys: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
     """Group positions by key: group g is ``members[ptr[g]:ptr[g + 1]]``."""
     ptr = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n_groups))))
@@ -546,7 +491,7 @@ def _gather(ptr: np.ndarray, members: np.ndarray,
 def _system(rows, cols, values, constant, label, n_caps: int,
             relation: bool) -> MeasurementSystem:
     if (np.asarray(cols) < 0).any():
-        raise ValueError("capability list lacks a capability the network "
+        raise ValueError("capability set lacks a capability the network "
                          "implies; instantiate it from the same network")
     d = sp.csr_matrix((values, (rows, cols)), shape=(len(label), n_caps))
     return MeasurementSystem(d, np.array(constant, dtype=float), tuple(label),
@@ -571,7 +516,7 @@ def _county_rows(totals: dict, network, family: str, what: str):
 def assemble_accept_constraints(
     records: Sequence[AppliedNutrientRecord],
     network: "WatershedNetwork",
-    table: CapabilityTable,
+    capabilities: Capabilities,
 ) -> tuple[MeasurementSystem, list[str]]:
     """One row per (county, sector, operand) over that county's accepts.
 
@@ -586,13 +531,13 @@ def assemble_accept_constraints(
         totals, network, "accept", "applied")
     sector = np.array([SECTORS.index(k[1]) for k in keys], dtype=np.intp)
     op = np.array([OPERAND_NAMES.index(k[2]) for k in keys], dtype=np.intp)
-    cols = table.accept[lands, sector[rows], op[rows]]
+    cols = capabilities.accept[lands, sector[rows], op[rows]]
     return _system(rows, cols, np.ones(cols.size), [totals[k] for k in keys],
-                   labels, table.n_caps, relation=False), skipped
+                   labels, capabilities.n_caps, relation=False), skipped
 
 
 def _county_load_rows(records: Sequence[LoadRecord], kind: str, family: str,
-                      network: "WatershedNetwork", table: CapabilityTable,
+                      network: "WatershedNetwork", capabilities: Capabilities,
                       land_weight: np.ndarray) -> tuple[MeasurementSystem, list[str]]:
     """One row per (county, operand) of ``kind`` loads over the county's
     land-to-outlet transports, land segment i weighted ``land_weight[i]``."""
@@ -603,25 +548,25 @@ def _county_load_rows(records: Sequence[LoadRecord], kind: str, family: str,
             totals[key] = totals.get(key, 0.0) + rec.mass
     keys, rows, lands, labels, skipped = _county_rows(totals, network, family, kind)
     op = np.array([OPERAND_NAMES.index(k[1]) for k in keys], dtype=np.intp)
-    cols = table.land_transport[lands, op[rows]]
+    cols = capabilities.land_transport[lands, op[rows]]
     return _system(rows, cols, land_weight[lands], [totals[k] for k in keys],
-                   labels, table.n_caps, relation=False), skipped
+                   labels, capabilities.n_caps, relation=False), skipped
 
 
 def assemble_eos_constraints(
     records: Sequence[LoadRecord],
     network: "WatershedNetwork",
-    table: CapabilityTable,
+    capabilities: Capabilities,
 ) -> tuple[MeasurementSystem, list[str]]:
     """One row per (county, operand) over land-to-outlet transports."""
-    return _county_load_rows(records, "EoS", "eos", network, table,
+    return _county_load_rows(records, "EoS", "eos", network, capabilities,
                              np.ones(len(network.land_segments)))
 
 
 def assemble_stream_to_tide(
     records: Sequence[LoadRecord],
     network: "WatershedNetwork",
-    table: CapabilityTable,
+    capabilities: Capabilities,
     delivery: DeliveryModel,
 ) -> tuple[MeasurementSystem, list[str]]:
     """One row per (county, operand) of StreamToTide loads: the county's
@@ -633,13 +578,13 @@ def assemble_stream_to_tide(
         delivery.outlet_river_to_bay[network.outlet_of_land(land).external_id]
         for land in network.land_segments])
     return _county_load_rows(records, "StreamToTide", "stream_to_tide",
-                             network, table, rtb)
+                             network, capabilities, rtb)
 
 
 def assemble_eot_constraints(
     records: Sequence[LoadRecord],
     network: "WatershedNetwork",
-    table: CapabilityTable,
+    capabilities: Capabilities,
 ) -> tuple[MeasurementSystem, list[str]]:
     """One row per operand: all estuary-bound river transports sum to the
     end-of-tide total (summed across reporting counties)."""
@@ -649,7 +594,7 @@ def assemble_eot_constraints(
             totals[rec.operand] = totals.get(rec.operand, 0.0) + rec.mass
     terminal = [i for i, link in enumerate(network.river_links)
                 if link.to_node in network.estuary_ids]
-    river = table.river_transport[terminal]
+    river = capabilities.river_transport[terminal]
     rows, cols, constants, labels, skipped = [], [], [], [], []
     for operand, mass in totals.items():
         caps = river[:, OPERAND_NAMES.index(operand)]
@@ -664,12 +609,12 @@ def assemble_eot_constraints(
         constants.append(mass)
         labels.append(f"eot/{operand}")
     return _system(rows, cols, np.ones(len(cols)), constants, labels,
-                   table.n_caps, relation=False), skipped
+                   capabilities.n_caps, relation=False), skipped
 
 
 def assemble_transport_relations(
     network: "WatershedNetwork",
-    table: CapabilityTable,
+    capabilities: Capabilities,
     delivery: DeliveryModel,
 ) -> MeasurementSystem:
     """Zero-constant rows tying each transport firing to its inflow.
@@ -682,15 +627,15 @@ def assemble_transport_relations(
     lands, links = network.land_segments, network.river_links
     buffer_id = network.buffer_id
 
-    land, land_op = np.nonzero(table.land_transport >= 0)
+    land, land_op = np.nonzero(capabilities.land_transport >= 0)
     factor = np.array([delivery.land_factor[l.external_id] for l in lands])
-    r, sector = np.nonzero(table.accept[land, :, land_op] >= 0)
+    r, sector = np.nonzero(capabilities.accept[land, :, land_op] >= 0)
     rows = [np.arange(land.size), r]
-    cols = [table.land_transport[land, land_op],
-            table.accept[land[r], sector, land_op[r]]]
+    cols = [capabilities.land_transport[land, land_op],
+            capabilities.accept[land[r], sector, land_op[r]]]
     values = [np.ones(land.size), -factor[land[r]]]
 
-    link, link_op = np.nonzero(table.river_transport >= 0)
+    link, link_op = np.nonzero(capabilities.river_transport >= 0)
     ratio = np.array([delivery.link_ratio[(l.from_outlet, l.to_node)]
                       for l in links])
     up = np.array([buffer_id[l.from_outlet] for l in links], dtype=np.intp)[link]
@@ -699,10 +644,10 @@ def assemble_transport_relations(
     link_to = np.array([buffer_id[l.to_node] for l in links], dtype=np.intp)
     base = land.size
     rows.append(base + np.arange(link.size))
-    cols.append(table.river_transport[link, link_op])
+    cols.append(capabilities.river_transport[link, link_op])
     values.append(np.ones(link.size))
-    for source, keys in ((table.land_transport, land_outlet),
-                         (table.river_transport, link_to)):
+    for source, keys in ((capabilities.land_transport, land_outlet),
+                         (capabilities.river_transport, link_to)):
         r, member = _gather(*_groups(keys, len(network.buffer_specs)), up)
         caps = source[member, link_op[r]]
         keep = caps >= 0
@@ -716,7 +661,7 @@ def assemble_transport_relations(
                f"{OPERAND_NAMES[o]}" for i, o in zip(link.tolist(), link_op.tolist())]
     return _system(np.concatenate(rows), np.concatenate(cols),
                    np.concatenate(values), np.zeros(len(labels)), labels,
-                   table.n_caps, relation=True)
+                   capabilities.n_caps, relation=True)
 
 
 def compute_weights(system: MeasurementSystem) -> MeasurementSystem:

@@ -8,15 +8,22 @@ changes the number materially, so exports label which one was used.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core_net import CapabilitySpec, Operand, place_index
+from .core_net import (
+    CAPABILITY_CLASSES,
+    Capabilities,
+    CapabilitySpec,
+    Operand,
+    place_index,
+)
 from .estimator import Solution
 from .measurement import MeasurementSystem
 from .topology import WatershedNetwork
@@ -95,6 +102,9 @@ _CLASS_KIND = {
     ("transport_land", None): "transport_land_to_outlet",
     ("transport_river", None): "transport_river",
 }
+_KIND = np.array([_CLASS_KIND[(cls.action, cls.sector)]
+                  for cls in CAPABILITY_CLASSES], dtype=object)
+_OPERAND = np.array([cls.operand_name for cls in CAPABILITY_CLASSES], dtype=object)
 
 
 def capability_entity(cap: CapabilitySpec,
@@ -110,12 +120,34 @@ def capability_entity(cap: CapabilitySpec,
     return kind, entity
 
 
+def capability_names(capabilities: Capabilities, network: WatershedNetwork,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(entity_kind, entity_id, operand) naming every capability in exports,
+    as object arrays over capability ids; see :func:`capability_entity`."""
+    kind = _KIND[capabilities.capability_class]
+    entity = capabilities.resource.copy()
+    river = np.flatnonzero(kind == "transport_river")
+    external = np.array([spec.external_id for spec in network.buffer_specs],
+                        dtype=object)
+    entity[river] = (external[capabilities.origin[river]] + "->"
+                     + external[capabilities.destination[river]])
+    return kind, entity, _OPERAND[capabilities.capability_class]
+
+
 TABULAR_HEADER = ("entity_id", "entity_kind", "operand", "quantity_kind",
                   "value_lbs")
 
 
+def flow_rows(capabilities: Capabilities, network: WatershedNetwork,
+              values: np.ndarray) -> Iterable[tuple]:
+    """One tabular row per capability, carrying its flow from ``values``."""
+    kind, entity, operand = capability_names(capabilities, network)
+    return zip(entity, kind, operand, itertools.repeat("flow"),
+               map(repr, values.tolist()))
+
+
 def export_results(solution: Solution, network: WatershedNetwork,
-                   capabilities: Sequence[CapabilitySpec],
+                   capabilities: Capabilities,
                    operands: Sequence[Operand], path,
                    fmt: str = "tabular",
                    constraints: Optional[MeasurementSystem] = None) -> None:
@@ -147,11 +179,7 @@ def export_results(solution: Solution, network: WatershedNetwork,
                     value = final_q[place_index(op.id, spec.id, n_operands)]
                     writer.writerow([spec.external_id, spec.kind.value,
                                      op.name, "accumulation", repr(float(value))])
-            for cap in capabilities:
-                kind, entity = capability_entity(cap, network)
-                writer.writerow([entity, kind,
-                                 cap.capability_class.operand_name, "flow",
-                                 repr(float(flow_totals[cap.id]))])
+            writer.writerows(flow_rows(capabilities, network, flow_totals))
             if constraints is not None:
                 for label, operand, error in zip(
                         constraints.label, constraints.operand.tolist(),
@@ -160,18 +188,12 @@ def export_results(solution: Solution, network: WatershedNetwork,
                                      repr(error)])
         return
 
-    coords = {}
-    for land in network.land_segments:
-        coords[land.external_id] = land.coordinates
-    for outlet in network.outlets:
-        coords[outlet.external_id] = outlet.coordinates
-    for estuary in network.estuaries:
-        coords[estuary.external_id] = estuary.coordinates
-    specs = network.buffer_specs
-
+    # Coordinates by buffer id: land segments, outlets, then estuaries.
+    points = [item.coordinates for item in (*network.land_segments,
+                                            *network.outlets, *network.estuaries)]
     features = []
-    for spec in specs:
-        point = coords.get(spec.external_id)
+    for spec in network.buffer_specs:
+        point = points[spec.id]
         for op in operands:
             value = float(final_q[place_index(op.id, spec.id, n_operands)])
             features.append({
@@ -186,21 +208,21 @@ def export_results(solution: Solution, network: WatershedNetwork,
                     "value_lbs": value,
                 },
             })
-    for cap in capabilities:
-        if cap.origin is None:
-            continue
-        kind, entity = capability_entity(cap, network)
-        start = coords.get(specs[cap.origin].external_id)
-        end = coords.get(specs[cap.destination].external_id)
-        value = float(flow_totals[cap.id])
+    kind, entity, operand = capability_names(capabilities, network)
+    origin = capabilities.origin.tolist()
+    destination = capabilities.destination.tolist()
+    values = flow_totals.tolist()
+    for cap in np.flatnonzero(capabilities.origin >= 0).tolist():
+        start, end = points[origin[cap]], points[destination[cap]]
+        value = values[cap]
         features.append({
             "type": "Feature",
             "geometry": None if start is None or end is None else
                 {"type": "LineString", "coordinates": [list(start), list(end)]},
             "properties": {
-                "entity_id": entity,
-                "entity_kind": kind,
-                "operand": cap.capability_class.operand_name,
+                "entity_id": entity[cap],
+                "entity_kind": kind[cap],
+                "operand": operand[cap],
                 "quantity_kind": "flow",
                 "value_lbs": value,
                 "log10_value": math.log10(value) if value > 0 else None,
@@ -338,20 +360,17 @@ def build_fit_report(system: MeasurementSystem, totals: np.ndarray,
 
 
 def flow_totals(flows: dict[tuple[str, str, str], float],
-                capabilities: Sequence[CapabilitySpec],
+                capabilities: Capabilities,
                 network: WatershedNetwork) -> np.ndarray:
     """Flows keyed (entity_kind, entity_id, operand), as the tabular export
     names them, as one vector in capability order."""
-    totals = np.empty(len(capabilities))
-    for cap in capabilities:
-        kind, entity = capability_entity(cap, network)
-        operand = cap.capability_class.operand_name
-        try:
-            totals[cap.id] = flows[(kind, entity, operand)]
-        except KeyError:
-            raise ValueError(f"solution has no {operand} flow for {kind} "
-                             f"{entity!r}") from None
-    return totals
+    try:
+        return np.array([flows[key] for key in
+                         zip(*capability_names(capabilities, network))], dtype=float)
+    except KeyError as exc:
+        kind, entity, operand = exc.args[0]
+        raise ValueError(f"solution has no {operand} flow for {kind} "
+                         f"{entity!r}") from None
 
 
 def flows_from_tabular(table: dict[tuple[str, str, str, str], float],

@@ -19,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_net import SECTORS, CapabilitySpec, Operand, default_operands
+from .core_net import OPERAND_NAMES, SECTORS, Capabilities, Operand, default_operands
 from .measurement import (
-    OPERAND_NAMES,
     AppliedNutrientRecord,
     AreaRecord,
     DeliveryFactorRecord,
     DeliveryModel,
     LoadRecord,
-    capability_table,
     compute_delivery_model,
 )
 from .topology import (
@@ -59,7 +57,7 @@ class SyntheticDatasets:
 @dataclass(frozen=True)
 class GroundTruth:
     operands: tuple[Operand, ...]
-    capabilities: tuple[CapabilitySpec, ...]
+    capabilities: Capabilities
     u: np.ndarray
     delivery: DeliveryModel
 
@@ -175,11 +173,9 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
 
     network = WatershedNetwork(tuple(lands), outlets, river_links, estuaries)
     operands = default_operands()
-    capabilities = tuple(instantiate_capabilities(network, operands))
+    capabilities = instantiate_capabilities(network, operands)
     # The exact coefficients the estimator will derive from the datasets.
     delivery = compute_delivery_model(network, df_records, area_records)
-
-    table = capability_table(network, capabilities)
 
     u = np.zeros(len(capabilities))
     applied_records: list[AppliedNutrientRecord] = []
@@ -193,11 +189,11 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
                 mass = round(rng.uniform(lo_m, hi_m) * load_scale, 9)
                 applied_records.append(AppliedNutrientRecord(
                     land.county, sector, op.name, mass))
-                u[table.accept[li, s, o]] = mass
+                u[capabilities.accept[li, s, o]] = mass
                 total += mass
             t = delivery.land_factor[land.external_id] * total
             land_transport[(land.external_id, op.name)] = t
-            u[table.land_transport[li, o]] = t
+            u[capabilities.land_transport[li, o]] = t
 
     # Upstream-first accumulation down the tree: inflow at an outlet is its
     # land transports plus all upstream link flows.
@@ -215,7 +211,7 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
                 total += link_flow[(inbound.from_outlet, inbound.to_node, op.name)]
             flow = ratio * total
             link_flow[(link.from_outlet, link.to_node, op.name)] = flow
-            u[table.river_transport[i, OPERAND_NAMES.index(op.name)]] = flow
+            u[capabilities.river_transport[i, OPERAND_NAMES.index(op.name)]] = flow
 
     load_records: list[LoadRecord] = []
     county_order: dict[str, None] = {}

@@ -15,14 +15,16 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .core_net import (
-    NITROGEN,
-    PHOSPHORUS,
+    CAPABILITY_CLASSES,
+    OPERAND_NAMES,
     SECTORS,
     BufferKind,
     BufferSpec,
+    Capabilities,
     CapabilityClass,
-    CapabilitySpec,
     Operand,
 )
 
@@ -447,73 +449,70 @@ def derive_connectivity_from_names(
     return links, unresolved
 
 
-_ACCEPT_CLASS = {
-    ("agricultural", NITROGEN): CapabilityClass.ACCEPT_AGRICULTURAL_N,
-    ("agricultural", PHOSPHORUS): CapabilityClass.ACCEPT_AGRICULTURAL_P,
-    ("developed", NITROGEN): CapabilityClass.ACCEPT_DEVELOPED_N,
-    ("developed", PHOSPHORUS): CapabilityClass.ACCEPT_DEVELOPED_P,
-}
-_LAND_TRANSPORT_CLASS = {
-    NITROGEN: CapabilityClass.TRANSPORT_LAND_TO_OUTLET_N,
-    PHOSPHORUS: CapabilityClass.TRANSPORT_LAND_TO_OUTLET_P,
-}
-_RIVER_TRANSPORT_CLASS = {
-    NITROGEN: CapabilityClass.TRANSPORT_RIVER_N,
-    PHOSPHORUS: CapabilityClass.TRANSPORT_RIVER_P,
-}
-
-
 def instantiate_capabilities(network: WatershedNetwork,
-                             operands: Sequence[Operand]) -> list[CapabilitySpec]:
-    """Emit the full capability list for a validated network.
+                             operands: Sequence[Operand]) -> Capabilities:
+    """The capabilities of a validated network, as index arrays.
 
-    Per land segment and operand: agricultural accept, developed accept,
-    and land-to-outlet transport (in that order); then per river link and
-    operand: one river transport.  Total count is
+    Ids run per land segment and operand: agricultural accept, developed
+    accept, and land-to-outlet transport (in that order); then per river
+    link and operand: one river transport.  Total count is
     ``3 * len(operands) * n_land + len(operands) * n_links``.
     """
     for op in operands:
-        if op.name not in _LAND_TRANSPORT_CLASS:
+        if op.name not in OPERAND_NAMES:
             raise ValueError(
                 f"no capability classes defined for operand {op.name!r}; "
-                f"expected one of {sorted(_LAND_TRANSPORT_CLASS)}"
+                f"expected one of {sorted(OPERAND_NAMES)}"
             )
 
+    lands, links = network.land_segments, network.river_links
+    n_land, n_links, n_ops = len(lands), len(links), len(operands)
     buffer_id = network.buffer_id
-    caps: list[CapabilitySpec] = []
-    for land in network.land_segments:
-        land_buf = buffer_id[land.external_id]
-        outlet_buf = buffer_id[network.outlet_of_land(land).external_id]
-        for op in operands:
-            for sector in SECTORS:
-                caps.append(CapabilitySpec(
-                    id=len(caps),
-                    capability_class=_ACCEPT_CLASS[(sector, op.name)],
-                    operand=op.id,
-                    origin=None,
-                    destination=land_buf,
-                    resource_id=land.external_id,
-                ))
-            caps.append(CapabilitySpec(
-                id=len(caps),
-                capability_class=_LAND_TRANSPORT_CLASS[op.name],
-                operand=op.id,
-                origin=land_buf,
-                destination=outlet_buf,
-                resource_id=land.external_id,
-            ))
+    land_buf = np.array([buffer_id[l.external_id] for l in lands], dtype=np.intp)
+    outlet_buf = np.array([buffer_id[network.outlet_of_land(l).external_id]
+                           for l in lands], dtype=np.intp)
+    link_from = np.array([buffer_id[l.from_outlet] for l in links], dtype=np.intp)
+    link_to = np.array([buffer_id[l.to_node] for l in links], dtype=np.intp)
     outlet_by_id = {o.external_id: o for o in network.outlets}
-    for link in network.river_links:
-        from_buf = buffer_id[link.from_outlet]
-        to_buf = buffer_id[link.to_node]
-        resource = outlet_by_id[link.from_outlet].river_segment_id
-        for op in operands:
-            caps.append(CapabilitySpec(
-                id=len(caps),
-                capability_class=_RIVER_TRANSPORT_CLASS[op.name],
-                operand=op.id,
-                origin=from_buf,
-                destination=to_buf,
-                resource_id=resource,
-            ))
-    return caps
+    land_name = np.array([l.external_id for l in lands], dtype=object)
+    link_segment = np.array([outlet_by_id[l.from_outlet].river_segment_id
+                             for l in links], dtype=object)
+
+    def code(action: str, sector: Optional[str], op: Operand) -> int:
+        return CAPABILITY_CLASSES.index(CapabilityClass((action, sector, op.name)))
+
+    # A land segment has three slots per operand: the two accepts, then the
+    # land-to-outlet transport; a river link has one.
+    land_class = np.array([[code("accept", s, op) for s in SECTORS]
+                           + [code("transport_land", None, op)] for op in operands],
+                          dtype=np.intp).reshape(n_ops, 3)
+    link_class = np.array([code("transport_river", None, op) for op in operands],
+                          dtype=np.intp)
+    op_id = np.array([op.id for op in operands], dtype=np.intp)
+    no_origin = np.full(n_land, -1, dtype=np.intp)
+
+    def by_id(on_land, on_link) -> np.ndarray:
+        """Land values broadcast over (land, operand, slot), then link values
+        over (link, operand), flattened into id order."""
+        return np.concatenate([np.broadcast_to(on_land, (n_land, n_ops, 3)).ravel(),
+                               np.broadcast_to(on_link, (n_links, n_ops)).ravel()])
+
+    land_ids = np.arange(3 * n_ops * n_land).reshape(n_land, n_ops, 3)
+    link_ids = land_ids.size + np.arange(n_links * n_ops).reshape(n_links, n_ops)
+    ops = [OPERAND_NAMES.index(op.name) for op in operands]
+    accept = np.full((n_land, len(SECTORS), len(OPERAND_NAMES)), -1, dtype=np.intp)
+    accept[:, :, ops] = land_ids[:, :, :2].transpose(0, 2, 1)
+    land_transport = np.full((n_land, len(OPERAND_NAMES)), -1, dtype=np.intp)
+    land_transport[:, ops] = land_ids[:, :, 2]
+    river_transport = np.full((n_links, len(OPERAND_NAMES)), -1, dtype=np.intp)
+    river_transport[:, ops] = link_ids
+    return Capabilities(
+        capability_class=by_id(land_class, link_class),
+        operand=by_id(op_id[:, None], op_id),
+        origin=by_id(np.stack([no_origin, no_origin, land_buf], axis=1)[:, None],
+                     link_from[:, None]),
+        destination=by_id(np.stack([land_buf, land_buf, outlet_buf], axis=1)[:, None],
+                          link_to[:, None]),
+        resource=by_id(land_name[:, None, None], link_segment[:, None]),
+        accept=accept, land_transport=land_transport,
+        river_transport=river_transport)

@@ -16,6 +16,8 @@ from basinflow.topology import (
     WatershedNetwork,
 )
 
+from pipeline_util import capabilities_of
+
 
 @pytest.fixture
 def mini_chain_caps():
@@ -33,7 +35,8 @@ def mini_chain_caps():
 
 @pytest.fixture
 def mini_chain_incidence(mini_chain_caps):
-    return build_incidence(mini_chain_caps, n_operands=1, n_buffers=3)
+    return build_incidence(capabilities_of(mini_chain_caps), n_operands=1,
+                           n_buffers=3)
 
 
 @pytest.fixture

@@ -7,22 +7,16 @@ import scipy.sparse as sp
 
 import basinflow as bf
 from basinflow import cli, estimator, measurement, report
-from basinflow.core_net import build_incidence, default_operands
+from basinflow.core_net import CAPABILITY_CLASSES, Capabilities, build_incidence
 
 
 def build_constraints(network, capabilities, datasets):
+    """The weighted one-step rows ``estimate`` builds, and the delivery model."""
     delivery = measurement.compute_delivery_model(
         network, datasets.delivery_factors, datasets.areas)
-    table = measurement.capability_table(network, capabilities)
-    blocks = [
-        measurement.assemble_accept_constraints(
-            datasets.applied, network, table)[0],
-        measurement.assemble_eos_constraints(datasets.loads, network, table)[0],
-        measurement.assemble_eot_constraints(datasets.loads, network, table)[0],
-        measurement.assemble_transport_relations(network, table, delivery),
-    ]
-    return (measurement.compute_weights(measurement.stack_systems(blocks)),
-            delivery)
+    system, _, _ = cli._assemble_constraints(
+        network, capabilities, datasets.applied, datasets.loads, delivery)
+    return measurement.compute_weights(system), delivery
 
 
 def fit_report(network, capabilities, totals, applied, loads, delivery=None):
@@ -31,6 +25,26 @@ def fit_report(network, capabilities, totals, applied, loads, delivery=None):
     _, rows, _ = cli._assemble_constraints(
         network, capabilities, applied, loads, delivery)
     return report.build_fit_report(rows, totals)
+
+
+def capabilities_of(specs):
+    """Hand-built ``CapabilitySpec``s, listed by id, as a ``Capabilities``
+    object with empty by-position tables."""
+    assert [spec.id for spec in specs] == list(range(len(specs)))
+
+    def column(field, dtype=np.intp):
+        return np.array([field(spec) for spec in specs], dtype=dtype)
+
+    return Capabilities(
+        capability_class=column(
+            lambda spec: CAPABILITY_CLASSES.index(spec.capability_class)),
+        operand=column(lambda spec: spec.operand),
+        origin=column(lambda spec: -1 if spec.origin is None else spec.origin),
+        destination=column(lambda spec: spec.destination),
+        resource=column(lambda spec: spec.resource_id, object),
+        accept=np.empty((0, 2, 2), dtype=np.intp),
+        land_transport=np.empty((0, 2), dtype=np.intp),
+        river_transport=np.empty((0, 2), dtype=np.intp))
 
 
 def measurement_system(rows, n_caps, n_steps=1, weighted=True):

@@ -122,12 +122,12 @@ def test_criterion_5_weights_and_penalties(chain_network):
     from basinflow.core_net import default_operands
 
     caps = instantiate_capabilities(chain_network, default_operands())
-    table = ms.capability_table(chain_network, caps)
+    table = caps
 
     def weight_for(constant):
         rows, _ = ms.assemble_eot_constraints(
             [ms.LoadRecord("alpha", "nitrogen", "EoT", constant)],
-            chain_network, table)
+            chain_network, caps)
         return ms.compute_weights(rows)[0].weight
 
     assert weight_for(0.0) == 0.5
@@ -144,7 +144,7 @@ def test_criterion_5_weights_and_penalties(chain_network):
     problem = est.assemble_problem(
         incidence, ms.compute_weights(ms.assemble_eot_constraints(
             [ms.LoadRecord("alpha", "nitrogen", "EoT", 5.0)],
-            chain_network, table)[0]))
+            chain_network, caps)[0]))
     assert problem.alpha == 1e-10
     assert problem.beta == 1e-12
     elapsed = _elapsed_guard(t0, 1.0, "criterion 5")

@@ -131,6 +131,30 @@ class TestEstimate:
         assert code == 1
         assert "delivery_factors" in capsys.readouterr().err
 
+    def test_solver_failure_exits_2(self, synth_dir, tmp_path, capsys,
+                                    monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("KKT system is singular")
+
+        monkeypatch.setattr(est, "solve", singular)
+        code = run(["estimate", "--config", str(synth_dir / "config.json"),
+                    "--output-dir", str(tmp_path / "res")])
+        assert code == 2
+        assert "solver error: KKT system is singular" in capsys.readouterr().err
+
+    def test_non_finite_datum_names_file_and_line(self, synth_dir, tmp_path,
+                                                  capsys):
+        applied = tmp_path / "applied.csv"
+        lines = (synth_dir / "applied.csv").read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+        applied.write_text("\n".join(lines) + "\n")
+        code = run(["estimate", "--config", str(synth_dir / "config.json"),
+                    "--applied", str(applied),
+                    "--output-dir", str(tmp_path / "res")])
+        assert code == 1
+        assert f"{applied} line 4: 'nan' is not a finite number" in \
+            capsys.readouterr().err
+
 
 class TestValidateFailures:
     def test_cycle_listed(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import basinflow as bf
 from basinflow import measurement as ms
-from basinflow.core_net import default_operands
+from basinflow.core_net import Operand, default_operands
 from basinflow.topology import instantiate_capabilities
 
 from pipeline_util import build_constraints
@@ -23,7 +24,7 @@ class TestCapabilityAggregation:
         net, truth, _ = bf.generate_synthetic(8, branching=2, seed=5)
         system, _ = ms.assemble_eot_constraints(
             [ms.LoadRecord("c1", "phosphorus", "EoT", 3.0)], net,
-            ms.capability_table(net, truth.capabilities))
+            truth.capabilities)
         specs = net.buffer_specs
         terminal = {
             cap.id for cap in truth.capabilities
@@ -36,11 +37,10 @@ class TestCapabilityAggregation:
 
     def test_empty_group_rejected(self, chain_network):
         # a datum whose capability group is empty gives no row, only a note
-        caps = [c for c in chain_caps(chain_network)
-                if c.capability_class.action != "transport_river"]
+        caps = instantiate_capabilities(chain_network, [Operand(0, "phosphorus")])
         system, skipped = ms.assemble_eot_constraints(
             [ms.LoadRecord("alpha", "nitrogen", "EoT", 4.0)], chain_network,
-            ms.capability_table(chain_network, caps))
+            caps)
         assert len(system) == 0
         assert "no estuary-bound river transport" in skipped[0]
 
@@ -52,21 +52,17 @@ class TestCapabilityAggregation:
                                    datasets.applied),
                                   (ms.assemble_eos_constraints, datasets.loads)):
             system, _ = assemble(records, net,
-                                 ms.capability_table(net, truth.capabilities))
+                                 truth.capabilities)
             assert (system.d.getnnz(axis=1) == 1).all()
             assert (system.d.data == 1.0).all()
             assert len(set(system.d.indices.tolist())) == len(system)
 
     def test_out_of_range(self, chain_network):
-        caps = chain_caps(chain_network)
+        caps = instantiate_capabilities(chain_network, [Operand(0, "nitrogen")])
         records = [ms.AppliedNutrientRecord("alpha", "developed",
-                                            "nitrogen", 1.0)]
+                                            "phosphorus", 1.0)]
         with pytest.raises(ValueError, match="lacks a capability"):
-            ms.assemble_accept_constraints(
-                records, chain_network, ms.capability_table(
-                    chain_network,
-                    [c for c in caps
-                     if c.capability_class.sector != "developed"]))
+            ms.assemble_accept_constraints(records, chain_network, caps)
 
 
 class TestTemporalAggregation:
@@ -182,7 +178,7 @@ class TestAcceptConstraints:
         records = [ms.AppliedNutrientRecord("alpha", "agricultural",
                                             "nitrogen", 100.0)]
         constraints, skipped = ms.assemble_accept_constraints(
-            records, chain_network, ms.capability_table(chain_network, caps))
+            records, chain_network, caps)
         assert skipped == []
         assert len(constraints) == 1
         con = constraints[0]
@@ -202,7 +198,7 @@ class TestAcceptConstraints:
         records = [ms.AppliedNutrientRecord(county, "developed",
                                             "phosphorus", 10.0)]
         constraints, _ = ms.assemble_accept_constraints(
-            records, net, ms.capability_table(net, truth.capabilities))
+            records, net, truth.capabilities)
         assert len(constraints[0].coefficients) == n_in_county
         assert all(v == 1.0 for _, v in constraints[0].coefficients)
 
@@ -215,7 +211,7 @@ class TestAcceptConstraints:
                                      "agricultural", "nitrogen", 7.0),
         ]
         constraints, _ = ms.assemble_accept_constraints(
-            records, net, ms.capability_table(net, truth.capabilities))
+            records, net, truth.capabilities)
         supports = [set(dict(c.coefficients)) for c in constraints]
         assert supports[0].isdisjoint(supports[1])
 
@@ -224,7 +220,7 @@ class TestAcceptConstraints:
         records = [ms.AppliedNutrientRecord("nowhere", "agricultural",
                                             "nitrogen", 1.0)]
         constraints, skipped = ms.assemble_accept_constraints(
-            records, chain_network, ms.capability_table(chain_network, caps))
+            records, chain_network, caps)
         assert len(constraints) == 0
         assert "nowhere" in skipped[0]
 
@@ -234,7 +230,7 @@ class TestEosEotConstraints:
         caps = chain_caps(chain_network)
         records = [ms.LoadRecord("alpha", "nitrogen", "EoS", 50.0)]
         constraints, skipped = ms.assemble_eos_constraints(
-            records, chain_network, ms.capability_table(chain_network, caps))
+            records, chain_network, caps)
         assert skipped == []
         ((_, cap_id), coef), = constraints[0].coefficients
         assert coef == 1.0
@@ -245,14 +241,14 @@ class TestEosEotConstraints:
         caps = chain_caps(chain_network)
         records = [ms.LoadRecord("nowhere", "nitrogen", "EoS", 50.0)]
         constraints, skipped = ms.assemble_eos_constraints(
-            records, chain_network, ms.capability_table(chain_network, caps))
+            records, chain_network, caps)
         assert len(constraints) == 0 and skipped
 
     def test_eot_single_estuary(self, chain_network):
         caps = chain_caps(chain_network)
         records = [ms.LoadRecord("alpha", "nitrogen", "EoT", 25.0)]
         constraints, _ = ms.assemble_eot_constraints(
-            records, chain_network, ms.capability_table(chain_network, caps))
+            records, chain_network, caps)
         assert len(constraints) == 1
         ((_, cap_id), coef), = constraints[0].coefficients
         assert caps[cap_id].capability_class.action == "transport_river"
@@ -266,7 +262,7 @@ class TestEosEotConstraints:
             ms.LoadRecord("c2", "nitrogen", "EoT", 15.0),
         ]
         constraints, _ = ms.assemble_eot_constraints(
-            records, net, ms.capability_table(net, truth.capabilities))
+            records, net, truth.capabilities)
         assert len(constraints) == 1
         assert constraints[0].constant == 25.0
         assert len(constraints[0].coefficients) == len(terminal)
@@ -275,7 +271,7 @@ class TestEosEotConstraints:
         caps = chain_caps(chain_network)
         records = [ms.LoadRecord("alpha", "nitrogen", "EoT", 0.0)]
         constraints, _ = ms.assemble_eot_constraints(
-            records, chain_network, ms.capability_table(chain_network, caps))
+            records, chain_network, caps)
         assert constraints[0].constant == 0.0
 
 
@@ -290,7 +286,7 @@ class TestTransportRelations:
     def test_chain_land_relation(self, chain_network):
         caps = chain_caps(chain_network)
         relations = ms.assemble_transport_relations(
-            chain_network, ms.capability_table(chain_network, caps),
+            chain_network, caps,
             self.make_delivery(chain_network, 0.5, 0.6))
         row = next(c for c in relations
                    if c.label == "transport/land/land-1/nitrogen")
@@ -304,7 +300,7 @@ class TestTransportRelations:
     def test_pass_through_ratio(self, chain_network):
         caps = chain_caps(chain_network)
         relations = ms.assemble_transport_relations(
-            chain_network, ms.capability_table(chain_network, caps),
+            chain_network, caps,
             self.make_delivery(chain_network, 0.5, 1.0))
         river_rows = [c for c in relations
                       if c.label.startswith("transport/river/")]
@@ -320,7 +316,7 @@ class TestTransportRelations:
         delivery = ms.compute_delivery_model(
             net, datasets.delivery_factors, datasets.areas)
         relations = ms.assemble_transport_relations(
-            net, ms.capability_table(net, truth.capabilities), delivery)
+            net, truth.capabilities, delivery)
         for link in net.river_links:
             inbound = net.links_into.get(link.from_outlet, ())
             if not inbound:
@@ -344,7 +340,7 @@ class TestComputeWeights:
         def weight_for(constant):
             records = [ms.LoadRecord("alpha", "nitrogen", "EoT", constant)]
             cons, _ = ms.assemble_eot_constraints(
-                records, chain_network, ms.capability_table(chain_network, caps))
+                records, chain_network, caps)
             return ms.compute_weights(cons)[0].weight
 
         assert weight_for(10.0) == 0.01
@@ -400,7 +396,7 @@ class TestExpandConstraints:
         caps = chain_caps(chain_network)
         cons, _ = ms.assemble_eot_constraints(
             [ms.LoadRecord("alpha", "nitrogen", "EoT", 9.0)],
-            chain_network, ms.capability_table(chain_network, caps))
+            chain_network, caps)
         assert ms.expand_constraints(cons, 1) is cons
 
     def test_relations_replicate_data_spreads(self, chain_network):
@@ -408,10 +404,10 @@ class TestExpandConstraints:
         delivery = ms.DeliveryModel({"land-1": 0.5}, {"out-1": 0.5},
                                     {("out-1", "bay"): 0.5})
         relations = ms.assemble_transport_relations(
-            chain_network, ms.capability_table(chain_network, caps), delivery)
+            chain_network, caps, delivery)
         data, _ = ms.assemble_eot_constraints(
             [ms.LoadRecord("alpha", "nitrogen", "EoT", 9.0)],
-            chain_network, ms.capability_table(chain_network, caps))
+            chain_network, caps)
         out = ms.expand_constraints(
             ms.compute_weights(ms.stack_systems([relations, data])), 3)
         relation_rows = [out[r] for r in np.flatnonzero(out.relation)]
@@ -429,7 +425,7 @@ class TestExpandConstraints:
         caps = chain_caps(chain_network)
         data, _ = ms.assemble_accept_constraints(
             [ms.AppliedNutrientRecord("alpha", "developed", "phosphorus", 0.0)],
-            chain_network, ms.capability_table(chain_network, caps))
+            chain_network, caps)
         out = ms.expand_constraints(ms.compute_weights(data), 3)
         assert len(out) == 1
         assert out[0].label == "accept/alpha/developed/phosphorus"
@@ -463,10 +459,46 @@ class TestParsing:
             ms.read_applied(path)
 
     def test_bad_number(self, tmp_path):
+        # the blank line 2 counts, so the bad value is named on line 3
         path = tmp_path / "bad.csv"
-        path.write_text("county,sector,operand,mass\nalpha,agricultural,nitrogen,lots\n")
-        with pytest.raises(ms.DatasetFormatError, match="lots"):
+        path.write_text("county,sector,operand,mass\n\n"
+                        "alpha,agricultural,nitrogen,lots\n")
+        with pytest.raises(ms.DatasetFormatError,
+                           match=re.escape(f"{path} line 3: 'lots' is not a number")):
             ms.read_applied(path)
+
+    @pytest.mark.parametrize("read, content, message", [
+        (ms.read_applied, "county,sector,operand,mass\n"
+         "alpha,septic,nitrogen,5\n", "sector 'septic' not supported"),
+        (ms.read_applied, "county,sector,operand,mass\n"
+         "alpha,developed,nitrogen,-5\n", "applied mass must be >= 0"),
+        (ms.read_loads, "county,operand,kind,mass\n"
+         "alpha,nitrogen,EoX,5\n", "unknown load kind 'EoX'"),
+        (ms.read_loads, "county,operand,kind,mass\n"
+         "alpha,nitrogen,EoS,-5\n", "load mass must be >= 0"),
+        (ms.read_delivery_factors, "segment,load_source,stage,factor\n"
+         "s1,forest,toBay,0.5\n", "unknown stage 'toBay'"),
+        (ms.read_delivery_factors, "segment,load_source,stage,factor\n"
+         "s1,forest,riverToBay,-0.5\n", "delivery factor must be >= 0"),
+        (ms.read_areas, "segment,load_source,acres\n"
+         "s1,forest,-1\n", "area must be >= 0"),
+    ], ids=["sector", "applied_mass", "kind", "load_mass", "stage", "factor",
+            "area"])
+    def test_rejected_record_names_file_and_line(self, tmp_path, read,
+                                                 content, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(content)
+        with pytest.raises(ms.DatasetFormatError,
+                           match=re.escape(f"{path} line 2: {message}")):
+            read(path)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity", "NaN"])
+    def test_non_finite_rejected(self, tmp_path, raw):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"segment,load_source,acres\ns1,forest,{raw}\n")
+        with pytest.raises(ms.DatasetFormatError,
+                           match=f"line 2: '{raw}' is not a finite number"):
+            ms.read_areas(path)
 
     def test_operand_case_insensitive(self, tmp_path):
         path = tmp_path / "a.csv"

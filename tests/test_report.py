@@ -275,9 +275,8 @@ class TestFitReport:
             {("out-1", "out-2"): 0.5, ("out-2", "bay"): 0.6})
         loads = [bf.measurement.LoadRecord("alpha", "nitrogen",
                                            "StreamToTide", 7.0)]
-        table = bf.measurement.capability_table(network, caps)
         rows, skipped = bf.measurement.assemble_stream_to_tide(
-            loads, network, table, delivery)
+            loads, network, caps, delivery)
         assert skipped == []
         assert rows.label == ("stream_to_tide/alpha/nitrogen",)
         assert rows.constant.tolist() == [7.0]

@@ -1,9 +1,17 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import basinflow as bf
-from basinflow.core_net import BufferKind, default_operands
+from basinflow.core_net import (
+    OPERAND_NAMES,
+    SECTORS,
+    BufferKind,
+    Operand,
+    default_operands,
+)
 from basinflow.topology import (
     Estuary,
     LandSegment,
@@ -200,7 +208,7 @@ class TestInstantiateCapabilities:
 
     def test_empty_network(self):
         net = WatershedNetwork((), (), (), (Estuary("bay"),))
-        assert instantiate_capabilities(net, default_operands()) == []
+        assert len(instantiate_capabilities(net, default_operands())) == 0
 
     def test_formula_matches_enumeration(self):
         net, truth, _ = bf.generate_synthetic(5, branching=2, seed=2,
@@ -233,8 +241,47 @@ class TestInstantiateCapabilities:
                 assert buffer_specs[cap.origin].kind == BufferKind.OUTLET_POINT
                 assert dest.kind in (BufferKind.OUTLET_POINT, BufferKind.ESTUARY)
 
+    @pytest.mark.parametrize("operands", [
+        default_operands(), (Operand(0, "phosphorus"),),
+        (Operand(0, "phosphorus"), Operand(1, "nitrogen"))])
+    def test_position_tables_invert_the_layout(self, operands):
+        # the tables agree with a walk over the views, the inversion they
+        # replace; a missing operand leaves -1
+        net, _, _ = bf.generate_synthetic(6, branching=2, seed=4,
+                                          land_per_outlet=(1, 3))
+        caps = instantiate_capabilities(net, operands)
+        land_pos = {l.external_id: i for i, l in enumerate(net.land_segments)}
+        link_pos = {(net.buffer_id[l.from_outlet], net.buffer_id[l.to_node]): i
+                    for i, l in enumerate(net.river_links)}
+        accept = np.full((len(land_pos), 2, 2), -1)
+        land_transport = np.full((len(land_pos), 2), -1)
+        river_transport = np.full((len(link_pos), 2), -1)
+        for cap in caps:
+            cls = cap.capability_class
+            op = OPERAND_NAMES.index(cls.operand_name)
+            if cls.is_accept:
+                accept[land_pos[cap.resource_id], SECTORS.index(cls.sector),
+                       op] = cap.id
+            elif cls.action == "transport_land":
+                land_transport[land_pos[cap.resource_id], op] = cap.id
+            else:
+                river_transport[link_pos[(cap.origin, cap.destination)],
+                                op] = cap.id
+        assert (caps.accept == accept).all()
+        assert (caps.land_transport == land_transport).all()
+        assert (caps.river_transport == river_transport).all()
+
+    def test_views_index_like_a_sequence(self, chain_network):
+        caps = instantiate_capabilities(chain_network, default_operands())
+        assert caps[-1] == caps[len(caps) - 1]
+        assert caps[-1].origin == chain_network.buffer_id["out-1"]
+        assert caps[0].origin is None and caps[0].resource_id == "land-1"
+        with pytest.raises(IndexError):
+            caps[len(caps)]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            caps[0].destination = 2
+
     def test_unknown_operand_rejected(self, chain_network):
-        from basinflow.core_net import Operand
         with pytest.raises(ValueError, match="sediment"):
             instantiate_capabilities(chain_network, [Operand(0, "sediment")])
 
