@@ -18,7 +18,6 @@ from .core_net import (
     build_incidence,
     default_operands,
     place_index,
-    state_transition,
 )
 from .topology import (
     WatershedNetwork,
@@ -38,17 +37,13 @@ from .measurement import (
     compute_delivery_model,
     compute_weights,
     expand_constraints,
-    interoutlet_delivery_factor,
-    outlet_delivery_factor,
     stack_systems,
-    weighted_delivery_factor,
 )
 from .synthetic import generate_synthetic
 from .estimator import (
     EstimationProblem,
     Solution,
     assemble_problem,
-    dense_oracle_solve,
     residual_report,
     solve,
 )
@@ -67,7 +62,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BufferKind", "BufferSpec", "Capabilities", "CapabilityClass", "CapabilitySpec",
     "IncidenceMatrices", "Operand", "build_incidence", "default_operands",
-    "place_index", "state_transition",
+    "place_index",
     "WatershedNetwork", "derive_connectivity_from_names",
     "instantiate_capabilities", "load_network", "validate_routing",
     "MeasurementConstraint", "MeasurementSystem",
@@ -75,11 +70,10 @@ __all__ = [
     "assemble_eot_constraints", "assemble_stream_to_tide",
     "assemble_transport_relations",
     "compute_delivery_model", "compute_weights", "expand_constraints",
-    "interoutlet_delivery_factor", "outlet_delivery_factor",
-    "stack_systems", "weighted_delivery_factor",
+    "stack_systems",
     "generate_synthetic",
     "EstimationProblem", "Solution", "assemble_problem",
-    "dense_oracle_solve", "residual_report", "solve",
+    "residual_report", "solve",
     "FitReport", "build_fit_report", "export_results",
     "median_relative_error", "nrmse", "r_squared", "relative_error",
 ]

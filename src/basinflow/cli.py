@@ -106,7 +106,12 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
     def resolve(p: str) -> str:
         return str((base / p).resolve()) if p else p
 
-    datasets = {k: resolve(v) for k, v in doc.get("datasets", {}).items()}
+    datasets = {}
+    for family, value in doc.get("datasets", {}).items():
+        if not isinstance(value, str):
+            raise ValueError(f"config key 'datasets' entry {family!r} must be "
+                             f"a path string, got {type(value).__name__}")
+        datasets[family] = resolve(value)
     for family in DATASET_FAMILIES:
         flag = getattr(overrides, family, None)
         if flag:
@@ -174,13 +179,18 @@ def _assemble_constraints(network, capabilities, applied, loads, delivery):
     """The one-step measurement system, the rows the fit report scores (the
     system and the report-only StreamToTide rows) and the skipped-record
     notes.  Without a delivery model (``report`` given no delivery factors)
-    the transport-relation and StreamToTide rows are left out."""
+    the transport-relation and StreamToTide rows are left out; a missing
+    applied or loads dataset gives no rows."""
+    if applied is None:
+        applied = measurement.table(measurement.APPLIED)
+    if loads is None:
+        loads = measurement.table(measurement.LOADS)
     blocks = []
     skipped: list[str] = []
     for assemble, records in ((measurement.assemble_accept_constraints, applied),
                               (measurement.assemble_eos_constraints, loads),
                               (measurement.assemble_eot_constraints, loads)):
-        block, diag = assemble(records or (), network, capabilities)
+        block, diag = assemble(records, network, capabilities)
         blocks.append(block)
         skipped += diag
     if delivery is None:
@@ -190,7 +200,7 @@ def _assemble_constraints(network, capabilities, applied, loads, delivery):
         network, capabilities, delivery))
     system = measurement.stack_systems(blocks)
     stream, diag = measurement.assemble_stream_to_tide(
-        loads or (), network, capabilities, delivery)
+        loads, network, capabilities, delivery)
     return system, measurement.stack_systems([system, stream]), skipped + diag
 
 

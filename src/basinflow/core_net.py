@@ -255,25 +255,3 @@ def build_incidence(capabilities: Capabilities, n_operands: int,
         mat.sort_indices()
     return IncidenceMatrices(m_plus, m_minus, m, n_operands, n_buffers)
 
-
-def state_transition(q_b: np.ndarray, u: np.ndarray, dt: float,
-                     m: sp.spmatrix) -> np.ndarray:
-    """Advance the place-mass vector one step: ``q_b + m @ u * dt``.
-
-    ``u`` holds per-capability flow rates (mass/time); ``dt`` is the step
-    duration, so transports conserve total mass and accepts add it.
-    """
-    n_places, n_caps = m.shape
-    q_b = np.asarray(q_b, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if q_b.shape != (n_places,):
-        raise ValueError(
-            f"state vector has length {q_b.shape}, expected ({n_places},)"
-        )
-    if u.shape != (n_caps,):
-        raise ValueError(
-            f"firing vector has length {u.shape}, expected ({n_caps},)"
-        )
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    return q_b + m @ u * dt

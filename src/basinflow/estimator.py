@@ -40,8 +40,6 @@ MAX_REFINEMENT_ROUNDS = 2
 # 4.7 with COLAMD, 29 with MMD_AT_PLUS_A; at K=1 both give 1.6.
 KKT_ORDERING = "COLAMD"
 
-DENSE_ORACLE_MAX_VARS = 2000
-
 
 class AssemblyWarning(UserWarning):
     """Assembly produced a degenerate but solvable problem."""
@@ -49,40 +47,18 @@ class AssemblyWarning(UserWarning):
 
 @dataclass(frozen=True)
 class VariableIndex:
-    """Bijection from named variables to columns of the decision vector.
+    """Block sizes of the decision vector ``[Q_B | U | errors]``.
 
-    Step labels follow the recursion convention: firings U exist for steps
-    1..K and buffer masses Q_B for steps 2..K+1 (the initial state is zero
-    and eliminated).
+    Columns run step-major within each block: ``n_places`` buffer masses
+    for each of the steps 2..K+1 (the zero initial state is eliminated),
+    ``n_caps`` firings for each of the steps 1..K, then one error per
+    measurement row.
     """
 
     n_steps: int
     n_places: int
     n_caps: int
     n_errors: int
-
-    def q_b(self, k: int, place: int) -> int:
-        if not 2 <= k <= self.n_steps + 1:
-            raise IndexError(f"Q_B step {k} outside [2, {self.n_steps + 1}]")
-        if not 0 <= place < self.n_places:
-            raise IndexError(f"place {place} outside [0, {self.n_places})")
-        return (k - 2) * self.n_places + place
-
-    def u(self, k: int, cap: int) -> int:
-        if not 1 <= k <= self.n_steps:
-            raise IndexError(f"U step {k} outside [1, {self.n_steps}]")
-        if not 0 <= cap < self.n_caps:
-            raise IndexError(f"capability {cap} outside [0, {self.n_caps})")
-        return self.n_steps * self.n_places + (k - 1) * self.n_caps + cap
-
-    def err(self, row: int) -> int:
-        if not 0 <= row < self.n_errors:
-            raise IndexError(f"error row {row} outside [0, {self.n_errors})")
-        return self.n_steps * (self.n_places + self.n_caps) + row
-
-    @property
-    def total(self) -> int:
-        return self.n_steps * (self.n_places + self.n_caps) + self.n_errors
 
 
 @dataclass
@@ -308,42 +284,6 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
         diagnostics["refinement_rounds"] += 1
 
     return _extract_solution(problem, y[:n], y[n:], tol, diagnostics)
-
-
-def dense_oracle_solve(problem: EstimationProblem,
-                       tol: float = DEFAULT_TOL) -> Solution:
-    """Independent dense factorization of the same KKT system (tests only).
-
-    Guarded to ``DENSE_ORACLE_MAX_VARS`` decision variables.
-    """
-    n = problem.n_variables
-    if n > DENSE_ORACLE_MAX_VARS:
-        raise ValueError(
-            f"dense oracle limited to {DENSE_ORACLE_MAX_VARS} variables, "
-            f"problem has {n}"
-        )
-    m_rows = problem.n_rows
-    kkt = np.zeros((n + m_rows, n + m_rows))
-    kkt[:n, :n] = np.diag(problem.hessian_diag)
-    a_dense = problem.constraint_matrix.toarray()
-    kkt[:n, n:] = a_dense.T
-    kkt[n:, :n] = a_dense
-    rhs = np.concatenate([np.zeros(n), problem.rhs])
-    try:
-        y = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        delta = 1e-12 * max(np.abs(a_dense).sum(axis=1).max(initial=0.0), 1.0)
-        kkt[n:, n:] -= delta * np.eye(m_rows)
-        y = np.linalg.solve(kkt, rhs)
-        return _extract_solution(problem, y[:n], y[n:], tol,
-                                 {"regularized": True, "dual_shift": delta,
-                                  "dense_oracle": True, "tol": tol})
-    residual = rhs - kkt @ y
-    b_scale = 1.0 + np.abs(problem.rhs).max(initial=0.0)
-    if np.abs(residual).max(initial=0.0) > tol * b_scale:
-        y = y + np.linalg.solve(kkt, residual)
-    return _extract_solution(problem, y[:n], y[n:], tol,
-                             {"dense_oracle": True, "tol": tol})
 
 
 def _extract_solution(problem: EstimationProblem, x: np.ndarray,

@@ -21,7 +21,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,70 +46,24 @@ class DatasetFormatError(ValueError):
     """A dataset file is missing columns or holds unparseable values."""
 
 
-@dataclass(frozen=True)
-class AppliedNutrientRecord:
-    county: str
-    sector: str
-    operand: str
-    mass: float
-
-    def __post_init__(self):
-        if self.sector not in SECTORS:
-            raise ValueError(
-                f"sector {self.sector!r} not supported; expected one of "
-                f"{SECTORS} (other source sectors are out of scope)"
-            )
-        if self.operand not in OPERAND_NAMES:
-            raise ValueError(f"unknown operand {self.operand!r}")
-        if self.mass < 0:
-            raise ValueError(f"applied mass must be >= 0, got {self.mass}")
+# One record dtype per dataset family, the family's whole schema: field
+# names are the CSV headers, text fields hold ``str`` objects and the value
+# is float64.  A dataset is an ``np.recarray`` of its dtype, so the assembly
+# reads whole columns (``loads.mass``) and a row reads by attribute
+# (``row.county``).
+APPLIED = np.dtype([("county", object), ("sector", object),
+                    ("operand", object), ("mass", float)])
+LOADS = np.dtype([("county", object), ("operand", object), ("kind", object),
+                  ("mass", float)])
+DELIVERY_FACTORS = np.dtype([("segment", object), ("load_source", object),
+                             ("stage", object), ("factor", float)])
+AREAS = np.dtype([("segment", object), ("load_source", object),
+                  ("acres", float)])
 
 
-@dataclass(frozen=True)
-class LoadRecord:
-    county: str
-    operand: str
-    kind: str
-    mass: float
-
-    def __post_init__(self):
-        if self.kind not in LOAD_KINDS:
-            raise ValueError(f"unknown load kind {self.kind!r}; expected {LOAD_KINDS}")
-        if self.operand not in OPERAND_NAMES:
-            raise ValueError(f"unknown operand {self.operand!r}")
-        if self.mass < 0:
-            raise ValueError(f"load mass must be >= 0, got {self.mass}")
-
-
-@dataclass(frozen=True)
-class DeliveryFactorRecord:
-    land_river_segment: str
-    load_source: str
-    stage: str
-    factor: float
-
-    def __post_init__(self):
-        if self.stage not in DF_STAGES:
-            raise ValueError(f"unknown stage {self.stage!r}; expected {DF_STAGES}")
-        if self.factor < 0:
-            raise ValueError(f"delivery factor must be >= 0, got {self.factor}")
-        if self.factor > 1.0:
-            warnings.warn(
-                f"delivery factor {self.factor} > 1 for segment "
-                f"{self.land_river_segment!r} stage {self.stage}; retained",
-                DataConsistencyWarning, stacklevel=3,
-            )
-
-
-@dataclass(frozen=True)
-class AreaRecord:
-    land_river_segment: str
-    load_source: str
-    acres: float
-
-    def __post_init__(self):
-        if self.acres < 0:
-            raise ValueError(f"area must be >= 0, got {self.acres}")
+def table(dtype: np.dtype, rows: Iterable[tuple] = ()) -> np.recarray:
+    """A table of ``dtype`` from row tuples in field order."""
+    return np.array(list(rows), dtype=dtype).view(np.recarray)
 
 
 @dataclass(frozen=True)
@@ -181,292 +135,307 @@ def stack_systems(systems: Sequence[MeasurementSystem]) -> MeasurementSystem:
 
 
 # ---------------------------------------------------------------------------
-# Dataset file parsing
+# Dataset files
 # ---------------------------------------------------------------------------
 
-def _read_records(path, required: Sequence[str], record) -> list:
-    """``record(*fields)`` for each nonblank row, ``fields`` being its
-    ``required`` columns in that order.  A value ``record`` rejects with a
-    ValueError is reported with the file and line that hold it."""
+# Text columns compared case-insensitively, stored lowercase.
+_LOWERCASE = ("sector", "operand")
+# Categorical columns: the values they allow and the message naming another.
+_CHOICES = {
+    "sector": (SECTORS, lambda v: f"sector {v!r} not supported; expected one "
+               f"of {SECTORS} (other source sectors are out of scope)"),
+    "kind": (LOAD_KINDS, lambda v: f"unknown load kind {v!r}; expected {LOAD_KINDS}"),
+    "stage": (DF_STAGES, lambda v: f"unknown stage {v!r}; expected {DF_STAGES}"),
+}
+
+
+def _first(flags) -> Optional[int]:
+    """Position of the first true flag, or None."""
+    hits = np.flatnonzero(flags)
+    return int(hits[0]) if hits.size else None
+
+
+def _parse_numbers(raw: list[str], problems: list) -> np.ndarray:
+    """``raw`` as floats; the first value that is not a number and the first
+    that is not finite go to ``problems`` as (row, message)."""
+    try:
+        values = np.array(list(map(float, raw)), dtype=float)
+    except ValueError:
+        values = np.full(len(raw), math.nan)
+        for i, text in enumerate(raw):
+            try:
+                values[i] = float(text)
+            except ValueError:
+                problems.append((i, f"{text!r} is not a number"))
+                break
+    bad = _first(~np.isfinite(values))
+    if bad is not None:
+        problems.append((bad, f"{raw[bad]!r} is not a finite number"))
+    return values
+
+
+def read_table(path, dtype: np.dtype, nonnegative: str = "",
+               key: Sequence[str] = ()) -> np.recarray:
+    """Read a CSV file into a table of ``dtype``.
+
+    The header must name every field; other columns and blank lines are
+    ignored.  Text is stripped, and ``sector`` and ``operand`` lowercased.
+    Numbers must be finite, and nonnegative when ``nonnegative`` names them
+    for the message.  No two rows may share their ``key`` columns.  The
+    first row that breaks a rule, or has fewer fields than the header, is
+    reported with the file and line that hold it.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        missing = [col for col in required if col not in header]
+        missing = [name for name in dtype.names if name not in header]
         if missing:
             raise DatasetFormatError(
-                f"{path}: missing required column(s) {', '.join(missing)}"
-            )
-        cols = [header.index(col) for col in required]
-        records = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < len(header):
-                raise DatasetFormatError(
-                    f"{path} line {reader.line_num}: {len(row)} fields, the "
-                    f"header has {len(header)}")
-            try:
-                records.append(record(*[row[i] for i in cols]))
-            except ValueError as exc:
-                raise DatasetFormatError(
-                    f"{path} line {reader.line_num}: {exc}") from None
-        return records
+                f"{path}: missing required column(s) {', '.join(missing)}")
+        rows = [row for row in reader if row]
+    problems: list[tuple[int, str]] = []
+    if rows and min(map(len, rows)) < len(header):
+        short = _first([len(row) < len(header) for row in rows])
+        problems.append((short, f"{len(rows[short])} fields, the header has "
+                                f"{len(header)}"))
+        del rows[short:]
+    # np.zeros, not np.empty: several times faster for object fields.
+    out = np.zeros(len(rows), dtype).view(np.recarray)
+    numbers = [name for name in dtype.names if dtype[name] != object]
+    for name in dtype.names:
+        if name not in numbers:
+            i = header.index(name)
+            text = [row[i].strip() for row in rows]
+            out[name] = [v.lower() for v in text] if name in _LOWERCASE else text
+    # Checks in the order a row reports them: operand, numbers, choices.
+    if "operand" in dtype.names:
+        bad = _first([v not in OPERAND_NAMES for v in out.operand])
+        if bad is not None:
+            raw = rows[bad][header.index("operand")]
+            problems.append((bad, f"unknown operand {raw!r}; expected "
+                                  f"nitrogen or phosphorus"))
+    for name in numbers:
+        i = header.index(name)
+        out[name] = _parse_numbers([row[i] for row in rows], problems)
+    for name, (allowed, message) in _CHOICES.items():
+        if name in dtype.names:
+            bad = _first([v not in allowed for v in out[name]])
+            if bad is not None:
+                problems.append((bad, message(out[name][bad])))
+    for name in numbers if nonnegative else ():
+        bad = _first(out[name] < 0)
+        if bad is not None:
+            problems.append((bad, f"{nonnegative} must be >= 0, got "
+                                  f"{float(out[name][bad])}"))
+    if key:
+        seen: dict[tuple, int] = {}
+        for i, values in enumerate(zip(*(out[name].tolist() for name in key))):
+            first = seen.setdefault(values, i)
+            if first != i:
+                problems.append((i, f"repeats the ({', '.join(key)}) key "
+                                    f"{values} of line {_lines(path)[first]}"))
+                break
+    if problems:
+        row, message = min(problems, key=lambda problem: problem[0])
+        raise DatasetFormatError(f"{path} line {_lines(path)[row]}: {message}")
+    return out
 
 
-def _parse_float(raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"{raw!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ValueError(f"{raw!r} is not a finite number")
-    return value
+def _lines(path) -> list[int]:
+    """The line on which each nonblank row after the header ends."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        return [reader.line_num for row in reader if row]
 
 
-def _canon_operand(raw: str) -> str:
-    name = raw.strip().lower()
-    if name not in OPERAND_NAMES:
-        raise ValueError(
-            f"unknown operand {raw!r}; expected nitrogen or phosphorus")
-    return name
+def read_applied(path) -> np.recarray:
+    return read_table(path, APPLIED, nonnegative="applied mass")
 
 
-def read_applied(path) -> list[AppliedNutrientRecord]:
-    return _read_records(
-        path, ("county", "sector", "operand", "mass"),
-        lambda county, sector, operand, mass: AppliedNutrientRecord(
-            county.strip(), sector.strip().lower(), _canon_operand(operand),
-            _parse_float(mass)))
+def read_loads(path) -> np.recarray:
+    return read_table(path, LOADS, nonnegative="load mass")
 
 
-def read_loads(path) -> list[LoadRecord]:
-    return _read_records(
-        path, ("county", "operand", "kind", "mass"),
-        lambda county, operand, kind, mass: LoadRecord(
-            county.strip(), _canon_operand(operand), kind.strip(),
-            _parse_float(mass)))
+def read_delivery_factors(path) -> np.recarray:
+    factors = read_table(path, DELIVERY_FACTORS, nonnegative="delivery factor",
+                         key=("segment", "load_source", "stage"))
+    for row in factors[factors.factor > 1.0]:
+        warnings.warn(
+            f"delivery factor {float(row.factor)} > 1 for segment "
+            f"{row.segment!r} stage {row.stage}; retained",
+            DataConsistencyWarning, stacklevel=2)
+    return factors
 
 
-def read_delivery_factors(path) -> list[DeliveryFactorRecord]:
-    return _read_records(
-        path, ("segment", "load_source", "stage", "factor"),
-        lambda segment, load_source, stage, factor: DeliveryFactorRecord(
-            segment.strip(), load_source.strip(), stage.strip(),
-            _parse_float(factor)))
+def read_areas(path) -> np.recarray:
+    return read_table(path, AREAS, nonnegative="area",
+                      key=("segment", "load_source"))
 
 
-def read_areas(path) -> list[AreaRecord]:
-    return _read_records(
-        path, ("segment", "load_source", "acres"),
-        lambda segment, load_source, acres: AreaRecord(
-            segment.strip(), load_source.strip(), _parse_float(acres)))
-
-
-def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_table(path, dataset: np.recarray) -> None:
+    """Write a table as CSV: its field names, then one line per row with
+    each number as its ``repr``."""
+    names = dataset.dtype.names
+    columns = [dataset[name].tolist() if dataset.dtype[name] == object
+               else map(repr, dataset[name].tolist()) for name in names]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerow(names)
+        writer.writerows(zip(*columns))
 
 
-def write_applied(path, records: Sequence[AppliedNutrientRecord]) -> None:
-    _write_csv(path, ("county", "sector", "operand", "mass"),
-               ((r.county, r.sector, r.operand, r.mass) for r in records))
-
-
-def write_loads(path, records: Sequence[LoadRecord]) -> None:
-    _write_csv(path, ("county", "operand", "kind", "mass"),
-               ((r.county, r.operand, r.kind, r.mass) for r in records))
-
-
-def write_delivery_factors(path, records: Sequence[DeliveryFactorRecord]) -> None:
-    _write_csv(path, ("segment", "load_source", "stage", "factor"),
-               ((r.land_river_segment, r.load_source, r.stage, r.factor)
-                for r in records))
-
-
-def write_areas(path, records: Sequence[AreaRecord]) -> None:
-    _write_csv(path, ("segment", "load_source", "acres"),
-               ((r.land_river_segment, r.load_source, r.acres) for r in records))
+write_applied = write_loads = write_delivery_factors = write_areas = write_table
 
 
 # ---------------------------------------------------------------------------
 # Delivery factors
 # ---------------------------------------------------------------------------
 
-def weighted_delivery_factor(factors: Mapping[str, float],
-                             areas: Mapping[str, float]) -> float:
-    """Area-weighted mean of per-load-source factors.
-
-    Factors without a matching area are skipped with a warning; the shared
-    key set must be nonempty with positive total area.
-    """
-    shared = [k for k in factors if k in areas]
-    for k in factors:
-        if k not in areas:
-            warnings.warn(
-                f"load source {k!r} has a delivery factor but no area; skipped",
-                DataConsistencyWarning, stacklevel=2,
-            )
-    if not shared:
-        raise ValueError("no load source has both a delivery factor and an area")
-    total = sum(areas[k] for k in shared)
-    if total <= 0:
-        raise ValueError("total area over shared load sources is zero")
-    return sum(factors[k] * areas[k] for k in shared) / total
-
-
-def interoutlet_delivery_factor(df_up_river_to_bay: float,
-                                df_down_river_to_bay: float,
-                                segment: str = "") -> float:
-    """Fraction of flow routed between consecutive outlets.
-
-    The telescoping ratio of river-to-bay factors; a ratio above one is a
-    dataset inconsistency, retained unclamped with a warning.
-    """
-    if df_down_river_to_bay == 0:
-        raise ValueError(
-            f"downstream river-to-bay delivery factor is zero"
-            + (f" for segment {segment!r}" if segment else "")
-        )
-    ratio = df_up_river_to_bay / df_down_river_to_bay
-    if ratio > 1.0:
-        warnings.warn(
-            f"inter-outlet delivery ratio {ratio:.6g} > 1"
-            + (f" at segment {segment!r}" if segment else "")
-            + "; retained unclamped",
-            DataConsistencyWarning, stacklevel=2,
-        )
-    return ratio
-
-
-def outlet_delivery_factor(contributing_land_factors: Sequence[float]) -> float:
-    """Unweighted mean over the land segments draining to one outlet."""
-    if not contributing_land_factors:
-        raise ValueError("outlet has no contributing land-segment factors")
-    return sum(contributing_land_factors) / len(contributing_land_factors)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeliveryModel:
-    """Per-entity attenuation coefficients derived from the raw factors.
+    """Per-entity attenuation coefficients derived from the raw factors, as
+    float arrays by network position.
 
-    ``land_factor`` maps each land segment to its land-to-water times
-    stream-to-river product; ``outlet_river_to_bay`` averages the
-    contributing land segments' river-to-bay factors; ``link_ratio`` maps
-    each river link to the fraction of upstream-outlet inflow it carries
-    (river-to-bay ratio, or the bare upstream factor for estuary links).
+    ``land_factor[i]`` is land segment i's land-to-water times
+    stream-to-river factor; ``outlet_river_to_bay[j]`` averages the
+    river-to-bay factors of the land segments draining to outlet j;
+    ``link_ratio[l]`` is the fraction of its upstream outlet's inflow that
+    river link l carries (the ratio of the two outlets' river-to-bay
+    factors, or the upstream factor alone for an estuary link).  Each
+    stage factor of a land segment is the area-weighted mean of its
+    per-load-source factors.
     """
 
-    land_factor: dict[str, float]
-    outlet_river_to_bay: dict[str, float]
-    link_ratio: dict[tuple[str, str], float]
+    land_factor: np.ndarray
+    outlet_river_to_bay: np.ndarray
+    link_ratio: np.ndarray
+
+
+def _missing(policy: str, message: str, warning: str) -> None:
+    """Raise ``message`` under the error policy, else warn ``warning``."""
+    if policy == "error":
+        raise ValueError(message)
+    warnings.warn(warning, DataConsistencyWarning, stacklevel=3)
 
 
 def compute_delivery_model(network: "WatershedNetwork",
-                           df_records: Sequence[DeliveryFactorRecord],
-                           area_records: Optional[Sequence[AreaRecord]] = None,
+                           factors: np.recarray,
+                           areas: Optional[np.recarray] = None,
                            missing_policy: str = "error") -> DeliveryModel:
     """Aggregate raw per-load-source factors into model coefficients.
 
-    Areas come from ``area_records`` when given, else from the network's
-    ``load_source_areas``.  A land segment lacking factors for a stage is
-    an error by default; ``missing_policy="passthrough"`` substitutes 1.0
-    with a warning per segment.
+    ``factors`` is a DELIVERY_FACTORS table and ``areas`` an AREAS table,
+    both with unique keys; areas default to the network's
+    ``load_source_areas``.  Rows naming no land segment of the network are
+    ignored, and a factor whose load source has no area is skipped with a
+    warning.  A land segment lacking factors or areas for a stage is an
+    error by default; ``missing_policy="passthrough"`` substitutes 1.0 with
+    a warning per segment.  Sums run in row order (``np.bincount``).
     """
     if missing_policy not in ("error", "passthrough"):
         raise ValueError(f"unknown missing_policy {missing_policy!r}")
+    lands = network.land_segments
+    if areas is None:
+        areas = table(AREAS, ((land.external_id, source, acres)
+                              for land in lands
+                              for source, acres in land.load_source_areas))
+    position = {land.external_id: i for i, land in enumerate(lands)}
+    area_of = dict(zip(zip(areas.segment.tolist(), areas.load_source.tolist()),
+                       areas.acres.tolist()))
+    area_land = np.array([position.get(s, -1) for s in areas.segment.tolist()],
+                         dtype=np.intp)
+    has_area = np.bincount(area_land[area_land >= 0], minlength=len(lands)) > 0
 
-    by_segment: dict[str, dict[str, dict[str, float]]] = {}
-    for rec in df_records:
-        by_segment.setdefault(rec.land_river_segment, {}).setdefault(
-            rec.stage, {})[rec.load_source] = rec.factor
+    # One group per (land segment, stage), stages fastest.
+    n_stages = len(DF_STAGES)
+    land = np.array([position.get(s, -1) for s in factors.segment.tolist()],
+                    dtype=np.intp)
+    on_network = np.flatnonzero(land >= 0)
+    sources = factors.load_source[on_network].tolist()
+    group = land[on_network] * n_stages + np.array(
+        [DF_STAGES.index(s) for s in factors.stage[on_network].tolist()],
+        dtype=np.intp)
+    acres = np.array([area_of.get(k, math.nan) for k in
+                      zip(factors.segment[on_network].tolist(), sources)])
+    factor = factors.factor[on_network]
+    shared = ~np.isnan(acres)
+    n_groups = len(lands) * n_stages
+    n_factors = np.bincount(group, minlength=n_groups)
+    total = np.bincount(group[shared], weights=acres[shared], minlength=n_groups)
+    weighted = np.bincount(group[shared], weights=(factor * acres)[shared],
+                           minlength=n_groups)
+    n_shared = np.bincount(group[shared], minlength=n_groups)
+    group_has_area = np.repeat(has_area, n_stages)
+    unmatched = ~shared & group_has_area[group]
+    stage_factor = np.ones(n_groups)
+    ok = (n_factors > 0) & group_has_area & (total > 0)
+    stage_factor[ok] = weighted[ok] / total[ok]
 
-    areas_by_segment: dict[str, dict[str, float]] = {}
-    if area_records is not None:
-        for rec in area_records:
-            areas_by_segment.setdefault(rec.land_river_segment, {})[
-                rec.load_source] = rec.acres
-    else:
-        for land in network.land_segments:
-            areas_by_segment[land.external_id] = land.areas
-
-    def stage_factor(land_id: str, stage: str) -> float:
-        factors = by_segment.get(land_id, {}).get(stage)
-        if not factors:
-            if missing_policy == "error":
-                raise ValueError(
-                    f"land segment {land_id!r} has no {stage} delivery "
-                    f"factors; rerun with the passthrough policy to default "
-                    f"them to 1.0"
-                )
+    problem = ~ok
+    problem[group[unmatched]] = True
+    for g in np.flatnonzero(problem).tolist():
+        land_id, stage = lands[g // n_stages].external_id, DF_STAGES[g % n_stages]
+        if not n_factors[g]:
+            _missing(missing_policy,
+                     f"land segment {land_id!r} has no {stage} delivery "
+                     f"factors; rerun with the passthrough policy to default "
+                     f"them to 1.0",
+                     f"land segment {land_id!r}: missing {stage} delivery "
+                     f"factor, defaulting to 1.0")
+            continue
+        if not group_has_area[g]:
+            _missing(missing_policy,
+                     f"land segment {land_id!r} has delivery factors but no "
+                     f"load-source areas",
+                     f"land segment {land_id!r}: no areas to weight {stage} "
+                     f"factors, defaulting to 1.0")
+            continue
+        for i in np.flatnonzero(unmatched & (group == g)).tolist():
             warnings.warn(
-                f"land segment {land_id!r}: missing {stage} delivery factor, "
-                f"defaulting to 1.0",
-                DataConsistencyWarning, stacklevel=3,
-            )
-            return 1.0
-        areas = areas_by_segment.get(land_id, {})
-        if not areas:
-            if missing_policy == "error":
-                raise ValueError(
-                    f"land segment {land_id!r} has delivery factors but no "
-                    f"load-source areas"
-                )
-            warnings.warn(
-                f"land segment {land_id!r}: no areas to weight {stage} "
-                f"factors, defaulting to 1.0",
-                DataConsistencyWarning, stacklevel=3,
-            )
-            return 1.0
-        return weighted_delivery_factor(factors, areas)
+                f"load source {sources[i]!r} has a delivery factor but no "
+                f"area; skipped", DataConsistencyWarning, stacklevel=2)
+        if not n_shared[g]:
+            raise ValueError("no load source has both a delivery factor and "
+                             "an area")
+        if not ok[g]:
+            raise ValueError("total area over shared load sources is zero")
+    stage_factor = stage_factor.reshape(len(lands), n_stages)
 
-    land_factor: dict[str, float] = {}
-    land_rtb: dict[str, float] = {}
-    for land in network.land_segments:
-        land_factor[land.external_id] = (
-            stage_factor(land.external_id, "landToWater")
-            * stage_factor(land.external_id, "streamToRiver")
-        )
-        land_rtb[land.external_id] = stage_factor(land.external_id, "riverToBay")
+    outlets = network.outlets
+    land_outlet = network.land_outlet
+    n_lands = np.bincount(land_outlet, minlength=len(outlets))
+    outlet_rtb = np.ones(len(outlets))
+    drained = n_lands > 0
+    outlet_rtb[drained] = (np.bincount(land_outlet, weights=stage_factor[:, 2],
+                                       minlength=len(outlets))[drained]
+                           / n_lands[drained])
+    for j in np.flatnonzero(~drained).tolist():
+        _missing(missing_policy,
+                 f"outlet {outlets[j].external_id!r} has no contributing land "
+                 f"segments to average a river-to-bay factor from",
+                 f"outlet {outlets[j].external_id!r} has no contributing land "
+                 f"segments; river-to-bay factor defaulted to 1.0")
 
-    outlet_rtb: dict[str, float] = {}
-    for outlet in network.outlets:
-        contributing = [
-            land_rtb[land.external_id]
-            for land in network.land_by_outlet[outlet.external_id]
-        ]
-        if contributing:
-            outlet_rtb[outlet.external_id] = outlet_delivery_factor(contributing)
-        elif missing_policy == "passthrough":
-            warnings.warn(
-                f"outlet {outlet.external_id!r} has no contributing land "
-                f"segments; river-to-bay factor defaulted to 1.0",
-                DataConsistencyWarning, stacklevel=2,
-            )
-            outlet_rtb[outlet.external_id] = 1.0
-        else:
-            raise ValueError(
-                f"outlet {outlet.external_id!r} has no contributing land "
-                f"segments to average a river-to-bay factor from"
-            )
-
-    link_ratio: dict[tuple[str, str], float] = {}
-    for link in network.river_links:
-        up = outlet_rtb[link.from_outlet]
-        if link.to_node in network.estuary_ids:
-            # Remaining attenuation from this outlet is exactly its own
-            # river-to-bay factor (downstream factor is 1 at the bay).
-            link_ratio[(link.from_outlet, link.to_node)] = up
-        else:
-            link_ratio[(link.from_outlet, link.to_node)] = (
-                interoutlet_delivery_factor(up, outlet_rtb[link.to_node],
-                                            segment=link.to_node)
-            )
-    return DeliveryModel(land_factor, outlet_rtb, link_ratio)
-
-
+    # An estuary link keeps the upstream factor: downstream of it the factor
+    # is 1 at the bay.
+    outlet_position = {o.external_id: j for j, o in enumerate(outlets)}
+    links = network.river_links
+    up = outlet_rtb[[outlet_position[l.from_outlet] for l in links]]
+    down = np.array([1.0 if l.to_node in network.estuary_ids
+                     else outlet_rtb[outlet_position[l.to_node]] for l in links])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = up / down
+    for i in np.flatnonzero((down == 0) | (ratio > 1.0)).tolist():
+        segment = links[i].to_node
+        if down[i] == 0:
+            raise ValueError(f"downstream river-to-bay delivery factor is "
+                             f"zero for segment {segment!r}")
+        warnings.warn(f"inter-outlet delivery ratio {ratio[i]:.6g} > 1 at "
+                      f"segment {segment!r}; retained unclamped",
+                      DataConsistencyWarning, stacklevel=2)
+    return DeliveryModel(stage_factor[:, 0] * stage_factor[:, 1], outlet_rtb,
+                         ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -498,73 +467,82 @@ def _system(rows, cols, values, constant, label, n_caps: int,
                              np.full(len(label), relation))
 
 
-def _county_rows(totals: dict, network, family: str, what: str):
-    """Rows over the land segments of each county in ``totals`` that has any."""
+def _key_groups(*columns: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
+    """Each row's group by its values in ``columns``, and the group keys in
+    order of first appearance."""
+    codes: dict[tuple, int] = {}
+    group = np.array([codes.setdefault(key, len(codes)) for key in
+                      zip(*(column.tolist() for column in columns))], dtype=np.intp)
+    return group, list(codes)
+
+
+def _county_rows(records: np.recarray, columns: Sequence[str], network,
+                 family: str, what: str):
+    """Rows summing ``records.mass`` by ``columns``, the county first, each
+    over its county's land segments.  A key whose county has none gives no
+    row, only a note."""
+    group, keys = _key_groups(*(records[name] for name in columns))
+    totals = np.bincount(group, weights=records.mass, minlength=len(keys))
     codes: dict[str, int] = {}
     land_county = np.array([codes.setdefault(land.county, len(codes))
                             for land in network.land_segments], dtype=np.intp)
     ptr, members = _groups(land_county, len(codes))
-    keys = [key for key in totals if key[0] in codes]
+    kept = [i for i, key in enumerate(keys) if key[0] in codes]
     skipped = [f"{what} record for county {key[0]!r} matches no land segment; "
-               f"constraint skipped" for key in totals if key[0] not in codes]
+               f"constraint skipped" for key in keys if key[0] not in codes]
+    keys = [keys[i] for i in kept]
     rows, lands = _gather(ptr, members,
                           np.array([codes[key[0]] for key in keys], dtype=np.intp))
     labels = ["/".join((family,) + key) for key in keys]
-    return keys, rows, lands, labels, skipped
+    return keys, totals[kept], rows, lands, labels, skipped
 
 
 def assemble_accept_constraints(
-    records: Sequence[AppliedNutrientRecord],
+    applied: np.recarray,
     network: "WatershedNetwork",
     capabilities: Capabilities,
 ) -> tuple[MeasurementSystem, list[str]]:
-    """One row per (county, sector, operand) over that county's accepts.
+    """One row per (county, sector, operand) of an APPLIED table over that
+    county's accepts, in order of first appearance.
 
     Returns the rows plus diagnostics for records naming counties with no
     land segments (skipped, not fatal).
     """
-    totals: dict[tuple[str, str, str], float] = {}
-    for rec in records:
-        key = (rec.county, rec.sector, rec.operand)
-        totals[key] = totals.get(key, 0.0) + rec.mass
-    keys, rows, lands, labels, skipped = _county_rows(
-        totals, network, "accept", "applied")
+    keys, totals, rows, lands, labels, skipped = _county_rows(
+        applied, ("county", "sector", "operand"), network, "accept", "applied")
     sector = np.array([SECTORS.index(k[1]) for k in keys], dtype=np.intp)
     op = np.array([OPERAND_NAMES.index(k[2]) for k in keys], dtype=np.intp)
     cols = capabilities.accept[lands, sector[rows], op[rows]]
-    return _system(rows, cols, np.ones(cols.size), [totals[k] for k in keys],
-                   labels, capabilities.n_caps, relation=False), skipped
+    return _system(rows, cols, np.ones(cols.size), totals, labels,
+                   capabilities.n_caps, relation=False), skipped
 
 
-def _county_load_rows(records: Sequence[LoadRecord], kind: str, family: str,
+def _county_load_rows(loads: np.recarray, kind: str, family: str,
                       network: "WatershedNetwork", capabilities: Capabilities,
                       land_weight: np.ndarray) -> tuple[MeasurementSystem, list[str]]:
     """One row per (county, operand) of ``kind`` loads over the county's
     land-to-outlet transports, land segment i weighted ``land_weight[i]``."""
-    totals: dict[tuple[str, str], float] = {}
-    for rec in records:
-        if rec.kind == kind:
-            key = (rec.county, rec.operand)
-            totals[key] = totals.get(key, 0.0) + rec.mass
-    keys, rows, lands, labels, skipped = _county_rows(totals, network, family, kind)
+    keys, totals, rows, lands, labels, skipped = _county_rows(
+        loads[loads.kind == kind], ("county", "operand"), network, family, kind)
     op = np.array([OPERAND_NAMES.index(k[1]) for k in keys], dtype=np.intp)
     cols = capabilities.land_transport[lands, op[rows]]
-    return _system(rows, cols, land_weight[lands], [totals[k] for k in keys],
-                   labels, capabilities.n_caps, relation=False), skipped
+    return _system(rows, cols, land_weight[lands], totals, labels,
+                   capabilities.n_caps, relation=False), skipped
 
 
 def assemble_eos_constraints(
-    records: Sequence[LoadRecord],
+    loads: np.recarray,
     network: "WatershedNetwork",
     capabilities: Capabilities,
 ) -> tuple[MeasurementSystem, list[str]]:
-    """One row per (county, operand) over land-to-outlet transports."""
-    return _county_load_rows(records, "EoS", "eos", network, capabilities,
+    """One row per (county, operand) of EoS loads over land-to-outlet
+    transports."""
+    return _county_load_rows(loads, "EoS", "eos", network, capabilities,
                              np.ones(len(network.land_segments)))
 
 
 def assemble_stream_to_tide(
-    records: Sequence[LoadRecord],
+    loads: np.recarray,
     network: "WatershedNetwork",
     capabilities: Capabilities,
     delivery: DeliveryModel,
@@ -574,29 +552,26 @@ def assemble_stream_to_tide(
 
     These rows score the fit only; they never enter the estimation.
     """
-    rtb = np.array([
-        delivery.outlet_river_to_bay[network.outlet_of_land(land).external_id]
-        for land in network.land_segments])
-    return _county_load_rows(records, "StreamToTide", "stream_to_tide",
-                             network, capabilities, rtb)
+    return _county_load_rows(loads, "StreamToTide", "stream_to_tide",
+                             network, capabilities,
+                             delivery.outlet_river_to_bay[network.land_outlet])
 
 
 def assemble_eot_constraints(
-    records: Sequence[LoadRecord],
+    loads: np.recarray,
     network: "WatershedNetwork",
     capabilities: Capabilities,
 ) -> tuple[MeasurementSystem, list[str]]:
     """One row per operand: all estuary-bound river transports sum to the
     end-of-tide total (summed across reporting counties)."""
-    totals: dict[str, float] = {}
-    for rec in records:
-        if rec.kind == "EoT":
-            totals[rec.operand] = totals.get(rec.operand, 0.0) + rec.mass
+    eot = loads[loads.kind == "EoT"]
+    group, keys = _key_groups(eot.operand)
+    totals = np.bincount(group, weights=eot.mass, minlength=len(keys))
     terminal = [i for i, link in enumerate(network.river_links)
                 if link.to_node in network.estuary_ids]
     river = capabilities.river_transport[terminal]
     rows, cols, constants, labels, skipped = [], [], [], [], []
-    for operand, mass in totals.items():
+    for (operand,), mass in zip(keys, totals.tolist()):
         caps = river[:, OPERAND_NAMES.index(operand)]
         caps = caps[caps >= 0]
         if not caps.size:
@@ -628,19 +603,15 @@ def assemble_transport_relations(
     buffer_id = network.buffer_id
 
     land, land_op = np.nonzero(capabilities.land_transport >= 0)
-    factor = np.array([delivery.land_factor[l.external_id] for l in lands])
     r, sector = np.nonzero(capabilities.accept[land, :, land_op] >= 0)
     rows = [np.arange(land.size), r]
     cols = [capabilities.land_transport[land, land_op],
             capabilities.accept[land[r], sector, land_op[r]]]
-    values = [np.ones(land.size), -factor[land[r]]]
+    values = [np.ones(land.size), -delivery.land_factor[land[r]]]
 
     link, link_op = np.nonzero(capabilities.river_transport >= 0)
-    ratio = np.array([delivery.link_ratio[(l.from_outlet, l.to_node)]
-                      for l in links])
     up = np.array([buffer_id[l.from_outlet] for l in links], dtype=np.intp)[link]
-    land_outlet = np.array([buffer_id[network.outlet_of_land(l).external_id]
-                            for l in lands], dtype=np.intp)
+    land_outlet = len(lands) + network.land_outlet
     link_to = np.array([buffer_id[l.to_node] for l in links], dtype=np.intp)
     base = land.size
     rows.append(base + np.arange(link.size))
@@ -653,7 +624,7 @@ def assemble_transport_relations(
         keep = caps >= 0
         rows.append(base + r[keep])
         cols.append(caps[keep])
-        values.append(-ratio[link[r[keep]]])
+        values.append(-delivery.link_ratio[link[r[keep]]])
 
     labels = [f"transport/land/{lands[i].external_id}/{OPERAND_NAMES[o]}"
               for i, o in zip(land.tolist(), land_op.tolist())]

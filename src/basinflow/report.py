@@ -25,7 +25,7 @@ from .core_net import (
     place_index,
 )
 from .estimator import Solution
-from .measurement import MeasurementSystem
+from .measurement import MeasurementSystem, read_table
 from .topology import WatershedNetwork
 
 NRMSE_NORMALIZERS = ("mean", "range", "std")
@@ -134,8 +134,11 @@ def capability_names(capabilities: Capabilities, network: WatershedNetwork,
     return kind, entity, _OPERAND[capabilities.capability_class]
 
 
-TABULAR_HEADER = ("entity_id", "entity_kind", "operand", "quantity_kind",
-                  "value_lbs")
+# The tabular export's rows; ``import_tabular`` reads them back.
+TABULAR = np.dtype([("entity_id", object), ("entity_kind", object),
+                    ("operand", object), ("quantity_kind", object),
+                    ("value_lbs", float)])
+TABULAR_HEADER = TABULAR.names
 
 
 def flow_rows(capabilities: Capabilities, network: WatershedNetwork,
@@ -228,26 +231,25 @@ def export_results(solution: Solution, network: WatershedNetwork,
                 "log10_value": math.log10(value) if value > 0 else None,
             },
         })
+    # One line: ``json.dump`` and any ``indent`` take the pure-Python encoder.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"type": "FeatureCollection", "features": features}, fh,
-                  indent=1, sort_keys=True)
+        fh.write(json.dumps({"type": "FeatureCollection", "features": features},
+                            sort_keys=True))
         fh.write("\n")
 
 
 def import_tabular(path) -> dict[tuple[str, str, str, str], float]:
     """Read an exported tabular file back into a lookup keyed by
-    (entity_kind, entity_id, operand, quantity_kind)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in TABULAR_HEADER if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-        kind, entity, operand, quantity, value = (
-            header.index(c) for c in ("entity_kind", "entity_id", "operand",
-                                      "quantity_kind", "value_lbs"))
-        return {(row[kind], row[entity], row[operand], row[quantity]):
-                float(row[value]) for row in reader if row}
+    (entity_kind, entity_id, operand, quantity_kind).
+
+    Rows are checked as the dataset readers check theirs: a short row, an
+    unknown operand or a value that is not a finite number is a
+    ``DatasetFormatError`` naming the file and line.
+    """
+    rows = read_table(path, TABULAR)
+    keys = zip(rows.entity_kind.tolist(), rows.entity_id.tolist(),
+               rows.operand.tolist(), rows.quantity_kind.tolist())
+    return dict(zip(keys, rows.value_lbs.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ byte-identical output.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 
@@ -21,12 +22,14 @@ import numpy as np
 
 from .core_net import OPERAND_NAMES, SECTORS, Capabilities, Operand, default_operands
 from .measurement import (
-    AppliedNutrientRecord,
-    AreaRecord,
-    DeliveryFactorRecord,
+    APPLIED,
+    AREAS,
+    DELIVERY_FACTORS,
+    LOAD_KINDS,
+    LOADS,
     DeliveryModel,
-    LoadRecord,
     compute_delivery_model,
+    table,
 )
 from .topology import (
     Estuary,
@@ -46,12 +49,14 @@ LOAD_SOURCE_POOL = ("row_crops", "pasture", "developed_low",
 _LOAD_RANGE = {"nitrogen": (0.5, 20.0), "phosphorus": (0.05, 2.0)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticDatasets:
-    applied: tuple[AppliedNutrientRecord, ...]
-    loads: tuple[LoadRecord, ...]
-    delivery_factors: tuple[DeliveryFactorRecord, ...]
-    areas: tuple[AreaRecord, ...]
+    """One table per dataset family, of the family's ``measurement`` dtype."""
+
+    applied: np.recarray
+    loads: np.recarray
+    delivery_factors: np.recarray
+    areas: np.recarray
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,13 @@ class GroundTruth:
     capabilities: Capabilities
     u: np.ndarray
     delivery: DeliveryModel
+
+
+def _sum_by(group: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
+    """Column sums of ``values`` over the rows of each group, added in row
+    order as the estimator's ``np.bincount`` sums are."""
+    return np.stack([np.bincount(group, weights=column, minlength=n_groups)
+                     for column in values.T], axis=1)
 
 
 def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
@@ -87,16 +99,19 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
     rng = random.Random(seed)
 
     estuary_id = "bay"
-    # Parents chosen among nodes with spare child capacity; parents always
-    # precede children, so descending outlet order is upstream-first.
+    # Parents chosen among nodes with spare child capacity, kept sorted;
+    # parents always precede children, so descending outlet order is
+    # upstream-first.
     parent: list[int] = []  # -1 means the estuary
-    child_count: dict[int, int] = {-1: 0}
+    children: list[list[int]] = [[] for _ in range(n_outlets + 1)]  # bay last
+    open_nodes = [-1]
     for i in range(n_outlets):
-        candidates = [n for n, c in child_count.items() if c < branching]
-        p = rng.choice(sorted(candidates))
+        p = rng.choice(open_nodes)
         parent.append(p)
-        child_count[p] += 1
-        child_count[i] = 0
+        children[p].append(i)
+        if len(children[p]) == branching:
+            del open_nodes[bisect.bisect_left(open_nodes, p)]
+        open_nodes.append(i)
 
     def seg_number(i: int) -> int:
         return i + 1
@@ -130,8 +145,8 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
             outlet_rtb_target[i] = outlet_rtb_target[parent[i]] * rng.uniform(0.5, 0.8)
 
     lands: list[LandSegment] = []
-    df_records: list[DeliveryFactorRecord] = []
-    area_records: list[AreaRecord] = []
+    df_rows: list[tuple] = []
+    area_rows: list[tuple] = []
     used_land_ids: set[str] = set()
     lo, hi = land_per_outlet
     county_pool_size = max(1, (n_outlets * (lo + hi)) // 6)
@@ -154,90 +169,72 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
                 land_id, county, river_segment_ids[i], areas,
                 coordinates=(round(rng.uniform(-77.5, -75.0), 6),
                              round(rng.uniform(37.0, 41.0), 6))))
-            for src, acres in areas:
-                area_records.append(AreaRecord(land_id, src, acres))
+            area_rows += [(land_id, src, acres) for src, acres in areas]
 
             land_to_water = rng.uniform(0.1, 0.9)
             stream_to_river = rng.uniform(0.3, 0.9)
             river_to_bay = outlet_rtb_target[i] * rng.uniform(0.95, 1.05)
             for src, _ in areas:
-                df_records.append(DeliveryFactorRecord(
-                    land_id, src, "landToWater",
-                    land_to_water * rng.uniform(0.9, 1.1)))
-                df_records.append(DeliveryFactorRecord(
-                    land_id, src, "streamToRiver",
-                    stream_to_river * rng.uniform(0.9, 1.1)))
-                df_records.append(DeliveryFactorRecord(
-                    land_id, src, "riverToBay",
-                    river_to_bay * rng.uniform(0.97, 1.03)))
+                df_rows.append((land_id, src, "landToWater",
+                                land_to_water * rng.uniform(0.9, 1.1)))
+                df_rows.append((land_id, src, "streamToRiver",
+                                stream_to_river * rng.uniform(0.9, 1.1)))
+                df_rows.append((land_id, src, "riverToBay",
+                                river_to_bay * rng.uniform(0.97, 1.03)))
 
     network = WatershedNetwork(tuple(lands), outlets, river_links, estuaries)
     operands = default_operands()
     capabilities = instantiate_capabilities(network, operands)
+    delivery_factors = table(DELIVERY_FACTORS, df_rows)
+    area_table = table(AREAS, area_rows)
     # The exact coefficients the estimator will derive from the datasets.
-    delivery = compute_delivery_model(network, df_records, area_records)
+    delivery = compute_delivery_model(network, delivery_factors, area_table)
 
     u = np.zeros(len(capabilities))
-    applied_records: list[AppliedNutrientRecord] = []
-    land_transport: dict[tuple[str, str], float] = {}
+    applied_rows: list[tuple] = []
+    land_transport = np.zeros((len(lands), len(operands)))
     for li, land in enumerate(lands):
-        for op in operands:
+        for j, op in enumerate(operands):
             o = OPERAND_NAMES.index(op.name)
             lo_m, hi_m = _LOAD_RANGE[op.name]
             total = 0.0
             for s, sector in enumerate(SECTORS):
                 mass = round(rng.uniform(lo_m, hi_m) * load_scale, 9)
-                applied_records.append(AppliedNutrientRecord(
-                    land.county, sector, op.name, mass))
+                applied_rows.append((land.county, sector, op.name, mass))
                 u[capabilities.accept[li, s, o]] = mass
                 total += mass
-            t = delivery.land_factor[land.external_id] * total
-            land_transport[(land.external_id, op.name)] = t
-            u[capabilities.land_transport[li, o]] = t
+            land_transport[li, j] = delivery.land_factor[li] * total
+    ops = [OPERAND_NAMES.index(op.name) for op in operands]
+    u[capabilities.land_transport[:, ops]] = land_transport
 
     # Upstream-first accumulation down the tree: inflow at an outlet is its
     # land transports plus all upstream link flows.
-    link_flow: dict[tuple[str, str, str], float] = {}
+    link_flow = _sum_by(network.land_outlet, land_transport, n_outlets)
     for i in range(n_outlets - 1, -1, -1):
-        outlet = outlets[i]
-        link = river_links[i]
-        ratio = delivery.link_ratio[(link.from_outlet, link.to_node)]
-        for op in operands:
-            total = sum(
-                land_transport[(land.external_id, op.name)]
-                for land in network.land_by_outlet[outlet.external_id]
-            )
-            for inbound in network.links_into.get(outlet.external_id, ()):
-                total += link_flow[(inbound.from_outlet, inbound.to_node, op.name)]
-            flow = ratio * total
-            link_flow[(link.from_outlet, link.to_node, op.name)] = flow
-            u[capabilities.river_transport[i, OPERAND_NAMES.index(op.name)]] = flow
+        for child in children[i]:
+            link_flow[i] += link_flow[child]
+        link_flow[i] *= delivery.link_ratio[i]
+    u[capabilities.river_transport[:, ops]] = link_flow
 
-    load_records: list[LoadRecord] = []
-    county_order: dict[str, None] = {}
-    for land in lands:
-        county_order.setdefault(land.county)
-    for county in county_order:
-        county_lands = [l for l in lands if l.county == county]
-        for op in operands:
-            eos = sum(land_transport[(l.external_id, op.name)]
-                      for l in county_lands)
-            # Mass from this county that reaches the tide: telescoping
-            # link ratios reduce to the outlet-level river-to-bay factor.
-            tide = sum(
-                land_transport[(l.external_id, op.name)]
-                * delivery.outlet_river_to_bay[network.outlet_of_land(l).external_id]
-                for l in county_lands
-            )
-            load_records.append(LoadRecord(county, op.name, "EoS", eos))
-            load_records.append(LoadRecord(county, op.name, "EoT", tide))
-            load_records.append(LoadRecord(county, op.name, "StreamToTide", tide))
+    # Per county, in order of first appearance: its EoS load, and the part
+    # of it that reaches the tide (telescoping link ratios reduce to the
+    # outlet-level river-to-bay factor), reported as EoT and StreamToTide.
+    codes: dict[str, int] = {}
+    county = np.array([codes.setdefault(land.county, len(codes))
+                       for land in lands], dtype=np.intp)
+    reaching = land_transport * delivery.outlet_river_to_bay[network.land_outlet, None]
+    eos = _sum_by(county, land_transport, len(codes))
+    tide = _sum_by(county, reaching, len(codes))
+    keys = [(name, op.name, kind) for name in codes for op in operands
+            for kind in LOAD_KINDS]
+    masses = np.stack([eos, tide, tide], axis=2).ravel().tolist()
+    loads = table(LOADS, (key + (mass,) for key, mass in zip(keys, masses)))
 
     datasets = SyntheticDatasets(
-        applied=tuple(applied_records),
-        loads=tuple(load_records),
-        delivery_factors=tuple(df_records),
-        areas=tuple(area_records),
+        applied=table(APPLIED, applied_rows),
+        loads=loads,
+        delivery_factors=delivery_factors,
+        areas=area_table,
     )
     truth = GroundTruth(operands, capabilities, u, delivery)
     return network, truth, datasets

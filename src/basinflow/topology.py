@@ -146,6 +146,13 @@ class WatershedNetwork:
         return self.outlet_by_river_segment[land.river_segment_id]
 
     @cached_property
+    def land_outlet(self) -> np.ndarray:
+        """Position in ``outlets`` of each land segment's outlet."""
+        position = {o.river_segment_id: j for j, o in enumerate(self.outlets)}
+        return np.array([position[land.river_segment_id]
+                         for land in self.land_segments], dtype=np.intp)
+
+    @cached_property
     def land_by_outlet(self) -> dict[str, tuple[LandSegment, ...]]:
         grouped: dict[str, list[LandSegment]] = {o.external_id: [] for o in self.outlets}
         for land in self.land_segments:
@@ -469,8 +476,7 @@ def instantiate_capabilities(network: WatershedNetwork,
     n_land, n_links, n_ops = len(lands), len(links), len(operands)
     buffer_id = network.buffer_id
     land_buf = np.array([buffer_id[l.external_id] for l in lands], dtype=np.intp)
-    outlet_buf = np.array([buffer_id[network.outlet_of_land(l).external_id]
-                           for l in lands], dtype=np.intp)
+    outlet_buf = n_land + network.land_outlet
     link_from = np.array([buffer_id[l.from_outlet] for l in links], dtype=np.intp)
     link_to = np.array([buffer_id[l.to_node] for l in links], dtype=np.intp)
     outlet_by_id = {o.external_id: o for o in network.outlets}

@@ -1,4 +1,5 @@
-"""Shared helpers: full constraint assembly over a synthetic bundle."""
+"""Shared helpers: full constraint assembly over a synthetic bundle, and a
+dense oracle for the KKT solve."""
 
 from __future__ import annotations
 
@@ -10,6 +11,44 @@ from basinflow import cli, estimator, measurement, report
 from basinflow.core_net import CAPABILITY_CLASSES, Capabilities, build_incidence
 
 
+DENSE_ORACLE_MAX_VARS = 2000
+
+
+def dense_oracle_solve(problem: estimator.EstimationProblem,
+                       tol: float = estimator.DEFAULT_TOL) -> estimator.Solution:
+    """Independent dense factorization of the same KKT system as
+    ``estimator.solve``, guarded to ``DENSE_ORACLE_MAX_VARS`` variables."""
+    n = problem.n_variables
+    if n > DENSE_ORACLE_MAX_VARS:
+        raise ValueError(
+            f"dense oracle limited to {DENSE_ORACLE_MAX_VARS} variables, "
+            f"problem has {n}"
+        )
+    m_rows = problem.n_rows
+    kkt = np.zeros((n + m_rows, n + m_rows))
+    kkt[:n, :n] = np.diag(problem.hessian_diag)
+    a_dense = problem.constraint_matrix.toarray()
+    kkt[:n, n:] = a_dense.T
+    kkt[n:, :n] = a_dense
+    rhs = np.concatenate([np.zeros(n), problem.rhs])
+    try:
+        y = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        delta = 1e-12 * max(np.abs(a_dense).sum(axis=1).max(initial=0.0), 1.0)
+        kkt[n:, n:] -= delta * np.eye(m_rows)
+        y = np.linalg.solve(kkt, rhs)
+        return estimator._extract_solution(
+            problem, y[:n], y[n:], tol,
+            {"regularized": True, "dual_shift": delta, "dense_oracle": True,
+             "tol": tol})
+    residual = rhs - kkt @ y
+    b_scale = 1.0 + np.abs(problem.rhs).max(initial=0.0)
+    if np.abs(residual).max(initial=0.0) > tol * b_scale:
+        y = y + np.linalg.solve(kkt, residual)
+    return estimator._extract_solution(problem, y[:n], y[n:], tol,
+                                       {"dense_oracle": True, "tol": tol})
+
+
 def build_constraints(network, capabilities, datasets):
     """The weighted one-step rows ``estimate`` builds, and the delivery model."""
     delivery = measurement.compute_delivery_model(
@@ -17,6 +56,13 @@ def build_constraints(network, capabilities, datasets):
     system, _, _ = cli._assemble_constraints(
         network, capabilities, datasets.applied, datasets.loads, delivery)
     return measurement.compute_weights(system), delivery
+
+
+def perturb_eot_nitrogen(loads, factor=1.1):
+    """A copy of a LOADS table with its nitrogen EoT masses times ``factor``."""
+    loads = loads.copy()
+    loads.mass[(loads.kind == "EoT") & (loads.operand == "nitrogen")] *= factor
+    return loads
 
 
 def fit_report(network, capabilities, totals, applied, loads, delivery=None):

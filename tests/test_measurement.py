@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 import basinflow as bf
 from basinflow import measurement as ms
 from basinflow.core_net import Operand, default_operands
-from basinflow.topology import instantiate_capabilities
+from basinflow.topology import (
+    Estuary,
+    LandSegment,
+    Outlet,
+    RiverLink,
+    WatershedNetwork,
+    instantiate_capabilities,
+)
 
 from pipeline_util import build_constraints
 
@@ -23,7 +30,7 @@ class TestCapabilityAggregation:
         # its operand once
         net, truth, _ = bf.generate_synthetic(8, branching=2, seed=5)
         system, _ = ms.assemble_eot_constraints(
-            [ms.LoadRecord("c1", "phosphorus", "EoT", 3.0)], net,
+            ms.table(ms.LOADS, [("c1", "phosphorus", "EoT", 3.0)]), net,
             truth.capabilities)
         specs = net.buffer_specs
         terminal = {
@@ -39,8 +46,8 @@ class TestCapabilityAggregation:
         # a datum whose capability group is empty gives no row, only a note
         caps = instantiate_capabilities(chain_network, [Operand(0, "phosphorus")])
         system, skipped = ms.assemble_eot_constraints(
-            [ms.LoadRecord("alpha", "nitrogen", "EoT", 4.0)], chain_network,
-            caps)
+            ms.table(ms.LOADS, [("alpha", "nitrogen", "EoT", 4.0)]),
+            chain_network, caps)
         assert len(system) == 0
         assert "no estuary-bound river transport" in skipped[0]
 
@@ -59,8 +66,7 @@ class TestCapabilityAggregation:
 
     def test_out_of_range(self, chain_network):
         caps = instantiate_capabilities(chain_network, [Operand(0, "nitrogen")])
-        records = [ms.AppliedNutrientRecord("alpha", "developed",
-                                            "phosphorus", 1.0)]
+        records = ms.table(ms.APPLIED, [("alpha", "developed", "phosphorus", 1.0)])
         with pytest.raises(ValueError, match="lacks a capability"):
             ms.assemble_accept_constraints(records, chain_network, caps)
 
@@ -106,66 +112,125 @@ class TestTemporalAggregation:
             ms.expand_constraints(ms.expand_constraints(system, 2), 3)
 
 
-class TestWeightedDeliveryFactor:
-    def test_single_source(self):
-        assert ms.weighted_delivery_factor({"a": 0.4}, {"a": 50.0}) == 0.4
+def delivery_model(network, rows, areas):
+    """``compute_delivery_model`` on ``network`` with ``rows`` of (segment,
+    load_source, factor) at every stage, and ``areas`` rows of (segment,
+    load_source, acres)."""
+    factors = ms.table(ms.DELIVERY_FACTORS, [
+        (segment, source, stage, factor)
+        for segment, source, factor in rows for stage in ms.DF_STAGES])
+    return ms.compute_delivery_model(network, factors,
+                                     ms.table(ms.AREAS, areas))
 
-    def test_equal_areas(self):
-        value = ms.weighted_delivery_factor({"a": 0.2, "b": 0.6},
-                                            {"a": 100.0, "b": 100.0})
+
+class TestWeightedDeliveryFactor:
+    """A stage factor is the area-weighted mean over load sources."""
+
+    def weighted(self, chain_network, factors, areas):
+        model = delivery_model(
+            chain_network, [("land-1", k, v) for k, v in factors.items()],
+            [("land-1", k, v) for k, v in areas.items()])
+        return model.outlet_river_to_bay[0]
+
+    def test_single_source(self, chain_network):
+        assert self.weighted(chain_network, {"a": 0.4}, {"a": 50.0}) == 0.4
+
+    def test_equal_areas(self, chain_network):
+        value = self.weighted(chain_network, {"a": 0.2, "b": 0.6},
+                              {"a": 100.0, "b": 100.0})
         assert value == pytest.approx(0.4, rel=1e-15)
 
-    def test_unequal_areas(self):
-        # (0.2 * 300 + 0.6 * 100) / 400
-        value = ms.weighted_delivery_factor({"a": 0.2, "b": 0.6},
-                                            {"a": 300.0, "b": 100.0})
-        assert value == pytest.approx(0.3, rel=1e-15)
+    def test_unequal_areas(self, chain_network):
+        # (0.2 * 300 + 0.6 * 100) / 400, at every stage
+        model = delivery_model(chain_network,
+                             [("land-1", "a", 0.2), ("land-1", "b", 0.6)],
+                             [("land-1", "a", 300.0), ("land-1", "b", 100.0)])
+        assert model.outlet_river_to_bay[0] == pytest.approx(0.3, rel=1e-15)
+        assert model.land_factor[0] == pytest.approx(0.09, rel=1e-15)
 
-    def test_factor_without_area_warns_and_skips(self):
-        with pytest.warns(ms.DataConsistencyWarning, match="no area"):
-            value = ms.weighted_delivery_factor(
-                {"a": 0.2, "ghost": 0.9}, {"a": 100.0})
+    def test_factor_without_area_warns_and_skips(self, chain_network):
+        with pytest.warns(ms.DataConsistencyWarning,
+                          match="'ghost' has a delivery factor but no area"):
+            value = self.weighted(chain_network, {"a": 0.2, "ghost": 0.9},
+                                  {"a": 100.0})
         assert value == 0.2
 
-    def test_zero_total_area(self):
+    def test_zero_total_area(self, chain_network):
         with pytest.raises(ValueError, match="area"):
-            ms.weighted_delivery_factor({"a": 0.2}, {"a": 0.0})
+            self.weighted(chain_network, {"a": 0.2}, {"a": 0.0})
 
-    def test_no_shared_sources(self):
+    def test_no_shared_sources(self, chain_network):
         with pytest.raises(ValueError, match="no load source"):
             with pytest.warns(ms.DataConsistencyWarning):
-                ms.weighted_delivery_factor({"a": 0.2}, {"b": 1.0})
+                self.weighted(chain_network, {"a": 0.2}, {"b": 1.0})
+
+
+def two_outlet_network():
+    """land-1 -> out-1 -> out-2 -> bay, and land-2 -> out-2."""
+    return WatershedNetwork(
+        land_segments=(LandSegment("land-1", "alpha", "seg-1", ()),
+                       LandSegment("land-2", "beta", "seg-2", ())),
+        outlets=(Outlet("out-1", "seg-1"), Outlet("out-2", "seg-2")),
+        river_links=(RiverLink("out-1", "out-2"), RiverLink("out-2", "bay")),
+        estuaries=(Estuary("bay"),),
+    )
 
 
 class TestInteroutletDeliveryFactor:
+    """A link between outlets carries the ratio of their river-to-bay
+    factors; an estuary link carries the upstream factor itself."""
+
+    def link_ratio(self, up, down):
+        model = delivery_model(two_outlet_network(),
+                             [("land-1", "a", up), ("land-2", "a", down)],
+                             [("land-1", "a", 1.0), ("land-2", "a", 1.0)])
+        assert model.link_ratio[1] == down
+        return model.link_ratio[0]
+
     def test_halving(self):
-        assert ms.interoutlet_delivery_factor(0.3, 0.6) == pytest.approx(0.5)
+        assert self.link_ratio(0.3, 0.6) == pytest.approx(0.5)
 
     def test_identical_segments(self):
-        assert ms.interoutlet_delivery_factor(0.37, 0.37) == 1.0
+        assert self.link_ratio(0.37, 0.37) == 1.0
 
     def test_inconsistency_retained_with_warning(self):
-        with pytest.warns(ms.DataConsistencyWarning, match="> 1"):
-            assert ms.interoutlet_delivery_factor(0.8, 0.4) == pytest.approx(2.0)
+        with pytest.warns(ms.DataConsistencyWarning,
+                          match="ratio 2 > 1 at segment 'out-2'"):
+            assert self.link_ratio(0.8, 0.4) == pytest.approx(2.0)
 
     def test_zero_downstream_names_segment(self):
-        with pytest.raises(ValueError, match="seg-d"):
-            ms.interoutlet_delivery_factor(0.5, 0.0, segment="seg-d")
+        with pytest.raises(ValueError, match="zero for segment 'out-2'"):
+            self.link_ratio(0.5, 0.0)
 
 
 class TestOutletDeliveryFactor:
+    """An outlet's river-to-bay factor is the unweighted mean over the land
+    segments draining to it."""
+
+    def outlet_factor(self, factors):
+        lands = tuple(LandSegment(f"land-{i}", "alpha", "seg-1", ())
+                      for i in range(len(factors)))
+        network = WatershedNetwork(lands, (Outlet("out-1", "seg-1"),),
+                                   (RiverLink("out-1", "bay"),), (Estuary("bay"),))
+        model = delivery_model(
+            network,
+            [(land.external_id, "a", f) for land, f in zip(lands, factors)],
+            [(land.external_id, "a", 10.0 * (i + 1))
+             for i, land in enumerate(lands)])
+        return model.outlet_river_to_bay[0]
+
     def test_single(self):
-        assert ms.outlet_delivery_factor([0.5]) == 0.5
+        assert self.outlet_factor([0.5]) == 0.5
 
     def test_mean(self):
-        assert ms.outlet_delivery_factor([0.2, 0.4]) == pytest.approx(0.3)
+        assert self.outlet_factor([0.2, 0.4]) == pytest.approx(0.3)
 
     def test_idempotent(self):
-        assert ms.outlet_delivery_factor([0.7, 0.7, 0.7]) == pytest.approx(0.7)
+        assert self.outlet_factor([0.7, 0.7, 0.7]) == pytest.approx(0.7)
 
     def test_empty(self):
-        with pytest.raises(ValueError):
-            ms.outlet_delivery_factor([])
+        with pytest.raises(ValueError, match="no contributing land segments"):
+            self.outlet_factor([])
 
 
 def chain_caps(chain_network):
@@ -175,8 +240,8 @@ def chain_caps(chain_network):
 class TestAcceptConstraints:
     def test_single_land_county(self, chain_network):
         caps = chain_caps(chain_network)
-        records = [ms.AppliedNutrientRecord("alpha", "agricultural",
-                                            "nitrogen", 100.0)]
+        records = ms.table(ms.APPLIED,
+                           [("alpha", "agricultural", "nitrogen", 100.0)])
         constraints, skipped = ms.assemble_accept_constraints(
             records, chain_network, caps)
         assert skipped == []
@@ -195,8 +260,7 @@ class TestAcceptConstraints:
             1, seed=3, land_per_outlet=(3, 3), county_mode="grouped")
         county = net.land_segments[0].county
         n_in_county = sum(1 for l in net.land_segments if l.county == county)
-        records = [ms.AppliedNutrientRecord(county, "developed",
-                                            "phosphorus", 10.0)]
+        records = ms.table(ms.APPLIED, [(county, "developed", "phosphorus", 10.0)])
         constraints, _ = ms.assemble_accept_constraints(
             records, net, truth.capabilities)
         assert len(constraints[0].coefficients) == n_in_county
@@ -204,12 +268,10 @@ class TestAcceptConstraints:
 
     def test_two_counties_disjoint(self):
         net, truth, _ = bf.generate_synthetic(2, seed=3, land_per_outlet=(1, 1))
-        records = [
-            ms.AppliedNutrientRecord(net.land_segments[0].county,
-                                     "agricultural", "nitrogen", 5.0),
-            ms.AppliedNutrientRecord(net.land_segments[1].county,
-                                     "agricultural", "nitrogen", 7.0),
-        ]
+        records = ms.table(ms.APPLIED, [
+            (net.land_segments[0].county, "agricultural", "nitrogen", 5.0),
+            (net.land_segments[1].county, "agricultural", "nitrogen", 7.0),
+        ])
         constraints, _ = ms.assemble_accept_constraints(
             records, net, truth.capabilities)
         supports = [set(dict(c.coefficients)) for c in constraints]
@@ -217,8 +279,8 @@ class TestAcceptConstraints:
 
     def test_unknown_county_skipped(self, chain_network):
         caps = chain_caps(chain_network)
-        records = [ms.AppliedNutrientRecord("nowhere", "agricultural",
-                                            "nitrogen", 1.0)]
+        records = ms.table(ms.APPLIED,
+                           [("nowhere", "agricultural", "nitrogen", 1.0)])
         constraints, skipped = ms.assemble_accept_constraints(
             records, chain_network, caps)
         assert len(constraints) == 0
@@ -228,7 +290,7 @@ class TestAcceptConstraints:
 class TestEosEotConstraints:
     def test_eos_single_land(self, chain_network):
         caps = chain_caps(chain_network)
-        records = [ms.LoadRecord("alpha", "nitrogen", "EoS", 50.0)]
+        records = ms.table(ms.LOADS, [("alpha", "nitrogen", "EoS", 50.0)])
         constraints, skipped = ms.assemble_eos_constraints(
             records, chain_network, caps)
         assert skipped == []
@@ -239,14 +301,14 @@ class TestEosEotConstraints:
 
     def test_eos_missing_county(self, chain_network):
         caps = chain_caps(chain_network)
-        records = [ms.LoadRecord("nowhere", "nitrogen", "EoS", 50.0)]
+        records = ms.table(ms.LOADS, [("nowhere", "nitrogen", "EoS", 50.0)])
         constraints, skipped = ms.assemble_eos_constraints(
             records, chain_network, caps)
         assert len(constraints) == 0 and skipped
 
     def test_eot_single_estuary(self, chain_network):
         caps = chain_caps(chain_network)
-        records = [ms.LoadRecord("alpha", "nitrogen", "EoT", 25.0)]
+        records = ms.table(ms.LOADS, [("alpha", "nitrogen", "EoT", 25.0)])
         constraints, _ = ms.assemble_eot_constraints(
             records, chain_network, caps)
         assert len(constraints) == 1
@@ -257,10 +319,10 @@ class TestEosEotConstraints:
     def test_eot_sums_counties_and_counts_terminal_links(self):
         net, truth, _ = bf.generate_synthetic(6, branching=3, seed=8)
         terminal = [l for l in net.river_links if l.to_node in net.estuary_ids]
-        records = [
-            ms.LoadRecord("c1", "nitrogen", "EoT", 10.0),
-            ms.LoadRecord("c2", "nitrogen", "EoT", 15.0),
-        ]
+        records = ms.table(ms.LOADS, [
+            ("c1", "nitrogen", "EoT", 10.0),
+            ("c2", "nitrogen", "EoT", 15.0),
+        ])
         constraints, _ = ms.assemble_eot_constraints(
             records, net, truth.capabilities)
         assert len(constraints) == 1
@@ -269,7 +331,7 @@ class TestEosEotConstraints:
 
     def test_eot_zero_constant(self, chain_network):
         caps = chain_caps(chain_network)
-        records = [ms.LoadRecord("alpha", "nitrogen", "EoT", 0.0)]
+        records = ms.table(ms.LOADS, [("alpha", "nitrogen", "EoT", 0.0)])
         constraints, _ = ms.assemble_eot_constraints(
             records, chain_network, caps)
         assert constraints[0].constant == 0.0
@@ -277,11 +339,9 @@ class TestEosEotConstraints:
 
 class TestTransportRelations:
     def make_delivery(self, chain_network, land_product, rtb):
-        return ms.DeliveryModel(
-            land_factor={"land-1": land_product},
-            outlet_river_to_bay={"out-1": rtb},
-            link_ratio={("out-1", "bay"): rtb},
-        )
+        return ms.DeliveryModel(land_factor=np.array([land_product]),
+                                outlet_river_to_bay=np.array([rtb]),
+                                link_ratio=np.array([rtb]))
 
     def test_chain_land_relation(self, chain_network):
         caps = chain_caps(chain_network)
@@ -323,7 +383,7 @@ class TestTransportRelations:
                 continue
             label = f"transport/river/{link.from_outlet}->{link.to_node}/nitrogen"
             row = next(c for c in relations if c.label == label)
-            ratio = delivery.link_ratio[(link.from_outlet, link.to_node)]
+            ratio = delivery.link_ratio[net.river_links.index(link)]
             negative = [v for _, v in row.coefficients if v < 0]
             # one -ratio per land transport plus one per inbound link
             expected = len(net.land_by_outlet[link.from_outlet]) + len(inbound)
@@ -338,7 +398,8 @@ class TestComputeWeights:
         caps = chain_caps(chain_network)
 
         def weight_for(constant):
-            records = [ms.LoadRecord("alpha", "nitrogen", "EoT", constant)]
+            records = ms.table(ms.LOADS,
+                               [("alpha", "nitrogen", "EoT", constant)])
             cons, _ = ms.assemble_eot_constraints(
                 records, chain_network, caps)
             return ms.compute_weights(cons)[0].weight
@@ -395,18 +456,18 @@ class TestExpandConstraints:
     def test_single_step_passthrough(self, chain_network):
         caps = chain_caps(chain_network)
         cons, _ = ms.assemble_eot_constraints(
-            [ms.LoadRecord("alpha", "nitrogen", "EoT", 9.0)],
+            ms.table(ms.LOADS, [("alpha", "nitrogen", "EoT", 9.0)]),
             chain_network, caps)
         assert ms.expand_constraints(cons, 1) is cons
 
     def test_relations_replicate_data_spreads(self, chain_network):
         caps = chain_caps(chain_network)
-        delivery = ms.DeliveryModel({"land-1": 0.5}, {"out-1": 0.5},
-                                    {("out-1", "bay"): 0.5})
+        delivery = ms.DeliveryModel(np.array([0.5]), np.array([0.5]),
+                                    np.array([0.5]))
         relations = ms.assemble_transport_relations(
             chain_network, caps, delivery)
         data, _ = ms.assemble_eot_constraints(
-            [ms.LoadRecord("alpha", "nitrogen", "EoT", 9.0)],
+            ms.table(ms.LOADS, [("alpha", "nitrogen", "EoT", 9.0)]),
             chain_network, caps)
         out = ms.expand_constraints(
             ms.compute_weights(ms.stack_systems([relations, data])), 3)
@@ -424,7 +485,7 @@ class TestExpandConstraints:
         # relation to replicate per step
         caps = chain_caps(chain_network)
         data, _ = ms.assemble_accept_constraints(
-            [ms.AppliedNutrientRecord("alpha", "developed", "phosphorus", 0.0)],
+            ms.table(ms.APPLIED, [("alpha", "developed", "phosphorus", 0.0)]),
             chain_network, caps)
         out = ms.expand_constraints(ms.compute_weights(data), 3)
         assert len(out) == 1
@@ -439,11 +500,14 @@ class TestParsing:
         ms.write_loads(tmp_path / "l.csv", datasets.loads)
         ms.write_delivery_factors(tmp_path / "d.csv", datasets.delivery_factors)
         ms.write_areas(tmp_path / "ar.csv", datasets.areas)
-        assert tuple(ms.read_applied(tmp_path / "a.csv")) == datasets.applied
-        assert tuple(ms.read_loads(tmp_path / "l.csv")) == datasets.loads
-        assert tuple(ms.read_delivery_factors(tmp_path / "d.csv")) == \
-            datasets.delivery_factors
-        assert tuple(ms.read_areas(tmp_path / "ar.csv")) == datasets.areas
+        for read, name, written in (
+                (ms.read_applied, "a.csv", datasets.applied),
+                (ms.read_loads, "l.csv", datasets.loads),
+                (ms.read_delivery_factors, "d.csv", datasets.delivery_factors),
+                (ms.read_areas, "ar.csv", datasets.areas)):
+            table = read(tmp_path / name)
+            assert table.dtype == written.dtype
+            assert np.array_equal(table, written)
 
     def test_missing_column_named(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -511,31 +575,67 @@ class TestParsing:
         with pytest.raises(ValueError, match="septic"):
             ms.read_applied(path)
 
-    def test_factor_above_one_warns(self):
-        with pytest.warns(ms.DataConsistencyWarning, match="retained"):
-            ms.DeliveryFactorRecord("seg", "src", "landToWater", 1.4)
+    def test_factor_above_one_warns(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("segment,load_source,stage,factor\n"
+                        "seg,src,landToWater,1.4\n")
+        with pytest.warns(ms.DataConsistencyWarning,
+                          match="delivery factor 1.4 > 1 for segment 'seg' "
+                                "stage landToWater; retained"):
+            factors = ms.read_delivery_factors(path)
+        assert factors.factor.tolist() == [1.4]
 
-    def test_negative_mass_rejected(self):
-        with pytest.raises(ValueError):
-            ms.AppliedNutrientRecord("alpha", "developed", "nitrogen", -1.0)
+    def test_negative_mass_rejected(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("county,sector,operand,mass\n"
+                        "alpha,developed,nitrogen,-1.0\n")
+        with pytest.raises(ValueError, match="got -1.0"):
+            ms.read_applied(path)
+
+    @pytest.mark.parametrize("read, content, key", [
+        (ms.read_delivery_factors, "segment,load_source,stage,factor\n"
+         "s1,forest,riverToBay,0.5\ns1,forest,landToWater,0.5\n"
+         "s1,forest,riverToBay,0.7\n", "('s1', 'forest', 'riverToBay')"),
+        (ms.read_areas, "segment,load_source,acres\ns1,forest,10\n"
+         "s2,forest,10\ns1,forest,12\n", "('s1', 'forest')"),
+    ], ids=["delivery_factors", "areas"])
+    def test_duplicate_key_names_both_lines(self, tmp_path, read, content, key):
+        # a repeated key would leave one of two values unused
+        path = tmp_path / "dup.csv"
+        path.write_text(content)
+        with pytest.raises(ms.DatasetFormatError,
+                           match=re.escape(f"{path} line 4: repeats the ") + ".*"
+                           + re.escape(f" key {key} of line 2")):
+            read(path)
+
+    def test_first_bad_line_reported(self, tmp_path):
+        # whole-column checks still name the earliest offending line
+        path = tmp_path / "bad.csv"
+        path.write_text("county,sector,operand,mass\n"
+                        "alpha,developed,nitrogen,1\n"
+                        "beta,developed,nitrogen,-2\n"
+                        "gamma,septic,nitrogen,lots\n"
+                        "delta,developed\n")
+        with pytest.raises(ms.DatasetFormatError, match="line 3: applied mass"):
+            ms.read_applied(path)
 
 
 class TestDeliveryModelPolicies:
     def test_missing_factor_errors_by_default(self, chain_network):
         with pytest.raises(ValueError, match="landToWater"):
-            ms.compute_delivery_model(chain_network, [], None)
+            ms.compute_delivery_model(chain_network,
+                                      ms.table(ms.DELIVERY_FACTORS), None)
 
     def test_passthrough_defaults_to_one(self, chain_network):
         with pytest.warns(ms.DataConsistencyWarning):
             model = ms.compute_delivery_model(
-                chain_network, [], None, missing_policy="passthrough")
-        assert model.land_factor["land-1"] == 1.0
-        assert model.link_ratio[("out-1", "bay")] == 1.0
+                chain_network, ms.table(ms.DELIVERY_FACTORS), None,
+                missing_policy="passthrough")
+        assert model.land_factor.tolist() == [1.0]
+        assert model.link_ratio.tolist() == [1.0]
 
     def test_areas_fall_back_to_network(self, chain_network):
-        dfs = [
-            ms.DeliveryFactorRecord("land-1", "row_crops", stage, 0.5)
-            for stage in ms.DF_STAGES
-        ]
+        dfs = ms.table(ms.DELIVERY_FACTORS, [
+            ("land-1", "row_crops", stage, 0.5) for stage in ms.DF_STAGES])
         model = ms.compute_delivery_model(chain_network, dfs, None)
-        assert model.land_factor["land-1"] == pytest.approx(0.25)
+        assert model.land_factor.tolist() == [pytest.approx(0.25)]

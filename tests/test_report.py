@@ -248,12 +248,12 @@ class TestFitReport:
         network, truth, datasets = bf.generate_synthetic(6, branching=2,
                                                          seed=9)
         totals = truth.u * np.linspace(0.9, 1.1, truth.u.size)
-        stray = bf.measurement.AppliedNutrientRecord(
-            "nowhere", "agricultural", "nitrogen", 5.0)
+        stray = bf.measurement.table(
+            bf.measurement.APPLIED, [("nowhere", "agricultural", "nitrogen", 5.0)])
         base = fit_report(network, truth.capabilities, totals,
                           datasets.applied, datasets.loads)
         more = fit_report(network, truth.capabilities, totals,
-                          [*datasets.applied, stray], datasets.loads)
+                          np.concatenate([datasets.applied, stray]).view(np.recarray), datasets.loads)
         for metric in (rp.METRIC_R2, rp.METRIC_NRMSE):
             assert more.lookup("applied", "nitrogen", metric) == \
                 base.lookup("applied", "nitrogen", metric)
@@ -271,10 +271,9 @@ class TestFitReport:
         )
         caps = instantiate_capabilities(network, default_operands())
         delivery = bf.measurement.DeliveryModel(
-            {"land-1": 1.0, "land-2": 1.0}, {"out-1": 0.3, "out-2": 0.6},
-            {("out-1", "out-2"): 0.5, ("out-2", "bay"): 0.6})
-        loads = [bf.measurement.LoadRecord("alpha", "nitrogen",
-                                           "StreamToTide", 7.0)]
+            np.array([1.0, 1.0]), np.array([0.3, 0.6]), np.array([0.5, 0.6]))
+        loads = bf.measurement.table(
+            bf.measurement.LOADS, [("alpha", "nitrogen", "StreamToTide", 7.0)])
         rows, skipped = bf.measurement.assemble_stream_to_tide(
             loads, network, caps, delivery)
         assert skipped == []
