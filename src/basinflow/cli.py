@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -54,8 +55,10 @@ class RunConfig:
     def validate(self) -> None:
         if self.k_steps < 1:
             raise ValueError("k_steps must be >= 1")
-        if self.dt_years <= 0:
-            raise ValueError("dt_years must be positive")
+        for key in ("dt_years", "alpha", "beta", "tol"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{key} must be a finite number > 0, got {value!r}")
         if self.missing_df_policy not in ("error", "passthrough"):
             raise ValueError(
                 f"missing_df_policy must be 'error' or 'passthrough', got "

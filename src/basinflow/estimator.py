@@ -27,10 +27,9 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .core_net import IncidenceMatrices
-from .measurement import MeasurementSystem
+from .measurement import FAMILIES, MeasurementSystem, row_labels
 
 DEFAULT_FLOW_PENALTY = 1e-10
 DEFAULT_BUFFER_PENALTY = 1e-12
@@ -89,7 +88,7 @@ class EstimationProblem:
 
     def measurement_row_label(self, r: int) -> str:
         if self.constraints is not None and r < len(self.constraints):
-            return self.constraints.label[r]
+            return row_labels(self.constraints, [r])[0]
         return f"row {r}"
 
 
@@ -227,6 +226,9 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
     ``fill_ratio`` (their quotient), and ``refinement_residuals``, the
     KKT residual's inf-norm after the first solve and after each round.
     """
+    # Imported here: commands that never factorize skip its import cost.
+    import scipy.sparse.linalg as spla
+
     if np.any(problem.hessian_diag <= 0):
         raise ValueError("hessian diagonal must be strictly positive")
     n = problem.n_variables
@@ -366,11 +368,11 @@ def residual_report(problem: EstimationProblem,
             "mass_balance",
             ResidualStats.from_values(row_residual[:n_balance])))
 
-    families = problem.constraints.family if problem.constraints else ()
-    for family in dict.fromkeys(families):
-        idx = np.flatnonzero(families == family)
+    constraints = problem.constraints
+    for family in dict.fromkeys(constraints.family.tolist() if constraints else ()):
+        idx = np.flatnonzero(constraints.family == family)
         report.append(FamilyResiduals(
-            family,
+            FAMILIES[family],
             ResidualStats.from_values(row_residual[n_balance + idx]),
             ResidualStats.from_values(solution.errors[idx]),
         ))

@@ -66,6 +66,12 @@ def table(dtype: np.dtype, rows: Iterable[tuple] = ()) -> np.recarray:
     return np.array(list(rows), dtype=dtype).view(np.recarray)
 
 
+# Row families in stacking order.  Transport rows are relations, which hold
+# at every step; the others are data rows, which measure horizon totals.
+FAMILIES = ("accept", "eos", "eot", "transport", "stream_to_tide")
+ACCEPT, EOS, EOT, TRANSPORT, STREAM_TO_TIDE = range(len(FAMILIES))
+
+
 @dataclass(frozen=True)
 class MeasurementConstraint:
     """One row of a :class:`MeasurementSystem`, read-only; coefficients are
@@ -83,19 +89,21 @@ class MeasurementSystem:
 
     ``d`` is CSR with one row per measurement and one column per (step,
     capability), step-major: column ``(k - 1) * n_caps + cap`` is step k's
-    firing of ``cap``.  ``relation`` flags transport-relation rows, which
-    hold at every step; the other rows are data rows, which measure horizon
-    totals.  ``weight`` stays None until :func:`compute_weights`.
+    firing of ``cap``.  ``weight`` stays None until :func:`compute_weights`.
 
-    ``label`` is slash-separated provenance, "family/key.../operand"; the
-    leading token groups rows into the accept / eos / eot / transport
-    families used by residual reporting.
+    Each row's provenance is three parallel fields: ``family``, a code into
+    ``FAMILIES``; ``operand``, a code into ``OPERAND_NAMES``; and ``key``,
+    the entity the row measures: (county, sector) for accept rows, (county,)
+    for EoS and StreamToTide rows, () for EoT rows, and ("land", segment)
+    or ("river", "from->to") for transport relations.  :func:`row_labels`
+    renders them as text.
     """
 
     d: sp.csr_matrix
     constant: np.ndarray
-    label: tuple[str, ...]
-    relation: np.ndarray
+    family: np.ndarray
+    operand: np.ndarray
+    key: tuple[tuple[str, ...], ...]
     weight: Optional[np.ndarray] = None
     n_steps: int = 1
 
@@ -111,15 +119,28 @@ class MeasurementSystem:
             zip(self.d.indices[lo:hi].tolist(), self.d.data[lo:hi].tolist()))
         weight = None if self.weight is None else float(self.weight[r])
         return MeasurementConstraint(coefficients, float(self.constant[r]),
-                                     self.label[r], weight)
+                                     row_labels(self, [r])[0], weight)
 
-    @property
-    def family(self) -> np.ndarray:
-        return np.array([label.split("/", 1)[0] for label in self.label])
 
-    @property
-    def operand(self) -> np.ndarray:
-        return np.array([label.rsplit("/", 1)[-1] for label in self.label])
+def row_labels(system: MeasurementSystem,
+               rows: Optional[Sequence[int]] = None) -> list[str]:
+    """The text label of each of ``rows`` (every row by default):
+    "family/key.../operand", and "family/key...@k{k}/operand" for a
+    relation's copy at step k of a multi-step horizon."""
+    rows = np.arange(len(system)) if rows is None else np.asarray(rows, np.intp)
+    family = system.family[rows]
+    step = np.zeros(rows.size, dtype=np.intp)
+    if system.n_steps > 1:  # a relation copy's columns lie in its step's block
+        copies, d = family == TRANSPORT, system.d
+        step[copies] = d.indices[d.indptr[rows[copies]]] // (
+            d.shape[1] // system.n_steps) + 1
+    labels = []
+    for r, f, o, k in zip(rows.tolist(), family.tolist(),
+                          system.operand[rows].tolist(), step.tolist()):
+        head = "/".join((FAMILIES[f], *system.key[r]))
+        labels.append(f"{head}@k{k}/{OPERAND_NAMES[o]}" if k
+                      else f"{head}/{OPERAND_NAMES[o]}")
+    return labels
 
 
 def stack_systems(systems: Sequence[MeasurementSystem]) -> MeasurementSystem:
@@ -128,8 +149,9 @@ def stack_systems(systems: Sequence[MeasurementSystem]) -> MeasurementSystem:
     return MeasurementSystem(
         sp.vstack([s.d for s in systems], format="csr"),
         np.concatenate([s.constant for s in systems]),
-        tuple(label for s in systems for label in s.label),
-        np.concatenate([s.relation for s in systems]),
+        np.concatenate([s.family for s in systems]),
+        np.concatenate([s.operand for s in systems]),
+        tuple(key for s in systems for key in s.key),
         None if any(w is None for w in weights) else np.concatenate(weights),
         systems[0].n_steps)
 
@@ -328,10 +350,10 @@ def compute_delivery_model(network: "WatershedNetwork",
     ``factors`` is a DELIVERY_FACTORS table and ``areas`` an AREAS table,
     both with unique keys; areas default to the network's
     ``load_source_areas``.  Rows naming no land segment of the network are
-    ignored, and a factor whose load source has no area is skipped with a
-    warning.  A land segment lacking factors or areas for a stage is an
-    error by default; ``missing_policy="passthrough"`` substitutes 1.0 with
-    a warning per segment.  Sums run in row order (``np.bincount``).
+    ignored with one warning per table, and a factor whose load source has
+    no area is skipped with a warning.  A land segment lacking factors or
+    areas for a stage is an error by default; ``missing_policy=
+    "passthrough"`` substitutes 1.0 with a warning per segment.  Sums run in row order (``np.bincount``).
     """
     if missing_policy not in ("error", "passthrough"):
         raise ValueError(f"unknown missing_policy {missing_policy!r}")
@@ -346,11 +368,19 @@ def compute_delivery_model(network: "WatershedNetwork",
     area_land = np.array([position.get(s, -1) for s in areas.segment.tolist()],
                          dtype=np.intp)
     has_area = np.bincount(area_land[area_land >= 0], minlength=len(lands)) > 0
+    land = np.array([position.get(s, -1) for s in factors.segment.tolist()],
+                    dtype=np.intp)
+    for what, rows, where in (("delivery-factor", factors, land),
+                              ("area", areas, area_land)):
+        off = np.flatnonzero(where < 0)
+        if off.size:
+            warnings.warn(
+                f"{off.size} {what} row(s) name no land segment of the "
+                f"network, the first {rows.segment[off[0]]!r}; ignored",
+                DataConsistencyWarning, stacklevel=2)
 
     # One group per (land segment, stage), stages fastest.
     n_stages = len(DF_STAGES)
-    land = np.array([position.get(s, -1) for s in factors.segment.tolist()],
-                    dtype=np.intp)
     on_network = np.flatnonzero(land >= 0)
     sources = factors.load_source[on_network].tolist()
     group = land[on_network] * n_stages + np.array(
@@ -457,14 +487,15 @@ def _gather(ptr: np.ndarray, members: np.ndarray,
     return rows, members[np.repeat(ptr[groups], counts) + offsets]
 
 
-def _system(rows, cols, values, constant, label, n_caps: int,
-            relation: bool) -> MeasurementSystem:
+def _system(rows, cols, values, constant, family: int, operand, key,
+            n_caps: int) -> MeasurementSystem:
     if (np.asarray(cols) < 0).any():
         raise ValueError("capability set lacks a capability the network "
                          "implies; instantiate it from the same network")
-    d = sp.csr_matrix((values, (rows, cols)), shape=(len(label), n_caps))
-    return MeasurementSystem(d, np.array(constant, dtype=float), tuple(label),
-                             np.full(len(label), relation))
+    d = sp.csr_matrix((values, (rows, cols)), shape=(len(key), n_caps))
+    return MeasurementSystem(d, np.array(constant, dtype=float),
+                             np.full(len(key), family, dtype=np.intp),
+                             np.array(operand, dtype=np.intp), tuple(key))
 
 
 def _key_groups(*columns: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
@@ -477,11 +508,13 @@ def _key_groups(*columns: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
 
 
 def _county_rows(records: np.recarray, columns: Sequence[str], network,
-                 family: str, what: str):
-    """Rows summing ``records.mass`` by ``columns``, the county first, each
-    over its county's land segments.  A key whose county has none gives no
-    row, only a note."""
-    group, keys = _key_groups(*(records[name] for name in columns))
+                 what: str):
+    """Rows summing ``records.mass`` by ``columns`` and operand, the county
+    first, each over its county's land segments.  A key whose county has
+    none gives no row, only a note.  Keys come back without the operand,
+    which comes back as codes."""
+    group, keys = _key_groups(*(records[name] for name in columns),
+                              records.operand)
     totals = np.bincount(group, weights=records.mass, minlength=len(keys))
     codes: dict[str, int] = {}
     land_county = np.array([codes.setdefault(land.county, len(codes))
@@ -490,11 +523,11 @@ def _county_rows(records: np.recarray, columns: Sequence[str], network,
     kept = [i for i, key in enumerate(keys) if key[0] in codes]
     skipped = [f"{what} record for county {key[0]!r} matches no land segment; "
                f"constraint skipped" for key in keys if key[0] not in codes]
-    keys = [keys[i] for i in kept]
+    op = np.array([OPERAND_NAMES.index(keys[i][-1]) for i in kept], dtype=np.intp)
+    keys = [keys[i][:-1] for i in kept]
     rows, lands = _gather(ptr, members,
                           np.array([codes[key[0]] for key in keys], dtype=np.intp))
-    labels = ["/".join((family,) + key) for key in keys]
-    return keys, totals[kept], rows, lands, labels, skipped
+    return keys, op, totals[kept], rows, lands, skipped
 
 
 def assemble_accept_constraints(
@@ -508,26 +541,24 @@ def assemble_accept_constraints(
     Returns the rows plus diagnostics for records naming counties with no
     land segments (skipped, not fatal).
     """
-    keys, totals, rows, lands, labels, skipped = _county_rows(
-        applied, ("county", "sector", "operand"), network, "accept", "applied")
+    keys, op, totals, rows, lands, skipped = _county_rows(
+        applied, ("county", "sector"), network, "applied")
     sector = np.array([SECTORS.index(k[1]) for k in keys], dtype=np.intp)
-    op = np.array([OPERAND_NAMES.index(k[2]) for k in keys], dtype=np.intp)
     cols = capabilities.accept[lands, sector[rows], op[rows]]
-    return _system(rows, cols, np.ones(cols.size), totals, labels,
-                   capabilities.n_caps, relation=False), skipped
+    return _system(rows, cols, np.ones(cols.size), totals, ACCEPT, op, keys,
+                   capabilities.n_caps), skipped
 
 
-def _county_load_rows(loads: np.recarray, kind: str, family: str,
+def _county_load_rows(loads: np.recarray, kind: str, family: int,
                       network: "WatershedNetwork", capabilities: Capabilities,
                       land_weight: np.ndarray) -> tuple[MeasurementSystem, list[str]]:
     """One row per (county, operand) of ``kind`` loads over the county's
     land-to-outlet transports, land segment i weighted ``land_weight[i]``."""
-    keys, totals, rows, lands, labels, skipped = _county_rows(
-        loads[loads.kind == kind], ("county", "operand"), network, family, kind)
-    op = np.array([OPERAND_NAMES.index(k[1]) for k in keys], dtype=np.intp)
+    keys, op, totals, rows, lands, skipped = _county_rows(
+        loads[loads.kind == kind], ("county",), network, kind)
     cols = capabilities.land_transport[lands, op[rows]]
-    return _system(rows, cols, land_weight[lands], totals, labels,
-                   capabilities.n_caps, relation=False), skipped
+    return _system(rows, cols, land_weight[lands], totals, family, op, keys,
+                   capabilities.n_caps), skipped
 
 
 def assemble_eos_constraints(
@@ -537,7 +568,7 @@ def assemble_eos_constraints(
 ) -> tuple[MeasurementSystem, list[str]]:
     """One row per (county, operand) of EoS loads over land-to-outlet
     transports."""
-    return _county_load_rows(loads, "EoS", "eos", network, capabilities,
+    return _county_load_rows(loads, "EoS", EOS, network, capabilities,
                              np.ones(len(network.land_segments)))
 
 
@@ -552,7 +583,7 @@ def assemble_stream_to_tide(
 
     These rows score the fit only; they never enter the estimation.
     """
-    return _county_load_rows(loads, "StreamToTide", "stream_to_tide",
+    return _county_load_rows(loads, "StreamToTide", STREAM_TO_TIDE,
                              network, capabilities,
                              delivery.outlet_river_to_bay[network.land_outlet])
 
@@ -570,7 +601,7 @@ def assemble_eot_constraints(
     terminal = [i for i, link in enumerate(network.river_links)
                 if link.to_node in network.estuary_ids]
     river = capabilities.river_transport[terminal]
-    rows, cols, constants, labels, skipped = [], [], [], [], []
+    rows, cols, constants, operands, skipped = [], [], [], [], []
     for (operand,), mass in zip(keys, totals.tolist()):
         caps = river[:, OPERAND_NAMES.index(operand)]
         caps = caps[caps >= 0]
@@ -579,12 +610,12 @@ def assemble_eot_constraints(
                 f"EoT record for operand {operand!r} but the network has no "
                 f"estuary-bound river transport; constraint skipped")
             continue
-        rows += [len(labels)] * caps.size
+        rows += [len(operands)] * caps.size
         cols += caps.tolist()
         constants.append(mass)
-        labels.append(f"eot/{operand}")
-    return _system(rows, cols, np.ones(len(cols)), constants, labels,
-                   capabilities.n_caps, relation=False), skipped
+        operands.append(OPERAND_NAMES.index(operand))
+    return _system(rows, cols, np.ones(len(cols)), constants, EOT, operands,
+                   [()] * len(operands), capabilities.n_caps), skipped
 
 
 def assemble_transport_relations(
@@ -626,13 +657,12 @@ def assemble_transport_relations(
         cols.append(caps[keep])
         values.append(-delivery.link_ratio[link[r[keep]]])
 
-    labels = [f"transport/land/{lands[i].external_id}/{OPERAND_NAMES[o]}"
-              for i, o in zip(land.tolist(), land_op.tolist())]
-    labels += [f"transport/river/{links[i].from_outlet}->{links[i].to_node}/"
-               f"{OPERAND_NAMES[o]}" for i, o in zip(link.tolist(), link_op.tolist())]
+    keys = [("land", lands[i].external_id) for i in land.tolist()]
+    keys += [("river", f"{links[i].from_outlet}->{links[i].to_node}")
+             for i in link.tolist()]
     return _system(np.concatenate(rows), np.concatenate(cols),
-                   np.concatenate(values), np.zeros(len(labels)), labels,
-                   capabilities.n_caps, relation=True)
+                   np.concatenate(values), np.zeros(len(keys)), TRANSPORT,
+                   np.concatenate([land_op, link_op]), keys, capabilities.n_caps)
 
 
 def compute_weights(system: MeasurementSystem) -> MeasurementSystem:
@@ -646,10 +676,10 @@ def expand_constraints(system: MeasurementSystem,
     """Lift single-step rows onto a ``k_steps`` horizon (the paper's D_T).
 
     Data rows measure horizon totals and become ``kron(ones((1, K)),
-    D_data)``; relation rows hold at every step and become ``kron(I_K,
-    D_rel)``, relabelled ``head@k{k}/operand``.  Rows keep their order, each
-    relation row's K copies consecutive.  With ``k_steps == 1`` the system
-    passes through.
+    D_data)``; relation (transport) rows hold at every step and become
+    ``kron(I_K, D_rel)``.  Rows keep their order, each relation row's K
+    copies consecutive, and a copy's step is the block its columns lie in.
+    With ``k_steps == 1`` the system passes through.
     """
     if k_steps < 1:
         raise ValueError("k_steps must be >= 1")
@@ -657,21 +687,19 @@ def expand_constraints(system: MeasurementSystem,
         raise ValueError(f"system already spans {system.n_steps} steps")
     if k_steps == 1:
         return system
-    data = np.flatnonzero(~system.relation)
-    rel = np.flatnonzero(system.relation)
+    relation = system.family == TRANSPORT
+    data = np.flatnonzero(~relation)
+    rel = np.flatnonzero(relation)
     d = sp.vstack([sp.kron(np.ones((1, k_steps)), system.d[data]),
                    sp.kron(sp.identity(k_steps), system.d[rel])], format="csr")
     src = np.concatenate([data, np.tile(rel, k_steps)])
-    steps = np.concatenate([np.zeros(data.size, dtype=np.intp),
-                            np.repeat(np.arange(1, k_steps + 1), rel.size)])
-    reps = np.where(system.relation, k_steps, 1)
+    step = np.concatenate([np.zeros(data.size, dtype=np.intp),
+                           np.repeat(np.arange(k_steps), rel.size)])
+    reps = np.where(relation, k_steps, 1)
     start = np.cumsum(reps) - reps
-    order = np.argsort(start[src] + np.maximum(steps - 1, 0))
-    src, steps = src[order], steps[order]
-    labels = []
-    for r, k in zip(src.tolist(), steps.tolist()):
-        head, _, operand = system.label[r].rpartition("/")
-        labels.append(f"{head}@k{k}/{operand}" if k else system.label[r])
+    order = np.argsort(start[src] + step)
+    src = src[order]
     return MeasurementSystem(
-        d[order], system.constant[src], tuple(labels), system.relation[src],
+        d[order], system.constant[src], system.family[src], system.operand[src],
+        tuple(system.key[r] for r in src.tolist()),
         None if system.weight is None else system.weight[src], k_steps)

@@ -19,13 +19,14 @@ import numpy as np
 
 from .core_net import (
     CAPABILITY_CLASSES,
+    OPERAND_NAMES,
     Capabilities,
     CapabilitySpec,
     Operand,
     place_index,
 )
 from .estimator import Solution
-from .measurement import MeasurementSystem, read_table
+from .measurement import FAMILIES, MeasurementSystem, read_table, row_labels
 from .topology import WatershedNetwork
 
 NRMSE_NORMALIZERS = ("mean", "range", "std")
@@ -184,11 +185,10 @@ def export_results(solution: Solution, network: WatershedNetwork,
                                      op.name, "accumulation", repr(float(value))])
             writer.writerows(flow_rows(capabilities, network, flow_totals))
             if constraints is not None:
-                for label, operand, error in zip(
-                        constraints.label, constraints.operand.tolist(),
-                        solution.errors.tolist()):
-                    writer.writerow([label, "constraint", operand, "error",
-                                     repr(error)])
+                writer.writerows(zip(
+                    row_labels(constraints), itertools.repeat("constraint"),
+                    map(OPERAND_NAMES.__getitem__, constraints.operand.tolist()),
+                    itertools.repeat("error"), map(repr, solution.errors.tolist())))
         return
 
     # Coordinates by buffer id: land segments, outlets, then estuaries.
@@ -322,8 +322,7 @@ def build_fit_report(system: MeasurementSystem, totals: np.ndarray,
     predicts every row.  Data rows are scored against their constants per
     family and operand: applied and EoS by R^2 and NRMSE, EoT by the
     relative error of the total, StreamToTide by that and the median
-    per-county relative error.  Rows pair up in the order of the key in
-    their labels.
+    per-county relative error.  Rows pair up in the order of their keys.
     """
     if system.n_steps != 1:
         raise ValueError("the fit report needs the one-step system")
@@ -331,14 +330,15 @@ def build_fit_report(system: MeasurementSystem, totals: np.ndarray,
     families, operands = system.family, system.operand
     rows: list[FitRow] = []
     for family, data_type in _DATA_TYPES.items():
-        in_family = np.flatnonzero(families == family)
+        in_family = np.flatnonzero(families == FAMILIES.index(family))
         if family == "transport":
             rows += _relation_fit(system.d[in_family], totals)
             continue
-        for op in sorted(set(operands[in_family].tolist())):
-            group = in_family[operands[in_family] == op]
-            paired = sorted(group.tolist(),
-                            key=lambda r: system.label[r].split("/")[1:-1])
+        for code in sorted(set(operands[in_family].tolist()),
+                           key=OPERAND_NAMES.__getitem__):
+            op = OPERAND_NAMES[code]
+            group = in_family[operands[in_family] == code]
+            paired = sorted(group.tolist(), key=system.key.__getitem__)
             pred, obs = predicted[paired], system.constant[paired]
             if family in ("accept", "eos"):
                 value, note = _safe(r_squared, pred, obs)

@@ -51,10 +51,6 @@ class LandSegment:
     load_source_areas: tuple[tuple[str, float], ...]
     coordinates: Optional[tuple[float, float]] = None
 
-    @property
-    def areas(self) -> dict[str, float]:
-        return dict(self.load_source_areas)
-
 
 @dataclass(frozen=True)
 class Outlet:
@@ -131,19 +127,8 @@ class WatershedNetwork:
         return {spec.external_id: spec.id for spec in self.buffer_specs}
 
     @cached_property
-    def outlet_by_river_segment(self) -> dict[str, Outlet]:
-        return {o.river_segment_id: o for o in self.outlets}
-
-    @cached_property
     def estuary_ids(self) -> frozenset[str]:
         return frozenset(e.external_id for e in self.estuaries)
-
-    @cached_property
-    def outlet_ids(self) -> frozenset[str]:
-        return frozenset(o.external_id for o in self.outlets)
-
-    def outlet_of_land(self, land: LandSegment) -> Outlet:
-        return self.outlet_by_river_segment[land.river_segment_id]
 
     @cached_property
     def land_outlet(self) -> np.ndarray:
@@ -151,27 +136,6 @@ class WatershedNetwork:
         position = {o.river_segment_id: j for j, o in enumerate(self.outlets)}
         return np.array([position[land.river_segment_id]
                          for land in self.land_segments], dtype=np.intp)
-
-    @cached_property
-    def land_by_outlet(self) -> dict[str, tuple[LandSegment, ...]]:
-        grouped: dict[str, list[LandSegment]] = {o.external_id: [] for o in self.outlets}
-        for land in self.land_segments:
-            grouped[self.outlet_of_land(land).external_id].append(land)
-        return {k: tuple(v) for k, v in grouped.items()}
-
-    @cached_property
-    def links_into(self) -> dict[str, tuple[RiverLink, ...]]:
-        grouped: dict[str, list[RiverLink]] = {}
-        for link in self.river_links:
-            grouped.setdefault(link.to_node, []).append(link)
-        return {k: tuple(v) for k, v in grouped.items()}
-
-    @cached_property
-    def counties(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for land in self.land_segments:
-            seen.setdefault(land.county)
-        return tuple(seen)
 
     def to_dict(self) -> dict:
         def coords(obj):

@@ -8,7 +8,12 @@ import scipy.sparse as sp
 
 import basinflow as bf
 from basinflow import cli, estimator, measurement, report
-from basinflow.core_net import CAPABILITY_CLASSES, Capabilities, build_incidence
+from basinflow.core_net import (
+    CAPABILITY_CLASSES,
+    OPERAND_NAMES,
+    Capabilities,
+    build_incidence,
+)
 
 
 DENSE_ORACLE_MAX_VARS = 2000
@@ -95,16 +100,18 @@ def capabilities_of(specs):
 
 def measurement_system(rows, n_caps, n_steps=1, weighted=True):
     """A system from ``(coefficients {(k, cap): value}, constant, label)``
-    rows; rows labelled ``transport/...`` are relation rows."""
+    rows, each label written "family/key.../operand" as the exports render
+    it."""
     d = sp.lil_matrix((len(rows), n_steps * n_caps))
     for r, (coefficients, _, _) in enumerate(rows):
         for (k, cap), value in coefficients.items():
             d[r, (k - 1) * n_caps + cap] = value
-    labels = tuple(label for _, _, label in rows)
+    parts = [label.split("/") for _, _, label in rows]
     system = measurement.MeasurementSystem(
-        d.tocsr(), np.array([c for _, c, _ in rows], dtype=float), labels,
-        np.array([label.startswith("transport/") for label in labels],
-                 dtype=bool), n_steps=n_steps)
+        d.tocsr(), np.array([c for _, c, _ in rows], dtype=float),
+        np.array([measurement.FAMILIES.index(p[0]) for p in parts], dtype=np.intp),
+        np.array([OPERAND_NAMES.index(p[-1]) for p in parts], dtype=np.intp),
+        tuple(tuple(p[1:-1]) for p in parts), n_steps=n_steps)
     return measurement.compute_weights(system) if weighted else system
 
 

@@ -193,10 +193,8 @@ def test_criterion_7_perturbation_closure():
 
     def reaches_estuary(cap):
         node = specs[cap.destination].external_id
-        if node not in network.outlet_ids and node not in network.estuary_ids:
-            node = network.outlet_of_land(
-                next(l for l in network.land_segments
-                     if l.external_id == node)).external_id
+        if cap.destination < len(network.land_segments):
+            node = network.outlets[network.land_outlet[cap.destination]].external_id
         hops = 0
         while node not in network.estuary_ids:
             node = downstream[node]

@@ -1,6 +1,11 @@
+import csv
 import hashlib
+import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +46,30 @@ BUNDLE_DIGESTS = {
         "network.json": "dc6586c05faeeb5b1e7fc9f74d9a0ab1fbe46ab62e2bb70c5f7651237a545ba9",
     },
 }
+
+
+# sha256 of the text columns of the tables ``estimate`` writes for the
+# ``--outlets 30 --seed 7`` bundle, by horizon.  They pin every row label and
+# the row order without depending on the last bits of any float.
+TEXT_COLUMNS = {
+    "solution.csv": ("entity_id", "entity_kind", "operand", "quantity_kind"),
+    "fit_report.csv": ("data_type", "operand", "metric", "note"),
+}
+LABEL_DIGESTS = {
+    1: {"solution.csv": "2fe1d19e4e164aceac74b65677bcb2d905eb0d25ef55757a7c131b42b672b293",
+        "fit_report.csv": "04dff137c8e429119b02620ee63bb9aed447cc01ea2fdb456cdd3fe58cdfb007"},
+    3: {"solution.csv": "10e68e603a7d4a15f7735d79d7321764a6a9ae153c2375297b641e3752ccb822",
+        "fit_report.csv": "04dff137c8e429119b02620ee63bb9aed447cc01ea2fdb456cdd3fe58cdfb007"},
+}
+
+
+def text_digest(path, names):
+    """sha256 of the ``names`` columns of a CSV file, rewritten as CSV."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = [[row[name] for name in names] for row in csv.DictReader(fh)]
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +124,18 @@ class TestSynth:
 
 
 class TestEstimate:
+    @pytest.mark.parametrize("k_steps", sorted(LABEL_DIGESTS))
+    def test_pinned_label_digests(self, tmp_path, k_steps):
+        bundle = tmp_path / "bundle"
+        assert run(["synth", "--outlets", "30", "--seed", "7",
+                    "--out", str(bundle)]) == 0
+        out = tmp_path / "results"
+        assert run(["estimate", "--config", str(bundle / "config.json"),
+                    "--k-steps", str(k_steps), "--output-dir", str(out)]) == 0
+        got = {name: text_digest(out / name, columns)
+               for name, columns in TEXT_COLUMNS.items()}
+        assert got == LABEL_DIGESTS[k_steps]
+
     def test_full_pipeline(self, synth_dir):
         code = run(["estimate", "--config", str(synth_dir / "config.json")])
         assert code == 0
@@ -231,9 +272,45 @@ class TestValidateFailures:
         assert "'datasets' entry 'applied' must be a path string, got int" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", "nan"), ("alpha", "inf"), ("beta", "inf"), ("beta", "0"),
+        ("dt_years", "nan"), ("dt_years", "-inf"), ("tol", "-1"),
+        ("tol", "nan")])
+    def test_numeric_setting_must_be_finite_and_positive(
+            self, synth_dir, tmp_path, capsys, source, key, value):
+        out = tmp_path / "res"
+        argv = ["estimate", "--output-dir", str(out)]
+        if source == "config":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({
+                "network": str(synth_dir / "network.json"),
+                "datasets": {"delivery_factors":
+                             str(synth_dir / "delivery_factors.csv")},
+                key: float(value)}))
+            argv += ["--config", str(config)]
+        else:
+            argv += ["--config", str(synth_dir / "config.json"),
+                     f"--{key.replace('_', '-')}={value}"]
+        assert run(argv) == 1
+        assert f"{key} must be a finite number > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_network_file(self, tmp_path):
         assert run(["validate", "--network",
                     str(tmp_path / "nothing.json")]) == 3
+
+
+def test_import_skips_sparse_solver():
+    # ``report`` and ``validate`` never factorize, so importing the command
+    # line must not import the sparse solver
+    src = str(Path(bf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, basinflow.cli; print('scipy.sparse.linalg' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestReport:

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import basinflow as bf
 from basinflow import estimator as est
 from basinflow import measurement as ms
-from basinflow.core_net import build_incidence, default_operands
+from basinflow.core_net import OPERAND_NAMES, build_incidence, default_operands
 
 from pipeline_util import (
     DENSE_ORACLE_MAX_VARS,
@@ -314,8 +314,9 @@ class TestRecovery:
         dense = dense_oracle_solve(problem)
         scale = 1.0 + np.abs(dense.x).max()
         assert np.abs(sparse.x - dense.x).max() / scale <= 1e-6
-        eot_rows = np.flatnonzero((constraints.family == "eot")
-                                  & (constraints.operand == "nitrogen"))
+        eot_rows = np.flatnonzero(
+            (constraints.family == ms.EOT)
+            & (constraints.operand == OPERAND_NAMES.index("nitrogen")))
         assert np.abs(sparse.errors[eot_rows]).max() > 0
 
 
@@ -420,8 +421,8 @@ class TestResidualReport:
         cons, _ = build_constraints(network, truth.capabilities, perturbed_ds)
         perturbed = est.solve(est.assemble_problem(incidence, cons))
 
-        p_rows = np.flatnonzero(cons.operand == "phosphorus")
-        n_rows = np.flatnonzero(cons.operand == "nitrogen")
+        p_rows = np.flatnonzero(cons.operand == OPERAND_NAMES.index("phosphorus"))
+        n_rows = np.flatnonzero(cons.operand == OPERAND_NAMES.index("nitrogen"))
         # phosphorus rows never shared a capability with the perturbed datum
         assert np.abs(perturbed.errors[p_rows]
                       - baseline.errors[p_rows]).max() <= 1e-10

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import basinflow as bf
 from basinflow import measurement as ms
-from basinflow.core_net import Operand, default_operands
+from basinflow.core_net import OPERAND_NAMES, Operand, default_operands
 from basinflow.topology import (
     Estuary,
     LandSegment,
@@ -80,28 +80,33 @@ class TestTemporalAggregation:
         return build_constraints(net, truth.capabilities, datasets)[0]
 
     def test_annual_datum_column_of_ones(self, system):
-        data = ~system.relation
+        data = np.flatnonzero(system.family != ms.TRANSPORT)
         for k_steps in (2, 3):
             lifted = ms.expand_constraints(system, k_steps)
+            lifted_data = np.flatnonzero(lifted.family != ms.TRANSPORT)
             expected = sp.kron(np.ones((1, k_steps)), system.d[data])
-            assert np.array_equal(lifted.d[~lifted.relation].toarray(),
+            assert np.array_equal(lifted.d[lifted_data].toarray(),
                                   expected.toarray())
-            assert [lifted.label[r] for r in np.flatnonzero(~lifted.relation)] \
-                == [system.label[r] for r in np.flatnonzero(data)]
-            assert np.array_equal(lifted.constant[~lifted.relation],
+            assert ms.row_labels(lifted, lifted_data) \
+                == ms.row_labels(system, data)
+            assert np.array_equal(lifted.constant[lifted_data],
                                   system.constant[data])
 
     def test_two_step_diagonal(self, system):
         lifted = ms.expand_constraints(system, 2)
-        rel = system.d[system.relation]
+        rel = np.flatnonzero(system.family == ms.TRANSPORT)
+        lifted_rel = np.flatnonzero(lifted.family == ms.TRANSPORT)
         # each relation row's two copies are consecutive: undo that order
-        copies = lifted.d[lifted.relation].toarray()
+        copies = lifted.d[lifted_rel].toarray()
         by_step = np.vstack([copies[0::2], copies[1::2]])
-        assert np.array_equal(by_step, sp.kron(sp.identity(2), rel).toarray())
-        labels = [lifted.label[r] for r in np.flatnonzero(lifted.relation)]
-        head, _, operand = system.label[np.flatnonzero(system.relation)[0]] \
-            .rpartition("/")
-        assert labels[:2] == [f"{head}@k1/{operand}", f"{head}@k2/{operand}"]
+        assert np.array_equal(by_step,
+                              sp.kron(sp.identity(2), system.d[rel]).toarray())
+        assert [lifted.key[r] for r in lifted_rel] \
+            == [system.key[r] for r in np.repeat(rel, 2)]
+        key = "/".join(system.key[rel[0]])
+        operand = OPERAND_NAMES[system.operand[rel[0]]]
+        assert ms.row_labels(lifted, lifted_rel[:2]) == [
+            f"transport/{key}@k1/{operand}", f"transport/{key}@k2/{operand}"]
 
     def test_zero_steps_rejected(self, system):
         with pytest.raises(ValueError, match="k_steps"):
@@ -362,8 +367,8 @@ class TestTransportRelations:
         relations = ms.assemble_transport_relations(
             chain_network, caps,
             self.make_delivery(chain_network, 0.5, 1.0))
-        river_rows = [c for c in relations
-                      if c.label.startswith("transport/river/")]
+        river_rows = [relations[r] for r, key in enumerate(relations.key)
+                      if key[0] == "river"]
         row = river_rows[0]
         coef_values = sorted(v for _, v in row.coefficients)
         assert coef_values == [-1.0, 1.0]
@@ -377,16 +382,18 @@ class TestTransportRelations:
             net, datasets.delivery_factors, datasets.areas)
         relations = ms.assemble_transport_relations(
             net, truth.capabilities, delivery)
-        for link in net.river_links:
-            inbound = net.links_into.get(link.from_outlet, ())
+        outlet_ids = [outlet.external_id for outlet in net.outlets]
+        for i, link in enumerate(net.river_links):
+            inbound = [l for l in net.river_links if l.to_node == link.from_outlet]
             if not inbound:
                 continue
             label = f"transport/river/{link.from_outlet}->{link.to_node}/nitrogen"
             row = next(c for c in relations if c.label == label)
-            ratio = delivery.link_ratio[net.river_links.index(link)]
+            ratio = delivery.link_ratio[i]
             negative = [v for _, v in row.coefficients if v < 0]
             # one -ratio per land transport plus one per inbound link
-            expected = len(net.land_by_outlet[link.from_outlet]) + len(inbound)
+            n_lands = (net.land_outlet == outlet_ids.index(link.from_outlet)).sum()
+            expected = n_lands + len(inbound)
             assert len(negative) == expected
             assert all(v == pytest.approx(-ratio) for v in negative)
             return
@@ -427,14 +434,14 @@ def bundle():
 class TestFamilyInvariants:
     def test_operand_consistency(self, bundle):
         _, truth, constraints = bundle
-        for con, operand in zip(constraints, constraints.operand):
+        for con, operand in zip(constraints, constraints.operand.tolist()):
             for (_, cap), _ in con.coefficients:
                 assert (truth.capabilities[cap].capability_class.operand_name
-                        == operand)
+                        == OPERAND_NAMES[operand])
 
     def test_family_partition(self, bundle):
         _, _, constraints = bundle
-        for family in ("accept", "eos", "eot"):
+        for family in (ms.ACCEPT, ms.EOS, ms.EOT):
             seen: set[int] = set()
             for con, con_family in zip(constraints, constraints.family):
                 if con_family != family:
@@ -471,12 +478,12 @@ class TestExpandConstraints:
             chain_network, caps)
         out = ms.expand_constraints(
             ms.compute_weights(ms.stack_systems([relations, data])), 3)
-        relation_rows = [out[r] for r in np.flatnonzero(out.relation)]
+        relation_rows = [out[r] for r in np.flatnonzero(out.family == ms.TRANSPORT)]
         # every relation row is replicated per step
         assert len(relation_rows) == 3 * len(relations)
         assert {k for c in relation_rows
                 for (k, _), _ in c.coefficients} == {1, 2, 3}
-        data_rows = [out[r] for r in np.flatnonzero(~out.relation)]
+        data_rows = [out[r] for r in np.flatnonzero(out.family != ms.TRANSPORT)]
         assert len(data_rows) == 1
         assert {k for (k, _), _ in data_rows[0].coefficients} == {1, 2, 3}
 
@@ -639,3 +646,31 @@ class TestDeliveryModelPolicies:
             ("land-1", "row_crops", stage, 0.5) for stage in ms.DF_STAGES])
         model = ms.compute_delivery_model(chain_network, dfs, None)
         assert model.land_factor.tolist() == [pytest.approx(0.25)]
+
+    def test_rows_off_the_network_warn(self):
+        # a misspelt segment id in both tables: its rows are ignored, with one
+        # note per table, before the segment's missing factors are handled
+        net, _, datasets = bf.generate_synthetic(3, seed=11)
+        segment = net.land_segments[0].external_id
+        factors = datasets.delivery_factors.copy()
+        areas = datasets.areas.copy()
+        n_factors = int((factors.segment == segment).sum())
+        n_areas = int((areas.segment == segment).sum())
+        factors.segment[factors.segment == segment] = "typo"
+        areas.segment[areas.segment == segment] = "typo"
+        with pytest.warns(ms.DataConsistencyWarning) as record:
+            ms.compute_delivery_model(net, factors, areas,
+                                      missing_policy="passthrough")
+        messages = [str(w.message) for w in record]
+        assert messages[:2] == [
+            f"{n_factors} delivery-factor row(s) name no land segment of the "
+            f"network, the first 'typo'; ignored",
+            f"{n_areas} area row(s) name no land segment of the network, the "
+            f"first 'typo'; ignored"]
+        assert f"land segment {segment!r}: missing landToWater delivery " \
+            f"factor, defaulting to 1.0" in messages
+        with pytest.warns(ms.DataConsistencyWarning,
+                          match=f"{n_factors} delivery-factor row"):
+            with pytest.raises(ValueError, match=f"{segment!r} has no "
+                                                 f"landToWater delivery factors"):
+                ms.compute_delivery_model(net, factors, datasets.areas)

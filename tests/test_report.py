@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import basinflow as bf
 from basinflow import estimator as est
 from basinflow import report as rp
-from basinflow.core_net import default_operands
+from basinflow.core_net import OPERAND_NAMES, default_operands
+from basinflow.measurement import row_labels
 from basinflow.topology import (
     Estuary,
     LandSegment,
@@ -144,8 +145,10 @@ class TestExport:
                                "accumulation")]
                 assert value == solution.q_b[-1][place_index(op.id, spec.id,
                                                              n_ops)]
-        for r, (label, operand) in enumerate(zip(constraints.label,
-                                                 constraints.operand)):
+        for r, (label, con) in enumerate(zip(row_labels(constraints),
+                                             constraints)):
+            assert con.label == label
+            operand = OPERAND_NAMES[constraints.operand[r]]
             assert table[("constraint", label, operand,
                           "error")] == solution.errors[r]
 
@@ -277,7 +280,8 @@ class TestFitReport:
         rows, skipped = bf.measurement.assemble_stream_to_tide(
             loads, network, caps, delivery)
         assert skipped == []
-        assert rows.label == ("stream_to_tide/alpha/nitrogen",)
+        assert row_labels(rows) == ["stream_to_tide/alpha/nitrogen"]
+        assert rows.key == (("alpha",),)
         assert rows.constant.tolist() == [7.0]
         transport = {cap.resource_id: cap.id for cap in caps
                      if cap.capability_class.action == "transport_land"

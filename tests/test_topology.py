@@ -318,8 +318,8 @@ class TestGenerateSynthetic:
     def test_every_land_path_reaches_estuary(self):
         net, _, _ = bf.generate_synthetic(20, branching=2, seed=6)
         downstream = {l.from_outlet: l.to_node for l in net.river_links}
-        for land in net.land_segments:
-            node = net.outlet_of_land(land).external_id
+        for outlet in net.land_outlet.tolist():
+            node = net.outlets[outlet].external_id
             hops = 0
             while node not in net.estuary_ids:
                 node = downstream[node]
@@ -329,7 +329,8 @@ class TestGenerateSynthetic:
     def test_grouped_counties(self):
         net, _, datasets = bf.generate_synthetic(
             12, branching=3, seed=5, county_mode="grouped")
-        assert len(net.counties) < len(net.land_segments)
+        counties = {land.county for land in net.land_segments}
+        assert len(counties) < len(net.land_segments)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
