@@ -14,10 +14,7 @@ from .core_net import (
     CapabilityClass,
     CapabilitySpec,
     IncidenceMatrices,
-    Operand,
     build_incidence,
-    default_operands,
-    place_index,
 )
 from .topology import (
     WatershedNetwork,
@@ -61,8 +58,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BufferKind", "BufferSpec", "Capabilities", "CapabilityClass", "CapabilitySpec",
-    "IncidenceMatrices", "Operand", "build_incidence", "default_operands",
-    "place_index",
+    "IncidenceMatrices", "build_incidence",
     "WatershedNetwork", "derive_connectivity_from_names",
     "instantiate_capabilities", "load_network", "validate_routing",
     "MeasurementConstraint", "MeasurementSystem",

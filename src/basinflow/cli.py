@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import estimator, measurement, report, synthetic, topology
-from .core_net import build_incidence, default_operands
+from .core_net import build_incidence
 from .measurement import DatasetFormatError
 from .topology import NetworkSchemaError
 
@@ -221,8 +221,7 @@ def cmd_estimate(config: RunConfig) -> int:
     timings["load_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    operands = default_operands()
-    capabilities = topology.instantiate_capabilities(network, operands)
+    capabilities = topology.instantiate_capabilities(network)
     delivery = measurement.compute_delivery_model(
         network, dfs, areas, missing_policy=config.missing_df_policy)
     system, fit_rows, skipped = _assemble_constraints(
@@ -231,8 +230,7 @@ def cmd_estimate(config: RunConfig) -> int:
         measurement.compute_weights(system), config.k_steps)
     for line in skipped:
         print(f"warning: {line}", file=sys.stderr)
-    incidence = build_incidence(capabilities, len(operands),
-                                len(network.buffer_specs))
+    incidence = build_incidence(capabilities, len(network.buffer_specs))
     problem = estimator.assemble_problem(
         incidence, constraints, k_steps=config.k_steps, dt=config.dt_years,
         alpha=config.alpha, beta=config.beta)
@@ -245,10 +243,10 @@ def cmd_estimate(config: RunConfig) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    report.export_results(solution, network, capabilities, operands,
+    report.export_results(solution, network, capabilities,
                           out / "solution.csv", fmt="tabular",
                           constraints=constraints)
-    report.export_results(solution, network, capabilities, operands,
+    report.export_results(solution, network, capabilities,
                           out / "solution.geojson", fmt="geo")
     families = estimator.residual_report(problem, solution)
     with open(out / "residuals.json", "w", encoding="utf-8") as fh:
@@ -349,7 +347,7 @@ def cmd_report(solution_path: str, config: RunConfig) -> int:
     if dfs is not None:
         delivery = measurement.compute_delivery_model(
             network, dfs, areas, missing_policy=config.missing_df_policy)
-    capabilities = topology.instantiate_capabilities(network, default_operands())
+    capabilities = topology.instantiate_capabilities(network)
     _, fit_rows, _ = _assemble_constraints(
         network, capabilities, applied, loads, delivery)
     fit = report.build_fit_report(

@@ -12,8 +12,9 @@ places x capabilities; their difference drives the mass-balance recursion
 ``q[k+1] = q[k] + m @ u[k] * dt``.
 
 Vectorization convention (used everywhere in this package): the place axis
-is buffer-major and operand-fastest, i.e. place = buffer * n_operands +
-operand.
+is buffer-major and operand-fastest, i.e. place = buffer *
+len(OPERAND_NAMES) + operand, an operand's code being its position in
+``OPERAND_NAMES``.
 """
 
 from __future__ import annotations
@@ -29,30 +30,6 @@ NITROGEN = "nitrogen"
 PHOSPHORUS = "phosphorus"
 SECTORS = ("agricultural", "developed")
 OPERAND_NAMES = (NITROGEN, PHOSPHORUS)
-
-
-@dataclass(frozen=True)
-class Operand:
-    """A tracked nutrient species.
-
-    Parameters
-    ----------
-    id : int
-        Contiguous index, 0..n_operands-1.
-    name : str
-        Unique lowercase name, e.g. "nitrogen".
-    unit : str
-        Mass unit; all shipped datasets use pounds.
-    """
-
-    id: int
-    name: str
-    unit: str = "pounds"
-
-
-def default_operands() -> tuple[Operand, Operand]:
-    """The standard two-nutrient operand set."""
-    return (Operand(0, NITROGEN), Operand(1, PHOSPHORUS))
 
 
 class BufferKind(Enum):
@@ -144,12 +121,12 @@ CAPABILITY_CLASSES = tuple(CapabilityClass)
 class Capabilities:
     """Every capability of a network, as parallel arrays over capability ids.
 
-    ``capability_class`` indexes ``CAPABILITY_CLASSES``; ``origin`` is -1 for
-    accepts.  ``resource`` names the land or river segment performing each
-    action.  ``accept[land, sector, operand]``, ``land_transport[land,
-    operand]`` and ``river_transport[link, operand]`` give the ids by network
-    position, -1 where there is none: land segments and river links in
-    network order, sectors as in ``SECTORS`` and operands as in
+    ``capability_class`` indexes ``CAPABILITY_CLASSES`` and ``operand``
+    ``OPERAND_NAMES``; ``origin`` is -1 for accepts.  ``resource`` names the
+    land or river segment performing each action.  ``accept[land, sector,
+    operand]``, ``land_transport[land, operand]`` and ``river_transport[link,
+    operand]`` give the ids by network position: land segments and river
+    links in network order, sectors as in ``SECTORS`` and operands as in
     ``OPERAND_NAMES``.  ``capabilities[i]`` is a read-only
     :class:`CapabilitySpec` view of capability i.
     """
@@ -192,42 +169,25 @@ class IncidenceMatrices:
     m_plus: sp.csc_matrix
     m_minus: sp.csc_matrix
     m: sp.csc_matrix
-    n_operands: int
     n_buffers: int
 
     @property
     def n_places(self) -> int:
-        return self.n_operands * self.n_buffers
+        return len(OPERAND_NAMES) * self.n_buffers
 
     @property
     def n_capabilities(self) -> int:
         return self.m.shape[1]
 
 
-def place_index(operand: int, buffer: int, n_operands: int,
-                n_buffers: Optional[int] = None) -> int:
-    """Map an (operand, buffer) pair to its place-vector position.
-
-    Buffer-major, operand-fastest: ``buffer * n_operands + operand``.
-    Bijective over 0..n_operands*n_buffers-1.
-    """
-    if not 0 <= operand < n_operands:
-        raise ValueError(f"operand index {operand} out of range [0, {n_operands})")
-    if buffer < 0:
-        raise ValueError(f"buffer index {buffer} is negative")
-    if n_buffers is not None and buffer >= n_buffers:
-        raise ValueError(f"buffer index {buffer} out of range [0, {n_buffers})")
-    return buffer * n_operands + operand
-
-
-def build_incidence(capabilities: Capabilities, n_operands: int,
-                    n_buffers: int) -> IncidenceMatrices:
+def build_incidence(capabilities: Capabilities, n_buffers: int) -> IncidenceMatrices:
     """Assemble the incidence matrices of ``capabilities``.
 
     Every capability contributes a +1 to ``m_plus`` at (its operand, its
     destination); transports additionally contribute a +1 to ``m_minus`` at
     (operand, origin).  All operand and buffer references must be in range.
     """
+    n_operands = len(OPERAND_NAMES)
     caps = np.arange(capabilities.n_caps)
     transports = np.flatnonzero(capabilities.origin != -1)
     operand = capabilities.operand
@@ -253,5 +213,5 @@ def build_incidence(capabilities: Capabilities, n_operands: int,
     for mat in (m_plus, m_minus, m):
         mat.sum_duplicates()
         mat.sort_indices()
-    return IncidenceMatrices(m_plus, m_minus, m, n_operands, n_buffers)
+    return IncidenceMatrices(m_plus, m_minus, m, n_buffers)
 

@@ -200,14 +200,15 @@ def read_table(path, dtype: np.dtype, nonnegative: str = "",
                key: Sequence[str] = ()) -> np.recarray:
     """Read a CSV file into a table of ``dtype``.
 
-    The header must name every field; other columns and blank lines are
-    ignored.  Text is stripped, and ``sector`` and ``operand`` lowercased.
-    Numbers must be finite, and nonnegative when ``nonnegative`` names them
-    for the message.  No two rows may share their ``key`` columns.  The
-    first row that breaks a rule, or has fewer fields than the header, is
-    reported with the file and line that hold it.
+    The header must name every field; other columns, blank lines and a
+    leading byte-order mark are ignored.  Text is stripped, and ``sector``
+    and ``operand`` lowercased.  Numbers must be finite, and nonnegative
+    when ``nonnegative`` names them for the message.  No two rows may share
+    their ``key`` columns.  The first row that breaks a rule, or has fewer
+    fields than the header, is reported with the file and line that hold
+    it.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [name for name in dtype.names if name not in header]
@@ -265,7 +266,7 @@ def read_table(path, dtype: np.dtype, nonnegative: str = "",
 
 def _lines(path) -> list[int]:
     """The line on which each nonblank row after the header ends."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         return [reader.line_num for row in reader if row]
@@ -489,9 +490,6 @@ def _gather(ptr: np.ndarray, members: np.ndarray,
 
 def _system(rows, cols, values, constant, family: int, operand, key,
             n_caps: int) -> MeasurementSystem:
-    if (np.asarray(cols) < 0).any():
-        raise ValueError("capability set lacks a capability the network "
-                         "implies; instantiate it from the same network")
     d = sp.csr_matrix((values, (rows, cols)), shape=(len(key), n_caps))
     return MeasurementSystem(d, np.array(constant, dtype=float),
                              np.full(len(key), family, dtype=np.intp),
@@ -604,7 +602,6 @@ def assemble_eot_constraints(
     rows, cols, constants, operands, skipped = [], [], [], [], []
     for (operand,), mass in zip(keys, totals.tolist()):
         caps = river[:, OPERAND_NAMES.index(operand)]
-        caps = caps[caps >= 0]
         if not caps.size:
             skipped.append(
                 f"EoT record for operand {operand!r} but the network has no "
@@ -633,14 +630,14 @@ def assemble_transport_relations(
     lands, links = network.land_segments, network.river_links
     buffer_id = network.buffer_id
 
-    land, land_op = np.nonzero(capabilities.land_transport >= 0)
-    r, sector = np.nonzero(capabilities.accept[land, :, land_op] >= 0)
+    land, land_op = np.indices(capabilities.land_transport.shape).reshape(2, -1)
+    r, sector = np.indices((land.size, len(SECTORS))).reshape(2, -1)
     rows = [np.arange(land.size), r]
     cols = [capabilities.land_transport[land, land_op],
             capabilities.accept[land[r], sector, land_op[r]]]
     values = [np.ones(land.size), -delivery.land_factor[land[r]]]
 
-    link, link_op = np.nonzero(capabilities.river_transport >= 0)
+    link, link_op = np.indices(capabilities.river_transport.shape).reshape(2, -1)
     up = np.array([buffer_id[l.from_outlet] for l in links], dtype=np.intp)[link]
     land_outlet = len(lands) + network.land_outlet
     link_to = np.array([buffer_id[l.to_node] for l in links], dtype=np.intp)
@@ -651,11 +648,9 @@ def assemble_transport_relations(
     for source, keys in ((capabilities.land_transport, land_outlet),
                          (capabilities.river_transport, link_to)):
         r, member = _gather(*_groups(keys, len(network.buffer_specs)), up)
-        caps = source[member, link_op[r]]
-        keep = caps >= 0
-        rows.append(base + r[keep])
-        cols.append(caps[keep])
-        values.append(-delivery.link_ratio[link[r[keep]]])
+        rows.append(base + r)
+        cols.append(source[member, link_op[r]])
+        values.append(-delivery.link_ratio[link[r]])
 
     keys = [("land", lands[i].external_id) for i in land.tolist()]
     keys += [("river", f"{links[i].from_outlet}->{links[i].to_node}")

@@ -22,8 +22,6 @@ from .core_net import (
     OPERAND_NAMES,
     Capabilities,
     CapabilitySpec,
-    Operand,
-    place_index,
 )
 from .estimator import Solution
 from .measurement import FAMILIES, MeasurementSystem, read_table, row_labels
@@ -151,8 +149,7 @@ def flow_rows(capabilities: Capabilities, network: WatershedNetwork,
 
 
 def export_results(solution: Solution, network: WatershedNetwork,
-                   capabilities: Capabilities,
-                   operands: Sequence[Operand], path,
+                   capabilities: Capabilities, path,
                    fmt: str = "tabular",
                    constraints: Optional[MeasurementSystem] = None) -> None:
     """Write per-capability flows and per-buffer accumulations.
@@ -170,19 +167,18 @@ def export_results(solution: Solution, network: WatershedNetwork,
     """
     if fmt not in ("tabular", "geo"):
         raise ValueError(f"unknown export format {fmt!r}")
-    n_operands = len(operands)
     flow_totals = solution.u.sum(axis=0)
-    final_q = solution.q_b[-1]
+    final_q = solution.q_b[-1].reshape(len(network.buffer_specs),
+                                       len(OPERAND_NAMES)).tolist()
 
     if fmt == "tabular":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(TABULAR_HEADER)
-            for spec in network.buffer_specs:
-                for op in operands:
-                    value = final_q[place_index(op.id, spec.id, n_operands)]
+            for spec, masses in zip(network.buffer_specs, final_q):
+                for name, value in zip(OPERAND_NAMES, masses):
                     writer.writerow([spec.external_id, spec.kind.value,
-                                     op.name, "accumulation", repr(float(value))])
+                                     name, "accumulation", repr(value)])
             writer.writerows(flow_rows(capabilities, network, flow_totals))
             if constraints is not None:
                 writer.writerows(zip(
@@ -195,10 +191,8 @@ def export_results(solution: Solution, network: WatershedNetwork,
     points = [item.coordinates for item in (*network.land_segments,
                                             *network.outlets, *network.estuaries)]
     features = []
-    for spec in network.buffer_specs:
-        point = points[spec.id]
-        for op in operands:
-            value = float(final_q[place_index(op.id, spec.id, n_operands)])
+    for spec, point, masses in zip(network.buffer_specs, points, final_q):
+        for name, value in zip(OPERAND_NAMES, masses):
             features.append({
                 "type": "Feature",
                 "geometry": None if point is None else
@@ -206,7 +200,7 @@ def export_results(solution: Solution, network: WatershedNetwork,
                 "properties": {
                     "entity_id": spec.external_id,
                     "entity_kind": spec.kind.value,
-                    "operand": op.name,
+                    "operand": name,
                     "quantity_kind": "accumulation",
                     "value_lbs": value,
                 },
@@ -243,13 +237,16 @@ def import_tabular(path) -> dict[tuple[str, str, str, str], float]:
     (entity_kind, entity_id, operand, quantity_kind).
 
     Rows are checked as the dataset readers check theirs: a short row, an
-    unknown operand or a value that is not a finite number is a
-    ``DatasetFormatError`` naming the file and line.
+    unknown operand, a value that is not a finite number or a repeated key
+    is a ``DatasetFormatError`` naming the file and line.
     """
     rows = read_table(path, TABULAR)
-    keys = zip(rows.entity_kind.tolist(), rows.entity_id.tolist(),
-               rows.operand.tolist(), rows.quantity_kind.tolist())
-    return dict(zip(keys, rows.value_lbs.tolist()))
+    key = ("entity_kind", "entity_id", "operand", "quantity_kind")
+    values = dict(zip(zip(*(rows[name].tolist() for name in key)),
+                      rows.value_lbs.tolist()))
+    if len(values) < len(rows):  # read again to name the repeated key's lines
+        read_table(path, TABULAR, key=key)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +331,15 @@ def build_fit_report(system: MeasurementSystem, totals: np.ndarray,
         if family == "transport":
             rows += _relation_fit(system.d[in_family], totals)
             continue
-        for code in sorted(set(operands[in_family].tolist()),
-                           key=OPERAND_NAMES.__getitem__):
+        # Totals add in row order, as ``np.bincount`` does on every Python;
+        # the builtin ``sum`` compensates from 3.12 on.
+        codes = operands[in_family]
+        total, observed = (np.bincount(codes, weights=values[in_family],
+                                       minlength=len(OPERAND_NAMES)).tolist()
+                           for values in (predicted, system.constant))
+        for code in sorted(set(codes.tolist()), key=OPERAND_NAMES.__getitem__):
             op = OPERAND_NAMES[code]
-            group = in_family[operands[in_family] == code]
+            group = in_family[codes == code]
             paired = sorted(group.tolist(), key=system.key.__getitem__)
             pred, obs = predicted[paired], system.constant[paired]
             if family in ("accept", "eos"):
@@ -347,8 +349,7 @@ def build_fit_report(system: MeasurementSystem, totals: np.ndarray,
                 rows.append(FitRow(data_type, op, METRIC_NRMSE, value,
                                    note or f"normalizer={nrmse_normalizer}"))
                 continue
-            value, note = _safe(relative_error, sum(predicted[group].tolist()),
-                                sum(system.constant[group].tolist()))
+            value, note = _safe(relative_error, total[code], observed[code])
             if family == "eot":
                 rows.append(FitRow(data_type, op, METRIC_REL, value, note))
                 continue

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_net import OPERAND_NAMES, SECTORS, Capabilities, Operand, default_operands
+from .core_net import OPERAND_NAMES, SECTORS, Capabilities
 from .measurement import (
     APPLIED,
     AREAS,
@@ -61,7 +61,6 @@ class SyntheticDatasets:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    operands: tuple[Operand, ...]
     capabilities: Capabilities
     u: np.ndarray
     delivery: DeliveryModel
@@ -183,8 +182,7 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
                                 river_to_bay * rng.uniform(0.97, 1.03)))
 
     network = WatershedNetwork(tuple(lands), outlets, river_links, estuaries)
-    operands = default_operands()
-    capabilities = instantiate_capabilities(network, operands)
+    capabilities = instantiate_capabilities(network)
     delivery_factors = table(DELIVERY_FACTORS, df_rows)
     area_table = table(AREAS, area_rows)
     # The exact coefficients the estimator will derive from the datasets.
@@ -192,20 +190,18 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
 
     u = np.zeros(len(capabilities))
     applied_rows: list[tuple] = []
-    land_transport = np.zeros((len(lands), len(operands)))
+    land_transport = np.zeros((len(lands), len(OPERAND_NAMES)))
     for li, land in enumerate(lands):
-        for j, op in enumerate(operands):
-            o = OPERAND_NAMES.index(op.name)
-            lo_m, hi_m = _LOAD_RANGE[op.name]
+        for o, operand in enumerate(OPERAND_NAMES):
+            lo_m, hi_m = _LOAD_RANGE[operand]
             total = 0.0
             for s, sector in enumerate(SECTORS):
                 mass = round(rng.uniform(lo_m, hi_m) * load_scale, 9)
-                applied_rows.append((land.county, sector, op.name, mass))
+                applied_rows.append((land.county, sector, operand, mass))
                 u[capabilities.accept[li, s, o]] = mass
                 total += mass
-            land_transport[li, j] = delivery.land_factor[li] * total
-    ops = [OPERAND_NAMES.index(op.name) for op in operands]
-    u[capabilities.land_transport[:, ops]] = land_transport
+            land_transport[li, o] = delivery.land_factor[li] * total
+    u[capabilities.land_transport] = land_transport
 
     # Upstream-first accumulation down the tree: inflow at an outlet is its
     # land transports plus all upstream link flows.
@@ -214,7 +210,7 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
         for child in children[i]:
             link_flow[i] += link_flow[child]
         link_flow[i] *= delivery.link_ratio[i]
-    u[capabilities.river_transport[:, ops]] = link_flow
+    u[capabilities.river_transport] = link_flow
 
     # Per county, in order of first appearance: its EoS load, and the part
     # of it that reaches the tide (telescoping link ratios reduce to the
@@ -225,7 +221,7 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
     reaching = land_transport * delivery.outlet_river_to_bay[network.land_outlet, None]
     eos = _sum_by(county, land_transport, len(codes))
     tide = _sum_by(county, reaching, len(codes))
-    keys = [(name, op.name, kind) for name in codes for op in operands
+    keys = [(name, operand, kind) for name in codes for operand in OPERAND_NAMES
             for kind in LOAD_KINDS]
     masses = np.stack([eos, tide, tide], axis=2).ravel().tolist()
     loads = table(LOADS, (key + (mass,) for key, mass in zip(keys, masses)))
@@ -236,5 +232,5 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
         delivery_factors=delivery_factors,
         areas=area_table,
     )
-    truth = GroundTruth(operands, capabilities, u, delivery)
+    truth = GroundTruth(capabilities, u, delivery)
     return network, truth, datasets

@@ -25,7 +25,6 @@ from .core_net import (
     BufferSpec,
     Capabilities,
     CapabilityClass,
-    Operand,
 )
 
 SCHEMA_VERSION = 1
@@ -420,24 +419,17 @@ def derive_connectivity_from_names(
     return links, unresolved
 
 
-def instantiate_capabilities(network: WatershedNetwork,
-                             operands: Sequence[Operand]) -> Capabilities:
+def instantiate_capabilities(network: WatershedNetwork) -> Capabilities:
     """The capabilities of a validated network, as index arrays.
 
     Ids run per land segment and operand: agricultural accept, developed
     accept, and land-to-outlet transport (in that order); then per river
-    link and operand: one river transport.  Total count is
-    ``3 * len(operands) * n_land + len(operands) * n_links``.
+    link and operand: one river transport.  Operands run as in
+    ``OPERAND_NAMES``, so the total count is ``3 * len(OPERAND_NAMES) *
+    n_land + len(OPERAND_NAMES) * n_links``.
     """
-    for op in operands:
-        if op.name not in OPERAND_NAMES:
-            raise ValueError(
-                f"no capability classes defined for operand {op.name!r}; "
-                f"expected one of {sorted(OPERAND_NAMES)}"
-            )
-
     lands, links = network.land_segments, network.river_links
-    n_land, n_links, n_ops = len(lands), len(links), len(operands)
+    n_land, n_links, n_ops = len(lands), len(links), len(OPERAND_NAMES)
     buffer_id = network.buffer_id
     land_buf = np.array([buffer_id[l.external_id] for l in lands], dtype=np.intp)
     outlet_buf = n_land + network.land_outlet
@@ -448,17 +440,17 @@ def instantiate_capabilities(network: WatershedNetwork,
     link_segment = np.array([outlet_by_id[l.from_outlet].river_segment_id
                              for l in links], dtype=object)
 
-    def code(action: str, sector: Optional[str], op: Operand) -> int:
-        return CAPABILITY_CLASSES.index(CapabilityClass((action, sector, op.name)))
+    def code(action: str, sector: Optional[str], operand: str) -> int:
+        return CAPABILITY_CLASSES.index(CapabilityClass((action, sector, operand)))
 
     # A land segment has three slots per operand: the two accepts, then the
     # land-to-outlet transport; a river link has one.
     land_class = np.array([[code("accept", s, op) for s in SECTORS]
-                           + [code("transport_land", None, op)] for op in operands],
-                          dtype=np.intp).reshape(n_ops, 3)
-    link_class = np.array([code("transport_river", None, op) for op in operands],
-                          dtype=np.intp)
-    op_id = np.array([op.id for op in operands], dtype=np.intp)
+                           + [code("transport_land", None, op)]
+                           for op in OPERAND_NAMES], dtype=np.intp)
+    link_class = np.array([code("transport_river", None, op)
+                           for op in OPERAND_NAMES], dtype=np.intp)
+    op_code = np.arange(n_ops)
     no_origin = np.full(n_land, -1, dtype=np.intp)
 
     def by_id(on_land, on_link) -> np.ndarray:
@@ -469,20 +461,13 @@ def instantiate_capabilities(network: WatershedNetwork,
 
     land_ids = np.arange(3 * n_ops * n_land).reshape(n_land, n_ops, 3)
     link_ids = land_ids.size + np.arange(n_links * n_ops).reshape(n_links, n_ops)
-    ops = [OPERAND_NAMES.index(op.name) for op in operands]
-    accept = np.full((n_land, len(SECTORS), len(OPERAND_NAMES)), -1, dtype=np.intp)
-    accept[:, :, ops] = land_ids[:, :, :2].transpose(0, 2, 1)
-    land_transport = np.full((n_land, len(OPERAND_NAMES)), -1, dtype=np.intp)
-    land_transport[:, ops] = land_ids[:, :, 2]
-    river_transport = np.full((n_links, len(OPERAND_NAMES)), -1, dtype=np.intp)
-    river_transport[:, ops] = link_ids
     return Capabilities(
         capability_class=by_id(land_class, link_class),
-        operand=by_id(op_id[:, None], op_id),
+        operand=by_id(op_code[:, None], op_code),
         origin=by_id(np.stack([no_origin, no_origin, land_buf], axis=1)[:, None],
                      link_from[:, None]),
         destination=by_id(np.stack([land_buf, land_buf, outlet_buf], axis=1)[:, None],
                           link_to[:, None]),
         resource=by_id(land_name[:, None, None], link_segment[:, None]),
-        accept=accept, land_transport=land_transport,
-        river_transport=river_transport)
+        accept=land_ids[:, :, :2].transpose(0, 2, 1),
+        land_transport=land_ids[:, :, 2], river_transport=link_ids)

@@ -5,7 +5,6 @@ from basinflow.core_net import (
     BufferSpec,
     CapabilityClass,
     CapabilitySpec,
-    Operand,
     build_incidence,
 )
 from basinflow.topology import (
@@ -21,7 +20,7 @@ from pipeline_util import capabilities_of
 
 @pytest.fixture
 def mini_chain_caps():
-    """One operand, three buffers (land 0, outlet 1, estuary 2), three
+    """Three buffers (land 0, outlet 1, estuary 2) and three nitrogen
     capabilities: accept into the land, land-to-outlet, outlet-to-estuary."""
     return [
         CapabilitySpec(0, CapabilityClass.ACCEPT_AGRICULTURAL_N, 0,
@@ -35,8 +34,7 @@ def mini_chain_caps():
 
 @pytest.fixture
 def mini_chain_incidence(mini_chain_caps):
-    return build_incidence(capabilities_of(mini_chain_caps), n_operands=1,
-                           n_buffers=3)
+    return build_incidence(capabilities_of(mini_chain_caps), n_buffers=3)
 
 
 @pytest.fixture

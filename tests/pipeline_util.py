@@ -121,7 +121,6 @@ def assemble_bundle(n_outlets, branching=3, seed=0, **kwargs):
         n_outlets, branching=branching, seed=seed, **kwargs)
     constraints, delivery = build_constraints(
         network, truth.capabilities, datasets)
-    incidence = build_incidence(truth.capabilities, len(truth.operands),
-                                len(network.buffer_specs))
+    incidence = build_incidence(truth.capabilities, len(network.buffer_specs))
     problem = estimator.assemble_problem(incidence, constraints)
     return network, truth, datasets, constraints, incidence, problem

@@ -41,8 +41,7 @@ def test_criterion_1_incidence_structure():
         n_outlets = 1 + seed % 12
         branching = 1 + seed % 3
         network, truth, _ = bf.generate_synthetic(n_outlets, branching, seed)
-        incidence = build_incidence(truth.capabilities, len(truth.operands),
-                                    len(network.buffer_specs))
+        incidence = build_incidence(truth.capabilities, len(network.buffer_specs))
         sums = np.asarray(incidence.m.sum(axis=0)).ravel()
         for cap in truth.capabilities:
             expected = 1 if cap.capability_class.is_accept else 0
@@ -88,8 +87,7 @@ def test_criterion_3_oracle_equivalence():
             if c != 0.0 and rng.rand() < 0.5:
                 constant[r] = c * (1.0 + rng.uniform(-0.2, 0.2))
         noisy = ms.compute_weights(replace(constraints, constant=constant))
-        incidence = build_incidence(truth.capabilities, len(truth.operands),
-                                    len(network.buffer_specs))
+        incidence = build_incidence(truth.capabilities, len(network.buffer_specs))
         problem = est.assemble_problem(incidence, noisy)
         assert problem.n_variables <= 500
         sparse = est.solve(problem)
@@ -124,9 +122,8 @@ def test_criterion_4_consistency_recovery():
 def test_criterion_5_weights_and_penalties(chain_network):
     t0 = time.perf_counter()
     from basinflow.topology import instantiate_capabilities
-    from basinflow.core_net import default_operands
 
-    caps = instantiate_capabilities(chain_network, default_operands())
+    caps = instantiate_capabilities(chain_network)
     table = caps
 
     def weight_for(constant):
@@ -145,7 +142,7 @@ def test_criterion_5_weights_and_penalties(chain_network):
 
     assert est.DEFAULT_FLOW_PENALTY == 1e-10
     assert est.DEFAULT_BUFFER_PENALTY == 1e-12
-    incidence = build_incidence(caps, 2, len(chain_network.buffer_specs))
+    incidence = build_incidence(caps, len(chain_network.buffer_specs))
     problem = est.assemble_problem(
         incidence, ms.compute_weights(ms.assemble_eot_constraints(
             ms.table(ms.LOADS, [("alpha", "nitrogen", "EoT", 5.0)]),
@@ -227,8 +224,7 @@ def test_criterion_8_scale():
         1000, branching=3, seed=7, land_per_outlet=(2, 4))
     assert len(network.land_segments) >= 2000
     constraints, _ = build_constraints(network, truth.capabilities, datasets)
-    incidence = build_incidence(truth.capabilities, len(truth.operands),
-                                len(network.buffer_specs))
+    incidence = build_incidence(truth.capabilities, len(network.buffer_specs))
     problem = est.assemble_problem(incidence, constraints)
     solution = est.solve(problem)
     assert solution.converged
@@ -253,8 +249,7 @@ def test_criterion_10_horizon_scale():
     network, truth, datasets = bf.generate_synthetic(
         300, branching=3, seed=7, land_per_outlet=(2, 4))
     constraints, _ = build_constraints(network, truth.capabilities, datasets)
-    incidence = build_incidence(truth.capabilities, len(truth.operands),
-                                len(network.buffer_specs))
+    incidence = build_incidence(truth.capabilities, len(network.buffer_specs))
     problem = est.assemble_problem(
         incidence, ms.expand_constraints(constraints, 8), k_steps=8)
     solution = est.solve(problem)

@@ -108,6 +108,13 @@ class TestSynth:
     def test_validate_accepts_bundle(self, synth_dir):
         assert run(["validate", "--config", str(synth_dir / "config.json")]) == 0
 
+    def test_validate_accepts_byte_order_mark(self, synth_dir, tmp_path):
+        # spreadsheet programs save "CSV UTF-8" with a leading BOM
+        applied = tmp_path / "applied.csv"
+        applied.write_bytes(b"\xef\xbb\xbf" + (synth_dir / "applied.csv").read_bytes())
+        assert run(["validate", "--config", str(synth_dir / "config.json"),
+                    "--applied", str(applied)]) == 0
+
     def test_chain_equivalent_single_outlet(self, tmp_path):
         out = tmp_path / "one"
         assert run(["synth", "--outlets", "1", "--branching", "1",
@@ -365,6 +372,25 @@ class TestReport:
                     "--output-dir", str(tmp_path / "rep2")])
         assert code == 1
         assert "phosphorus" in capsys.readouterr().err
+
+    def test_repeated_solution_row_names_both_lines(self, synth_dir, tmp_path,
+                                                    capsys):
+        # the lookup would keep one of the two values and score it silently
+        lines = (synth_dir / "ground_truth.csv").read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if ",flow," in line)
+        entity, kind, operand, quantity, value = lines[first].split(",")
+        lines.append(f"{entity},{kind},{operand},{quantity},{float(value) * 50!r}")
+        solution = tmp_path / "solution.csv"
+        solution.write_text("\n".join(lines) + "\n")
+        code = run(["report", "--solution", str(solution),
+                    "--config", str(synth_dir / "config.json"),
+                    "--output-dir", str(tmp_path / "rep")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert (f"{solution} line {len(lines)}: repeats the (entity_kind, "
+                f"entity_id, operand, quantity_kind) key ('{kind}', '{entity}', "
+                f"'{operand}', 'flow') of line {first + 1}") in err
+        assert not (tmp_path / "rep" / "fit_report.csv").exists()
 
     @pytest.mark.parametrize("row, message", [
         ("x,transport_river", "2 fields, the header has 5"),

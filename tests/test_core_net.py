@@ -9,66 +9,36 @@ from basinflow.core_net import (
     CapabilityClass,
     CapabilitySpec,
     build_incidence,
-    default_operands,
-    place_index,
 )
 
 from pipeline_util import capabilities_of
-
-
-class TestPlaceIndex:
-    def test_first_place(self):
-        assert place_index(0, 0, 2) == 0
-
-    def test_operand_fastest(self):
-        assert place_index(1, 0, 2) == 1
-
-    def test_buffer_major(self):
-        # 3 * 2 + 1, evaluated by hand
-        assert place_index(1, 3, 2) == 7
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            place_index(2, 0, 2)
-        with pytest.raises(ValueError):
-            place_index(-1, 0, 2)
-        with pytest.raises(ValueError):
-            place_index(0, -1, 2)
-        with pytest.raises(ValueError):
-            place_index(0, 5, 2, n_buffers=5)
-
-    @given(n_operands=st.integers(1, 5), n_buffers=st.integers(1, 30))
-    @settings(max_examples=50)
-    def test_bijection(self, n_operands, n_buffers):
-        seen = {
-            place_index(i, y, n_operands, n_buffers)
-            for y in range(n_buffers)
-            for i in range(n_operands)
-        }
-        assert seen == set(range(n_operands * n_buffers))
 
 
 class TestBuildIncidence:
     def test_single_accept_is_source_only(self):
         caps = [CapabilitySpec(0, CapabilityClass.ACCEPT_AGRICULTURAL_N, 0,
                                origin=None, destination=0, resource_id="l")]
-        inc = build_incidence(capabilities_of(caps), 1, 1)
-        assert inc.m_plus.toarray().tolist() == [[1]]
+        inc = build_incidence(capabilities_of(caps), 1)
+        m_plus = inc.m_plus.toarray()
+        assert m_plus[0::2].tolist() == [[1]]
+        assert not m_plus[1::2].any()
         assert inc.m_minus.nnz == 0
 
     def test_single_transport_conserves(self):
         caps = [CapabilitySpec(0, CapabilityClass.TRANSPORT_RIVER_N, 0,
                                origin=0, destination=1, resource_id="s")]
-        inc = build_incidence(capabilities_of(caps), 1, 2)
+        inc = build_incidence(capabilities_of(caps), 2)
         col = inc.m.toarray()[:, 0]
-        assert col.tolist() == [-1, 1]
+        assert col[0::2].tolist() == [-1, 1]
+        assert not col[1::2].any()
         assert col.sum() == 0
 
     def test_chain_fixture_entries(self, mini_chain_incidence):
         m = mini_chain_incidence.m.toarray()
-        # hand enumeration: accept -> place 0; land transport 0 -> 1;
-        # river transport 1 -> 2
-        assert m.tolist() == [[1, -1, 0], [0, 1, -1], [0, 0, 1]]
+        # hand enumeration over the nitrogen places (even rows): accept ->
+        # buffer 0; land transport 0 -> 1; river transport 1 -> 2
+        assert m[0::2].tolist() == [[1, -1, 0], [0, 1, -1], [0, 0, 1]]
+        assert not m[1::2].any()
         assert m.sum(axis=0).tolist() == [1, 0, 0]
 
     def test_column_conservation_classes(self, mini_chain_incidence):
@@ -80,18 +50,18 @@ class TestBuildIncidence:
         caps = [CapabilitySpec(0, CapabilityClass.ACCEPT_AGRICULTURAL_N, 0,
                                origin=None, destination=7, resource_id="l")]
         with pytest.raises(ValueError, match="does not exist"):
-            build_incidence(capabilities_of(caps), 1, 3)
+            build_incidence(capabilities_of(caps), 3)
 
     @pytest.mark.parametrize("origin, operand, message", [
         (5, 0, "origin buffer 5 does not exist"),
         (-2, 0, "origin buffer -2 does not exist"),
-        (0, 1, "operand 1 does not exist"),
+        (0, 2, "operand 2 does not exist"),
     ])
     def test_dangling_origin_or_operand_rejected(self, origin, operand, message):
         caps = [CapabilitySpec(0, CapabilityClass.TRANSPORT_RIVER_N, operand,
                                origin=origin, destination=1, resource_id="s")]
         with pytest.raises(ValueError, match=f"capability 0: {message}"):
-            build_incidence(capabilities_of(caps), 1, 3)
+            build_incidence(capabilities_of(caps), 3)
 
     def test_operand_segregation(self):
         # two operands: every nonzero of a capability's column sits in rows
@@ -104,7 +74,7 @@ class TestBuildIncidence:
             CapabilitySpec(2, CapabilityClass.TRANSPORT_RIVER_P, 1,
                            origin=1, destination=2, resource_id="s"),
         ]
-        inc = build_incidence(capabilities_of(caps), 2, 3)
+        inc = build_incidence(capabilities_of(caps), 3)
         coo = inc.m.tocoo()
         for row, col in zip(coo.row, coo.col):
             assert row % 2 == caps[col].operand
@@ -114,12 +84,13 @@ class TestStateTransition:
     """One step of the mass balance, ``q + m @ u * dt``."""
 
     def test_null_firing(self, mini_chain_incidence):
-        q = np.zeros(3) + mini_chain_incidence.m @ np.zeros(3)
+        q = np.zeros(6) + mini_chain_incidence.m @ np.zeros(3)
         assert (q == 0).all()
 
     def test_chain_hand_evaluation(self, mini_chain_incidence):
-        q = np.zeros(3) + mini_chain_incidence.m @ np.array([100.0, 50.0, 25.0])
-        assert q.tolist() == [50.0, 25.0, 25.0]
+        q = np.zeros(6) + mini_chain_incidence.m @ np.array([100.0, 50.0, 25.0])
+        assert q[0::2].tolist() == [50.0, 25.0, 25.0]
+        assert not q[1::2].any()
 
     @given(
         u=st.lists(st.floats(0, 1e6, allow_nan=False), min_size=3, max_size=3),
@@ -134,8 +105,8 @@ class TestStateTransition:
                            origin=0, destination=1, resource_id="land-1"),
             CapabilitySpec(2, CapabilityClass.TRANSPORT_RIVER_N, 0,
                            origin=1, destination=2, resource_id="seg-1"),
-        ]), 1, 3).m
-        q0 = np.arange(3, dtype=float)
+        ]), 3).m
+        q0 = np.arange(6, dtype=float)
         q1 = q0 + m @ np.array(u) * dt
         # transports net out; only the accept firing adds mass
         assert (q1 - q0).sum() == pytest.approx(dt * u[0], rel=1e-9, abs=1e-9)
@@ -155,8 +126,3 @@ class TestSpecs:
         with pytest.raises(ValueError):
             CapabilitySpec(0, CapabilityClass.TRANSPORT_RIVER_N, 0,
                            origin=None, destination=1, resource_id="s")
-
-    def test_default_operands(self):
-        ops = default_operands()
-        assert [op.id for op in ops] == [0, 1]
-        assert [op.name for op in ops] == ["nitrogen", "phosphorus"]

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import basinflow as bf
 from basinflow import estimator as est
 from basinflow import measurement as ms
-from basinflow.core_net import OPERAND_NAMES, build_incidence, default_operands
+from basinflow.core_net import OPERAND_NAMES, build_incidence
 
 from pipeline_util import (
     DENSE_ORACLE_MAX_VARS,
@@ -80,8 +80,8 @@ class TestAssembleProblem:
     def test_chain_dimension_count(self, mini_chain_incidence):
         problem = est.assemble_problem(mini_chain_incidence,
                                        mini_chain_constraints())
-        assert problem.n_variables == 13  # 3 Q_B + 3 U + 7 errors
-        assert problem.n_rows == 10  # 3 balance + 7 measurement
+        assert problem.n_variables == 16  # 6 Q_B + 3 U + 7 errors
+        assert problem.n_rows == 13  # 6 balance + 7 measurement
 
     def test_defaults_are_penalty_constants(self, mini_chain_incidence):
         problem = est.assemble_problem(mini_chain_incidence,
@@ -115,9 +115,9 @@ class TestAssembleProblem:
         constraints = mini_chain_constraints()
         problem = est.assemble_problem(mini_chain_incidence, constraints)
         h = problem.hessian_diag
-        assert (h[:3] == problem.beta).all()
-        assert (h[3:6] == problem.alpha).all()
-        assert h[6:].tolist() == [c.weight for c in constraints]
+        assert (h[:6] == problem.beta).all()
+        assert (h[6:9] == problem.alpha).all()
+        assert h[9:].tolist() == [c.weight for c in constraints]
 
     @pytest.mark.parametrize("k_steps", [1, 3, 12])
     def test_matches_entrywise_reference(self, k_steps):
@@ -126,8 +126,7 @@ class TestAssembleProblem:
         constraints = ms.expand_constraints(
             build_constraints(network, truth.capabilities, datasets)[0],
             k_steps)
-        incidence = build_incidence(truth.capabilities, len(truth.operands),
-                                    len(network.buffer_specs))
+        incidence = build_incidence(truth.capabilities, len(network.buffer_specs))
         problem = est.assemble_problem(incidence, constraints, k_steps=k_steps,
                                        dt=0.5)
         a, b, h = reference_assembly(incidence, constraints, k_steps, 0.5)
@@ -271,7 +270,6 @@ class TestOracleAgreement:
                     constant[r] = c * (1.0 + rng.uniform(-0.2, 0.2))
             noisy = ms.compute_weights(replace(constraints, constant=constant))
             incidence = build_incidence(truth.capabilities,
-                                        len(truth.operands),
                                         len(network.buffer_specs))
             problem = est.assemble_problem(
                 incidence, ms.expand_constraints(noisy, k_steps),
@@ -346,7 +344,7 @@ class TestConservation:
         assert solution.converged
         # states chain together: q[k+1] = q[k] + M u[k] dt
         m = mini_chain_incidence.m.toarray()
-        q_prev = np.zeros(3)
+        q_prev = np.zeros(6)
         for k in range(3):
             expected = q_prev + m @ solution.u[k] * 0.5
             assert solution.q_b[k] == pytest.approx(expected, abs=1e-9)

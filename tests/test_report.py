@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import basinflow as bf
 from basinflow import estimator as est
 from basinflow import report as rp
-from basinflow.core_net import OPERAND_NAMES, default_operands
+from basinflow.core_net import OPERAND_NAMES
 from basinflow.measurement import row_labels
 from basinflow.topology import (
     Estuary,
@@ -126,10 +126,10 @@ class TestExport:
     def test_tabular_round_trip(self, solved_chain, tmp_path):
         network, truth, constraints, solution = solved_chain
         path = tmp_path / "solution.csv"
-        rp.export_results(solution, network, truth.capabilities,
-                          truth.operands, path, constraints=constraints)
+        rp.export_results(solution, network, truth.capabilities, path,
+                          constraints=constraints)
         table = rp.import_tabular(path)
-        n_ops = len(truth.operands)
+        n_ops = len(OPERAND_NAMES)
         n_buffers = len(network.buffer_specs)
         assert len(table) == (n_buffers * n_ops + len(truth.capabilities)
                               + len(constraints))
@@ -138,13 +138,11 @@ class TestExport:
             value = table[(kind, entity, cap.capability_class.operand_name,
                            "flow")]
             assert value == solution.u[0][cap.id]  # lossless round trip
-        from basinflow.core_net import place_index
         for spec in network.buffer_specs:
-            for op in truth.operands:
-                value = table[(spec.kind.value, spec.external_id, op.name,
+            for o, name in enumerate(OPERAND_NAMES):
+                value = table[(spec.kind.value, spec.external_id, name,
                                "accumulation")]
-                assert value == solution.q_b[-1][place_index(op.id, spec.id,
-                                                             n_ops)]
+                assert value == solution.q_b[-1][spec.id * n_ops + o]
         for r, (label, con) in enumerate(zip(row_labels(constraints),
                                              constraints)):
             assert con.label == label
@@ -161,8 +159,7 @@ class TestExport:
             x=np.zeros_like(solution.x),
             multipliers=np.zeros_like(solution.multipliers))
         path = tmp_path / "zero.csv"
-        rp.export_results(zero, network, truth.capabilities, truth.operands,
-                          path)
+        rp.export_results(zero, network, truth.capabilities, path)
         table = rp.import_tabular(path)
         assert all(v == 0.0 for v in table.values())
 
@@ -171,11 +168,11 @@ class TestExport:
             assemble_bundle(4, branching=2, seed=2)
         solution = est.solve(problem)
         path = tmp_path / "solution.geojson"
-        rp.export_results(solution, network, truth.capabilities,
-                          truth.operands, path, fmt="geo")
+        rp.export_results(solution, network, truth.capabilities, path,
+                          fmt="geo")
         doc = json.loads(path.read_text())
         assert doc["type"] == "FeatureCollection"
-        n_ops = len(truth.operands)
+        n_ops = len(OPERAND_NAMES)
         transports = [c for c in truth.capabilities if c.origin is not None]
         assert len(doc["features"]) == (len(network.buffer_specs) * n_ops
                                         + len(transports))
@@ -189,21 +186,34 @@ class TestExport:
             else:
                 assert feature["geometry"]["type"] == "Point"
 
+    def test_accumulations_are_final_state(self, solved_chain, tmp_path):
+        # the geo export's Point features carry place buffer * 2 + operand
+        # of the final state, buffers in id order and operands fastest
+        network, truth, constraints, solution = solved_chain
+        path = tmp_path / "solution.geojson"
+        rp.export_results(solution, network, truth.capabilities, path,
+                          fmt="geo")
+        points = [f["properties"] for f in json.loads(path.read_text())["features"]
+                  if f["properties"]["quantity_kind"] == "accumulation"]
+        expected = [(spec.external_id, spec.kind.value, name,
+                     solution.q_b[-1][spec.id * len(OPERAND_NAMES) + o])
+                    for spec in network.buffer_specs
+                    for o, name in enumerate(OPERAND_NAMES)]
+        assert [(p["entity_id"], p["entity_kind"], p["operand"], p["value_lbs"])
+                for p in points] == expected
+
     def test_geo_null_geometry_without_coordinates(self, chain_network,
                                                    tmp_path):
         from basinflow.core_net import build_incidence
         from basinflow.topology import instantiate_capabilities
-        operands = default_operands()
-        caps = instantiate_capabilities(chain_network, operands)
-        incidence = build_incidence(caps, len(operands),
-                                    len(chain_network.buffer_specs))
+        caps = instantiate_capabilities(chain_network)
+        incidence = build_incidence(caps, len(chain_network.buffer_specs))
         with pytest.warns(est.AssemblyWarning):
             problem = est.assemble_problem(
                 incidence, measurement_system([], len(caps)))
         solution = est.solve(problem)
         path = tmp_path / "bare.geojson"
-        rp.export_results(solution, chain_network, caps, operands, path,
-                          fmt="geo")
+        rp.export_results(solution, chain_network, caps, path, fmt="geo")
         doc = json.loads(path.read_text())
         assert all(f["geometry"] is None for f in doc["features"])
 
@@ -211,7 +221,7 @@ class TestExport:
         network, truth, constraints, solution = solved_chain
         with pytest.raises(ValueError, match="format"):
             rp.export_results(solution, network, truth.capabilities,
-                              truth.operands, tmp_path / "x", fmt="shapefile")
+                              tmp_path / "x", fmt="shapefile")
 
 
 class TestFitReport:
@@ -238,8 +248,7 @@ class TestFitReport:
         # a solution.csv without the phosphorus flows cannot be scored
         network, truth, constraints, solution = solved_chain
         path = tmp_path / "solution.csv"
-        rp.export_results(solution, network, truth.capabilities,
-                          truth.operands, path)
+        rp.export_results(solution, network, truth.capabilities, path)
         flows = rp.flows_from_tabular(rp.import_tabular(path))
         nitrogen_only = {k: v for k, v in flows.items() if k[2] == "nitrogen"}
         with pytest.raises(ValueError, match="phosphorus"):
@@ -272,7 +281,7 @@ class TestFitReport:
             river_links=(RiverLink("out-1", "out-2"), RiverLink("out-2", "bay")),
             estuaries=(Estuary("bay"),),
         )
-        caps = instantiate_capabilities(network, default_operands())
+        caps = instantiate_capabilities(network)
         delivery = bf.measurement.DeliveryModel(
             np.array([1.0, 1.0]), np.array([0.3, 0.6]), np.array([0.5, 0.6]))
         loads = bf.measurement.table(
@@ -297,6 +306,20 @@ class TestFitReport:
             pytest.approx(1 / 7, rel=1e-12)
         assert fit.lookup("stream_to_tide", "nitrogen",
                           rp.METRIC_MEDIAN_REL) == pytest.approx(1 / 7, rel=1e-12)
+
+    @pytest.mark.parametrize("family", ["eot", "stream_to_tide"])
+    def test_totals_add_in_row_order(self, family):
+        # added in row order, predicted 1e16 + 1 - 1e16 is 0 and observed
+        # 1e16 + 3 - 1e16 is 4; a compensated sum (the builtin ``sum`` from
+        # Python 3.12 on) gives 1 and 3, and the report's bytes would then
+        # depend on the interpreter
+        flows, constants = [1e16, 1.0, -1e16], [1e16, 3.0, -1e16]
+        assert (math.fsum(flows), math.fsum(constants)) == (1.0, 3.0)
+        rows = measurement_system(
+            [({(1, i): 1.0}, c, f"{family}/c{i}/nitrogen")
+             for i, c in enumerate(constants)], 3)
+        fit = rp.build_fit_report(rows, np.array(flows))
+        assert fit.lookup(family, "nitrogen", rp.METRIC_REL) == 1.0  # |0 - 4| / 4
 
     def test_csv_round_trip(self, tmp_path):
         rows = (rp.FitRow("applied", "nitrogen", rp.METRIC_R2, 0.91),

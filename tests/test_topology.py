@@ -9,8 +9,6 @@ from basinflow.core_net import (
     OPERAND_NAMES,
     SECTORS,
     BufferKind,
-    Operand,
-    default_operands,
 )
 from basinflow.topology import (
     Estuary,
@@ -203,17 +201,17 @@ class TestDeriveConnectivity:
 
 class TestInstantiateCapabilities:
     def test_chain_count(self, chain_network):
-        caps = instantiate_capabilities(chain_network, default_operands())
+        caps = instantiate_capabilities(chain_network)
         assert len(caps) == 8  # 6 per land segment + 2 per river link
 
     def test_empty_network(self):
         net = WatershedNetwork((), (), (), (Estuary("bay"),))
-        assert len(instantiate_capabilities(net, default_operands())) == 0
+        assert len(instantiate_capabilities(net)) == 0
 
     def test_formula_matches_enumeration(self):
         net, truth, _ = bf.generate_synthetic(5, branching=2, seed=2,
                                               land_per_outlet=(2, 2))
-        caps = instantiate_capabilities(net, default_operands())
+        caps = instantiate_capabilities(net)
         n_land = len(net.land_segments)
         n_links = len(net.river_links)
         assert len(caps) == 6 * n_land + 2 * n_links
@@ -225,7 +223,7 @@ class TestInstantiateCapabilities:
                              "transport_river": 2 * n_links}
 
     def test_ids_contiguous_and_valid(self, chain_network):
-        caps = instantiate_capabilities(chain_network, default_operands())
+        caps = instantiate_capabilities(chain_network)
         assert [c.id for c in caps] == list(range(len(caps)))
         buffer_specs = chain_network.buffer_specs
         for cap in caps:
@@ -241,15 +239,12 @@ class TestInstantiateCapabilities:
                 assert buffer_specs[cap.origin].kind == BufferKind.OUTLET_POINT
                 assert dest.kind in (BufferKind.OUTLET_POINT, BufferKind.ESTUARY)
 
-    @pytest.mark.parametrize("operands", [
-        default_operands(), (Operand(0, "phosphorus"),),
-        (Operand(0, "phosphorus"), Operand(1, "nitrogen"))])
-    def test_position_tables_invert_the_layout(self, operands):
+    def test_position_tables_invert_the_layout(self):
         # the tables agree with a walk over the views, the inversion they
-        # replace; a missing operand leaves -1
+        # replace, and every position holds a capability
         net, _, _ = bf.generate_synthetic(6, branching=2, seed=4,
                                           land_per_outlet=(1, 3))
-        caps = instantiate_capabilities(net, operands)
+        caps = instantiate_capabilities(net)
         land_pos = {l.external_id: i for i, l in enumerate(net.land_segments)}
         link_pos = {(net.buffer_id[l.from_outlet], net.buffer_id[l.to_node]): i
                     for i, l in enumerate(net.river_links)}
@@ -259,6 +254,7 @@ class TestInstantiateCapabilities:
         for cap in caps:
             cls = cap.capability_class
             op = OPERAND_NAMES.index(cls.operand_name)
+            assert cap.operand == op
             if cls.is_accept:
                 accept[land_pos[cap.resource_id], SECTORS.index(cls.sector),
                        op] = cap.id
@@ -270,9 +266,11 @@ class TestInstantiateCapabilities:
         assert (caps.accept == accept).all()
         assert (caps.land_transport == land_transport).all()
         assert (caps.river_transport == river_transport).all()
+        for ids in (caps.accept, caps.land_transport, caps.river_transport):
+            assert (ids >= 0).all()
 
     def test_views_index_like_a_sequence(self, chain_network):
-        caps = instantiate_capabilities(chain_network, default_operands())
+        caps = instantiate_capabilities(chain_network)
         assert caps[-1] == caps[len(caps) - 1]
         assert caps[-1].origin == chain_network.buffer_id["out-1"]
         assert caps[0].origin is None and caps[0].resource_id == "land-1"
@@ -280,10 +278,6 @@ class TestInstantiateCapabilities:
             caps[len(caps)]
         with pytest.raises(dataclasses.FrozenInstanceError):
             caps[0].destination = 2
-
-    def test_unknown_operand_rejected(self, chain_network):
-        with pytest.raises(ValueError, match="sediment"):
-            instantiate_capabilities(chain_network, [Operand(0, "sediment")])
 
 
 class TestGenerateSynthetic:
@@ -294,12 +288,12 @@ class TestGenerateSynthetic:
         applied = {
             (r.sector, r.operand): r.mass for r in datasets.applied
         }
-        for op in truth.operands:
-            total = applied[("agricultural", op.name)] + applied[("developed", op.name)]
+        for op in OPERAND_NAMES:
+            total = applied[("agricultural", op)] + applied[("developed", op)]
             land_flow = truth.delivery.land_factor[0] * total
             eot = land_flow * truth.delivery.outlet_river_to_bay[0]
             recorded = [r.mass for r in datasets.loads
-                        if r.kind == "EoT" and r.operand == op.name]
+                        if r.kind == "EoT" and r.operand == op]
             assert recorded == [pytest.approx(eot, rel=1e-12)]
 
     def test_determinism(self):
