@@ -14,7 +14,6 @@ runs produce byte-identical result artifacts.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -85,13 +84,14 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
     """Merge a JSON config file with command-line overrides (flags win).
 
     Relative paths inside the file resolve against the file's directory;
-    flag paths resolve against the working directory.
+    flag paths resolve against the working directory.  A leading
+    byte-order mark in the file is ignored.
     """
     doc: dict = {}
     base = Path(".")
     if path is not None:
         base = Path(path).parent
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("config file must hold a JSON object")
@@ -149,18 +149,12 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
     return config
 
 
-def _read_datasets(config: RunConfig):
-    applied = loads = dfs = areas = None
+def _read_datasets(config: RunConfig) -> tuple:
+    """Each family's table, in ``DATASET_FAMILIES`` order; None where no
+    file is given.  ``measurement.read_<family>`` reads the file."""
     paths = config.dataset_paths
-    if "applied" in paths:
-        applied = measurement.read_applied(paths["applied"])
-    if "loads" in paths:
-        loads = measurement.read_loads(paths["loads"])
-    if "delivery_factors" in paths:
-        dfs = measurement.read_delivery_factors(paths["delivery_factors"])
-    if "areas" in paths:
-        areas = measurement.read_areas(paths["areas"])
-    return applied, loads, dfs, areas
+    return tuple(getattr(measurement, f"read_{family}")(paths[family])
+                 if family in paths else None for family in DATASET_FAMILIES)
 
 
 def cmd_validate(config: RunConfig) -> int:
@@ -207,6 +201,12 @@ def _assemble_constraints(network, capabilities, applied, loads, delivery):
     return system, measurement.stack_systems([system, stream]), skipped + diag
 
 
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def cmd_estimate(config: RunConfig) -> int:
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -248,10 +248,8 @@ def cmd_estimate(config: RunConfig) -> int:
                           constraints=constraints)
     report.export_results(solution, network, capabilities,
                           out / "solution.geojson", fmt="geo")
-    families = estimator.residual_report(problem, solution)
-    with open(out / "residuals.json", "w", encoding="utf-8") as fh:
-        json.dump([f.to_dict() for f in families], fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "residuals.json",
+                [f.to_dict() for f in estimator.residual_report(problem, solution)])
 
     fit = report.build_fit_report(fit_rows, solution.u.sum(axis=0),
                                   nrmse_normalizer=config.nrmse_normalizer)
@@ -282,13 +280,9 @@ def cmd_estimate(config: RunConfig) -> int:
         },
         "skipped_records": skipped,
     }
-    with open(out / "run_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "run_summary.json", summary)
     timings["export_s"] = time.perf_counter() - t0
-    with open(out / "timings.json", "w", encoding="utf-8") as fh:
-        json.dump(timings, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "timings.json", timings)
 
     print(f"objective {solution.objective_value:.6e}  "
           f"constraint residual {solution.constraint_residual:.3e}  "
@@ -310,30 +304,15 @@ def cmd_synth(n_outlets: int, branching: int, seed: int, out_dir: str,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     network.save(out / "network.json")
-    measurement.write_applied(out / "applied.csv", datasets.applied)
-    measurement.write_loads(out / "loads.csv", datasets.loads)
-    measurement.write_delivery_factors(out / "delivery_factors.csv",
-                                       datasets.delivery_factors)
-    measurement.write_areas(out / "areas.csv", datasets.areas)
-
-    with open(out / "ground_truth.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(report.TABULAR_HEADER)
-        writer.writerows(report.flow_rows(truth.capabilities, network, truth.u))
-
-    config = {
+    for family in DATASET_FAMILIES:
+        measurement.write_table(out / f"{family}.csv", getattr(datasets, family))
+    measurement.write_table(out / "ground_truth.csv",
+                            report.flow_rows(truth.capabilities, network, truth.u))
+    _write_json(out / "config.json", {
         "network": "network.json",
-        "datasets": {
-            "applied": "applied.csv",
-            "loads": "loads.csv",
-            "delivery_factors": "delivery_factors.csv",
-            "areas": "areas.csv",
-        },
+        "datasets": {family: f"{family}.csv" for family in DATASET_FAMILIES},
         "output_dir": "results",
-    }
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(config, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    })
     print(f"synthetic bundle in {out}: {len(network.land_segments)} land "
           f"segments, {len(network.outlets)} outlets")
     return EXIT_OK

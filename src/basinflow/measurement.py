@@ -296,16 +296,29 @@ def read_areas(path) -> np.recarray:
                       key=("segment", "load_source"))
 
 
-def write_table(path, dataset: np.recarray) -> None:
-    """Write a table as CSV: its field names, then one line per row with
-    each number as its ``repr``."""
+def _csv_text(text: list[str]) -> list[str]:
+    """``text`` as ``csv.writer`` writes it: a field holding ``,``, ``"``,
+    ``\\r`` or ``\\n`` is quoted, with its inner quotes doubled."""
+    def special(value: str) -> bool:
+        return any(char in value for char in ',"\r\n')
+
+    if not special("".join(text)):
+        return text
+    return ['"%s"' % v.replace('"', '""') if special(v) else v for v in text]
+
+
+def write_table(path, dataset: np.ndarray) -> None:
+    """Write a table as CSV, byte for byte as ``csv.writer`` writes it: the
+    field names, then one ``\\r\\n``-ended line per row, text quoted only
+    where it must be and each number as its ``repr``.  Rows are formatted
+    as they are written, so the file is never held whole."""
     names = dataset.dtype.names
-    columns = [dataset[name].tolist() if dataset.dtype[name] == object
+    columns = [_csv_text(dataset[name].tolist()) if dataset.dtype[name] == object
                else map(repr, dataset[name].tolist()) for name in names]
+    line = ",".join(["%s"] * len(names)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        writer.writerows(zip(*columns))
+        fh.write(line % tuple(_csv_text(list(names))))
+        fh.writelines(map(line.__mod__, zip(*columns)))
 
 
 write_applied = write_loads = write_delivery_factors = write_areas = write_table

@@ -7,12 +7,11 @@ changes the number materially, so exports label which one was used.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -24,7 +23,8 @@ from .core_net import (
     CapabilitySpec,
 )
 from .estimator import Solution
-from .measurement import FAMILIES, MeasurementSystem, read_table, row_labels
+from .measurement import (FAMILIES, MeasurementSystem, read_table, row_labels,
+                          table, write_table)
 from .topology import WatershedNetwork
 
 NRMSE_NORMALIZERS = ("mean", "range", "std")
@@ -140,12 +140,42 @@ TABULAR = np.dtype([("entity_id", object), ("entity_kind", object),
 TABULAR_HEADER = TABULAR.names
 
 
+def _tabular(*columns) -> np.ndarray:
+    """A ``TABULAR`` table from its columns in field order; a string fills
+    its whole column."""
+    rows = np.zeros(len(columns[-1]), TABULAR)
+    for name, column in zip(TABULAR.names, columns):
+        rows[name] = column
+    return rows
+
+
 def flow_rows(capabilities: Capabilities, network: WatershedNetwork,
-              values: np.ndarray) -> Iterable[tuple]:
-    """One tabular row per capability, carrying its flow from ``values``."""
+              values: np.ndarray) -> np.ndarray:
+    """The ``TABULAR`` table of one flow row per capability, carrying its
+    flow from ``values``."""
     kind, entity, operand = capability_names(capabilities, network)
-    return zip(entity, kind, operand, itertools.repeat("flow"),
-               map(repr, values.tolist()))
+    return _tabular(entity, kind, operand, "flow", values)
+
+
+# ``json.dumps`` spells these floats, and None, unlike ``repr``.
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null"}
+
+
+def _json_numbers(values: Iterable) -> list[str]:
+    """Floats, or None, as ``json.dumps`` writes them."""
+    return [_JSON_CONSTANTS.get(text, text) for text in map(repr, values)]
+
+
+# One feature of the geo export, keys in sorted order as ``json.dumps(...,
+# sort_keys=True)`` writes them; fields are JSON text.
+_POINT_FEATURE = (
+    '{"geometry": %s, "properties": {"entity_id": %s, "entity_kind": %s, '
+    '"operand": %s, "quantity_kind": "accumulation", "value_lbs": %s}, '
+    '"type": "Feature"}')
+_FLOW_FEATURE = (
+    '{"geometry": %s, "properties": {"entity_id": %s, "entity_kind": %s, '
+    '"log10_value": %s, "operand": %s, "quantity_kind": "flow", '
+    '"value_lbs": %s}, "type": "Feature"}')
 
 
 def export_results(solution: Solution, network: WatershedNetwork,
@@ -154,82 +184,74 @@ def export_results(solution: Solution, network: WatershedNetwork,
                    constraints: Optional[MeasurementSystem] = None) -> None:
     """Write per-capability flows and per-buffer accumulations.
 
-    Tabular: one CSV row per quantity.  Flow rows carry the firing rates
-    summed across steps (for a single-step run, the firing itself), the
-    same quantity the measurement rows constrain; accumulation rows carry
-    the final buffer mass; error rows (when constraints are given) carry
-    each measurement row's estimated error.
+    Tabular: one CSV row per quantity, written by ``write_table``.
+    Accumulation rows carry the final buffer mass; flow rows carry the
+    firing rates summed across steps (for a single-step run, the firing
+    itself), the same quantity the measurement rows constrain; error rows
+    (when constraints are given) carry each measurement row's estimated
+    error.
 
     Geo: a GeoJSON feature collection with Point features per
     (buffer, operand) accumulation and LineString features per transport
-    flow.  Coordinates are optional passthrough from the network file;
-    features without them get null geometry.
+    flow, written as the one line ``json.dumps(doc, sort_keys=True)``
+    would write.  Coordinates are optional passthrough from the network
+    file; features without them get null geometry.
     """
     if fmt not in ("tabular", "geo"):
         raise ValueError(f"unknown export format {fmt!r}")
     flow_totals = solution.u.sum(axis=0)
-    final_q = solution.q_b[-1].reshape(len(network.buffer_specs),
-                                       len(OPERAND_NAMES)).tolist()
+    final_q = solution.q_b[-1]
+    specs = network.buffer_specs
+    buffer_ids = [spec.external_id for spec in specs]
+    buffer_kinds = [spec.kind.value for spec in specs]
+
+    def by_place(column: Iterable) -> list:
+        """A column over buffers, repeated for each operand, as places run."""
+        return [value for value in column for _ in OPERAND_NAMES]
 
     if fmt == "tabular":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TABULAR_HEADER)
-            for spec, masses in zip(network.buffer_specs, final_q):
-                for name, value in zip(OPERAND_NAMES, masses):
-                    writer.writerow([spec.external_id, spec.kind.value,
-                                     name, "accumulation", repr(value)])
-            writer.writerows(flow_rows(capabilities, network, flow_totals))
-            if constraints is not None:
-                writer.writerows(zip(
-                    row_labels(constraints), itertools.repeat("constraint"),
-                    map(OPERAND_NAMES.__getitem__, constraints.operand.tolist()),
-                    itertools.repeat("error"), map(repr, solution.errors.tolist())))
+        blocks = [_tabular(by_place(buffer_ids), by_place(buffer_kinds),
+                           OPERAND_NAMES * len(specs), "accumulation", final_q),
+                  flow_rows(capabilities, network, flow_totals)]
+        if constraints is not None:
+            blocks.append(_tabular(
+                row_labels(constraints), "constraint",
+                [OPERAND_NAMES[o] for o in constraints.operand.tolist()],
+                "error", solution.errors))
+        write_table(path, np.concatenate(blocks))
         return
 
-    # Coordinates by buffer id: land segments, outlets, then estuaries.
-    points = [item.coordinates for item in (*network.land_segments,
-                                            *network.outlets, *network.estuaries)]
-    features = []
-    for spec, point, masses in zip(network.buffer_specs, points, final_q):
-        for name, value in zip(OPERAND_NAMES, masses):
-            features.append({
-                "type": "Feature",
-                "geometry": None if point is None else
-                    {"type": "Point", "coordinates": list(point)},
-                "properties": {
-                    "entity_id": spec.external_id,
-                    "entity_kind": spec.kind.value,
-                    "operand": name,
-                    "quantity_kind": "accumulation",
-                    "value_lbs": value,
-                },
-            })
-    kind, entity, operand = capability_names(capabilities, network)
-    origin = capabilities.origin.tolist()
-    destination = capabilities.destination.tolist()
-    values = flow_totals.tolist()
-    for cap in np.flatnonzero(capabilities.origin >= 0).tolist():
-        start, end = points[origin[cap]], points[destination[cap]]
-        value = values[cap]
-        features.append({
-            "type": "Feature",
-            "geometry": None if start is None or end is None else
-                {"type": "LineString", "coordinates": [list(start), list(end)]},
-            "properties": {
-                "entity_id": entity[cap],
-                "entity_kind": kind[cap],
-                "operand": operand[cap],
-                "quantity_kind": "flow",
-                "value_lbs": value,
-                "log10_value": math.log10(value) if value > 0 else None,
-            },
-        })
-    # One line: ``json.dump`` and any ``indent`` take the pure-Python encoder.
+    # Each buffer's coordinates as JSON text, or None: land segments,
+    # outlets, then estuaries, as buffer ids run.
+    points = [None if item.coordinates is None else
+              "[%s, %s]" % tuple(_json_numbers(item.coordinates)) for item in
+              (*network.land_segments, *network.outlets, *network.estuaries)]
+    point_geometry = ["null" if point is None else
+                      '{"coordinates": %s, "type": "Point"}' % point
+                      for point in points]
+    accumulations = map(_POINT_FEATURE.__mod__, zip(
+        by_place(point_geometry), by_place(map(_json_string, buffer_ids)),
+        by_place(map(_json_string, buffer_kinds)),
+        [*map(_json_string, OPERAND_NAMES)] * len(specs),
+        _json_numbers(final_q.tolist())))
+
+    transport = np.flatnonzero(capabilities.origin >= 0)
+    kind, entity, operand = (names[transport].tolist() for names in
+                             capability_names(capabilities, network))
+    values = flow_totals[transport].tolist()
+    line_geometry = [
+        "null" if points[start] is None or points[end] is None else
+        '{"coordinates": [%s, %s], "type": "LineString"}' % (points[start],
+                                                            points[end])
+        for start, end in zip(capabilities.origin[transport].tolist(),
+                              capabilities.destination[transport].tolist())]
+    flows = map(_FLOW_FEATURE.__mod__, zip(
+        line_geometry, map(_json_string, entity), map(_json_string, kind),
+        _json_numbers([math.log10(v) if v > 0 else None for v in values]),
+        map(_json_string, operand), _json_numbers(values)))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"type": "FeatureCollection", "features": features},
-                            sort_keys=True))
-        fh.write("\n")
+        fh.write('{"features": [%s], "type": "FeatureCollection"}\n'
+                 % ", ".join(itertools.chain(accumulations, flows)))
 
 
 def import_tabular(path) -> dict[tuple[str, str, str, str], float]:
@@ -253,6 +275,10 @@ def import_tabular(path) -> dict[tuple[str, str, str, str], float]:
 # Fit report
 # ---------------------------------------------------------------------------
 
+_FIT_ROWS = np.dtype([("data_type", object), ("operand", object),
+                      ("metric", object), ("value", float), ("note", object)])
+
+
 @dataclass(frozen=True)
 class FitRow:
     data_type: str
@@ -268,12 +294,7 @@ class FitReport:
     nrmse_normalizer: str = "mean"
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["data_type", "operand", "metric", "value", "note"])
-            for row in self.rows:
-                writer.writerow([row.data_type, row.operand, row.metric,
-                                 repr(row.value), row.note])
+        write_table(path, table(_FIT_ROWS, map(astuple, self.rows)))
 
     def lookup(self, data_type: str, operand: str, metric: str) -> float:
         for row in self.rows:

@@ -11,6 +11,7 @@ data rather than raising.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -137,34 +138,16 @@ class WatershedNetwork:
                          for land in self.land_segments], dtype=np.intp)
 
     def to_dict(self) -> dict:
-        def coords(obj):
-            return {} if obj.coordinates is None else {"coordinates": list(obj.coordinates)}
+        def record(item) -> dict:
+            doc = {key: value for key, value in vars(item).items()
+                   if value is not None}  # no coordinates: no key
+            if isinstance(item, LandSegment):
+                doc["load_source_areas"] = dict(item.load_source_areas)
+            return doc
 
-        return {
-            "schema": SCHEMA_VERSION,
-            "land_segments": [
-                {
-                    "external_id": s.external_id,
-                    "county": s.county,
-                    "river_segment_id": s.river_segment_id,
-                    "load_source_areas": {k: v for k, v in s.load_source_areas},
-                    **coords(s),
-                }
-                for s in self.land_segments
-            ],
-            "outlets": [
-                {"external_id": o.external_id, "river_segment_id": o.river_segment_id,
-                 **coords(o)}
-                for o in self.outlets
-            ],
-            "river_links": [
-                {"from_outlet": l.from_outlet, "to_node": l.to_node}
-                for l in self.river_links
-            ],
-            "estuaries": [
-                {"external_id": e.external_id, **coords(e)} for e in self.estuaries
-            ],
-        }
+        return {"schema": SCHEMA_VERSION,
+                **{group: list(map(record, getattr(self, group))) for group in
+                   ("land_segments", "outlets", "river_links", "estuaries")}}
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -179,7 +162,10 @@ def _parse_coordinates(raw, where: str, problems: list[str]):
             or not all(isinstance(v, (int, float)) for v in raw)):
         problems.append(f"{where}: coordinates must be a [x, y] pair")
         return None
-    return (float(raw[0]), float(raw[1]))
+    if math.isfinite(raw[0]) and math.isfinite(raw[1]):
+        return (float(raw[0]), float(raw[1]))
+    problems.append(f"{where}: coordinates must be finite, got {raw!r}")
+    return None
 
 
 def network_from_dict(doc: dict) -> WatershedNetwork:
@@ -224,10 +210,10 @@ def network_from_dict(doc: dict) -> WatershedNetwork:
             continue
         areas = []
         for src, acres in areas_raw.items():
-            if not isinstance(acres, (int, float)) or acres < 0:
+            if not isinstance(acres, (int, float)) or not 0 <= acres < math.inf:
                 problems.append(
                     f"{where}: area for load source {src!r} must be a "
-                    f"non-negative number"
+                    f"finite non-negative number, got {acres!r}"
                 )
             else:
                 areas.append((str(src), float(acres)))
@@ -313,8 +299,9 @@ def network_from_dict(doc: dict) -> WatershedNetwork:
 
 
 def load_network(path) -> WatershedNetwork:
-    """Load a network file (JSON, schema version 1)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Load a network file (JSON, schema version 1); a leading byte-order
+    mark is ignored."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -1,7 +1,12 @@
-"""Shared helpers: full constraint assembly over a synthetic bundle, and a
-dense oracle for the KKT solve."""
+"""Shared helpers: full constraint assembly over a synthetic bundle, a
+dense oracle for the KKT solve, and reference writers for the exports."""
 
 from __future__ import annotations
+
+import csv
+import itertools
+import json
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -124,3 +129,102 @@ def assemble_bundle(n_outlets, branching=3, seed=0, **kwargs):
     incidence = build_incidence(truth.capabilities, len(network.buffer_specs))
     problem = estimator.assemble_problem(incidence, constraints)
     return network, truth, datasets, constraints, incidence, problem
+
+
+# ---------------------------------------------------------------------------
+# Reference writers: the files as ``csv.writer`` and ``json.dumps`` write
+# them, which ``measurement.write_table`` and ``report.export_results`` must
+# reproduce byte for byte.
+# ---------------------------------------------------------------------------
+
+def reference_write_table(path, dataset):
+    """A table through ``csv.writer``: field names, then each row with each
+    number as its ``repr``."""
+    names = dataset.dtype.names
+    columns = [dataset[name].tolist() if dataset.dtype[name] == object
+               else map(repr, dataset[name].tolist()) for name in names]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows(zip(*columns))
+
+
+def reference_export_tabular(solution, network, capabilities, path,
+                             constraints=None):
+    """``solution.csv`` row by row through ``csv.writer``: accumulations,
+    flows, then errors."""
+    final_q = solution.q_b[-1].reshape(len(network.buffer_specs),
+                                       len(OPERAND_NAMES)).tolist()
+    kind, entity, operand = report.capability_names(capabilities, network)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(report.TABULAR_HEADER)
+        for spec, masses in zip(network.buffer_specs, final_q):
+            for name, value in zip(OPERAND_NAMES, masses):
+                writer.writerow([spec.external_id, spec.kind.value,
+                                 name, "accumulation", repr(value)])
+        writer.writerows(zip(entity, kind, operand, itertools.repeat("flow"),
+                             map(repr, solution.u.sum(axis=0).tolist())))
+        if constraints is not None:
+            writer.writerows(zip(
+                measurement.row_labels(constraints),
+                itertools.repeat("constraint"),
+                map(OPERAND_NAMES.__getitem__, constraints.operand.tolist()),
+                itertools.repeat("error"), map(repr, solution.errors.tolist())))
+
+
+def reference_export_geo(solution, network, capabilities, path):
+    """``solution.geojson`` as one dict per feature through
+    ``json.dumps(doc, sort_keys=True)``."""
+    final_q = solution.q_b[-1].reshape(len(network.buffer_specs),
+                                       len(OPERAND_NAMES)).tolist()
+    points = [item.coordinates for item in (*network.land_segments,
+                                            *network.outlets, *network.estuaries)]
+    features = []
+    for spec, point, masses in zip(network.buffer_specs, points, final_q):
+        for name, value in zip(OPERAND_NAMES, masses):
+            features.append({
+                "type": "Feature",
+                "geometry": None if point is None else
+                    {"type": "Point", "coordinates": list(point)},
+                "properties": {
+                    "entity_id": spec.external_id,
+                    "entity_kind": spec.kind.value,
+                    "operand": name,
+                    "quantity_kind": "accumulation",
+                    "value_lbs": value,
+                },
+            })
+    kind, entity, operand = report.capability_names(capabilities, network)
+    values = solution.u.sum(axis=0).tolist()
+    for cap in np.flatnonzero(capabilities.origin >= 0).tolist():
+        start = points[capabilities.origin[cap]]
+        end = points[capabilities.destination[cap]]
+        value = values[cap]
+        features.append({
+            "type": "Feature",
+            "geometry": None if start is None or end is None else
+                {"type": "LineString", "coordinates": [list(start), list(end)]},
+            "properties": {
+                "entity_id": entity[cap],
+                "entity_kind": kind[cap],
+                "operand": operand[cap],
+                "quantity_kind": "flow",
+                "value_lbs": value,
+                "log10_value": math.log10(value) if value > 0 else None,
+            },
+        })
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"type": "FeatureCollection", "features": features},
+                            sort_keys=True))
+        fh.write("\n")
+
+
+def reference_fit_report_csv(fit, path):
+    """``fit_report.csv`` row by row through ``csv.writer``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["data_type", "operand", "metric", "value", "note"])
+        for row in fit.rows:
+            writer.writerow([row.data_type, row.operand, row.metric,
+                             repr(row.value), row.note])

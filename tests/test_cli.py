@@ -49,27 +49,47 @@ BUNDLE_DIGESTS = {
 
 
 # sha256 of the text columns of the tables ``estimate`` writes for the
-# ``--outlets 30 --seed 7`` bundle, by horizon.  They pin every row label and
-# the row order without depending on the last bits of any float.
+# ``--outlets 30 --seed 7`` bundle, by horizon, and of the same text in
+# ``solution.geojson``: each feature's text properties and geometry type, in
+# order.  They pin every row label and the row order without depending on
+# the last bits of any float.
 TEXT_COLUMNS = {
     "solution.csv": ("entity_id", "entity_kind", "operand", "quantity_kind"),
     "fit_report.csv": ("data_type", "operand", "metric", "note"),
 }
 LABEL_DIGESTS = {
     1: {"solution.csv": "2fe1d19e4e164aceac74b65677bcb2d905eb0d25ef55757a7c131b42b672b293",
-        "fit_report.csv": "04dff137c8e429119b02620ee63bb9aed447cc01ea2fdb456cdd3fe58cdfb007"},
+        "fit_report.csv": "04dff137c8e429119b02620ee63bb9aed447cc01ea2fdb456cdd3fe58cdfb007",
+        "solution.geojson": "7b19bdf293324201d0bcadce273084c5b5cff9c7648553470b13a49c2aac1f96"},
     3: {"solution.csv": "10e68e603a7d4a15f7735d79d7321764a6a9ae153c2375297b641e3752ccb822",
-        "fit_report.csv": "04dff137c8e429119b02620ee63bb9aed447cc01ea2fdb456cdd3fe58cdfb007"},
+        "fit_report.csv": "04dff137c8e429119b02620ee63bb9aed447cc01ea2fdb456cdd3fe58cdfb007",
+        "solution.geojson": "7b19bdf293324201d0bcadce273084c5b5cff9c7648553470b13a49c2aac1f96"},
 }
+
+
+def csv_digest(rows):
+    """sha256 of ``rows`` written as CSV."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
 
 
 def text_digest(path, names):
     """sha256 of the ``names`` columns of a CSV file, rewritten as CSV."""
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = [[row[name] for name in names] for row in csv.DictReader(fh)]
-    buffer = io.StringIO()
-    csv.writer(buffer).writerows(rows)
-    return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+        return csv_digest([[row[name] for name in names]
+                           for row in csv.DictReader(fh)])
+
+
+def geo_text_digest(path):
+    """sha256 of the text properties ``solution.csv`` has as columns and the
+    geometry type ("" for null geometry) of each feature of a GeoJSON file,
+    rewritten as CSV."""
+    names = TEXT_COLUMNS["solution.csv"]
+    features = json.loads(Path(path).read_text(encoding="utf-8"))["features"]
+    return csv_digest([[feature["properties"][name] for name in names]
+                       + [(feature["geometry"] or {}).get("type", "")]
+                       for feature in features])
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +135,15 @@ class TestSynth:
         assert run(["validate", "--config", str(synth_dir / "config.json"),
                     "--applied", str(applied)]) == 0
 
+    @pytest.mark.parametrize("name", ["network.json", "config.json"])
+    def test_validate_accepts_json_byte_order_mark(self, synth_dir, tmp_path,
+                                                   name):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(synth_dir, bundle)
+        path = bundle / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run(["validate", "--config", str(bundle / "config.json")]) == 0
+
     def test_chain_equivalent_single_outlet(self, tmp_path):
         out = tmp_path / "one"
         assert run(["synth", "--outlets", "1", "--branching", "1",
@@ -141,6 +170,7 @@ class TestEstimate:
                     "--k-steps", str(k_steps), "--output-dir", str(out)]) == 0
         got = {name: text_digest(out / name, columns)
                for name, columns in TEXT_COLUMNS.items()}
+        got["solution.geojson"] = geo_text_digest(out / "solution.geojson")
         assert got == LABEL_DIGESTS[k_steps]
 
     def test_full_pipeline(self, synth_dir):

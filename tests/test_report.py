@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,6 +11,8 @@ import basinflow as bf
 from basinflow import estimator as est
 from basinflow import report as rp
 from basinflow.core_net import OPERAND_NAMES
+from basinflow import measurement as ms
+from basinflow.core_net import build_incidence
 from basinflow.measurement import row_labels
 from basinflow.topology import (
     Estuary,
@@ -18,9 +21,19 @@ from basinflow.topology import (
     RiverLink,
     WatershedNetwork,
     instantiate_capabilities,
+    network_from_dict,
 )
 
-from pipeline_util import assemble_bundle, fit_report, measurement_system
+from pipeline_util import (
+    assemble_bundle,
+    build_constraints,
+    fit_report,
+    measurement_system,
+    reference_export_geo,
+    reference_export_tabular,
+    reference_fit_report_csv,
+    reference_write_table,
+)
 
 
 class TestRSquared:
@@ -222,6 +235,131 @@ class TestExport:
         with pytest.raises(ValueError, match="format"):
             rp.export_results(solution, network, truth.capabilities,
                               tmp_path / "x", fmt="shapefile")
+
+
+def awkward(text):
+    """``text`` with a comma, a double quote, a newline and a non-ASCII
+    character in it."""
+    return f'{text},"\u00e9"\n{text}'
+
+
+@pytest.fixture(scope="module")
+def awkward_bundle():
+    """A solved 4-outlet bundle whose ids and counties are all ``awkward``;
+    the estuary has no coordinates, so the features touching it have null
+    geometry."""
+    network, _, datasets = bf.generate_synthetic(4, branching=2, seed=3)
+    doc = network.to_dict()
+    for group, fields in (
+            ("land_segments", ("external_id", "county", "river_segment_id")),
+            ("outlets", ("external_id", "river_segment_id")),
+            ("river_links", ("from_outlet", "to_node")),
+            ("estuaries", ("external_id",))):
+        for record in doc[group]:
+            record.update({field: awkward(record[field]) for field in fields})
+    del doc["estuaries"][0]["coordinates"]
+    network = network_from_dict(doc)
+
+    def renamed(dataset, column):
+        dataset = dataset.copy()
+        dataset[column] = [awkward(v) for v in dataset[column].tolist()]
+        return dataset
+
+    datasets = dataclasses.replace(
+        datasets, applied=renamed(datasets.applied, "county"),
+        loads=renamed(datasets.loads, "county"),
+        delivery_factors=renamed(datasets.delivery_factors, "segment"),
+        areas=renamed(datasets.areas, "segment"))
+    caps = instantiate_capabilities(network)
+    constraints, _ = build_constraints(network, caps, datasets)
+    problem = est.assemble_problem(
+        build_incidence(caps, len(network.buffer_specs)), constraints)
+    return network, caps, datasets, constraints, est.solve(problem)
+
+
+# Flows and masses the writers must spell as ``repr`` and ``json.dumps`` do.
+SPECIAL_VALUES = [0.0, -0.0, -2.5, math.nan, math.inf, -math.inf]
+
+
+def with_values(solution, capabilities, values):
+    """``solution`` with ``values`` as the first flows, the first transport
+    flows, the first final masses and the first errors."""
+    u, q_b, errors = solution.u.copy(), solution.q_b.copy(), solution.errors.copy()
+    transport = np.flatnonzero(capabilities.origin >= 0)[:len(values)]
+    u[0, :len(values)] = u[0, transport] = values
+    q_b[-1, :len(values)] = errors[:len(values)] = values
+    return dataclasses.replace(solution, u=u, q_b=q_b, errors=errors)
+
+
+class TestWritersMatchReference:
+    """The writers reproduce ``csv.writer`` and ``json.dumps`` byte for byte
+    (see ``pipeline_util``)."""
+
+    @pytest.mark.parametrize("values", [[], SPECIAL_VALUES[:3], SPECIAL_VALUES],
+                             ids=["solved", "finite", "non-finite"])
+    def test_solution_files(self, awkward_bundle, tmp_path, values):
+        network, caps, _, constraints, solution = awkward_bundle
+        solution = with_values(solution, caps, values)
+        rp.export_results(solution, network, caps, tmp_path / "a.csv",
+                          constraints=constraints)
+        reference_export_tabular(solution, network, caps, tmp_path / "b.csv",
+                                 constraints)
+        rp.export_results(solution, network, caps, tmp_path / "a.geojson",
+                          fmt="geo")
+        reference_export_geo(solution, network, caps, tmp_path / "b.geojson")
+        for suffix in (".csv", ".geojson"):
+            assert (tmp_path / f"a{suffix}").read_bytes() == \
+                (tmp_path / f"b{suffix}").read_bytes()
+        doc = json.loads((tmp_path / "a.geojson").read_text(encoding="utf-8"))
+        assert {feature["geometry"] is None for feature in doc["features"]} \
+            == {True, False}
+
+    def test_tabular_round_trip(self, awkward_bundle, tmp_path):
+        network, caps, _, constraints, solution = awkward_bundle
+        solution = with_values(solution, caps, SPECIAL_VALUES[:3])
+        path = tmp_path / "solution.csv"
+        rp.export_results(solution, network, caps, path, constraints=constraints)
+        kind, entity, operand = rp.capability_names(caps, network)
+        expected = {(k, e, o, "flow"): v for k, e, o, v in zip(
+            kind, entity, operand, solution.u.sum(axis=0).tolist())}
+        masses = iter(solution.q_b[-1].tolist())
+        expected.update({(spec.kind.value, spec.external_id, name,
+                          "accumulation"): next(masses)
+                         for spec in network.buffer_specs
+                         for name in OPERAND_NAMES})
+        expected.update({("constraint", label, OPERAND_NAMES[o], "error"): v
+                         for label, o, v in zip(
+                             row_labels(constraints), constraints.operand.tolist(),
+                             solution.errors.tolist())})
+        assert any("\n" in key[1] for key in expected)
+        # repr tells -0.0 from 0.0
+        assert {key: repr(value) for key, value in rp.import_tabular(path).items()} \
+            == {key: repr(value) for key, value in expected.items()}
+
+    def test_tables(self, awkward_bundle, tmp_path):
+        network, caps, datasets, constraints, solution = awkward_bundle
+        tables = [datasets.applied, datasets.loads, datasets.delivery_factors,
+                  datasets.areas, rp.flow_rows(caps, network, solution.u[0])]
+        for i, dataset in enumerate(tables):
+            ms.write_table(tmp_path / f"a{i}.csv", dataset)
+            reference_write_table(tmp_path / f"b{i}.csv", dataset)
+            assert (tmp_path / f"a{i}.csv").read_bytes() == \
+                (tmp_path / f"b{i}.csv").read_bytes()
+        fit = rp.build_fit_report(constraints, solution.u.sum(axis=0))
+        fit.write_csv(tmp_path / "a.csv")
+        reference_fit_report_csv(fit, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.text(st.sampled_from('a ,"\r\n\t\u00e9\x00')),
+                              st.text(), st.floats()), max_size=6))
+    def test_any_text(self, tmp_path_factory, rows):
+        dataset = ms.table(np.dtype([("name", object), ("label", object),
+                                     ("value", float)]), rows)
+        path = tmp_path_factory.mktemp("table")
+        ms.write_table(path / "a.csv", dataset)
+        reference_write_table(path / "b.csv", dataset)
+        assert (path / "a.csv").read_bytes() == (path / "b.csv").read_bytes()
 
 
 class TestFitReport:

@@ -80,6 +80,25 @@ class TestLoadNetwork:
         with pytest.raises(NetworkSchemaError, match="not valid JSON"):
             load_network(path)
 
+    def test_non_finite_coordinates_named(self, tmp_path, chain_network_doc):
+        # json.load accepts the NaN token, which RFC 8259 JSON does not allow
+        chain_network_doc["land_segments"][0]["coordinates"] = [float("nan"), 1.0]
+        path = write_network(tmp_path, chain_network_doc)
+        assert "NaN" in path.read_text()
+        with pytest.raises(NetworkSchemaError, match=r"land_segments\[0\]: "
+                           r"coordinates must be finite, got \[nan, 1.0\]"):
+            load_network(path)
+
+    def test_non_finite_area_named(self, tmp_path, chain_network_doc):
+        chain_network_doc["land_segments"][0]["load_source_areas"] = {
+            "row_crops": float("inf")}
+        path = write_network(tmp_path, chain_network_doc)
+        assert "Infinity" in path.read_text()
+        with pytest.raises(NetworkSchemaError, match=r"land_segments\[0\]: area "
+                           r"for load source 'row_crops' must be a finite "
+                           r"non-negative number, got inf"):
+            load_network(path)
+
     def test_synthetic_round_trip(self, tmp_path):
         net, _, _ = bf.generate_synthetic(100, branching=3, seed=4)
         path = tmp_path / "net.json"
