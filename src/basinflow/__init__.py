@@ -8,8 +8,6 @@ program.
 """
 
 from .core_net import (
-    BufferKind,
-    BufferSpec,
     Capabilities,
     CapabilityClass,
     CapabilitySpec,
@@ -57,7 +55,7 @@ from .report import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BufferKind", "BufferSpec", "Capabilities", "CapabilityClass", "CapabilitySpec",
+    "Capabilities", "CapabilityClass", "CapabilitySpec",
     "IncidenceMatrices", "build_incidence",
     "WatershedNetwork", "derive_connectivity_from_names",
     "instantiate_capabilities", "load_network", "validate_routing",

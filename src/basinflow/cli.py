@@ -99,9 +99,9 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
             want = _CONFIG_KEYS[key]
-            if want is float and isinstance(value, int):
+            if want is float and type(value) is int:
                 value = float(value)
-            if not isinstance(value, want):
+            if isinstance(value, bool) or not isinstance(value, want):
                 raise ValueError(
                     f"config key {key!r} must be {want.__name__}, got "
                     f"{type(value).__name__}")
@@ -230,7 +230,7 @@ def cmd_estimate(config: RunConfig) -> int:
         measurement.compute_weights(system), config.k_steps)
     for line in skipped:
         print(f"warning: {line}", file=sys.stderr)
-    incidence = build_incidence(capabilities, len(network.buffer_specs))
+    incidence = build_incidence(capabilities, network.n_buffers)
     problem = estimator.assemble_problem(
         incidence, constraints, k_steps=config.k_steps, dt=config.dt_years,
         alpha=config.alpha, beta=config.beta)

@@ -7,9 +7,9 @@ estuaries).  *Capabilities* are the transitions: each one either injects an
 operand into a buffer from outside the system (an accept) or moves it from
 one buffer to another (a transport).
 
-The structure is encoded in a pair of 0/1 incidence matrices over
-places x capabilities; their difference drives the mass-balance recursion
-``q[k+1] = q[k] + m @ u[k] * dt``.
+The structure is encoded in a signed incidence matrix ``m`` over places x
+capabilities, +1 where a capability injects and -1 where it extracts; it
+drives the mass-balance recursion ``q[k+1] = q[k] + m @ u[k] * dt``.
 
 Vectorization convention (used everywhere in this package): the place axis
 is buffer-major and operand-fastest, i.e. place = buffer *
@@ -30,33 +30,6 @@ NITROGEN = "nitrogen"
 PHOSPHORUS = "phosphorus"
 SECTORS = ("agricultural", "developed")
 OPERAND_NAMES = (NITROGEN, PHOSPHORUS)
-
-
-class BufferKind(Enum):
-    LAND_SEGMENT = "land_segment"
-    OUTLET_POINT = "outlet_point"
-    ESTUARY = "estuary"
-
-
-@dataclass(frozen=True)
-class BufferSpec:
-    """A location that stores or transforms operands.
-
-    ``county`` is set for land segments only; ``external_id`` carries the
-    source dataset's identifier (e.g. a land-river segment code).
-    """
-
-    id: int
-    kind: BufferKind
-    external_id: str
-    county: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if (self.county is not None) != (self.kind is BufferKind.LAND_SEGMENT):
-            raise ValueError(
-                f"buffer {self.external_id!r}: county must be present iff "
-                f"the buffer is a land segment"
-            )
 
 
 class CapabilityClass(Enum):
@@ -157,17 +130,15 @@ class Capabilities:
 
 @dataclass(frozen=True)
 class IncidenceMatrices:
-    """Injection/extraction structure over places x capabilities.
+    """The signed incidence matrix ``m`` over places x capabilities, used in
+    the mass balance.
 
-    ``m_plus[p, c] == 1`` when capability ``c`` injects its operand into the
-    buffer of place ``p``; ``m_minus[p, c] == 1`` when it pulls from there.
-    ``m = m_plus - m_minus`` is the signed matrix used in the mass balance.
-    All three are CSC with sorted, deduplicated indices so that equal
-    structures compare equal regardless of assembly order.
+    ``m[p, c]`` is +1 when capability ``c`` injects its operand into the
+    buffer of place ``p`` and -1 when it pulls from there.  CSC with sorted,
+    deduplicated indices so that equal structures compare equal regardless
+    of assembly order.
     """
 
-    m_plus: sp.csc_matrix
-    m_minus: sp.csc_matrix
     m: sp.csc_matrix
     n_buffers: int
 
@@ -181,11 +152,11 @@ class IncidenceMatrices:
 
 
 def build_incidence(capabilities: Capabilities, n_buffers: int) -> IncidenceMatrices:
-    """Assemble the incidence matrices of ``capabilities``.
+    """Assemble the incidence matrix of ``capabilities``.
 
-    Every capability contributes a +1 to ``m_plus`` at (its operand, its
-    destination); transports additionally contribute a +1 to ``m_minus`` at
-    (operand, origin).  All operand and buffer references must be in range.
+    Every capability contributes a +1 at (its operand, its destination);
+    transports additionally contribute a -1 at (operand, origin).  All
+    operand and buffer references must be in range.
     """
     n_operands = len(OPERAND_NAMES)
     caps = np.arange(capabilities.n_caps)
@@ -200,18 +171,13 @@ def build_incidence(capabilities: Capabilities, n_buffers: int) -> IncidenceMatr
             raise ValueError(f"capability {ids[bad[0]]}: {what} {values[bad[0]]} "
                              f"does not exist")
 
-    shape = (n_operands * n_buffers, caps.size)
-
-    def incidence(buffers: np.ndarray, cols: np.ndarray) -> sp.csc_matrix:
-        places = buffers * n_operands + operand[cols]
-        return sp.csc_matrix((np.ones(cols.size, dtype=np.int8), (places, cols)),
-                             shape=shape)
-
-    m_plus = incidence(capabilities.destination, caps)
-    m_minus = incidence(capabilities.origin[transports], transports)
-    m = (m_plus - m_minus).tocsc()
-    for mat in (m_plus, m_minus, m):
-        mat.sum_duplicates()
-        mat.sort_indices()
-    return IncidenceMatrices(m_plus, m_minus, m, n_buffers)
-
+    cols = np.concatenate([caps, transports])
+    buffers = np.concatenate([capabilities.destination, capabilities.origin[transports]])
+    values = np.concatenate([np.ones(caps.size, dtype=np.int8),
+                             np.full(transports.size, -1, dtype=np.int8)])
+    m = sp.csc_matrix((values, (buffers * n_operands + operand[cols], cols)),
+                      shape=(n_operands * n_buffers, caps.size))
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    m.sort_indices()
+    return IncidenceMatrices(m, n_buffers)

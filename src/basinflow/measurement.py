@@ -463,15 +463,15 @@ def compute_delivery_model(network: "WatershedNetwork",
 
     # An estuary link keeps the upstream factor: downstream of it the factor
     # is 1 at the bay.
-    outlet_position = {o.external_id: j for j, o in enumerate(outlets)}
-    links = network.river_links
-    up = outlet_rtb[[outlet_position[l.from_outlet] for l in links]]
-    down = np.array([1.0 if l.to_node in network.estuary_ids
-                     else outlet_rtb[outlet_position[l.to_node]] for l in links])
+    link_to = network.link_to
+    to_outlet = network.buffer_kinds[link_to] == "outlet_point"
+    up = outlet_rtb[network.link_from - len(lands)]
+    down = np.ones(link_to.size)
+    down[to_outlet] = outlet_rtb[link_to[to_outlet] - len(lands)]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = up / down
     for i in np.flatnonzero((down == 0) | (ratio > 1.0)).tolist():
-        segment = links[i].to_node
+        segment = network.buffer_names[link_to[i]]
         if down[i] == 0:
             raise ValueError(f"downstream river-to-bay delivery factor is "
                              f"zero for segment {segment!r}")
@@ -527,10 +527,8 @@ def _county_rows(records: np.recarray, columns: Sequence[str], network,
     group, keys = _key_groups(*(records[name] for name in columns),
                               records.operand)
     totals = np.bincount(group, weights=records.mass, minlength=len(keys))
-    codes: dict[str, int] = {}
-    land_county = np.array([codes.setdefault(land.county, len(codes))
-                            for land in network.land_segments], dtype=np.intp)
-    ptr, members = _groups(land_county, len(codes))
+    codes = network.county_code
+    ptr, members = _groups(network.land_county, len(codes))
     kept = [i for i, key in enumerate(keys) if key[0] in codes]
     skipped = [f"{what} record for county {key[0]!r} matches no land segment; "
                f"constraint skipped" for key in keys if key[0] not in codes]
@@ -609,8 +607,7 @@ def assemble_eot_constraints(
     eot = loads[loads.kind == "EoT"]
     group, keys = _key_groups(eot.operand)
     totals = np.bincount(group, weights=eot.mass, minlength=len(keys))
-    terminal = [i for i, link in enumerate(network.river_links)
-                if link.to_node in network.estuary_ids]
+    terminal = network.buffer_kinds[network.link_to] == "estuary"
     river = capabilities.river_transport[terminal]
     rows, cols, constants, operands, skipped = [], [], [], [], []
     for (operand,), mass in zip(keys, totals.tolist()):
@@ -640,9 +637,6 @@ def assemble_transport_relations(
     i.e. its land transports plus upstream links) = error.  Rows run land
     by land, then link by link, operands fastest.
     """
-    lands, links = network.land_segments, network.river_links
-    buffer_id = network.buffer_id
-
     land, land_op = np.indices(capabilities.land_transport.shape).reshape(2, -1)
     r, sector = np.indices((land.size, len(SECTORS))).reshape(2, -1)
     rows = [np.arange(land.size), r]
@@ -651,23 +645,21 @@ def assemble_transport_relations(
     values = [np.ones(land.size), -delivery.land_factor[land[r]]]
 
     link, link_op = np.indices(capabilities.river_transport.shape).reshape(2, -1)
-    up = np.array([buffer_id[l.from_outlet] for l in links], dtype=np.intp)[link]
-    land_outlet = len(lands) + network.land_outlet
-    link_to = np.array([buffer_id[l.to_node] for l in links], dtype=np.intp)
+    up = network.link_from[link]
     base = land.size
     rows.append(base + np.arange(link.size))
     cols.append(capabilities.river_transport[link, link_op])
     values.append(np.ones(link.size))
-    for source, keys in ((capabilities.land_transport, land_outlet),
-                         (capabilities.river_transport, link_to)):
-        r, member = _gather(*_groups(keys, len(network.buffer_specs)), up)
+    for source, keys in ((capabilities.land_transport,
+                          len(network.land_segments) + network.land_outlet),
+                         (capabilities.river_transport, network.link_to)):
+        r, member = _gather(*_groups(keys, network.n_buffers), up)
         rows.append(base + r)
         cols.append(source[member, link_op[r]])
         values.append(-delivery.link_ratio[link[r]])
 
-    keys = [("land", lands[i].external_id) for i in land.tolist()]
-    keys += [("river", f"{links[i].from_outlet}->{links[i].to_node}")
-             for i in link.tolist()]
+    keys = [("land", name) for name in network.buffer_names[land].tolist()]
+    keys += [("river", name) for name in network.link_names[link].tolist()]
     return _system(np.concatenate(rows), np.concatenate(cols),
                    np.concatenate(values), np.zeros(len(keys)), TRANSPORT,
                    np.concatenate([land_op, link_op]), keys, capabilities.n_caps)

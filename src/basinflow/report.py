@@ -112,8 +112,8 @@ def capability_entity(cap: CapabilitySpec,
     cls = cap.capability_class
     kind = _CLASS_KIND[(cls.action, cls.sector)]
     if cls.action == "transport_river":
-        specs = network.buffer_specs
-        entity = f"{specs[cap.origin].external_id}->{specs[cap.destination].external_id}"
+        names = network.buffer_names
+        entity = f"{names[cap.origin]}->{names[cap.destination]}"
     else:
         entity = cap.resource_id
     return kind, entity
@@ -125,11 +125,7 @@ def capability_names(capabilities: Capabilities, network: WatershedNetwork,
     as object arrays over capability ids; see :func:`capability_entity`."""
     kind = _KIND[capabilities.capability_class]
     entity = capabilities.resource.copy()
-    river = np.flatnonzero(kind == "transport_river")
-    external = np.array([spec.external_id for spec in network.buffer_specs],
-                        dtype=object)
-    entity[river] = (external[capabilities.origin[river]] + "->"
-                     + external[capabilities.destination[river]])
+    entity[capabilities.river_transport] = network.link_names[:, None]
     return kind, entity, _OPERAND[capabilities.capability_class]
 
 
@@ -201,17 +197,17 @@ def export_results(solution: Solution, network: WatershedNetwork,
         raise ValueError(f"unknown export format {fmt!r}")
     flow_totals = solution.u.sum(axis=0)
     final_q = solution.q_b[-1]
-    specs = network.buffer_specs
-    buffer_ids = [spec.external_id for spec in specs]
-    buffer_kinds = [spec.kind.value for spec in specs]
+    buffer_names = network.buffer_names.tolist()
+    buffer_kinds = network.buffer_kinds.tolist()
 
     def by_place(column: Iterable) -> list:
         """A column over buffers, repeated for each operand, as places run."""
         return [value for value in column for _ in OPERAND_NAMES]
 
     if fmt == "tabular":
-        blocks = [_tabular(by_place(buffer_ids), by_place(buffer_kinds),
-                           OPERAND_NAMES * len(specs), "accumulation", final_q),
+        blocks = [_tabular(by_place(buffer_names), by_place(buffer_kinds),
+                           OPERAND_NAMES * network.n_buffers, "accumulation",
+                           final_q),
                   flow_rows(capabilities, network, flow_totals)]
         if constraints is not None:
             blocks.append(_tabular(
@@ -230,9 +226,9 @@ def export_results(solution: Solution, network: WatershedNetwork,
                       '{"coordinates": %s, "type": "Point"}' % point
                       for point in points]
     accumulations = map(_POINT_FEATURE.__mod__, zip(
-        by_place(point_geometry), by_place(map(_json_string, buffer_ids)),
+        by_place(point_geometry), by_place(map(_json_string, buffer_names)),
         by_place(map(_json_string, buffer_kinds)),
-        [*map(_json_string, OPERAND_NAMES)] * len(specs),
+        [*map(_json_string, OPERAND_NAMES)] * network.n_buffers,
         _json_numbers(final_q.tolist())))
 
     transport = np.flatnonzero(capabilities.origin >= 0)

@@ -215,13 +215,11 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
     # Per county, in order of first appearance: its EoS load, and the part
     # of it that reaches the tide (telescoping link ratios reduce to the
     # outlet-level river-to-bay factor), reported as EoT and StreamToTide.
-    codes: dict[str, int] = {}
-    county = np.array([codes.setdefault(land.county, len(codes))
-                       for land in lands], dtype=np.intp)
+    counties = network.county_code
     reaching = land_transport * delivery.outlet_river_to_bay[network.land_outlet, None]
-    eos = _sum_by(county, land_transport, len(codes))
-    tide = _sum_by(county, reaching, len(codes))
-    keys = [(name, operand, kind) for name in codes for operand in OPERAND_NAMES
+    eos = _sum_by(network.land_county, land_transport, len(counties))
+    tide = _sum_by(network.land_county, reaching, len(counties))
+    keys = [(name, operand, kind) for name in counties for operand in OPERAND_NAMES
             for kind in LOAD_KINDS]
     masses = np.stack([eos, tide, tide], axis=2).ravel().tolist()
     loads = table(LOADS, (key + (mass,) for key, mass in zip(keys, masses)))

@@ -22,13 +22,13 @@ from .core_net import (
     CAPABILITY_CLASSES,
     OPERAND_NAMES,
     SECTORS,
-    BufferKind,
-    BufferSpec,
     Capabilities,
     CapabilityClass,
 )
 
 SCHEMA_VERSION = 1
+# A buffer's kind, by where its record lies in the network.
+BUFFER_KINDS = ("land_segment", "outlet_point", "estuary")
 
 
 class NetworkSchemaError(ValueError):
@@ -99,8 +99,15 @@ class RoutingReport:
 class WatershedNetwork:
     """The instantiated system form. Immutable after construction.
 
-    Buffer ordering (used for all place vectors): land segments first in
-    file order, then outlets, then estuaries.
+    Buffer ids (used for all place vectors) run over land segments first in
+    file order, then outlets, then estuaries.  The network resolves its
+    references once, into arrays by position: ``buffer_names`` and
+    ``buffer_kinds`` (a ``BUFFER_KINDS`` entry) by buffer id; ``link_from``
+    and ``link_to``, the buffer ids of each river link's ends, and
+    ``link_names``, each link as "from->to"; ``land_outlet`` and
+    ``land_county``, each land segment's outlet position and county code.
+    ``buffer_id`` and ``county_code`` map names to ids and codes, counties
+    coded in order of first appearance.
     """
 
     land_segments: tuple[LandSegment, ...]
@@ -109,32 +116,55 @@ class WatershedNetwork:
     estuaries: tuple[Estuary, ...] = field(default_factory=tuple)
 
     @cached_property
-    def buffer_specs(self) -> tuple[BufferSpec, ...]:
-        specs = []
-        for land in self.land_segments:
-            specs.append(BufferSpec(len(specs), BufferKind.LAND_SEGMENT,
-                                    land.external_id, land.county))
-        for outlet in self.outlets:
-            specs.append(BufferSpec(len(specs), BufferKind.OUTLET_POINT,
-                                    outlet.external_id))
-        for estuary in self.estuaries:
-            specs.append(BufferSpec(len(specs), BufferKind.ESTUARY,
-                                    estuary.external_id))
-        return tuple(specs)
+    def buffer_names(self) -> np.ndarray:
+        return np.array([item.external_id for item in (
+            *self.land_segments, *self.outlets, *self.estuaries)], dtype=object)
+
+    @cached_property
+    def buffer_kinds(self) -> np.ndarray:
+        return np.repeat(np.array(BUFFER_KINDS, dtype=object), [
+            len(self.land_segments), len(self.outlets), len(self.estuaries)])
+
+    @property
+    def n_buffers(self) -> int:
+        return self.buffer_names.size
 
     @cached_property
     def buffer_id(self) -> dict[str, int]:
-        return {spec.external_id: spec.id for spec in self.buffer_specs}
+        return dict(zip(self.buffer_names.tolist(), range(self.n_buffers)))
 
     @cached_property
-    def estuary_ids(self) -> frozenset[str]:
-        return frozenset(e.external_id for e in self.estuaries)
+    def link_from(self) -> np.ndarray:
+        return np.array([self.buffer_id[link.from_outlet]
+                         for link in self.river_links], dtype=np.intp)
+
+    @cached_property
+    def link_to(self) -> np.ndarray:
+        return np.array([self.buffer_id[link.to_node]
+                         for link in self.river_links], dtype=np.intp)
+
+    @cached_property
+    def link_names(self) -> np.ndarray:
+        return np.array([f"{link.from_outlet}->{link.to_node}"
+                         for link in self.river_links], dtype=object)
 
     @cached_property
     def land_outlet(self) -> np.ndarray:
         """Position in ``outlets`` of each land segment's outlet."""
         position = {o.river_segment_id: j for j, o in enumerate(self.outlets)}
         return np.array([position[land.river_segment_id]
+                         for land in self.land_segments], dtype=np.intp)
+
+    @cached_property
+    def county_code(self) -> dict[str, int]:
+        codes: dict[str, int] = {}
+        for land in self.land_segments:
+            codes.setdefault(land.county, len(codes))
+        return codes
+
+    @cached_property
+    def land_county(self) -> np.ndarray:
+        return np.array([self.county_code[land.county]
                          for land in self.land_segments], dtype=np.intp)
 
     def to_dict(self) -> dict:
@@ -155,11 +185,16 @@ class WatershedNetwork:
             fh.write("\n")
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number: ``bool`` is an ``int`` to Python."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_coordinates(raw, where: str, problems: list[str]):
     if raw is None:
         return None
     if (not isinstance(raw, (list, tuple)) or len(raw) != 2
-            or not all(isinstance(v, (int, float)) for v in raw)):
+            or not all(map(_is_number, raw))):
         problems.append(f"{where}: coordinates must be a [x, y] pair")
         return None
     if math.isfinite(raw[0]) and math.isfinite(raw[1]):
@@ -187,12 +222,19 @@ def network_from_dict(doc: dict) -> WatershedNetwork:
     if problems:
         raise NetworkSchemaError(problems)
 
-    def need(record, key: str, where: str):
+    def need(record, key: str, where: str, kind: type = str):
+        """``record[key]``, or None with the problem noted when the record
+        lacks it or it is not a JSON string (an object, for ``kind=dict``)."""
         if not isinstance(record, dict):
             problems.append(f"{where}: record must be an object")
             return None
         if key not in record:
             problems.append(f"{where}: missing field {key!r}")
+            return None
+        if not isinstance(record[key], kind):
+            problems.append(f"{where}: {key} must be "
+                            f"{'a string' if kind is str else 'an object'}, "
+                            f"got {record[key]!r}")
             return None
         return record[key]
 
@@ -202,15 +244,12 @@ def network_from_dict(doc: dict) -> WatershedNetwork:
         ext = need(rec, "external_id", where)
         county = need(rec, "county", where)
         rseg = need(rec, "river_segment_id", where)
-        areas_raw = need(rec, "load_source_areas", where)
+        areas_raw = need(rec, "load_source_areas", where, dict)
         if None in (ext, county, rseg, areas_raw):
-            continue
-        if not isinstance(areas_raw, dict):
-            problems.append(f"{where}: load_source_areas must be an object")
             continue
         areas = []
         for src, acres in areas_raw.items():
-            if not isinstance(acres, (int, float)) or not 0 <= acres < math.inf:
+            if not _is_number(acres) or not 0 <= acres < math.inf:
                 problems.append(
                     f"{where}: area for load source {src!r} must be a "
                     f"finite non-negative number, got {acres!r}"
@@ -218,7 +257,7 @@ def network_from_dict(doc: dict) -> WatershedNetwork:
             else:
                 areas.append((str(src), float(acres)))
         lands.append(LandSegment(
-            str(ext), str(county), str(rseg), tuple(areas),
+            ext, county, rseg, tuple(areas),
             _parse_coordinates(rec.get("coordinates"), where, problems),
         ))
 
@@ -230,7 +269,7 @@ def network_from_dict(doc: dict) -> WatershedNetwork:
         if None in (ext, rseg):
             continue
         outlets.append(Outlet(
-            str(ext), str(rseg),
+            ext, rseg,
             _parse_coordinates(rec.get("coordinates"), where, problems),
         ))
 
@@ -241,7 +280,7 @@ def network_from_dict(doc: dict) -> WatershedNetwork:
         to = need(rec, "to_node", where)
         if None in (frm, to):
             continue
-        links.append(RiverLink(str(frm), str(to)))
+        links.append(RiverLink(frm, to))
 
     estuaries: list[Estuary] = []
     for i, rec in enumerate(doc["estuaries"]):
@@ -250,7 +289,7 @@ def network_from_dict(doc: dict) -> WatershedNetwork:
         if ext is None:
             continue
         estuaries.append(Estuary(
-            str(ext), _parse_coordinates(rec.get("coordinates"), where, problems),
+            ext, _parse_coordinates(rec.get("coordinates"), where, problems),
         ))
 
     # Identifier uniqueness across the whole buffer namespace; to_node
@@ -339,7 +378,7 @@ def validate_routing(network: WatershedNetwork) -> RoutingReport:
     # walk down from each outlet either reaches an estuary, stops at an
     # orphan, or closes on itself; each cycle is reported by the walk that
     # first closes it.  Every outlet on a walk shares its end's verdict.
-    estuary_ids = network.estuary_ids
+    estuaries = {e.external_id for e in network.estuaries}
     reaches: dict[str, bool] = {}
     for start in out_links:
         walk: dict[str, int] = {}
@@ -352,7 +391,7 @@ def validate_routing(network: WatershedNetwork) -> RoutingReport:
             cycle = list(walk)[walk[node]:] + [node]
             violations.append(RoutingViolation(
                 "cycle", node, "river links form a cycle: " + " -> ".join(cycle)))
-        ok = reaches[node] if node in reaches else node in estuary_ids
+        ok = reaches[node] if node in reaches else node in estuaries
         for visited in walk:
             reaches[visited] = ok
 
@@ -415,17 +454,14 @@ def instantiate_capabilities(network: WatershedNetwork) -> Capabilities:
     ``OPERAND_NAMES``, so the total count is ``3 * len(OPERAND_NAMES) *
     n_land + len(OPERAND_NAMES) * n_links``.
     """
-    lands, links = network.land_segments, network.river_links
-    n_land, n_links, n_ops = len(lands), len(links), len(OPERAND_NAMES)
-    buffer_id = network.buffer_id
-    land_buf = np.array([buffer_id[l.external_id] for l in lands], dtype=np.intp)
+    n_land, n_links, n_ops = (len(network.land_segments),
+                              len(network.river_links), len(OPERAND_NAMES))
+    land_buf = np.arange(n_land)
     outlet_buf = n_land + network.land_outlet
-    link_from = np.array([buffer_id[l.from_outlet] for l in links], dtype=np.intp)
-    link_to = np.array([buffer_id[l.to_node] for l in links], dtype=np.intp)
-    outlet_by_id = {o.external_id: o for o in network.outlets}
-    land_name = np.array([l.external_id for l in lands], dtype=object)
-    link_segment = np.array([outlet_by_id[l.from_outlet].river_segment_id
-                             for l in links], dtype=object)
+    link_from, link_to = network.link_from, network.link_to
+    land_name = network.buffer_names[:n_land]
+    link_segment = np.array([o.river_segment_id for o in network.outlets],
+                            dtype=object)[link_from - n_land]
 
     def code(action: str, sector: Optional[str], operand: str) -> int:
         return CAPABILITY_CLASSES.index(CapabilityClass((action, sector, operand)))

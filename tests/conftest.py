@@ -1,8 +1,6 @@
 import pytest
 
 from basinflow.core_net import (
-    BufferKind,
-    BufferSpec,
     CapabilityClass,
     CapabilitySpec,
     build_incidence,
@@ -46,6 +44,26 @@ def chain_network():
         outlets=(Outlet("out-1", "seg-1"),),
         river_links=(RiverLink("out-1", "bay"),),
         estuaries=(Estuary("bay"),),
+    )
+
+
+@pytest.fixture
+def two_estuary_network():
+    """Three outlets draining to two estuaries, ``river_links`` out of
+    outlet order: out-3 -> out-1 -> bay-1 and out-2 -> bay-2.  Counties
+    first appear in the order b, a, c."""
+    return WatershedNetwork(
+        land_segments=(
+            LandSegment("land-1", "b", "seg-2", (("row_crops", 10.0),)),
+            LandSegment("land-2", "a", "seg-1", (("pasture", 20.0),)),
+            LandSegment("land-3", "b", "seg-3", (("row_crops", 30.0),)),
+            LandSegment("land-4", "c", "seg-1", (("forest", 40.0),)),
+        ),
+        outlets=(Outlet("out-1", "seg-1"), Outlet("out-2", "seg-2"),
+                 Outlet("out-3", "seg-3")),
+        river_links=(RiverLink("out-3", "out-1"), RiverLink("out-2", "bay-2"),
+                     RiverLink("out-1", "bay-1")),
+        estuaries=(Estuary("bay-1"), Estuary("bay-2")),
     )
 
 

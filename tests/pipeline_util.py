@@ -24,6 +24,15 @@ from basinflow.core_net import (
 DENSE_ORACLE_MAX_VARS = 2000
 
 
+def buffer_walk(network) -> list[tuple[str, str]]:
+    """(external id, kind) of each buffer in buffer-id order, from a walk
+    over the network's records."""
+    return [(item.external_id, kind) for kind, items in (
+        ("land_segment", network.land_segments),
+        ("outlet_point", network.outlets), ("estuary", network.estuaries))
+        for item in items]
+
+
 def dense_oracle_solve(problem: estimator.EstimationProblem,
                        tol: float = estimator.DEFAULT_TOL) -> estimator.Solution:
     """Independent dense factorization of the same KKT system as
@@ -126,7 +135,7 @@ def assemble_bundle(n_outlets, branching=3, seed=0, **kwargs):
         n_outlets, branching=branching, seed=seed, **kwargs)
     constraints, delivery = build_constraints(
         network, truth.capabilities, datasets)
-    incidence = build_incidence(truth.capabilities, len(network.buffer_specs))
+    incidence = build_incidence(truth.capabilities, network.n_buffers)
     problem = estimator.assemble_problem(incidence, constraints)
     return network, truth, datasets, constraints, incidence, problem
 
@@ -153,16 +162,16 @@ def reference_export_tabular(solution, network, capabilities, path,
                              constraints=None):
     """``solution.csv`` row by row through ``csv.writer``: accumulations,
     flows, then errors."""
-    final_q = solution.q_b[-1].reshape(len(network.buffer_specs),
+    final_q = solution.q_b[-1].reshape(network.n_buffers,
                                        len(OPERAND_NAMES)).tolist()
     kind, entity, operand = report.capability_names(capabilities, network)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(report.TABULAR_HEADER)
-        for spec, masses in zip(network.buffer_specs, final_q):
+        for (buffer, buffer_kind), masses in zip(buffer_walk(network), final_q):
             for name, value in zip(OPERAND_NAMES, masses):
-                writer.writerow([spec.external_id, spec.kind.value,
-                                 name, "accumulation", repr(value)])
+                writer.writerow([buffer, buffer_kind, name, "accumulation",
+                                 repr(value)])
         writer.writerows(zip(entity, kind, operand, itertools.repeat("flow"),
                              map(repr, solution.u.sum(axis=0).tolist())))
         if constraints is not None:
@@ -176,20 +185,21 @@ def reference_export_tabular(solution, network, capabilities, path,
 def reference_export_geo(solution, network, capabilities, path):
     """``solution.geojson`` as one dict per feature through
     ``json.dumps(doc, sort_keys=True)``."""
-    final_q = solution.q_b[-1].reshape(len(network.buffer_specs),
+    final_q = solution.q_b[-1].reshape(network.n_buffers,
                                        len(OPERAND_NAMES)).tolist()
     points = [item.coordinates for item in (*network.land_segments,
                                             *network.outlets, *network.estuaries)]
     features = []
-    for spec, point, masses in zip(network.buffer_specs, points, final_q):
+    for (buffer, buffer_kind), point, masses in zip(buffer_walk(network),
+                                                    points, final_q):
         for name, value in zip(OPERAND_NAMES, masses):
             features.append({
                 "type": "Feature",
                 "geometry": None if point is None else
                     {"type": "Point", "coordinates": list(point)},
                 "properties": {
-                    "entity_id": spec.external_id,
-                    "entity_kind": spec.kind.value,
+                    "entity_id": buffer,
+                    "entity_kind": buffer_kind,
                     "operand": name,
                     "quantity_kind": "accumulation",
                     "value_lbs": value,

@@ -41,7 +41,7 @@ def test_criterion_1_incidence_structure():
         n_outlets = 1 + seed % 12
         branching = 1 + seed % 3
         network, truth, _ = bf.generate_synthetic(n_outlets, branching, seed)
-        incidence = build_incidence(truth.capabilities, len(network.buffer_specs))
+        incidence = build_incidence(truth.capabilities, network.n_buffers)
         sums = np.asarray(incidence.m.sum(axis=0)).ravel()
         for cap in truth.capabilities:
             expected = 1 if cap.capability_class.is_accept else 0
@@ -87,7 +87,7 @@ def test_criterion_3_oracle_equivalence():
             if c != 0.0 and rng.rand() < 0.5:
                 constant[r] = c * (1.0 + rng.uniform(-0.2, 0.2))
         noisy = ms.compute_weights(replace(constraints, constant=constant))
-        incidence = build_incidence(truth.capabilities, len(network.buffer_specs))
+        incidence = build_incidence(truth.capabilities, network.n_buffers)
         problem = est.assemble_problem(incidence, noisy)
         assert problem.n_variables <= 500
         sparse = est.solve(problem)
@@ -142,7 +142,7 @@ def test_criterion_5_weights_and_penalties(chain_network):
 
     assert est.DEFAULT_FLOW_PENALTY == 1e-10
     assert est.DEFAULT_BUFFER_PENALTY == 1e-12
-    incidence = build_incidence(caps, len(chain_network.buffer_specs))
+    incidence = build_incidence(caps, chain_network.n_buffers)
     problem = est.assemble_problem(
         incidence, ms.compute_weights(ms.assemble_eot_constraints(
             ms.table(ms.LOADS, [("alpha", "nitrogen", "EoT", 5.0)]),
@@ -186,14 +186,14 @@ def test_criterion_7_perturbation_closure():
     # capabilities whose flow can reach the estuary (all of them, in a
     # dendritic tree) restricted to the perturbed operand
     downstream = {l.from_outlet: l.to_node for l in network.river_links}
-    specs = network.buffer_specs
+    estuaries = {e.external_id for e in network.estuaries}
 
     def reaches_estuary(cap):
-        node = specs[cap.destination].external_id
+        node = network.buffer_names[cap.destination]
         if cap.destination < len(network.land_segments):
             node = network.outlets[network.land_outlet[cap.destination]].external_id
         hops = 0
-        while node not in network.estuary_ids:
+        while node not in estuaries:
             node = downstream[node]
             hops += 1
             assert hops <= len(network.outlets) + 1
@@ -224,7 +224,7 @@ def test_criterion_8_scale():
         1000, branching=3, seed=7, land_per_outlet=(2, 4))
     assert len(network.land_segments) >= 2000
     constraints, _ = build_constraints(network, truth.capabilities, datasets)
-    incidence = build_incidence(truth.capabilities, len(network.buffer_specs))
+    incidence = build_incidence(truth.capabilities, network.n_buffers)
     problem = est.assemble_problem(incidence, constraints)
     solution = est.solve(problem)
     assert solution.converged
@@ -249,7 +249,7 @@ def test_criterion_10_horizon_scale():
     network, truth, datasets = bf.generate_synthetic(
         300, branching=3, seed=7, land_per_outlet=(2, 4))
     constraints, _ = build_constraints(network, truth.capabilities, datasets)
-    incidence = build_incidence(truth.capabilities, len(network.buffer_specs))
+    incidence = build_incidence(truth.capabilities, network.n_buffers)
     problem = est.assemble_problem(
         incidence, ms.expand_constraints(constraints, 8), k_steps=8)
     solution = est.solve(problem)

@@ -333,6 +333,25 @@ class TestValidateFailures:
         assert f"{key} must be a finite number > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, want", [
+        ("alpha", True, "float"), ("tol", False, "float"),
+        ("k_steps", True, "int")])
+    def test_boolean_setting_rejected(self, synth_dir, tmp_path, capsys,
+                                      key, value, want):
+        # bool is an int to Python, but no setting is a JSON boolean
+        out = tmp_path / "res"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "network": str(synth_dir / "network.json"),
+            "datasets": {"delivery_factors":
+                         str(synth_dir / "delivery_factors.csv")},
+            key: value}))
+        assert run(["estimate", "--config", str(config),
+                    "--output-dir", str(out)]) == 1
+        assert f"config key {key!r} must be {want}, got bool" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_network_file(self, tmp_path):
         assert run(["validate", "--network",
                     str(tmp_path / "nothing.json")]) == 3

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import basinflow as bf
 from basinflow.core_net import (
-    BufferKind,
-    BufferSpec,
+    OPERAND_NAMES,
     CapabilityClass,
     CapabilitySpec,
     build_incidence,
@@ -18,11 +18,23 @@ class TestBuildIncidence:
     def test_single_accept_is_source_only(self):
         caps = [CapabilitySpec(0, CapabilityClass.ACCEPT_AGRICULTURAL_N, 0,
                                origin=None, destination=0, resource_id="l")]
-        inc = build_incidence(capabilities_of(caps), 1)
-        m_plus = inc.m_plus.toarray()
-        assert m_plus[0::2].tolist() == [[1]]
-        assert not m_plus[1::2].any()
-        assert inc.m_minus.nnz == 0
+        m = build_incidence(capabilities_of(caps), 1).m.toarray()
+        assert m[0::2].tolist() == [[1]]
+        assert not m[1::2].any()
+
+    def test_signs_at_destination_and_origin(self):
+        # each column holds +1 at its capability's destination place and,
+        # for a transport, -1 at its origin place, and nothing else
+        net, truth, _ = bf.generate_synthetic(12, branching=2, seed=3)
+        m = build_incidence(truth.capabilities, net.n_buffers).m
+        n_ops = len(OPERAND_NAMES)
+        for cap in truth.capabilities:
+            expected = {cap.destination * n_ops + cap.operand: 1}
+            if cap.origin is not None:
+                expected[cap.origin * n_ops + cap.operand] = -1
+            lo, hi = m.indptr[cap.id], m.indptr[cap.id + 1]
+            assert dict(zip(m.indices[lo:hi].tolist(),
+                            m.data[lo:hi].tolist())) == expected
 
     def test_single_transport_conserves(self):
         caps = [CapabilitySpec(0, CapabilityClass.TRANSPORT_RIVER_N, 0,
@@ -113,12 +125,6 @@ class TestStateTransition:
 
 
 class TestSpecs:
-    def test_buffer_county_rule(self):
-        with pytest.raises(ValueError):
-            BufferSpec(0, BufferKind.OUTLET_POINT, "o", county="alpha")
-        with pytest.raises(ValueError):
-            BufferSpec(0, BufferKind.LAND_SEGMENT, "l")
-
     def test_capability_origin_rules(self):
         with pytest.raises(ValueError):
             CapabilitySpec(0, CapabilityClass.ACCEPT_DEVELOPED_P, 1,

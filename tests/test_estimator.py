@@ -126,7 +126,7 @@ class TestAssembleProblem:
         constraints = ms.expand_constraints(
             build_constraints(network, truth.capabilities, datasets)[0],
             k_steps)
-        incidence = build_incidence(truth.capabilities, len(network.buffer_specs))
+        incidence = build_incidence(truth.capabilities, network.n_buffers)
         problem = est.assemble_problem(incidence, constraints, k_steps=k_steps,
                                        dt=0.5)
         a, b, h = reference_assembly(incidence, constraints, k_steps, 0.5)
@@ -270,7 +270,7 @@ class TestOracleAgreement:
                     constant[r] = c * (1.0 + rng.uniform(-0.2, 0.2))
             noisy = ms.compute_weights(replace(constraints, constant=constant))
             incidence = build_incidence(truth.capabilities,
-                                        len(network.buffer_specs))
+                                        network.n_buffers)
             problem = est.assemble_problem(
                 incidence, ms.expand_constraints(noisy, k_steps),
                 k_steps=k_steps)

@@ -32,12 +32,12 @@ class TestCapabilityAggregation:
         system, _ = ms.assemble_eot_constraints(
             ms.table(ms.LOADS, [("c1", "phosphorus", "EoT", 3.0)]), net,
             truth.capabilities)
-        specs = net.buffer_specs
+        first_estuary = len(net.land_segments) + len(net.outlets)
         terminal = {
             cap.id for cap in truth.capabilities
             if cap.capability_class.action == "transport_river"
             and cap.capability_class.operand_name == "phosphorus"
-            and specs[cap.destination].external_id in net.estuary_ids}
+            and cap.destination >= first_estuary}
         assert system.d.shape == (1, len(truth.capabilities))
         assert set(system.d.indices.tolist()) == terminal
         assert (system.d.data == 1.0).all()
@@ -208,6 +208,17 @@ class TestInteroutletDeliveryFactor:
         with pytest.raises(ValueError, match="zero for segment 'out-2'"):
             self.link_ratio(0.5, 0.0)
 
+    def test_links_out_of_outlet_order(self, two_estuary_network):
+        # out-1 averages land-2 and land-4; each estuary link keeps its
+        # upstream outlet's factor, whichever estuary it reaches
+        model = delivery_model(
+            two_estuary_network,
+            [("land-1", "a", 0.5), ("land-2", "a", 0.8), ("land-3", "a", 0.4),
+             ("land-4", "a", 0.6)],
+            [(f"land-{i}", "a", 1.0) for i in range(1, 5)])
+        assert model.outlet_river_to_bay.tolist() == pytest.approx([0.7, 0.5, 0.4])
+        assert model.link_ratio.tolist() == pytest.approx([0.4 / 0.7, 0.5, 0.7])
+
 
 class TestOutletDeliveryFactor:
     """An outlet's river-to-bay factor is the unweighted mean over the land
@@ -324,7 +335,8 @@ class TestEosEotConstraints:
 
     def test_eot_sums_counties_and_counts_terminal_links(self):
         net, truth, _ = bf.generate_synthetic(6, branching=3, seed=8)
-        terminal = [l for l in net.river_links if l.to_node in net.estuary_ids]
+        estuaries = {e.external_id for e in net.estuaries}
+        terminal = [l for l in net.river_links if l.to_node in estuaries]
         records = ms.table(ms.LOADS, [
             ("c1", "nitrogen", "EoT", 10.0),
             ("c2", "nitrogen", "EoT", 15.0),
@@ -334,6 +346,16 @@ class TestEosEotConstraints:
         assert len(constraints) == 1
         assert constraints[0].constant == 25.0
         assert len(constraints[0].coefficients) == len(terminal)
+
+    def test_eot_terminal_links_reach_either_estuary(self, two_estuary_network):
+        caps = instantiate_capabilities(two_estuary_network)
+        system, skipped = ms.assemble_eot_constraints(
+            ms.table(ms.LOADS, [("b", "phosphorus", "EoT", 4.0)]),
+            two_estuary_network, caps)
+        assert skipped == []
+        # links 1 (out-2 -> bay-2) and 2 (out-1 -> bay-1); link 0 ends at out-1
+        assert sorted(system.d.indices.tolist()) == \
+            caps.river_transport[[1, 2], 1].tolist()
 
     def test_eot_zero_constant(self, chain_network):
         caps = chain_caps(chain_network)
@@ -373,6 +395,24 @@ class TestTransportRelations:
         row = river_rows[0]
         coef_values = sorted(v for _, v in row.coefficients)
         assert coef_values == [-1.0, 1.0]
+
+    def test_inflow_over_links_out_of_order(self, two_estuary_network):
+        net = two_estuary_network
+        caps = instantiate_capabilities(net)
+        delivery = ms.DeliveryModel(np.ones(4), np.ones(3),
+                                    np.array([0.5, 0.25, 0.75]))
+        relations = ms.assemble_transport_relations(net, caps, delivery)
+        river = [r for r, key in enumerate(relations.key) if key[0] == "river"]
+        assert [relations.key[r] for r in river] == [
+            ("river", name) for name in ("out-3->out-1", "out-2->bay-2",
+                                         "out-1->bay-1") for _ in OPERAND_NAMES]
+        # link 2's nitrogen row: out-1 takes land-2, land-4 and link 0
+        row = relations[river[4]]
+        assert {cap: v for (_, cap), v in row.coefficients} == {
+            int(caps.river_transport[2, 0]): 1.0,
+            int(caps.land_transport[1, 0]): -0.75,
+            int(caps.land_transport[3, 0]): -0.75,
+            int(caps.river_transport[0, 0]): -0.75}
 
     def test_confluence_inflows(self):
         net, truth, datasets = bf.generate_synthetic(

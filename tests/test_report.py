@@ -26,6 +26,7 @@ from basinflow.topology import (
 
 from pipeline_util import (
     assemble_bundle,
+    buffer_walk,
     build_constraints,
     fit_report,
     measurement_system,
@@ -143,7 +144,7 @@ class TestExport:
                           constraints=constraints)
         table = rp.import_tabular(path)
         n_ops = len(OPERAND_NAMES)
-        n_buffers = len(network.buffer_specs)
+        n_buffers = network.n_buffers
         assert len(table) == (n_buffers * n_ops + len(truth.capabilities)
                               + len(constraints))
         for cap in truth.capabilities:
@@ -151,11 +152,10 @@ class TestExport:
             value = table[(kind, entity, cap.capability_class.operand_name,
                            "flow")]
             assert value == solution.u[0][cap.id]  # lossless round trip
-        for spec in network.buffer_specs:
+        for b, (buffer, kind) in enumerate(buffer_walk(network)):
             for o, name in enumerate(OPERAND_NAMES):
-                value = table[(spec.kind.value, spec.external_id, name,
-                               "accumulation")]
-                assert value == solution.q_b[-1][spec.id * n_ops + o]
+                value = table[(kind, buffer, name, "accumulation")]
+                assert value == solution.q_b[-1][b * n_ops + o]
         for r, (label, con) in enumerate(zip(row_labels(constraints),
                                              constraints)):
             assert con.label == label
@@ -187,7 +187,7 @@ class TestExport:
         assert doc["type"] == "FeatureCollection"
         n_ops = len(OPERAND_NAMES)
         transports = [c for c in truth.capabilities if c.origin is not None]
-        assert len(doc["features"]) == (len(network.buffer_specs) * n_ops
+        assert len(doc["features"]) == (network.n_buffers * n_ops
                                         + len(transports))
         for feature in doc["features"]:
             props = feature["properties"]
@@ -208,9 +208,9 @@ class TestExport:
                           fmt="geo")
         points = [f["properties"] for f in json.loads(path.read_text())["features"]
                   if f["properties"]["quantity_kind"] == "accumulation"]
-        expected = [(spec.external_id, spec.kind.value, name,
-                     solution.q_b[-1][spec.id * len(OPERAND_NAMES) + o])
-                    for spec in network.buffer_specs
+        expected = [(buffer, kind, name,
+                     solution.q_b[-1][b * len(OPERAND_NAMES) + o])
+                    for b, (buffer, kind) in enumerate(buffer_walk(network))
                     for o, name in enumerate(OPERAND_NAMES)]
         assert [(p["entity_id"], p["entity_kind"], p["operand"], p["value_lbs"])
                 for p in points] == expected
@@ -220,7 +220,7 @@ class TestExport:
         from basinflow.core_net import build_incidence
         from basinflow.topology import instantiate_capabilities
         caps = instantiate_capabilities(chain_network)
-        incidence = build_incidence(caps, len(chain_network.buffer_specs))
+        incidence = build_incidence(caps, chain_network.n_buffers)
         with pytest.warns(est.AssemblyWarning):
             problem = est.assemble_problem(
                 incidence, measurement_system([], len(caps)))
@@ -273,7 +273,7 @@ def awkward_bundle():
     caps = instantiate_capabilities(network)
     constraints, _ = build_constraints(network, caps, datasets)
     problem = est.assemble_problem(
-        build_incidence(caps, len(network.buffer_specs)), constraints)
+        build_incidence(caps, network.n_buffers), constraints)
     return network, caps, datasets, constraints, est.solve(problem)
 
 
@@ -323,9 +323,8 @@ class TestWritersMatchReference:
         expected = {(k, e, o, "flow"): v for k, e, o, v in zip(
             kind, entity, operand, solution.u.sum(axis=0).tolist())}
         masses = iter(solution.q_b[-1].tolist())
-        expected.update({(spec.kind.value, spec.external_id, name,
-                          "accumulation"): next(masses)
-                         for spec in network.buffer_specs
+        expected.update({(kind, buffer, name, "accumulation"): next(masses)
+                         for buffer, kind in buffer_walk(network)
                          for name in OPERAND_NAMES})
         expected.update({("constraint", label, OPERAND_NAMES[o], "error"): v
                          for label, o, v in zip(

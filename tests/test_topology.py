@@ -1,15 +1,12 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 import basinflow as bf
-from basinflow.core_net import (
-    OPERAND_NAMES,
-    SECTORS,
-    BufferKind,
-)
+from basinflow.core_net import OPERAND_NAMES, SECTORS
 from basinflow.topology import (
     Estuary,
     LandSegment,
@@ -24,6 +21,8 @@ from basinflow.topology import (
     validate_routing,
 )
 
+from pipeline_util import buffer_walk
+
 
 def write_network(tmp_path, doc, name="network.json"):
     path = tmp_path / name
@@ -34,11 +33,10 @@ def write_network(tmp_path, doc, name="network.json"):
 class TestLoadNetwork:
     def test_chain_fixture(self, tmp_path, chain_network_doc):
         net = load_network(write_network(tmp_path, chain_network_doc))
-        assert len(net.buffer_specs) == 3
+        assert net.n_buffers == 3
         assert len(net.river_links) == 1
-        kinds = [spec.kind for spec in net.buffer_specs]
-        assert kinds == [BufferKind.LAND_SEGMENT, BufferKind.OUTLET_POINT,
-                         BufferKind.ESTUARY]
+        assert net.buffer_kinds.tolist() == ["land_segment", "outlet_point",
+                                             "estuary"]
 
     def test_dangling_estuary_named(self, tmp_path, chain_network_doc):
         chain_network_doc["estuaries"] = []
@@ -80,6 +78,42 @@ class TestLoadNetwork:
         with pytest.raises(NetworkSchemaError, match="not valid JSON"):
             load_network(path)
 
+    @pytest.mark.parametrize("group, field", [
+        ("land_segments", "external_id"), ("land_segments", "county"),
+        ("land_segments", "river_segment_id"), ("outlets", "external_id"),
+        ("outlets", "river_segment_id"), ("river_links", "from_outlet"),
+        ("river_links", "to_node"), ("estuaries", "external_id")])
+    @pytest.mark.parametrize("value", [None, ["x", 1], 7])
+    def test_reference_must_be_a_string(self, chain_network_doc, group, field,
+                                        value):
+        # a null once dropped the record unreported, and str() renamed a list
+        chain_network_doc[group][0][field] = value
+        with pytest.raises(NetworkSchemaError, match=re.escape(
+                f"{group}[0]: {field} must be a string, got {value!r}")):
+            network_from_dict(chain_network_doc)
+
+    def test_null_areas_named(self, chain_network_doc):
+        chain_network_doc["land_segments"][0]["load_source_areas"] = None
+        with pytest.raises(NetworkSchemaError, match=re.escape(
+                "land_segments[0]: load_source_areas must be an object, "
+                "got None")):
+            network_from_dict(chain_network_doc)
+
+    @pytest.mark.parametrize("group", ["land_segments", "outlets", "estuaries"])
+    def test_boolean_coordinates_rejected(self, chain_network_doc, group):
+        chain_network_doc[group][0]["coordinates"] = [True, False]
+        with pytest.raises(NetworkSchemaError, match=re.escape(
+                f"{group}[0]: coordinates must be a [x, y] pair")):
+            network_from_dict(chain_network_doc)
+
+    def test_boolean_area_rejected(self, chain_network_doc):
+        chain_network_doc["land_segments"][0]["load_source_areas"] = {
+            "row_crops": True}
+        with pytest.raises(NetworkSchemaError, match=re.escape(
+                "land_segments[0]: area for load source 'row_crops' must be a "
+                "finite non-negative number, got True")):
+            network_from_dict(chain_network_doc)
+
     def test_non_finite_coordinates_named(self, tmp_path, chain_network_doc):
         # json.load accepts the NaN token, which RFC 8259 JSON does not allow
         chain_network_doc["land_segments"][0]["coordinates"] = [float("nan"), 1.0]
@@ -106,6 +140,51 @@ class TestLoadNetwork:
         again = load_network(path)
         assert again.to_dict() == net.to_dict()
         assert validate_routing(again).ok
+
+
+class TestNetworkArrays:
+    @pytest.fixture(params=["grouped", "two_estuaries"])
+    def network(self, request):
+        if request.param == "two_estuaries":
+            return request.getfixturevalue("two_estuary_network")
+        net, _, _ = bf.generate_synthetic(40, branching=3, seed=7,
+                                          county_mode="grouped",
+                                          land_per_outlet=(2, 4))
+        return net
+
+    def test_arrays_match_a_record_walk(self, network):
+        walk = buffer_walk(network)
+        position = {name: b for b, (name, _) in enumerate(walk)}
+        lands, links = network.land_segments, network.river_links
+        counties = list(dict.fromkeys(land.county for land in lands))
+        outlet_of = {o.river_segment_id: j for j, o in enumerate(network.outlets)}
+        assert network.n_buffers == len(walk)
+        assert network.buffer_names.tolist() == [name for name, _ in walk]
+        assert network.buffer_kinds.tolist() == [kind for _, kind in walk]
+        assert network.buffer_id == position
+        assert network.link_from.tolist() == [position[l.from_outlet] for l in links]
+        assert network.link_to.tolist() == [position[l.to_node] for l in links]
+        assert network.link_names.tolist() == [f"{l.from_outlet}->{l.to_node}"
+                                               for l in links]
+        assert network.county_code == {c: i for i, c in enumerate(counties)}
+        assert network.land_county.tolist() == [counties.index(l.county)
+                                                for l in lands]
+        assert network.land_outlet.tolist() == [outlet_of[l.river_segment_id]
+                                                for l in lands]
+        for ids in (network.link_from, network.link_to, network.land_county,
+                    network.land_outlet):
+            assert ids.dtype == np.intp
+
+    def test_two_estuaries_by_hand(self, two_estuary_network):
+        net = two_estuary_network
+        assert validate_routing(net).ok
+        # buffers: land-1..4 are 0-3, out-1..3 are 4-6, bay-1 and bay-2 7-8
+        assert net.link_from.tolist() == [6, 5, 4]
+        assert net.link_to.tolist() == [4, 8, 7]
+        assert net.link_names.tolist() == ["out-3->out-1", "out-2->bay-2",
+                                           "out-1->bay-1"]
+        assert list(net.county_code) == ["b", "a", "c"]
+        assert net.land_county.tolist() == [0, 1, 0, 2]
 
 
 class TestValidateRouting:
@@ -212,7 +291,7 @@ class TestDeriveConnectivity:
         seg_of_outlet = {o.external_id: o.river_segment_id for o in net.outlets}
         expected = set()
         for link in net.river_links:
-            downstream = (None if link.to_node in net.estuary_ids
+            downstream = (None if link.to_node == "bay"
                           else seg_of_outlet[link.to_node])
             expected.add((seg_of_outlet[link.from_outlet], downstream))
         assert set(links) == expected
@@ -244,19 +323,19 @@ class TestInstantiateCapabilities:
     def test_ids_contiguous_and_valid(self, chain_network):
         caps = instantiate_capabilities(chain_network)
         assert [c.id for c in caps] == list(range(len(caps)))
-        buffer_specs = chain_network.buffer_specs
+        kinds = chain_network.buffer_kinds
         for cap in caps:
             cls = cap.capability_class
-            dest = buffer_specs[cap.destination]
+            dest = kinds[cap.destination]
             if cls.is_accept:
                 assert cap.origin is None
-                assert dest.kind == BufferKind.LAND_SEGMENT
+                assert dest == "land_segment"
             elif cls.action == "transport_land":
-                assert buffer_specs[cap.origin].kind == BufferKind.LAND_SEGMENT
-                assert dest.kind == BufferKind.OUTLET_POINT
+                assert kinds[cap.origin] == "land_segment"
+                assert dest == "outlet_point"
             else:
-                assert buffer_specs[cap.origin].kind == BufferKind.OUTLET_POINT
-                assert dest.kind in (BufferKind.OUTLET_POINT, BufferKind.ESTUARY)
+                assert kinds[cap.origin] == "outlet_point"
+                assert dest in ("outlet_point", "estuary")
 
     def test_position_tables_invert_the_layout(self):
         # the tables agree with a walk over the views, the inversion they
@@ -334,7 +413,7 @@ class TestGenerateSynthetic:
         for outlet in net.land_outlet.tolist():
             node = net.outlets[outlet].external_id
             hops = 0
-            while node not in net.estuary_ids:
+            while node != "bay":
                 node = downstream[node]
                 hops += 1
                 assert hops <= len(net.outlets)
