@@ -11,12 +11,17 @@ The objective is ``1/2 x^T H x`` with a strictly positive diagonal H:
 measurement weights on the errors, and small uniqueness penalties on flows
 and buffer masses.
 
-The solver factorizes the full bordered KKT matrix ``[[H, A^T], [A, 0]]``
-(never the normal equations, whose conditioning collapses under the tiny
-penalties), after symmetric max-norm equilibration, with iterative
-refinement when the first solve misses tolerance.  Columns are ordered by
-COLAMD, whose fill-in stays near-flat in the horizon K where minimum degree
-on ``A^T + A`` grows with it.
+The solver factorizes the bordered KKT matrix ``[[H, A^T], [A, 0]]`` in a
+reduced form (never the normal equations, whose conditioning collapses
+under the tiny penalties).  An error column with a single entry ``a`` in
+row r is eliminated exactly, as in Hachtel's augmented matrix: its
+stationarity row gives ``x_j = -a lambda_r / h_j``, so the column leaves
+the primal block and row r's dual diagonal gets ``-a^2 / h_j``.  For the
+rows ``assemble_problem`` builds, every error goes and ``e_r = lambda_r /
+w_r``.  The reduced matrix is factorized after symmetric max-norm
+equilibration, with iterative refinement when the first solve misses
+tolerance.  Columns are ordered by COLAMD, whose fill-in stays near-flat in
+the horizon K where minimum degree on ``A^T + A`` grows with it.
 """
 
 from __future__ import annotations
@@ -35,8 +40,12 @@ DEFAULT_FLOW_PENALTY = 1e-10
 DEFAULT_BUFFER_PENALTY = 1e-12
 DEFAULT_TOL = 1e-8
 MAX_REFINEMENT_ROUNDS = 2
-# Fill ratio nnz(L + U) / nnz(KKT) on a 300-outlet tree at K=8:
-# 4.7 with COLAMD, 29 with MMD_AT_PLUS_A; at K=1 both give 1.6.
+# Fill ratio nnz(L + U) / nnz(KKT) of the reduced KKT on a 300-outlet tree
+# at K=8: 4.8 with COLAMD, 30 with MMD_AT_PLUS_A; at K=1 1.6 and 1.5.
+# SuperLU is called with panel_size=1: its panel workspace grows with
+# n * panel_size, and on a 1500-outlet estimate whose factor holds about
+# 5 MB the default of 12 raised peak RSS from 116.5 to 139.5 MB.  One-column
+# panels also factored that KKT faster, 0.05 s against 0.09 s.
 KKT_ORDERING = "COLAMD"
 
 
@@ -170,13 +179,32 @@ def assemble_problem(incidence: IncidenceMatrices,
 # KKT solvers
 # ---------------------------------------------------------------------------
 
+def _eliminated_errors(problem: EstimationProblem,
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which columns stay in the KKT matrix, as a mask over the variables;
+    the others are the error-block columns of A with exactly one entry, and
+    their rows and entries follow in column order."""
+    a = problem.constraint_matrix.tocsc()
+    first = problem.n_variables - problem.var_index.n_errors
+    columns = first + np.flatnonzero(np.diff(a.indptr[first:]) == 1)
+    kept = np.ones(problem.n_variables, dtype=bool)
+    kept[columns] = False
+    at = a.indptr[columns]
+    return kept, a.indices[at], a.data[at]
+
+
 def _kkt_matrix(problem: EstimationProblem, dual_shift: float = 0.0) -> sp.csc_matrix:
-    h = sp.diags(problem.hessian_diag)
-    a = problem.constraint_matrix
-    lower_right = None
-    if dual_shift:
-        lower_right = -dual_shift * sp.identity(a.shape[0])
-    kkt = sp.bmat([[h, a.T], [a, lower_right]], format="csc")
+    """``[[H_k, A_k^T], [A_k, -D]]`` over the kept columns k, with the dual
+    diagonal ``D = dual_shift + sum a^2 / h`` over each row's eliminated
+    errors (see :func:`_eliminated_errors`)."""
+    kept, rows, entries = _eliminated_errors(problem)
+    h = problem.hessian_diag
+    a = problem.constraint_matrix[:, kept]
+    dual = dual_shift + np.bincount(rows, weights=entries ** 2 / h[~kept],
+                                    minlength=a.shape[0])
+    on = np.flatnonzero(dual)
+    lower_right = sp.csc_matrix((-dual[on], (on, on)), shape=(a.shape[0],) * 2)
+    kkt = sp.bmat([[sp.diags(h[kept]), a.T], [a, lower_right]], format="csc")
     kkt.sort_indices()
     return kkt
 
@@ -188,11 +216,12 @@ def _equilibrate(kkt: sp.csc_matrix) -> np.ndarray:
     return 1.0 / np.sqrt(row_max)
 
 
-def _suspect_rows(problem: EstimationProblem, lu, n_vars: int) -> list[str]:
+def _suspect_rows(problem: EstimationProblem, lu, n_kept: int) -> list[str]:
     """Name measurement rows whose pivots collapsed during factorization.
 
     SuperLU factors ``Pr A Pc = L U`` with ``Pc[j, perm_c[j]] = 1``, so
-    pivot i sits in the original column j with ``perm_c[j] == i``.
+    pivot i sits in the original column j with ``perm_c[j] == i``; the
+    dual columns follow the ``n_kept`` primal ones.
     """
     diag = np.abs(lu.U.diagonal())
     scale = diag.max() if diag.size else 0.0
@@ -203,37 +232,43 @@ def _suspect_rows(problem: EstimationProblem, lu, n_vars: int) -> list[str]:
     labels = []
     for i in tiny:
         col = int(pivot_column[i])
-        if col >= n_vars:
-            r = col - n_vars - problem.n_balance_rows
+        if col >= n_kept:
+            r = col - n_kept - problem.n_balance_rows
             if r >= 0:
                 labels.append(problem.measurement_row_label(r))
             else:
-                labels.append(f"balance row {col - n_vars}")
+                labels.append(f"balance row {col - n_kept}")
     return labels
 
 
 def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
-    """Solve via sparse LU of the equilibrated bordered KKT system.
+    """Solve via sparse LU of the equilibrated, reduced bordered KKT system.
 
-    Convergence means ``||A x - b||_inf <= tol * (1 + ||b||_inf)``.  Up to
-    ``MAX_REFINEMENT_ROUNDS`` rounds of iterative refinement are applied
-    while the KKT residual misses that; on a singular factorization the
-    dual block is shifted by ``-delta I`` (delta = 1e-12 * ||A||_inf) and
-    the shift is surfaced in the diagnostics together with the suspect rows.
+    The error columns that :func:`_kkt_matrix` eliminates are recovered
+    from the multipliers after the solve, and every residual is recomputed
+    from the full ``A``.  Convergence means ``||A x - b||_inf <= tol * (1 +
+    ||b||_inf)`` and ``||H x + A^T lambda||_inf <= tol * (1 + ||A^T
+    lambda||_inf)``.  Up to ``MAX_REFINEMENT_ROUNDS`` rounds of iterative
+    refinement are applied while the reduced KKT residual misses the first
+    bound; on a singular factorization the dual block is shifted by
+    ``-delta I`` (delta = 1e-12 * ||A||_inf) and the shift is surfaced in
+    the diagnostics together with the suspect rows.
 
     The diagnostics also record the factorization: ``ordering``,
     ``kkt_nnz`` (the factored matrix), ``lu_nnz`` (``L.nnz + U.nnz``),
     ``fill_ratio`` (their quotient), and ``refinement_residuals``, the
-    KKT residual's inf-norm after the first solve and after each round.
+    reduced KKT residual's inf-norm after the first solve and after each
+    round.
     """
     # Imported here: commands that never factorize skip its import cost.
     import scipy.sparse.linalg as spla
 
     if np.any(problem.hessian_diag <= 0):
         raise ValueError("hessian diagonal must be strictly positive")
-    n = problem.n_variables
     a = problem.constraint_matrix
-    rhs = np.concatenate([np.zeros(n), problem.rhs])
+    kept, rows, entries = _eliminated_errors(problem)
+    n_kept = int(kept.sum())
+    rhs = np.concatenate([np.zeros(n_kept), problem.rhs])
     diagnostics: dict = {"regularized": False, "refinement_rounds": 0,
                          "suspect_rows": [], "tol": tol,
                          "ordering": KKT_ORDERING}
@@ -244,7 +279,7 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
         scaled = (sp.diags(s) @ kkt @ sp.diags(s)).tocsc()
         diagnostics["kkt_nnz"] = scaled.nnz
         try:
-            lu = spla.splu(scaled, permc_spec=KKT_ORDERING,
+            lu = spla.splu(scaled, permc_spec=KKT_ORDERING, panel_size=1,
                            options=dict(SymmetricMode=True,
                                         DiagPivotThresh=0.001))
         except RuntimeError:
@@ -266,7 +301,7 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
 
     diagnostics["lu_nnz"] = lu.L.nnz + lu.U.nnz
     diagnostics["fill_ratio"] = diagnostics["lu_nnz"] / diagnostics["kkt_nnz"]
-    suspects = _suspect_rows(problem, lu, n)
+    suspects = _suspect_rows(problem, lu, n_kept)
     if suspects and not diagnostics["regularized"]:
         diagnostics["suspect_rows"] = suspects
 
@@ -285,7 +320,11 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
         y = y + kkt_solve(residual)
         diagnostics["refinement_rounds"] += 1
 
-    return _extract_solution(problem, y[:n], y[n:], tol, diagnostics)
+    lam = y[n_kept:]
+    x = np.empty(problem.n_variables)
+    x[kept] = y[:n_kept]
+    x[~kept] = -entries * lam[rows] / problem.hessian_diag[~kept]
+    return _extract_solution(problem, x, lam, tol, diagnostics)
 
 
 def _extract_solution(problem: EstimationProblem, x: np.ndarray,
@@ -294,13 +333,16 @@ def _extract_solution(problem: EstimationProblem, x: np.ndarray,
     index = problem.var_index
     a = problem.constraint_matrix
     row_residual = a @ x - problem.rhs
-    grad_residual = problem.hessian_diag * x + a.T @ lam
+    dual_term = a.T @ lam
+    grad_residual = problem.hessian_diag * x + dual_term
     constraint_residual = float(np.abs(row_residual).max(initial=0.0))
-    kkt_residual = float(max(np.abs(grad_residual).max(initial=0.0),
-                             constraint_residual))
+    stationarity_residual = float(np.abs(grad_residual).max(initial=0.0))
+    kkt_residual = max(stationarity_residual, constraint_residual)
     objective = 0.5 * float(x @ (problem.hessian_diag * x))
     converged = bool(
-        constraint_residual <= tol * (1.0 + np.abs(problem.rhs).max(initial=0.0)))
+        constraint_residual <= tol * (1.0 + np.abs(problem.rhs).max(initial=0.0))
+        and stationarity_residual
+        <= tol * (1.0 + np.abs(dual_term).max(initial=0.0)))
 
     k, n_places, n_caps = index.n_steps, index.n_places, index.n_caps
     q_b = x[: k * n_places].reshape(k, n_places).copy()

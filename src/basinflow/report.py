@@ -189,9 +189,9 @@ def export_results(solution: Solution, network: WatershedNetwork,
 
     Geo: a GeoJSON feature collection with Point features per
     (buffer, operand) accumulation and LineString features per transport
-    flow, written as the one line ``json.dumps(doc, sort_keys=True)``
-    would write.  Coordinates are optional passthrough from the network
-    file; features without them get null geometry.
+    flow, written feature by feature as the one line ``json.dumps(doc,
+    sort_keys=True)`` would write.  Coordinates are optional passthrough
+    from the network file; features without them get null geometry.
     """
     if fmt not in ("tabular", "geo"):
         raise ValueError(f"unknown export format {fmt!r}")
@@ -245,9 +245,11 @@ def export_results(solution: Solution, network: WatershedNetwork,
         line_geometry, map(_json_string, entity), map(_json_string, kind),
         _json_numbers([math.log10(v) if v > 0 else None for v in values]),
         map(_json_string, operand), _json_numbers(values)))
+    features = itertools.chain(accumulations, flows)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{"features": [%s], "type": "FeatureCollection"}\n'
-                 % ", ".join(itertools.chain(accumulations, flows)))
+        fh.write('{"features": [%s' % next(features, ""))
+        fh.writelines(map(", ".__add__, features))
+        fh.write('], "type": "FeatureCollection"}\n')
 
 
 def import_tabular(path) -> dict[tuple[str, str, str, str], float]:

@@ -11,7 +11,7 @@ data rather than raising.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -185,6 +185,11 @@ class WatershedNetwork:
             fh.write("\n")
 
 
+# The largest finite float.  Python compares an int with it exactly, so a
+# JSON integer beyond float range fails ``<=`` where ``float()`` would raise.
+_FLOAT_MAX = sys.float_info.max
+
+
 def _is_number(value) -> bool:
     """Whether ``value`` is a JSON number: ``bool`` is an ``int`` to Python."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -197,7 +202,7 @@ def _parse_coordinates(raw, where: str, problems: list[str]):
             or not all(map(_is_number, raw))):
         problems.append(f"{where}: coordinates must be a [x, y] pair")
         return None
-    if math.isfinite(raw[0]) and math.isfinite(raw[1]):
+    if abs(raw[0]) <= _FLOAT_MAX and abs(raw[1]) <= _FLOAT_MAX:
         return (float(raw[0]), float(raw[1]))
     problems.append(f"{where}: coordinates must be finite, got {raw!r}")
     return None
@@ -222,12 +227,19 @@ def network_from_dict(doc: dict) -> WatershedNetwork:
     if problems:
         raise NetworkSchemaError(problems)
 
-    def need(record, key: str, where: str, kind: type = str):
+    def records(group: str):
+        """(where, record) for each record of ``group`` that is an object;
+        any other is noted once."""
+        for i, record in enumerate(doc[group]):
+            where = f"{group}[{i}]"
+            if isinstance(record, dict):
+                yield where, record
+            else:
+                problems.append(f"{where}: record must be an object")
+
+    def need(record: dict, key: str, where: str, kind: type = str):
         """``record[key]``, or None with the problem noted when the record
         lacks it or it is not a JSON string (an object, for ``kind=dict``)."""
-        if not isinstance(record, dict):
-            problems.append(f"{where}: record must be an object")
-            return None
         if key not in record:
             problems.append(f"{where}: missing field {key!r}")
             return None
@@ -239,8 +251,7 @@ def network_from_dict(doc: dict) -> WatershedNetwork:
         return record[key]
 
     lands: list[LandSegment] = []
-    for i, rec in enumerate(doc["land_segments"]):
-        where = f"land_segments[{i}]"
+    for where, rec in records("land_segments"):
         ext = need(rec, "external_id", where)
         county = need(rec, "county", where)
         rseg = need(rec, "river_segment_id", where)
@@ -249,7 +260,7 @@ def network_from_dict(doc: dict) -> WatershedNetwork:
             continue
         areas = []
         for src, acres in areas_raw.items():
-            if not _is_number(acres) or not 0 <= acres < math.inf:
+            if not _is_number(acres) or not 0 <= acres <= _FLOAT_MAX:
                 problems.append(
                     f"{where}: area for load source {src!r} must be a "
                     f"finite non-negative number, got {acres!r}"
@@ -262,8 +273,7 @@ def network_from_dict(doc: dict) -> WatershedNetwork:
         ))
 
     outlets: list[Outlet] = []
-    for i, rec in enumerate(doc["outlets"]):
-        where = f"outlets[{i}]"
+    for where, rec in records("outlets"):
         ext = need(rec, "external_id", where)
         rseg = need(rec, "river_segment_id", where)
         if None in (ext, rseg):
@@ -274,8 +284,7 @@ def network_from_dict(doc: dict) -> WatershedNetwork:
         ))
 
     links: list[RiverLink] = []
-    for i, rec in enumerate(doc["river_links"]):
-        where = f"river_links[{i}]"
+    for where, rec in records("river_links"):
         frm = need(rec, "from_outlet", where)
         to = need(rec, "to_node", where)
         if None in (frm, to):
@@ -283,8 +292,7 @@ def network_from_dict(doc: dict) -> WatershedNetwork:
         links.append(RiverLink(frm, to))
 
     estuaries: list[Estuary] = []
-    for i, rec in enumerate(doc["estuaries"]):
-        where = f"estuaries[{i}]"
+    for where, rec in records("estuaries"):
         ext = need(rec, "external_id", where)
         if ext is None:
             continue

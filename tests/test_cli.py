@@ -352,6 +352,18 @@ class TestValidateFailures:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("load_source_areas", {"row_crops": 10 ** 400}),
+        ("coordinates", [10 ** 400, 1])])
+    def test_number_beyond_float_range(self, synth_dir, tmp_path, capsys,
+                                       field, value):
+        doc = json.loads((synth_dir / "network.json").read_text())
+        doc["land_segments"][0][field] = value
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        assert run(["validate", "--network", str(path)]) == 1
+        assert "land_segments[0]: " in capsys.readouterr().err
+
     def test_missing_network_file(self, tmp_path):
         assert run(["validate", "--network",
                     str(tmp_path / "nothing.json")]) == 3

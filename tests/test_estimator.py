@@ -373,6 +373,93 @@ class TestScaling:
         assert np.abs(xs - s * x1).max() <= 1e-5 * (1.0 + np.abs(s * x1).max())
 
 
+def bundle_problem(k_steps):
+    """A 6-outlet bundle's problem over ``k_steps`` steps."""
+    _, _, _, constraints, incidence, problem = assemble_bundle(6, branching=2,
+                                                               seed=5)
+    if k_steps == 1:
+        return problem
+    return est.assemble_problem(
+        incidence, ms.expand_constraints(constraints, k_steps),
+        k_steps=k_steps)
+
+
+def factored_matrices(monkeypatch) -> list:
+    """Every matrix ``splu`` is given from now on, in call order."""
+    import scipy.sparse.linalg as spla
+
+    factored = []
+    splu = spla.splu
+
+    def record(matrix, *args, **kwargs):
+        factored.append(matrix)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", record)
+    return factored
+
+
+class TestReducedKKT:
+    @pytest.mark.parametrize("k_steps", [1, 3])
+    def test_errors_leave_the_factored_matrix(self, k_steps, monkeypatch):
+        problem = bundle_problem(k_steps)
+        factored = factored_matrices(monkeypatch)
+        solution = est.solve(problem)
+        [matrix] = factored
+        size = problem.n_variables - problem.var_index.n_errors + problem.n_rows
+        assert matrix.shape == (size, size)
+        assert solution.diagnostics["kkt_nnz"] == matrix.nnz
+        assert solution.converged
+
+    @pytest.mark.parametrize("k_steps", [1, 3])
+    def test_errors_are_weighted_multipliers(self, k_steps):
+        problem = bundle_problem(k_steps)
+        solution = est.solve(problem)
+        expected = (solution.multipliers[problem.n_balance_rows:]
+                    / problem.constraints.weight)
+        assert np.abs(solution.errors - expected).max() \
+            <= 1e-15 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("k_steps", [1, 3])
+    def test_stationarity_on_every_column(self, k_steps):
+        problem = bundle_problem(k_steps)
+        solution = est.solve(problem)
+        dual_term = problem.constraint_matrix.T @ solution.multipliers
+        gradient = problem.hessian_diag * solution.x + dual_term
+        assert np.abs(gradient).max() <= 1e-12 * (1.0 + np.abs(dual_term).max())
+
+    def test_shared_error_column_stays(self, monkeypatch):
+        # x0 + x1 - e0 = 3, x1 - e0 - e1 = 1, x0 = 1: e0 sits in two rows
+        # and stays in the KKT matrix; e1 sits in one and leaves it.
+        problem = est.EstimationProblem(
+            n_steps=1, dt=1.0, hessian_diag=np.array([1e-2, 1e-2, 2.0, 3.0]),
+            constraint_matrix=sp.csr_matrix(np.array([
+                [1.0, 1.0, -1.0, 0.0], [0.0, 1.0, -1.0, -1.0],
+                [1.0, 0.0, 0.0, 0.0]])),
+            rhs=np.array([3.0, 1.0, 1.0]),
+            var_index=est.VariableIndex(1, 0, 2, 2),
+            alpha=1e-2, beta=1e-12)
+        factored = factored_matrices(monkeypatch)
+        sparse = est.solve(problem)
+        assert [m.shape for m in factored] == [(6, 6)]
+        dense = dense_oracle_solve(problem)
+        assert np.abs(sparse.x - dense.x).max() <= 1e-12 * np.abs(dense.x).max()
+        assert sparse.errors[1] == sparse.multipliers[1] / 3.0
+        assert sparse.converged
+
+    def test_perturbed_multipliers_not_converged(self):
+        problem = bundle_problem(1)
+        solution = est.solve(problem)
+        assert solution.converged
+        lam = solution.multipliers.copy()
+        lam[problem.n_balance_rows] += 1e-4 * (
+            1.0 + np.abs(problem.constraint_matrix.T @ lam).max())
+        perturbed = est._extract_solution(problem, solution.x, lam,
+                                          est.DEFAULT_TOL, {})
+        assert perturbed.constraint_residual == solution.constraint_residual
+        assert not perturbed.converged
+
+
 class TestUniqueness:
     def test_permuted_variables_same_solution(self):
         _, _, _, _, _, problem = assemble_bundle(3, branching=2, seed=13)

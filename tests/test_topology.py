@@ -133,6 +133,34 @@ class TestLoadNetwork:
                            r"non-negative number, got inf"):
             load_network(path)
 
+    def test_area_beyond_float_range_named(self, tmp_path, chain_network_doc):
+        # float(10**400) raises OverflowError, which once escaped uncaught
+        chain_network_doc["land_segments"][0]["load_source_areas"] = {
+            "row_crops": 10 ** 400}
+        path = write_network(tmp_path, chain_network_doc)
+        with pytest.raises(NetworkSchemaError, match=re.escape(
+                "land_segments[0]: area for load source 'row_crops' must be a "
+                f"finite non-negative number, got {10 ** 400!r}")):
+            load_network(path)
+
+    def test_coordinates_beyond_float_range_named(self, tmp_path,
+                                                  chain_network_doc):
+        chain_network_doc["outlets"][0]["coordinates"] = [10 ** 400, 1]
+        path = write_network(tmp_path, chain_network_doc)
+        with pytest.raises(NetworkSchemaError, match=re.escape(
+                f"outlets[0]: coordinates must be finite, got "
+                f"[{10 ** 400!r}, 1]")):
+            load_network(path)
+
+    @pytest.mark.parametrize("group", ["land_segments", "outlets",
+                                       "river_links", "estuaries"])
+    def test_non_object_record_reported_once(self, chain_network_doc, group):
+        chain_network_doc[group][0] = 5
+        with pytest.raises(NetworkSchemaError) as info:
+            network_from_dict(chain_network_doc)
+        message = f"{group}[0]: record must be an object"
+        assert info.value.violations.count(message) == 1
+
     def test_synthetic_round_trip(self, tmp_path):
         net, _, _ = bf.generate_synthetic(100, branching=3, seed=4)
         path = tmp_path / "net.json"
