@@ -36,6 +36,12 @@ EXIT_SOLVER = 2
 EXIT_IO = 3
 
 DATASET_FAMILIES = ("applied", "loads", "delivery_factors", "areas")
+# The deterministic ``Solution.diagnostics`` that run_summary.json's solver
+# block records; ``regularized`` and ``negative_flow_count`` sit under
+# ``solution`` and ``tol`` under ``config``.
+SOLVER_DIAGNOSTICS = ("ordering", "kkt_nnz", "lu_nnz", "fill_ratio",
+                      "refinement_rounds", "refinement_residuals",
+                      "suspect_rows", "dual_shift")
 
 
 @dataclass
@@ -249,7 +255,7 @@ def cmd_estimate(config: RunConfig) -> int:
     report.export_results(solution, network, capabilities,
                           out / "solution.geojson", fmt="geo")
     _write_json(out / "residuals.json",
-                [f.to_dict() for f in estimator.residual_report(problem, solution)])
+                estimator.residual_report(problem, solution))
 
     fit = report.build_fit_report(fit_rows, solution.u.sum(axis=0),
                                   nrmse_normalizer=config.nrmse_normalizer)
@@ -264,7 +270,7 @@ def cmd_estimate(config: RunConfig) -> int:
             "estuaries": len(network.estuaries),
         },
         "problem": {
-            "variables": problem.n_variables,
+            "variables": problem.n_variables + len(constraints),
             "equality_rows": problem.n_rows,
             "measurement_rows": len(constraints),
             "capabilities": len(capabilities),
@@ -278,6 +284,9 @@ def cmd_estimate(config: RunConfig) -> int:
             "negative_flow_count": solution.diagnostics["negative_flow_count"],
             "regularized": solution.diagnostics.get("regularized", False),
         },
+        "solver": {"u0": problem.u0, **{
+            key: solution.diagnostics[key] for key in SOLVER_DIAGNOSTICS
+            if key in solution.diagnostics}},
         "skipped_records": skipped,
     }
     _write_json(out / "run_summary.json", summary)

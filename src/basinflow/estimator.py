@@ -1,24 +1,23 @@
-"""Equality-constrained quadratic program for flow estimation.
+"""Weighted least-squares flow estimation as an equality-constrained QP.
 
-The decision vector stacks buffer masses after each step, per-capability
-firings per step, and one error variable per measurement row:
+The decision vector stacks buffer masses after each step and
+per-capability firings per step:
 
-    x = [ Q_B[2..K+1] | U[1..K] | errors ]
+    x = [ Q_B[2..K+1] | U[1..K] ]
 
-subject to the mass balance ``-Q_B[k+1] + Q_B[k] + M U[k] dt = 0`` (with
-``Q_B[1] = 0`` eliminated) and the measurement rows ``D U - error = c``.
-The objective is ``1/2 x^T H x`` with a strictly positive diagonal H:
-measurement weights on the errors, and small uniqueness penalties on flows
-and buffer masses.
+The mass balance ``-Q_B[k+1] + Q_B[k] + M U[k] dt = 0`` (with ``Q_B[1] =
+0`` eliminated) holds exactly.  The measurement rows ``D U - e = c`` are
+soft: their errors ``e`` carry the row weights ``w`` and are not unknowns
+of the solve.  The objective is ``1/2 x^T H x + 1/2 e^T W e``, with H a
+strictly positive diagonal of small uniqueness penalties on flows and
+buffer masses.
 
-The solver factorizes the bordered KKT matrix ``[[H, A^T], [A, 0]]`` in a
-reduced form (never the normal equations, whose conditioning collapses
-under the tiny penalties).  An error column with a single entry ``a`` in
-row r is eliminated exactly, as in Hachtel's augmented matrix: its
-stationarity row gives ``x_j = -a lambda_r / h_j``, so the column leaves
-the primal block and row r's dual diagonal gets ``-a^2 / h_j``.  For the
-rows ``assemble_problem`` builds, every error goes and ``e_r = lambda_r /
-w_r``.  The reduced matrix is factorized after symmetric max-norm
+The solver factorizes Hachtel's augmented matrix ``[[H, A^T], [A,
+-W^-1]]``, with ``W^-1`` zero on the balance rows (never the normal
+equations, whose conditioning collapses under the tiny penalties).  It is
+the bordered KKT matrix of the problem with ``e`` as variables, after
+stationarity in ``e`` gives ``e = lambda_m / w`` for the measurement rows'
+multipliers.  The matrix is factorized after symmetric max-norm
 equilibration, with iterative refinement when the first solve misses
 tolerance.  Columns are ordered by COLAMD, whose fill-in stays near-flat in
 the horizon K where minimum degree on ``A^T + A`` grows with it.
@@ -34,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core_net import IncidenceMatrices
-from .measurement import FAMILIES, MeasurementSystem, row_labels
+from .measurement import FAMILIES, WEIGHT_FLOOR, MeasurementSystem, row_labels
 
 DEFAULT_FLOW_PENALTY = 1e-10
 DEFAULT_BUFFER_PENALTY = 1e-12
@@ -53,34 +52,32 @@ class AssemblyWarning(UserWarning):
     """Assembly produced a degenerate but solvable problem."""
 
 
-@dataclass(frozen=True)
-class VariableIndex:
-    """Block sizes of the decision vector ``[Q_B | U | errors]``.
+@dataclass
+class EstimationProblem:
+    """Assembled sparse QP over ``x = [Q_B | U]``::
 
-    Columns run step-major within each block: ``n_places`` buffer masses
-    for each of the steps 2..K+1 (the zero initial state is eliminated),
-    ``n_caps`` firings for each of the steps 1..K, then one error per
-    measurement row.
+        min 1/2 x^T diag(h) x + 1/2 e^T diag(w) e  s.t.  A x - [0; e] = b
+
+    The last ``weight.size`` rows of ``A`` are soft, with errors ``e`` and
+    weights ``w = weight``; the rows before them hold exactly.  Columns run
+    step-major within each block: ``n_places`` buffer masses for each of
+    the steps 2..K+1 (the zero initial state is eliminated), then
+    ``n_caps`` firings for each of the steps 1..K.  ``hessian_diag`` holds
+    the penalties ``beta / u0^2`` and ``alpha / u0^2``, in the data's unit
+    ``u0``.
     """
 
     n_steps: int
     n_places: int
     n_caps: int
-    n_errors: int
-
-
-@dataclass
-class EstimationProblem:
-    """Assembled sparse QP: min 1/2 x^T diag(h) x  s.t.  A x = b."""
-
-    n_steps: int
     dt: float
     hessian_diag: np.ndarray
     constraint_matrix: sp.csr_matrix
     rhs: np.ndarray
-    var_index: VariableIndex
+    weight: np.ndarray
     alpha: float
     beta: float
+    u0: float
     constraints: Optional[MeasurementSystem] = None
 
     @property
@@ -92,8 +89,12 @@ class EstimationProblem:
         return self.constraint_matrix.shape[0]
 
     @property
+    def n_hard_rows(self) -> int:
+        return self.n_rows - self.weight.size
+
+    @property
     def n_balance_rows(self) -> int:
-        return self.n_steps * self.var_index.n_places
+        return self.n_steps * self.n_places
 
     def measurement_row_label(self, r: int) -> str:
         if self.constraints is not None and r < len(self.constraints):
@@ -105,10 +106,12 @@ class EstimationProblem:
 class Solution:
     """Estimated trajectories with residual diagnostics.
 
-    ``q_b[i]`` is the place-mass vector after step ``i + 1`` (the state
-    labeled ``Q_B[i + 2]``); ``u[i]`` the firings of step ``i + 1``.
-    Residuals are recomputed from the returned vectors, never read off
-    solver internals.
+    ``x`` is ``[Q_B | U]``: ``q_b[i]`` is the place-mass vector after step
+    ``i + 1`` (the state labeled ``Q_B[i + 2]``) and ``u[i]`` the firings of
+    step ``i + 1``, both views of ``x``.  ``errors`` holds one entry per
+    soft row and ``multipliers`` one per row.  Residuals, objective and
+    convergence are those of the problem with the errors as variables,
+    recomputed from the returned vectors, never read off solver internals.
     """
 
     q_b: np.ndarray
@@ -131,11 +134,15 @@ def assemble_problem(incidence: IncidenceMatrices,
                      beta: float = DEFAULT_BUFFER_PENALTY) -> EstimationProblem:
     """Build the QP from the incidence structure and measurement rows.
 
-    ``A = [[Q_K, kron(I_K, M dt), 0], [0, D_K, -I]]``: balance rows come
-    first (one block of ``n_places`` rows per step), then one row per
-    measurement.  The measurement system must span ``k_steps`` steps (see
-    ``measurement.expand_constraints``) and have its weights set (see
-    ``measurement.compute_weights``).
+    ``A = [[Q_K, kron(I_K, M dt)], [0, D_K]]``: balance rows come first
+    (one block of ``n_places`` rows per step), then one soft row per
+    measurement with its weight.  The measurement system must span
+    ``k_steps`` steps (see ``measurement.expand_constraints``) and have its
+    weights set (see ``measurement.compute_weights``).
+
+    The penalties are divided by ``u0^2``, the median squared nonzero datum
+    floored at ``WEIGHT_FLOOR``, so the bias they put on each flow is
+    relative to the data rather than absolute.
     """
     if incidence.n_capabilities == 0:
         raise ValueError("cannot assemble a problem with no capabilities")
@@ -158,20 +165,24 @@ def assemble_problem(incidence: IncidenceMatrices,
             "trivial solution", AssemblyWarning, stacklevel=2,
         )
 
-    index = VariableIndex(k_steps, n_places, n_caps, len(constraints))
-    h = np.concatenate([np.full(k_steps * n_places, beta),
-                        np.full(k_steps * n_caps, alpha), constraints.weight])
+    data = constraints.constant[constraints.constant != 0]
+    u0_sq = max(float(np.median(data * data)) if data.size else 0.0,
+                WEIGHT_FLOOR)
+    h = np.concatenate([np.full(k_steps * n_places, beta / u0_sq),
+                        np.full(k_steps * n_caps, alpha / u0_sq)])
     # Q_B[k + 1] - Q_B[k] with the zero initial state eliminated.
     q_k = sp.kron(sp.eye(k_steps, k=-1) - sp.identity(k_steps),
                   sp.identity(n_places))
-    a = sp.bmat([[q_k, sp.kron(sp.identity(k_steps), incidence.m * dt), None],
-                 [None, constraints.d, -sp.identity(len(constraints))]], format="csr")
+    a = sp.bmat([[q_k, sp.kron(sp.identity(k_steps), incidence.m * dt)],
+                 [None, constraints.d]], format="csr")
     a.sum_duplicates()
     a.sort_indices()
     b = np.concatenate([np.zeros(k_steps * n_places), constraints.constant])
     return EstimationProblem(
-        n_steps=k_steps, dt=dt, hessian_diag=h, constraint_matrix=a, rhs=b,
-        var_index=index, alpha=alpha, beta=beta, constraints=constraints,
+        n_steps=k_steps, n_places=n_places, n_caps=n_caps, dt=dt,
+        hessian_diag=h, constraint_matrix=a, rhs=b, weight=constraints.weight,
+        alpha=alpha, beta=beta, u0=float(np.sqrt(u0_sq)),
+        constraints=constraints,
     )
 
 
@@ -179,32 +190,17 @@ def assemble_problem(incidence: IncidenceMatrices,
 # KKT solvers
 # ---------------------------------------------------------------------------
 
-def _eliminated_errors(problem: EstimationProblem,
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Which columns stay in the KKT matrix, as a mask over the variables;
-    the others are the error-block columns of A with exactly one entry, and
-    their rows and entries follow in column order."""
-    a = problem.constraint_matrix.tocsc()
-    first = problem.n_variables - problem.var_index.n_errors
-    columns = first + np.flatnonzero(np.diff(a.indptr[first:]) == 1)
-    kept = np.ones(problem.n_variables, dtype=bool)
-    kept[columns] = False
-    at = a.indptr[columns]
-    return kept, a.indices[at], a.data[at]
-
-
 def _kkt_matrix(problem: EstimationProblem, dual_shift: float = 0.0) -> sp.csc_matrix:
-    """``[[H_k, A_k^T], [A_k, -D]]`` over the kept columns k, with the dual
-    diagonal ``D = dual_shift + sum a^2 / h`` over each row's eliminated
-    errors (see :func:`_eliminated_errors`)."""
-    kept, rows, entries = _eliminated_errors(problem)
-    h = problem.hessian_diag
-    a = problem.constraint_matrix[:, kept]
-    dual = dual_shift + np.bincount(rows, weights=entries ** 2 / h[~kept],
-                                    minlength=a.shape[0])
+    """``[[H, A^T], [A, -(W^-1 + dual_shift I)]]``, with ``W^-1`` zero on
+    the hard rows."""
+    a = problem.constraint_matrix
+    dual = np.full(problem.n_rows, dual_shift)
+    dual[problem.n_hard_rows:] += 1.0 / problem.weight
     on = np.flatnonzero(dual)
-    lower_right = sp.csc_matrix((-dual[on], (on, on)), shape=(a.shape[0],) * 2)
-    kkt = sp.bmat([[sp.diags(h[kept]), a.T], [a, lower_right]], format="csc")
+    lower_right = sp.csc_matrix((-dual[on], (on, on)),
+                                shape=(problem.n_rows,) * 2)
+    kkt = sp.bmat([[sp.diags(problem.hessian_diag), a.T], [a, lower_right]],
+                  format="csc")
     kkt.sort_indices()
     return kkt
 
@@ -216,13 +212,14 @@ def _equilibrate(kkt: sp.csc_matrix) -> np.ndarray:
     return 1.0 / np.sqrt(row_max)
 
 
-def _suspect_rows(problem: EstimationProblem, lu, n_kept: int) -> list[str]:
+def _suspect_rows(problem: EstimationProblem, lu) -> list[str]:
     """Name measurement rows whose pivots collapsed during factorization.
 
     SuperLU factors ``Pr A Pc = L U`` with ``Pc[j, perm_c[j]] = 1``, so
     pivot i sits in the original column j with ``perm_c[j] == i``; the
-    dual columns follow the ``n_kept`` primal ones.
+    dual columns follow the primal ones.
     """
+    n = problem.n_variables
     diag = np.abs(lu.U.diagonal())
     scale = diag.max() if diag.size else 0.0
     if scale == 0.0:
@@ -232,33 +229,34 @@ def _suspect_rows(problem: EstimationProblem, lu, n_kept: int) -> list[str]:
     labels = []
     for i in tiny:
         col = int(pivot_column[i])
-        if col >= n_kept:
-            r = col - n_kept - problem.n_balance_rows
+        if col >= n:
+            r = col - n - problem.n_balance_rows
             if r >= 0:
                 labels.append(problem.measurement_row_label(r))
             else:
-                labels.append(f"balance row {col - n_kept}")
+                labels.append(f"balance row {col - n}")
     return labels
 
 
 def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
-    """Solve via sparse LU of the equilibrated, reduced bordered KKT system.
+    """Solve via sparse LU of the equilibrated augmented KKT system.
 
-    The error columns that :func:`_kkt_matrix` eliminates are recovered
-    from the multipliers after the solve, and every residual is recomputed
-    from the full ``A``.  Convergence means ``||A x - b||_inf <= tol * (1 +
-    ||b||_inf)`` and ``||H x + A^T lambda||_inf <= tol * (1 + ||A^T
-    lambda||_inf)``.  Up to ``MAX_REFINEMENT_ROUNDS`` rounds of iterative
-    refinement are applied while the reduced KKT residual misses the first
-    bound; on a singular factorization the dual block is shifted by
-    ``-delta I`` (delta = 1e-12 * ||A||_inf) and the shift is surfaced in
-    the diagnostics together with the suspect rows.
+    The errors are recovered from the soft rows' multipliers as ``e =
+    lambda_m / w``.  Residuals are those of the problem with the errors as
+    variables, ``r = A x - b - [0; e]`` and ``g = [H x + A^T lambda; w e -
+    lambda_m]``; convergence means ``||r||_inf <= tol * (1 + ||b||_inf)``
+    and ``||g||_inf <= tol * (1 + ||[A^T lambda; -lambda_m]||_inf)``.  Up to
+    ``MAX_REFINEMENT_ROUNDS`` rounds of iterative refinement are applied
+    while the KKT residual of the factored system misses the first bound;
+    on a singular factorization the dual block is shifted by ``-delta I``
+    (delta = 1e-12 * ||A||_inf) and the shift is surfaced in the
+    diagnostics together with the suspect rows.
 
     The diagnostics also record the factorization: ``ordering``,
     ``kkt_nnz`` (the factored matrix), ``lu_nnz`` (``L.nnz + U.nnz``),
     ``fill_ratio`` (their quotient), and ``refinement_residuals``, the
-    reduced KKT residual's inf-norm after the first solve and after each
-    round.
+    factored system's residual inf-norm after the first solve and after
+    each round.
     """
     # Imported here: commands that never factorize skip its import cost.
     import scipy.sparse.linalg as spla
@@ -266,9 +264,8 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
     if np.any(problem.hessian_diag <= 0):
         raise ValueError("hessian diagonal must be strictly positive")
     a = problem.constraint_matrix
-    kept, rows, entries = _eliminated_errors(problem)
-    n_kept = int(kept.sum())
-    rhs = np.concatenate([np.zeros(n_kept), problem.rhs])
+    n = problem.n_variables
+    rhs = np.concatenate([np.zeros(n), problem.rhs])
     diagnostics: dict = {"regularized": False, "refinement_rounds": 0,
                          "suspect_rows": [], "tol": tol,
                          "ordering": KKT_ORDERING}
@@ -301,7 +298,7 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
 
     diagnostics["lu_nnz"] = lu.L.nnz + lu.U.nnz
     diagnostics["fill_ratio"] = diagnostics["lu_nnz"] / diagnostics["kkt_nnz"]
-    suspects = _suspect_rows(problem, lu, n_kept)
+    suspects = _suspect_rows(problem, lu)
     if suspects and not diagnostics["regularized"]:
         diagnostics["suspect_rows"] = suspects
 
@@ -320,34 +317,40 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
         y = y + kkt_solve(residual)
         diagnostics["refinement_rounds"] += 1
 
-    lam = y[n_kept:]
-    x = np.empty(problem.n_variables)
-    x[kept] = y[:n_kept]
-    x[~kept] = -entries * lam[rows] / problem.hessian_diag[~kept]
-    return _extract_solution(problem, x, lam, tol, diagnostics)
+    lam = y[n:]
+    return _extract_solution(problem, y[:n], lam[problem.n_hard_rows:]
+                             / problem.weight, lam, tol, diagnostics)
+
+
+def _row_residual(problem: EstimationProblem, x: np.ndarray,
+                  errors: np.ndarray) -> np.ndarray:
+    """``A x - b - [0; e]``."""
+    residual = problem.constraint_matrix @ x
+    residual[problem.n_hard_rows:] -= errors
+    return residual - problem.rhs
 
 
 def _extract_solution(problem: EstimationProblem, x: np.ndarray,
-                      lam: np.ndarray, tol: float,
+                      errors: np.ndarray, lam: np.ndarray, tol: float,
                       diagnostics: dict) -> Solution:
-    index = problem.var_index
-    a = problem.constraint_matrix
-    row_residual = a @ x - problem.rhs
-    dual_term = a.T @ lam
-    grad_residual = problem.hessian_diag * x + dual_term
+    row_residual = _row_residual(problem, x, errors)
+    z = np.concatenate([x, errors])
+    h = np.concatenate([problem.hessian_diag, problem.weight])
+    dual_term = np.concatenate([problem.constraint_matrix.T @ lam,
+                                -lam[problem.n_hard_rows:]])
+    grad_residual = h * z + dual_term
     constraint_residual = float(np.abs(row_residual).max(initial=0.0))
     stationarity_residual = float(np.abs(grad_residual).max(initial=0.0))
     kkt_residual = max(stationarity_residual, constraint_residual)
-    objective = 0.5 * float(x @ (problem.hessian_diag * x))
+    objective = 0.5 * float(z @ (h * z))
     converged = bool(
         constraint_residual <= tol * (1.0 + np.abs(problem.rhs).max(initial=0.0))
         and stationarity_residual
         <= tol * (1.0 + np.abs(dual_term).max(initial=0.0)))
 
-    k, n_places, n_caps = index.n_steps, index.n_places, index.n_caps
-    q_b = x[: k * n_places].reshape(k, n_places).copy()
-    u = x[k * n_places: k * (n_places + n_caps)].reshape(k, n_caps).copy()
-    errors = x[k * (n_places + n_caps):].copy()
+    k, n_places = problem.n_steps, problem.n_places
+    q_b = x[: k * n_places].reshape(k, n_places)
+    u = x[k * n_places:].reshape(k, problem.n_caps)
 
     diagnostics = dict(diagnostics)
     diagnostics["negative_flow_count"] = int((u < 0).sum())
@@ -362,60 +365,30 @@ def _extract_solution(problem: EstimationProblem, x: np.ndarray,
 # Residual reporting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResidualStats:
-    count: int
-    min: float
-    median: float
-    max: float
-    l2: float
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "ResidualStats":
-        return cls(int(values.size), float(values.min()),
-                   float(np.median(values)), float(values.max()),
-                   float(np.linalg.norm(values)))
-
-    def to_dict(self) -> dict:
-        return {"count": self.count, "min": self.min, "median": self.median,
-                "max": self.max, "l2": self.l2}
+def _stats(values: np.ndarray) -> dict:
+    return {"count": int(values.size), "min": float(values.min()),
+            "median": float(np.median(values)), "max": float(values.max()),
+            "l2": float(np.linalg.norm(values))}
 
 
-@dataclass(frozen=True)
-class FamilyResiduals:
-    family: str
-    row_residuals: ResidualStats
-    errors: Optional[ResidualStats] = None
-
-    def to_dict(self) -> dict:
-        out = {"family": self.family,
-               "row_residuals": self.row_residuals.to_dict()}
-        if self.errors is not None:
-            out["errors"] = self.errors.to_dict()
-        return out
-
-
-def residual_report(problem: EstimationProblem,
-                    solution: Solution) -> list[FamilyResiduals]:
-    """Group measurement errors and row residuals by constraint family.
+def residual_report(problem: EstimationProblem, solution: Solution) -> list[dict]:
+    """Row residuals and measurement errors by constraint family, as the
+    records of ``residuals.json``.
 
     The mass-balance block reports row residuals only; empty families are
     omitted.
     """
-    row_residual = problem.constraint_matrix @ solution.x - problem.rhs
-    report: list[FamilyResiduals] = []
+    row_residual = _row_residual(problem, solution.x, solution.errors)
+    report = []
     n_balance = problem.n_balance_rows
     if n_balance:
-        report.append(FamilyResiduals(
-            "mass_balance",
-            ResidualStats.from_values(row_residual[:n_balance])))
+        report.append({"family": "mass_balance",
+                       "row_residuals": _stats(row_residual[:n_balance])})
 
     constraints = problem.constraints
     for family in dict.fromkeys(constraints.family.tolist() if constraints else ()):
         idx = np.flatnonzero(constraints.family == family)
-        report.append(FamilyResiduals(
-            FAMILIES[family],
-            ResidualStats.from_values(row_residual[n_balance + idx]),
-            ResidualStats.from_values(solution.errors[idx]),
-        ))
+        report.append({"family": FAMILIES[family],
+                       "row_residuals": _stats(row_residual[n_balance + idx]),
+                       "errors": _stats(solution.errors[idx])})
     return report

@@ -603,13 +603,21 @@ def assemble_eot_constraints(
     capabilities: Capabilities,
 ) -> tuple[MeasurementSystem, list[str]]:
     """One row per operand: all estuary-bound river transports sum to the
-    end-of-tide total (summed across reporting counties)."""
+    end-of-tide total, summed across reporting counties.  A record whose
+    county has no land segment stays out of the total, with one note per
+    county."""
     eot = loads[loads.kind == "EoT"]
+    known = np.array([county in network.county_code
+                      for county in eot.county.tolist()], dtype=bool)
+    skipped = [f"EoT record for county {county!r} matches no land segment; "
+               f"left out of the end-of-tide total"
+               for county in dict.fromkeys(eot.county[~known].tolist())]
+    eot = eot[known]
     group, keys = _key_groups(eot.operand)
     totals = np.bincount(group, weights=eot.mass, minlength=len(keys))
     terminal = network.buffer_kinds[network.link_to] == "estuary"
     river = capabilities.river_transport[terminal]
-    rows, cols, constants, operands, skipped = [], [], [], [], []
+    rows, cols, constants, operands = [], [], [], []
     for (operand,), mass in zip(keys, totals.tolist()):
         caps = river[:, OPERAND_NAMES.index(operand)]
         if not caps.size:

@@ -43,9 +43,10 @@ from .topology import (
 LOAD_SOURCE_POOL = ("row_crops", "pasture", "developed_low",
                     "developed_high", "forest")
 
-# Base applied-load ranges in lbs/yr.  Kept small so the quadratic
-# uniqueness penalty on flows (default 1e-10) biases the recovered flows
-# by well under 1e-4 relative: that bias grows like alpha * constant^2.
+# Base applied-load ranges in lbs/yr.  The estimator divides its penalties
+# by the data's squared unit, so their bias on the recovered flows does not
+# grow with these magnitudes; they stay as they are because the pinned
+# bundle digests depend on them.
 _LOAD_RANGE = {"nitrogen": (0.5, 20.0), "phosphorus": (0.05, 2.0)}
 
 
@@ -86,8 +87,9 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
     estimator can recover the ground truth exactly); ``"grouped"`` pools
     several land segments per county, exercising aggregated rows at the
     cost of flow identifiability.  ``load_scale`` multiplies the applied
-    loads; large scales trade recovery precision against realism because
-    the flow penalty's pull grows with the squared constants.
+    loads, e.g. to reach county loads of real magnitude; the estimator's
+    penalties scale with the data, so their bias on the recovered flows
+    does not grow with the scale.
     """
     if n_outlets < 1:
         raise ValueError("n_outlets must be >= 1")

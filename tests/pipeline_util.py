@@ -35,37 +35,49 @@ def buffer_walk(network) -> list[tuple[str, str]]:
 
 def dense_oracle_solve(problem: estimator.EstimationProblem,
                        tol: float = estimator.DEFAULT_TOL) -> estimator.Solution:
-    """Independent dense factorization of the same KKT system as
-    ``estimator.solve``, guarded to ``DENSE_ORACLE_MAX_VARS`` variables."""
-    n = problem.n_variables
+    """Independent dense solve of the problem with the errors as variables.
+
+    It builds the paper's full form, ``min 1/2 z^T diag([h; w]) z`` over
+    ``z = [x; e]`` subject to ``[A, [0; -I]] z = b``, factors its bordered
+    KKT matrix ``[[H, A^T], [A, 0]]`` with LAPACK, and reads the errors off
+    ``z``, so agreement with ``estimator.solve`` checks that eliminating
+    them is exact.  Guarded to ``DENSE_ORACLE_MAX_VARS`` variables.
+    """
+    n_x = problem.n_variables
+    n_e = problem.weight.size
+    n = n_x + n_e
     if n > DENSE_ORACLE_MAX_VARS:
         raise ValueError(
             f"dense oracle limited to {DENSE_ORACLE_MAX_VARS} variables, "
             f"problem has {n}"
         )
     m_rows = problem.n_rows
+    a_dense = np.zeros((m_rows, n))
+    a_dense[:, :n_x] = problem.constraint_matrix.toarray()
+    a_dense[m_rows - n_e:, n_x:] = -np.eye(n_e)
     kkt = np.zeros((n + m_rows, n + m_rows))
-    kkt[:n, :n] = np.diag(problem.hessian_diag)
-    a_dense = problem.constraint_matrix.toarray()
+    kkt[:n, :n] = np.diag(np.concatenate([problem.hessian_diag, problem.weight]))
     kkt[:n, n:] = a_dense.T
     kkt[n:, :n] = a_dense
     rhs = np.concatenate([np.zeros(n), problem.rhs])
+
+    def solution(y, diagnostics):
+        return estimator._extract_solution(problem, y[:n_x], y[n_x:n], y[n:],
+                                           tol, diagnostics)
+
     try:
         y = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         delta = 1e-12 * max(np.abs(a_dense).sum(axis=1).max(initial=0.0), 1.0)
         kkt[n:, n:] -= delta * np.eye(m_rows)
         y = np.linalg.solve(kkt, rhs)
-        return estimator._extract_solution(
-            problem, y[:n], y[n:], tol,
-            {"regularized": True, "dual_shift": delta, "dense_oracle": True,
-             "tol": tol})
+        return solution(y, {"regularized": True, "dual_shift": delta,
+                            "dense_oracle": True, "tol": tol})
     residual = rhs - kkt @ y
     b_scale = 1.0 + np.abs(problem.rhs).max(initial=0.0)
     if np.abs(residual).max(initial=0.0) > tol * b_scale:
         y = y + np.linalg.solve(kkt, residual)
-    return estimator._extract_solution(problem, y[:n], y[n:], tol,
-                                       {"dense_oracle": True, "tol": tol})
+    return solution(y, {"dense_oracle": True, "tol": tol})
 
 
 def build_constraints(network, capabilities, datasets):

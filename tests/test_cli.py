@@ -217,6 +217,35 @@ class TestEstimate:
         for name in ("solution.csv", "solution.geojson", "residuals.json",
                      "fit_report.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        summary = json.loads((out_a / "run_summary.json").read_text())
+        assert sorted(summary["solver"]) == [
+            "fill_ratio", "kkt_nnz", "lu_nnz", "ordering",
+            "refinement_residuals", "refinement_rounds", "suspect_rows", "u0"]
+        assert not set(summary["solver"]) & set(summary["solution"])
+
+    def test_eot_county_outside_network(self, synth_dir, tmp_path):
+        # an EoT record whose county has no land segment stays out of the
+        # end-of-tide total, with a note; report scores the same rows
+        bundle = tmp_path / "bundle"
+        shutil.copytree(synth_dir, bundle,
+                        ignore=shutil.ignore_patterns("results"))
+        with open(bundle / "loads.csv", "a", encoding="utf-8") as fh:
+            fh.write("nowhere,nitrogen,EoT,1000.0\n")
+        assert run(["estimate", "--config", str(bundle / "config.json")]) == 0
+        results = bundle / "results"
+        summary = json.loads((results / "run_summary.json").read_text())
+        assert summary["skipped_records"] == [
+            "EoT record for county 'nowhere' matches no land segment; "
+            "left out of the end-of-tide total"]
+        with open(results / "fit_report.csv", encoding="utf-8") as fh:
+            [eot] = [row for row in csv.DictReader(fh)
+                     if (row["data_type"], row["operand"]) == ("eot", "nitrogen")]
+        assert float(eot["value"]) <= 1e-6
+        assert run(["report", "--solution", str(results / "solution.csv"),
+                    "--config", str(bundle / "config.json"),
+                    "--output-dir", str(tmp_path / "rep")]) == 0
+        assert (tmp_path / "rep" / "fit_report.csv").read_bytes() == \
+            (results / "fit_report.csv").read_bytes()
 
     def test_single_operand_datasets(self, synth_dir, tmp_path):
         # applied and loads hold only nitrogen: estimate and report both

@@ -30,7 +30,7 @@ class TestCapabilityAggregation:
         # its operand once
         net, truth, _ = bf.generate_synthetic(8, branching=2, seed=5)
         system, _ = ms.assemble_eot_constraints(
-            ms.table(ms.LOADS, [("c1", "phosphorus", "EoT", 3.0)]), net,
+            ms.table(ms.LOADS, [("county-0001", "phosphorus", "EoT", 3.0)]), net,
             truth.capabilities)
         first_estuary = len(net.land_segments) + len(net.outlets)
         terminal = {
@@ -323,6 +323,17 @@ class TestEosEotConstraints:
             records, chain_network, caps)
         assert len(constraints) == 0 and skipped
 
+    def test_eot_county_outside_network_left_out(self, chain_network):
+        caps = chain_caps(chain_network)
+        records = ms.table(ms.LOADS, [("alpha", "nitrogen", "EoT", 25.0),
+                                      ("nowhere", "nitrogen", "EoT", 1000.0),
+                                      ("nowhere", "phosphorus", "EoT", 9.0)])
+        constraints, skipped = ms.assemble_eot_constraints(
+            records, chain_network, caps)
+        assert constraints.constant.tolist() == [25.0]
+        assert skipped == ["EoT record for county 'nowhere' matches no land "
+                           "segment; left out of the end-of-tide total"]
+
     def test_eot_single_estuary(self, chain_network):
         caps = chain_caps(chain_network)
         records = ms.table(ms.LOADS, [("alpha", "nitrogen", "EoT", 25.0)])
@@ -338,8 +349,8 @@ class TestEosEotConstraints:
         estuaries = {e.external_id for e in net.estuaries}
         terminal = [l for l in net.river_links if l.to_node in estuaries]
         records = ms.table(ms.LOADS, [
-            ("c1", "nitrogen", "EoT", 10.0),
-            ("c2", "nitrogen", "EoT", 15.0),
+            ("county-0001", "nitrogen", "EoT", 10.0),
+            ("county-0002", "nitrogen", "EoT", 15.0),
         ])
         constraints, _ = ms.assemble_eot_constraints(
             records, net, truth.capabilities)
