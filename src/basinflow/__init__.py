@@ -11,7 +11,6 @@ from .core_net import (
     Capabilities,
     CapabilityClass,
     CapabilitySpec,
-    IncidenceMatrices,
     build_incidence,
 )
 from .topology import (
@@ -28,6 +27,7 @@ from .measurement import (
     assemble_eos_constraints,
     assemble_eot_constraints,
     assemble_stream_to_tide,
+    assemble_system,
     assemble_transport_relations,
     compute_delivery_model,
     compute_weights,
@@ -56,13 +56,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Capabilities", "CapabilityClass", "CapabilitySpec",
-    "IncidenceMatrices", "build_incidence",
+    "build_incidence",
     "WatershedNetwork", "derive_connectivity_from_names",
     "instantiate_capabilities", "load_network", "validate_routing",
     "MeasurementConstraint", "MeasurementSystem",
     "assemble_accept_constraints", "assemble_eos_constraints",
     "assemble_eot_constraints", "assemble_stream_to_tide",
-    "assemble_transport_relations",
+    "assemble_system", "assemble_transport_relations",
     "compute_delivery_model", "compute_weights", "expand_constraints",
     "stack_systems",
     "generate_synthetic",

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: ``validate`` (network + dataset checks), ``estimate`` (the
-full load -> assemble -> solve -> export pipeline), ``synth`` (write a
-synthetic benchmark bundle with ground truth), and ``report`` (recompute
-fit metrics from an exported solution without re-solving).
+Subcommands: ``validate`` (network, dataset and measurement-row checks),
+``estimate`` (the full load -> assemble -> solve -> export pipeline),
+``synth`` (write a synthetic benchmark bundle with ground truth), and
+``report`` (recompute fit metrics from an exported solution without
+re-solving).
 
 Exit codes: 0 success, 1 validation/configuration failure, 2 solver
 failure, 3 file I/O failure.  All numeric defaults are recorded in the
@@ -132,24 +133,19 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
     if not network_path:
         raise ValueError("no network file given (config key 'network' or --network)")
 
-    def pick(flag_name: str, doc_key: str, default):
-        flag = getattr(overrides, flag_name, None)
-        if flag is not None:
-            return flag
-        return doc.get(doc_key, default)
-
+    # A setting is its flag, else its config key, else RunConfig's default.
+    settings = {}
+    for f in dataclasses.fields(RunConfig):
+        if f.name in _CONFIG_KEYS and f.name != "output_dir":
+            flag = getattr(overrides, f.name, None)
+            settings[f.name] = _CONFIG_KEYS[f.name](
+                doc.get(f.name, f.default) if flag is None else flag)
     config = RunConfig(
         network_path=network_path,
         dataset_paths=datasets,
-        k_steps=int(pick("k_steps", "k_steps", 1)),
-        dt_years=float(pick("dt_years", "dt_years", 1.0)),
-        alpha=float(pick("alpha", "alpha", estimator.DEFAULT_FLOW_PENALTY)),
-        beta=float(pick("beta", "beta", estimator.DEFAULT_BUFFER_PENALTY)),
-        tol=float(pick("tol", "tol", estimator.DEFAULT_TOL)),
-        missing_df_policy=pick("missing_df_policy", "missing_df_policy", "error"),
-        nrmse_normalizer=pick("nrmse_normalizer", "nrmse_normalizer", "mean"),
         output_dir=(getattr(overrides, "output_dir", None)
                     or resolve(doc.get("output_dir", ".")) or "."),
+        **settings,
     )
     config.validate()
     return config
@@ -161,6 +157,11 @@ def _read_datasets(config: RunConfig) -> tuple:
     paths = config.dataset_paths
     return tuple(getattr(measurement, f"read_{family}")(paths[family])
                  if family in paths else None for family in DATASET_FAMILIES)
+
+
+def _warn(skipped: list[str]) -> None:
+    for line in skipped:
+        print(f"warning: {line}", file=sys.stderr)
 
 
 def cmd_validate(config: RunConfig) -> int:
@@ -175,36 +176,16 @@ def cmd_validate(config: RunConfig) -> int:
         if records is not None:
             print(f"dataset {name}: {len(records)} records")
     print(str(routing))
-    return EXIT_OK if routing.ok else EXIT_VALIDATION
-
-
-def _assemble_constraints(network, capabilities, applied, loads, delivery):
-    """The one-step measurement system, the rows the fit report scores (the
-    system and the report-only StreamToTide rows) and the skipped-record
-    notes.  Without a delivery model (``report`` given no delivery factors)
-    the transport-relation and StreamToTide rows are left out; a missing
-    applied or loads dataset gives no rows."""
-    if applied is None:
-        applied = measurement.table(measurement.APPLIED)
-    if loads is None:
-        loads = measurement.table(measurement.LOADS)
-    blocks = []
-    skipped: list[str] = []
-    for assemble, records in ((measurement.assemble_accept_constraints, applied),
-                              (measurement.assemble_eos_constraints, loads),
-                              (measurement.assemble_eot_constraints, loads)):
-        block, diag = assemble(records, network, capabilities)
-        blocks.append(block)
-        skipped += diag
-    if delivery is None:
-        system = measurement.stack_systems(blocks)
-        return system, system, skipped
-    blocks.append(measurement.assemble_transport_relations(
-        network, capabilities, delivery))
-    system = measurement.stack_systems(blocks)
-    stream, diag = measurement.assemble_stream_to_tide(
-        loads, network, capabilities, delivery)
-    return system, measurement.stack_systems([system, stream]), skipped + diag
+    if not routing.ok:
+        return EXIT_VALIDATION
+    if dfs is not None:  # what estimate builds before it solves
+        delivery = measurement.compute_delivery_model(
+            network, dfs, areas, missing_policy=config.missing_df_policy)
+        _, _, skipped = measurement.assemble_system(
+            network, topology.instantiate_capabilities(network), applied,
+            loads, delivery)
+        _warn(skipped)
+    return EXIT_OK
 
 
 def _write_json(path, doc) -> None:
@@ -230,16 +211,13 @@ def cmd_estimate(config: RunConfig) -> int:
     capabilities = topology.instantiate_capabilities(network)
     delivery = measurement.compute_delivery_model(
         network, dfs, areas, missing_policy=config.missing_df_policy)
-    system, fit_rows, skipped = _assemble_constraints(
+    system, fit_rows, skipped = measurement.assemble_system(
         network, capabilities, applied, loads, delivery)
-    constraints = measurement.expand_constraints(
-        measurement.compute_weights(system), config.k_steps)
-    for line in skipped:
-        print(f"warning: {line}", file=sys.stderr)
-    incidence = build_incidence(capabilities, network.n_buffers)
+    constraints = measurement.expand_constraints(system, config.k_steps)
+    _warn(skipped)
     problem = estimator.assemble_problem(
-        incidence, constraints, k_steps=config.k_steps, dt=config.dt_years,
-        alpha=config.alpha, beta=config.beta)
+        build_incidence(capabilities, network.n_buffers), constraints,
+        dt=config.dt_years, alpha=config.alpha, beta=config.beta)
     timings["assemble_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -336,8 +314,9 @@ def cmd_report(solution_path: str, config: RunConfig) -> int:
         delivery = measurement.compute_delivery_model(
             network, dfs, areas, missing_policy=config.missing_df_policy)
     capabilities = topology.instantiate_capabilities(network)
-    _, fit_rows, _ = _assemble_constraints(
+    _, fit_rows, skipped = measurement.assemble_system(
         network, capabilities, applied, loads, delivery)
+    _warn(skipped)
     fit = report.build_fit_report(
         fit_rows, report.flow_totals(flows, capabilities, network),
         nrmse_normalizer=config.nrmse_normalizer)

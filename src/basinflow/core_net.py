@@ -7,9 +7,10 @@ estuaries).  *Capabilities* are the transitions: each one either injects an
 operand into a buffer from outside the system (an accept) or moves it from
 one buffer to another (a transport).
 
-The structure is encoded in a signed incidence matrix ``m`` over places x
-capabilities, +1 where a capability injects and -1 where it extracts; it
-drives the mass-balance recursion ``q[k+1] = q[k] + m @ u[k] * dt``.
+The structure is the paper's signed incidence matrix ``M`` over places x
+capabilities (``build_incidence``), +1 where a capability injects and -1
+where it extracts; it drives the mass-balance recursion ``q[k+1] = q[k] +
+M @ u[k] * dt``.
 
 Vectorization convention (used everywhere in this package): the place axis
 is buffer-major and operand-fastest, i.e. place = buffer *
@@ -128,35 +129,15 @@ class Capabilities:
                               int(self.destination[i]), self.resource[i])
 
 
-@dataclass(frozen=True)
-class IncidenceMatrices:
-    """The signed incidence matrix ``m`` over places x capabilities, used in
-    the mass balance.
-
-    ``m[p, c]`` is +1 when capability ``c`` injects its operand into the
-    buffer of place ``p`` and -1 when it pulls from there.  CSC with sorted,
-    deduplicated indices so that equal structures compare equal regardless
-    of assembly order.
-    """
-
-    m: sp.csc_matrix
-    n_buffers: int
-
-    @property
-    def n_places(self) -> int:
-        return len(OPERAND_NAMES) * self.n_buffers
-
-    @property
-    def n_capabilities(self) -> int:
-        return self.m.shape[1]
-
-
-def build_incidence(capabilities: Capabilities, n_buffers: int) -> IncidenceMatrices:
-    """Assemble the incidence matrix of ``capabilities``.
+def build_incidence(capabilities: Capabilities, n_buffers: int) -> sp.csc_matrix:
+    """The signed incidence matrix ``M`` of ``capabilities``, places x
+    capabilities.
 
     Every capability contributes a +1 at (its operand, its destination);
     transports additionally contribute a -1 at (operand, origin).  All
-    operand and buffer references must be in range.
+    operand and buffer references must be in range.  CSC with sorted,
+    deduplicated indices, so equal structures compare equal regardless of
+    assembly order.
     """
     n_operands = len(OPERAND_NAMES)
     caps = np.arange(capabilities.n_caps)
@@ -180,4 +161,4 @@ def build_incidence(capabilities: Capabilities, n_buffers: int) -> IncidenceMatr
     m.sum_duplicates()
     m.eliminate_zeros()
     m.sort_indices()
-    return IncidenceMatrices(m, n_buffers)
+    return m

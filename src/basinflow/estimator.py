@@ -10,7 +10,9 @@ The mass balance ``-Q_B[k+1] + Q_B[k] + M U[k] dt = 0`` (with ``Q_B[1] =
 soft: their errors ``e`` carry the row weights ``w`` and are not unknowns
 of the solve.  The objective is ``1/2 x^T H x + 1/2 e^T W e``, with H a
 strictly positive diagonal of small uniqueness penalties on flows and
-buffer masses.
+buffer masses.  ``assemble_problem`` takes the incidence matrix ``M`` and
+the lifted measurement system, and reads the horizon K, the weights ``w``
+and the penalties' unit off the system.
 
 The solver factorizes Hachtel's augmented matrix ``[[H, A^T], [A,
 -W^-1]]``, with ``W^-1`` zero on the balance rows (never the normal
@@ -32,7 +34,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .core_net import IncidenceMatrices
+from . import measurement
 from .measurement import FAMILIES, WEIGHT_FLOOR, MeasurementSystem, row_labels
 
 DEFAULT_FLOW_PENALTY = 1e-10
@@ -126,46 +128,45 @@ class Solution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def assemble_problem(incidence: IncidenceMatrices,
+def assemble_problem(m: sp.spmatrix,
                      constraints: MeasurementSystem,
-                     k_steps: int = 1,
                      dt: float = 1.0,
                      alpha: float = DEFAULT_FLOW_PENALTY,
                      beta: float = DEFAULT_BUFFER_PENALTY) -> EstimationProblem:
-    """Build the QP from the incidence structure and measurement rows.
+    """Build the QP from the incidence matrix ``m`` (places x capabilities,
+    see ``core_net.build_incidence``) and the measurement rows.
 
     ``A = [[Q_K, kron(I_K, M dt)], [0, D_K]]``: balance rows come first
     (one block of ``n_places`` rows per step), then one soft row per
-    measurement with its weight.  The measurement system must span
-    ``k_steps`` steps (see ``measurement.expand_constraints``) and have its
-    weights set (see ``measurement.compute_weights``).
+    measurement.  The horizon K is ``constraints.n_steps`` (see
+    ``measurement.expand_constraints``), and each row's weight is
+    ``measurement.compute_weights`` of its constant.
 
     The penalties are divided by ``u0^2``, the median squared nonzero datum
     floored at ``WEIGHT_FLOOR``, so the bias they put on each flow is
     relative to the data rather than absolute.
     """
-    if incidence.n_capabilities == 0:
+    n_places, n_caps = m.shape
+    k_steps = constraints.n_steps
+    if n_caps == 0:
         raise ValueError("cannot assemble a problem with no capabilities")
-    if k_steps < 1:
-        raise ValueError(f"k_steps must be >= 1, got {k_steps}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta penalties must be positive")
-    n_places = incidence.n_places
-    n_caps = incidence.n_capabilities
     if constraints.d.shape[1] != k_steps * n_caps:
-        raise ValueError(f"measurement system spans {constraints.n_steps} "
-                         f"step(s); the problem has {k_steps}")
-    if constraints.weight is None:
-        raise ValueError("measurement rows have no weights; run compute_weights")
+        raise ValueError(f"measurement system has {constraints.d.shape[1]} "
+                         f"columns; {k_steps} step(s) of {n_caps} "
+                         f"capabilities need {k_steps * n_caps}")
     if not len(constraints):
         warnings.warn(
             "no measurement constraints: the problem admits the all-zero "
             "trivial solution", AssemblyWarning, stacklevel=2,
         )
 
-    data = constraints.constant[constraints.constant != 0]
+    constant = constraints.constant
+    weight = measurement.compute_weights(constant)
+    data = constant[constant != 0]
     u0_sq = max(float(np.median(data * data)) if data.size else 0.0,
                 WEIGHT_FLOOR)
     h = np.concatenate([np.full(k_steps * n_places, beta / u0_sq),
@@ -173,14 +174,14 @@ def assemble_problem(incidence: IncidenceMatrices,
     # Q_B[k + 1] - Q_B[k] with the zero initial state eliminated.
     q_k = sp.kron(sp.eye(k_steps, k=-1) - sp.identity(k_steps),
                   sp.identity(n_places))
-    a = sp.bmat([[q_k, sp.kron(sp.identity(k_steps), incidence.m * dt)],
+    a = sp.bmat([[q_k, sp.kron(sp.identity(k_steps), m * dt)],
                  [None, constraints.d]], format="csr")
     a.sum_duplicates()
     a.sort_indices()
-    b = np.concatenate([np.zeros(k_steps * n_places), constraints.constant])
+    b = np.concatenate([np.zeros(k_steps * n_places), constant])
     return EstimationProblem(
         n_steps=k_steps, n_places=n_places, n_caps=n_caps, dt=dt,
-        hessian_diag=h, constraint_matrix=a, rhs=b, weight=constraints.weight,
+        hessian_diag=h, constraint_matrix=a, rhs=b, weight=weight,
         alpha=alpha, beta=beta, u0=float(np.sqrt(u0_sq)),
         constraints=constraints,
     )

@@ -2,15 +2,17 @@
 
 Behavioral datasets (applied nutrient masses, edge-of-stream and
 end-of-tide loads, per-load-source delivery factors and areas) are turned
-into the measurement system ``D U - error = constant``.  Every row carries
-its own error variable so imperfect data never makes the estimation
-infeasible; the per-row weight ``1 / max(constant^2, 2)`` normalizes each
-squared error by the magnitude of the datum it checks.
+into the measurement system ``D U - error = constant``.  Every row is
+soft, so imperfect data never makes the estimation infeasible; its weight
+``1 / max(constant^2, 2)`` (``compute_weights``, which the estimator calls
+on the system it is given) normalizes its squared error by the magnitude
+of the datum it checks.
 
 ``D`` is the paper's capability aggregation D_E, one sparse row per datum
-or transport relation and one column per capability.  ``expand_constraints``
-lifts it onto a K-step horizon with the temporal aggregation D_T.  The fit
-report scores flows through the same rows, plus StreamToTide rows that
+or transport relation and one column per capability.  ``assemble_system``
+stacks the row families every command uses, and ``expand_constraints``
+lifts them onto a K-step horizon with the temporal aggregation D_T.  The
+fit report scores flows through the same rows, plus StreamToTide rows that
 never enter the estimation, so only this module knows how a datum
 aggregates flows.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
@@ -80,7 +82,6 @@ class MeasurementConstraint:
     coefficients: tuple[tuple[tuple[int, int], float], ...]
     constant: float
     label: str
-    weight: Optional[float] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +90,7 @@ class MeasurementSystem:
 
     ``d`` is CSR with one row per measurement and one column per (step,
     capability), step-major: column ``(k - 1) * n_caps + cap`` is step k's
-    firing of ``cap``.  ``weight`` stays None until :func:`compute_weights`.
+    firing of ``cap``.
 
     Each row's provenance is three parallel fields: ``family``, a code into
     ``FAMILIES``; ``operand``, a code into ``OPERAND_NAMES``; and ``key``,
@@ -104,7 +105,6 @@ class MeasurementSystem:
     family: np.ndarray
     operand: np.ndarray
     key: tuple[tuple[str, ...], ...]
-    weight: Optional[np.ndarray] = None
     n_steps: int = 1
 
     def __len__(self) -> int:
@@ -117,9 +117,8 @@ class MeasurementSystem:
         coefficients = tuple(
             ((col // n_caps + 1, col % n_caps), value) for col, value in
             zip(self.d.indices[lo:hi].tolist(), self.d.data[lo:hi].tolist()))
-        weight = None if self.weight is None else float(self.weight[r])
         return MeasurementConstraint(coefficients, float(self.constant[r]),
-                                     row_labels(self, [r])[0], weight)
+                                     row_labels(self, [r])[0])
 
 
 def row_labels(system: MeasurementSystem,
@@ -145,15 +144,12 @@ def row_labels(system: MeasurementSystem,
 
 def stack_systems(systems: Sequence[MeasurementSystem]) -> MeasurementSystem:
     """Join row blocks over the same columns, in the given order."""
-    weights = [s.weight for s in systems]
     return MeasurementSystem(
         sp.vstack([s.d for s in systems], format="csr"),
         np.concatenate([s.constant for s in systems]),
         np.concatenate([s.family for s in systems]),
         np.concatenate([s.operand for s in systems]),
-        tuple(key for s in systems for key in s.key),
-        None if any(w is None for w in weights) else np.concatenate(weights),
-        systems[0].n_steps)
+        tuple(key for s in systems for key in s.key), systems[0].n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -673,10 +669,39 @@ def assemble_transport_relations(
                    np.concatenate([land_op, link_op]), keys, capabilities.n_caps)
 
 
-def compute_weights(system: MeasurementSystem) -> MeasurementSystem:
-    """Set each row's weight to ``1 / max(constant^2, 2)``."""
-    return replace(system, weight=1.0 / np.maximum(
-        system.constant * system.constant, WEIGHT_FLOOR))
+def assemble_system(network: "WatershedNetwork", capabilities: Capabilities,
+                    applied: Optional[np.recarray], loads: Optional[np.recarray],
+                    delivery: Optional[DeliveryModel]) -> tuple[
+                        MeasurementSystem, MeasurementSystem, list[str]]:
+    """The one-step measurement system, the rows the fit report scores (the
+    system and the report-only StreamToTide rows) and the skipped-record
+    notes.  Blocks stack in ``FAMILIES`` order.  Without a delivery model
+    the transport-relation and StreamToTide rows are left out; a missing
+    applied or loads table gives no rows."""
+    if applied is None:
+        applied = table(APPLIED)
+    if loads is None:
+        loads = table(LOADS)
+    blocks, skipped = [], []
+    for block, notes in (
+            assemble_accept_constraints(applied, network, capabilities),
+            assemble_eos_constraints(loads, network, capabilities),
+            assemble_eot_constraints(loads, network, capabilities)):
+        blocks.append(block)
+        skipped += notes
+    if delivery is None:
+        system = stack_systems(blocks)
+        return system, system, skipped
+    system = stack_systems(blocks + [assemble_transport_relations(
+        network, capabilities, delivery)])
+    stream, notes = assemble_stream_to_tide(loads, network, capabilities,
+                                            delivery)
+    return system, stack_systems([system, stream]), skipped + notes
+
+
+def compute_weights(constant: np.ndarray) -> np.ndarray:
+    """Row weights ``1 / max(constant^2, 2)`` for the rows' constants."""
+    return 1.0 / np.maximum(constant * constant, WEIGHT_FLOOR)
 
 
 def expand_constraints(system: MeasurementSystem,
@@ -709,5 +734,4 @@ def expand_constraints(system: MeasurementSystem,
     src = src[order]
     return MeasurementSystem(
         d[order], system.constant[src], system.family[src], system.operand[src],
-        tuple(system.key[r] for r in src.tolist()),
-        None if system.weight is None else system.weight[src], k_steps)
+        tuple(system.key[r] for r in src.tolist()), k_steps)

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 import basinflow as bf
-from basinflow import cli, estimator, measurement, report
+from basinflow import estimator, measurement, report
 from basinflow.core_net import (
     CAPABILITY_CLASSES,
     OPERAND_NAMES,
@@ -81,12 +81,12 @@ def dense_oracle_solve(problem: estimator.EstimationProblem,
 
 
 def build_constraints(network, capabilities, datasets):
-    """The weighted one-step rows ``estimate`` builds, and the delivery model."""
+    """The one-step rows ``estimate`` builds, and the delivery model."""
     delivery = measurement.compute_delivery_model(
         network, datasets.delivery_factors, datasets.areas)
-    system, _, _ = cli._assemble_constraints(
+    system, _, _ = measurement.assemble_system(
         network, capabilities, datasets.applied, datasets.loads, delivery)
-    return measurement.compute_weights(system), delivery
+    return system, delivery
 
 
 def perturb_eot_nitrogen(loads, factor=1.1):
@@ -99,7 +99,7 @@ def perturb_eot_nitrogen(loads, factor=1.1):
 def fit_report(network, capabilities, totals, applied, loads, delivery=None):
     """``build_fit_report`` over the rows the ``estimate`` and ``report``
     commands score, for flow ``totals`` in capability order."""
-    _, rows, _ = cli._assemble_constraints(
+    _, rows, _ = measurement.assemble_system(
         network, capabilities, applied, loads, delivery)
     return report.build_fit_report(rows, totals)
 
@@ -124,7 +124,7 @@ def capabilities_of(specs):
         river_transport=np.empty((0, 2), dtype=np.intp))
 
 
-def measurement_system(rows, n_caps, n_steps=1, weighted=True):
+def measurement_system(rows, n_caps, n_steps=1):
     """A system from ``(coefficients {(k, cap): value}, constant, label)``
     rows, each label written "family/key.../operand" as the exports render
     it."""
@@ -133,12 +133,11 @@ def measurement_system(rows, n_caps, n_steps=1, weighted=True):
         for (k, cap), value in coefficients.items():
             d[r, (k - 1) * n_caps + cap] = value
     parts = [label.split("/") for _, _, label in rows]
-    system = measurement.MeasurementSystem(
+    return measurement.MeasurementSystem(
         d.tocsr(), np.array([c for _, c, _ in rows], dtype=float),
         np.array([measurement.FAMILIES.index(p[0]) for p in parts], dtype=np.intp),
         np.array([OPERAND_NAMES.index(p[-1]) for p in parts], dtype=np.intp),
         tuple(tuple(p[1:-1]) for p in parts), n_steps=n_steps)
-    return measurement.compute_weights(system) if weighted else system
 
 
 def assemble_bundle(n_outlets, branching=3, seed=0, **kwargs):
@@ -147,9 +146,9 @@ def assemble_bundle(n_outlets, branching=3, seed=0, **kwargs):
         n_outlets, branching=branching, seed=seed, **kwargs)
     constraints, delivery = build_constraints(
         network, truth.capabilities, datasets)
-    incidence = build_incidence(truth.capabilities, network.n_buffers)
-    problem = estimator.assemble_problem(incidence, constraints)
-    return network, truth, datasets, constraints, incidence, problem
+    m = build_incidence(truth.capabilities, network.n_buffers)
+    problem = estimator.assemble_problem(m, constraints)
+    return network, truth, datasets, constraints, m, problem
 
 
 # ---------------------------------------------------------------------------

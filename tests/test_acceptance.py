@@ -41,8 +41,8 @@ def test_criterion_1_incidence_structure():
         n_outlets = 1 + seed % 12
         branching = 1 + seed % 3
         network, truth, _ = bf.generate_synthetic(n_outlets, branching, seed)
-        incidence = build_incidence(truth.capabilities, network.n_buffers)
-        sums = np.asarray(incidence.m.sum(axis=0)).ravel()
+        m = build_incidence(truth.capabilities, network.n_buffers)
+        sums = np.asarray(m.sum(axis=0)).ravel()
         for cap in truth.capabilities:
             expected = 1 if cap.capability_class.is_accept else 0
             if sums[cap.id] != expected:
@@ -86,9 +86,9 @@ def test_criterion_3_oracle_equivalence():
         for r, c in enumerate(constant):
             if c != 0.0 and rng.rand() < 0.5:
                 constant[r] = c * (1.0 + rng.uniform(-0.2, 0.2))
-        noisy = ms.compute_weights(replace(constraints, constant=constant))
-        incidence = build_incidence(truth.capabilities, network.n_buffers)
-        problem = est.assemble_problem(incidence, noisy)
+        noisy = replace(constraints, constant=constant)
+        problem = est.assemble_problem(
+            build_incidence(truth.capabilities, network.n_buffers), noisy)
         assert problem.n_variables <= 500
         sparse = est.solve(problem)
         dense = dense_oracle_solve(problem)
@@ -124,13 +124,17 @@ def test_criterion_5_weights_and_penalties(chain_network):
     from basinflow.topology import instantiate_capabilities
 
     caps = instantiate_capabilities(chain_network)
-    table = caps
+    m = build_incidence(caps, chain_network.n_buffers)
+
+    def eot_rows(constant):
+        return ms.assemble_eot_constraints(
+            ms.table(ms.LOADS, [("alpha", "nitrogen", "EoT", constant)]),
+            chain_network, caps)[0]
 
     def weight_for(constant):
-        rows, _ = ms.assemble_eot_constraints(
-            ms.table(ms.LOADS, [("alpha", "nitrogen", "EoT", constant)]),
-            chain_network, caps)
-        return ms.compute_weights(rows)[0].weight
+        # the weight the estimator gives the row
+        [weight] = est.assemble_problem(m, eot_rows(constant)).weight
+        return weight
 
     assert weight_for(0.0) == 0.5
     assert weight_for(1.0) == 0.5
@@ -142,11 +146,7 @@ def test_criterion_5_weights_and_penalties(chain_network):
 
     assert est.DEFAULT_FLOW_PENALTY == 1e-10
     assert est.DEFAULT_BUFFER_PENALTY == 1e-12
-    incidence = build_incidence(caps, chain_network.n_buffers)
-    problem = est.assemble_problem(
-        incidence, ms.compute_weights(ms.assemble_eot_constraints(
-            ms.table(ms.LOADS, [("alpha", "nitrogen", "EoT", 5.0)]),
-            chain_network, caps)[0]))
+    problem = est.assemble_problem(m, eot_rows(5.0))
     assert problem.alpha == 1e-10
     assert problem.beta == 1e-12
     elapsed = _elapsed_guard(t0, 1.0, "criterion 5")
@@ -251,7 +251,7 @@ def test_criterion_10_horizon_scale():
     constraints, _ = build_constraints(network, truth.capabilities, datasets)
     incidence = build_incidence(truth.capabilities, network.n_buffers)
     problem = est.assemble_problem(
-        incidence, ms.expand_constraints(constraints, 8), k_steps=8)
+        incidence, ms.expand_constraints(constraints, 8))
     solution = est.solve(problem)
     assert solution.converged
     # data rows measure horizon totals; the per-step split is penalty-pinned

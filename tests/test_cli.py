@@ -23,6 +23,29 @@ def run(argv):
     return main(argv)
 
 
+def bundle_copy(synth_dir, tmp_path):
+    """A copy of the bundle in ``synth_dir`` without its results."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(synth_dir, bundle, ignore=shutil.ignore_patterns("results"))
+    return bundle
+
+
+def drop_first_land_factors(bundle) -> str:
+    """Delete the first land segment's rows from the bundle's
+    delivery_factors.csv; returns the segment."""
+    header, *rows = (bundle / "delivery_factors.csv").read_text().splitlines(
+        keepends=True)
+    segment = rows[0].split(",")[0]
+    (bundle / "delivery_factors.csv").write_text("".join(
+        [header] + [row for row in rows if row.split(",")[0] != segment]))
+    return segment
+
+
+NOWHERE_APPLIED = "nowhere,agricultural,nitrogen,5.0\n"
+NOWHERE_WARNING = ("warning: applied record for county 'nowhere' matches no "
+                   "land segment; constraint skipped\n")
+
+
 # sha256 of every file ``synth`` writes, pinned so that a change to the
 # generator or the dataset writers that moves one byte fails here.
 BUNDLE_DIGESTS = {
@@ -324,6 +347,35 @@ class TestValidateFailures:
         assert code == 1
         assert "operand" in capsys.readouterr().err
 
+    def test_missing_delivery_factors_fail_as_in_estimate(
+            self, synth_dir, tmp_path, capsys):
+        # routing is clean, but estimate would reject the delivery factors
+        bundle = bundle_copy(synth_dir, tmp_path)
+        segment = drop_first_land_factors(bundle)
+        message = f"land segment {segment!r} has no landToWater delivery factors"
+        assert run(["validate", "--config", str(bundle / "config.json")]) == 1
+        captured = capsys.readouterr()
+        assert "routing: ok" in captured.out
+        assert message in captured.err
+        assert run(["estimate", "--config", str(bundle / "config.json")]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_missing_delivery_factors_pass_under_passthrough(
+            self, synth_dir, tmp_path, capsys):
+        bundle = bundle_copy(synth_dir, tmp_path)
+        segment = drop_first_land_factors(bundle)
+        with pytest.warns(bf.measurement.DataConsistencyWarning,
+                          match=f"land segment {segment!r}: missing"):
+            assert run(["validate", "--config", str(bundle / "config.json"),
+                        "--missing-df-policy", "passthrough"]) == 0
+
+    def test_skipped_records_warned(self, synth_dir, tmp_path, capsys):
+        bundle = bundle_copy(synth_dir, tmp_path)
+        with open(bundle / "applied.csv", "a", encoding="utf-8") as fh:
+            fh.write(NOWHERE_APPLIED)
+        assert run(["validate", "--config", str(bundle / "config.json")]) == 0
+        assert capsys.readouterr().err == NOWHERE_WARNING
+
     def test_bad_config_key(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"network": "net.json", "k_step": 2}))
@@ -427,6 +479,25 @@ class TestReport:
             0.0, abs=1e-9)
         assert fit[("transport_relations", "both", "median_relative_error")] \
             == pytest.approx(0.0, abs=1e-9)
+
+    def test_skipped_records_warned_as_in_estimate(self, synth_dir, tmp_path,
+                                                   capsys):
+        bundle = bundle_copy(synth_dir, tmp_path)
+        config = str(bundle / "config.json")
+        assert run(["estimate", "--config", config]) == 0
+        solution = str(bundle / "results" / "solution.csv")
+        capsys.readouterr()
+        assert run(["report", "--solution", solution, "--config", config,
+                    "--output-dir", str(tmp_path / "clean")]) == 0
+        assert capsys.readouterr().err == ""
+        with open(bundle / "applied.csv", "a", encoding="utf-8") as fh:
+            fh.write(NOWHERE_APPLIED)
+        assert run(["estimate", "--config", config,
+                    "--output-dir", str(tmp_path / "est")]) == 0
+        assert capsys.readouterr().err == NOWHERE_WARNING
+        assert run(["report", "--solution", solution, "--config", config,
+                    "--output-dir", str(tmp_path / "rep")]) == 0
+        assert capsys.readouterr().err == NOWHERE_WARNING
 
     def test_three_point_hand_fixture(self, tmp_path):
         # single county, three land segments; applied N observed vs predicted

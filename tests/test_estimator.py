@@ -37,10 +37,10 @@ def mini_chain_constraints():
     return measurement_system(MINI_CHAIN_ROWS, 3)
 
 
-def reference_assembly(incidence, constraints, k_steps, dt):
+def reference_assembly(m, constraints, k_steps, dt):
     """Entry-by-entry assembly of ``A``, ``b``, ``h`` and the row weights
     from the row views."""
-    n_places, n_caps = incidence.n_places, incidence.n_capabilities
+    n_places, n_caps = m.shape
     n_vars = k_steps * (n_places + n_caps)
 
     def q_b(k, place):  # Q_B[k] for k = 2..K+1
@@ -50,7 +50,7 @@ def reference_assembly(incidence, constraints, k_steps, dt):
         return k_steps * n_places + (k - 1) * n_caps + cap
 
     entries = []  # (row, column, value)
-    m_coo = incidence.m.tocoo()
+    m_coo = m.tocoo()
     for k in range(1, k_steps + 1):
         base = (k - 1) * n_places
         for p in range(n_places):
@@ -70,7 +70,7 @@ def reference_assembly(incidence, constraints, k_steps, dt):
         entries += [(row, u(k, cap), coef)
                     for (k, cap), coef in con.coefficients]
         b[row] = con.constant
-        w[r] = con.weight
+        w[r] = 1.0 / max(con.constant * con.constant, ms.WEIGHT_FLOOR)
     rows, cols, vals = zip(*entries)
     a = sp.coo_matrix((vals, (rows, cols)), shape=(b.size, n_vars)).tocsr()
     a.sum_duplicates()
@@ -111,19 +111,18 @@ class TestAssembleProblem:
         assert np.abs(solution.x).max() == 0.0
         assert solution.converged
 
-    def test_missing_weight_rejected(self, mini_chain_incidence):
+    @pytest.mark.parametrize("n_caps, n_steps", [(4, 1), (2, 3)])
+    def test_column_count_mismatch_rejected(self, mini_chain_incidence,
+                                            n_caps, n_steps):
+        # a hand-built system whose columns are not n_steps blocks of the
+        # 3 capabilities of M
         rows = measurement_system(
-            [({(1, 0): 1.0}, 5.0, "accept/a/agricultural/nitrogen")], 3,
-            weighted=False)
-        with pytest.raises(ValueError, match="weight"):
+            [({(1, 0): 1.0}, 5.0, "accept/a/agricultural/nitrogen")], n_caps,
+            n_steps=n_steps)
+        with pytest.raises(ValueError, match=(
+                f"has {n_caps * n_steps} columns; {n_steps} step\\(s\\) of 3 "
+                f"capabilities need {3 * n_steps}")):
             est.assemble_problem(mini_chain_incidence, rows)
-
-    def test_step_out_of_range(self, mini_chain_incidence):
-        rows = measurement_system(
-            [({(2, 0): 1.0}, 5.0, "accept/a/agricultural/nitrogen")], 3,
-            n_steps=2)
-        with pytest.raises(ValueError, match="spans 2 step"):
-            est.assemble_problem(mini_chain_incidence, rows, k_steps=1)
 
     def test_hessian_layout(self, mini_chain_incidence):
         constraints = mini_chain_constraints()
@@ -134,7 +133,9 @@ class TestAssembleProblem:
         assert h.size == 9
         assert (h[:6] == problem.beta / 2500.0).all()
         assert (h[6:9] == problem.alpha / 2500.0).all()
-        assert problem.weight is constraints.weight
+        # one weight per row, 1 / max(c^2, 2), the relations' on the floor
+        assert problem.weight.tolist() == [1e-4, 4e-4, 1.6e-3, 0.5, 0.5,
+                                           1 / 2304, 1 / 10816]
 
     @pytest.mark.parametrize("constant", [0.0, 0.5])
     def test_penalty_unit_floor(self, mini_chain_incidence, constant):
@@ -155,10 +156,9 @@ class TestAssembleProblem:
         constraints = ms.expand_constraints(
             build_constraints(network, truth.capabilities, datasets)[0],
             k_steps)
-        incidence = build_incidence(truth.capabilities, network.n_buffers)
-        problem = est.assemble_problem(incidence, constraints, k_steps=k_steps,
-                                       dt=0.5)
-        a, b, h, w = reference_assembly(incidence, constraints, k_steps, 0.5)
+        m = build_incidence(truth.capabilities, network.n_buffers)
+        problem = est.assemble_problem(m, constraints, dt=0.5)
+        a, b, h, w = reference_assembly(m, constraints, k_steps, 0.5)
         got = problem.constraint_matrix
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, name), getattr(a, name)), name
@@ -277,12 +277,10 @@ class TestOracleAgreement:
             for r, c in enumerate(constant):
                 if c != 0.0 and rng.rand() < 0.5:
                     constant[r] = c * (1.0 + rng.uniform(-0.2, 0.2))
-            noisy = ms.compute_weights(replace(constraints, constant=constant))
-            incidence = build_incidence(truth.capabilities,
-                                        network.n_buffers)
+            noisy = replace(constraints, constant=constant)
             problem = est.assemble_problem(
-                incidence, ms.expand_constraints(noisy, k_steps),
-                k_steps=k_steps)
+                build_incidence(truth.capabilities, network.n_buffers),
+                ms.expand_constraints(noisy, k_steps))
             sparse = est.solve(problem)
             dense = dense_oracle_solve(problem)
             totals = dense.u.sum(axis=0)
@@ -316,10 +314,10 @@ class TestOracleAgreement:
         constant = constraints.constant.copy()
         picked = (constant != 0) & (rng.rand(constant.size) < 0.5)
         constant[picked] *= 1.0 + rng.uniform(-0.2, 0.2, picked.sum())
-        noisy = ms.compute_weights(replace(constraints, constant=constant))
+        noisy = replace(constraints, constant=constant)
         problem = est.assemble_problem(
             build_incidence(truth.capabilities, network.n_buffers),
-            ms.expand_constraints(noisy, k_steps), k_steps=k_steps)
+            ms.expand_constraints(noisy, k_steps))
         sparse = est.solve(problem)
         dense = dense_oracle_solve(problem)
         assert sparse.converged and dense.converged
@@ -403,11 +401,11 @@ class TestConservation:
     def test_multi_step_balance(self, mini_chain_incidence):
         constraints = ms.expand_constraints(mini_chain_constraints(), 3)
         problem = est.assemble_problem(mini_chain_incidence, constraints,
-                                       k_steps=3, dt=0.5)
+                                       dt=0.5)
         solution = est.solve(problem)
         assert solution.converged
         # states chain together: q[k+1] = q[k] + M u[k] dt
-        m = mini_chain_incidence.m.toarray()
+        m = mini_chain_incidence.toarray()
         q_prev = np.zeros(6)
         for k in range(3):
             expected = q_prev + m @ solution.u[k] * 0.5
@@ -444,8 +442,7 @@ def bundle_problem(k_steps):
     if k_steps == 1:
         return problem
     return est.assemble_problem(
-        incidence, ms.expand_constraints(constraints, k_steps),
-        k_steps=k_steps)
+        incidence, ms.expand_constraints(constraints, k_steps))
 
 
 def factored_matrices(monkeypatch) -> list:
@@ -484,7 +481,7 @@ class TestReducedKKT:
         problem = bundle_problem(k_steps)
         solution = est.solve(problem)
         expected = (solution.multipliers[problem.n_balance_rows:]
-                    / problem.constraints.weight)
+                    / ms.compute_weights(problem.constraints.constant))
         assert np.abs(solution.errors - expected).max() \
             <= 1e-15 * np.abs(expected).max()
 

@@ -461,7 +461,8 @@ class TestComputeWeights:
                                [("alpha", "nitrogen", "EoT", constant)])
             cons, _ = ms.assemble_eot_constraints(
                 records, chain_network, caps)
-            return ms.compute_weights(cons)[0].weight
+            [weight] = ms.compute_weights(cons.constant)
+            return weight
 
         assert weight_for(10.0) == 0.01
         assert weight_for(0.0) == 0.5
@@ -528,8 +529,7 @@ class TestExpandConstraints:
         data, _ = ms.assemble_eot_constraints(
             ms.table(ms.LOADS, [("alpha", "nitrogen", "EoT", 9.0)]),
             chain_network, caps)
-        out = ms.expand_constraints(
-            ms.compute_weights(ms.stack_systems([relations, data])), 3)
+        out = ms.expand_constraints(ms.stack_systems([relations, data]), 3)
         relation_rows = [out[r] for r in np.flatnonzero(out.family == ms.TRANSPORT)]
         # every relation row is replicated per step
         assert len(relation_rows) == 3 * len(relations)
@@ -546,7 +546,7 @@ class TestExpandConstraints:
         data, _ = ms.assemble_accept_constraints(
             ms.table(ms.APPLIED, [("alpha", "developed", "phosphorus", 0.0)]),
             chain_network, caps)
-        out = ms.expand_constraints(ms.compute_weights(data), 3)
+        out = ms.expand_constraints(data, 3)
         assert len(out) == 1
         assert out[0].label == "accept/alpha/developed/phosphorus"
         assert {k for (k, _), _ in out[0].coefficients} == {1, 2, 3}
