@@ -151,40 +151,47 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
     return config
 
 
-def _read_datasets(config: RunConfig) -> tuple:
-    """Each family's table, in ``DATASET_FAMILIES`` order; None where no
-    file is given.  ``measurement.read_<family>`` reads the file."""
+def _read_bundle(config: RunConfig) -> tuple:
+    """The network, its routing report and each dataset family's table, in
+    ``DATASET_FAMILIES`` order; None where no file is given.
+    ``measurement.read_<family>`` reads the file."""
+    network = topology.load_network(config.network_path)
+    routing = topology.validate_routing(network)
     paths = config.dataset_paths
-    return tuple(getattr(measurement, f"read_{family}")(paths[family])
-                 if family in paths else None for family in DATASET_FAMILIES)
+    return network, routing, tuple(
+        getattr(measurement, f"read_{family}")(paths[family])
+        if family in paths else None for family in DATASET_FAMILIES)
 
 
-def _warn(skipped: list[str]) -> None:
+def _measurements(config: RunConfig, network, tables) -> tuple:
+    """The capabilities, the measurement system, the rows the fit report
+    scores and the skipped-record notes, each printed as a warning.  Only
+    delivery factors give a delivery model and the rows that need one."""
+    applied, loads, dfs, areas = tables
+    delivery = None
+    if dfs is not None:
+        delivery = measurement.compute_delivery_model(
+            network, dfs, areas, missing_policy=config.missing_df_policy)
+    capabilities = topology.instantiate_capabilities(network)
+    system, fit_rows, skipped = measurement.assemble_system(
+        network, capabilities, applied, loads, delivery)
     for line in skipped:
         print(f"warning: {line}", file=sys.stderr)
+    return capabilities, system, fit_rows, skipped
 
 
 def cmd_validate(config: RunConfig) -> int:
-    network = topology.load_network(config.network_path)
-    routing = topology.validate_routing(network)
+    network, routing, tables = _read_bundle(config)
     print(f"network: {len(network.land_segments)} land segments, "
           f"{len(network.outlets)} outlets, {len(network.river_links)} links, "
           f"{len(network.estuaries)} estuaries")
-    applied, loads, dfs, areas = _read_datasets(config)
-    for name, records in (("applied", applied), ("loads", loads),
-                          ("delivery_factors", dfs), ("areas", areas)):
+    for name, records in zip(DATASET_FAMILIES, tables):
         if records is not None:
             print(f"dataset {name}: {len(records)} records")
     print(str(routing))
     if not routing.ok:
         return EXIT_VALIDATION
-    if dfs is not None:  # what estimate builds before it solves
-        delivery = measurement.compute_delivery_model(
-            network, dfs, areas, missing_policy=config.missing_df_policy)
-        _, _, skipped = measurement.assemble_system(
-            network, topology.instantiate_capabilities(network), applied,
-            loads, delivery)
-        _warn(skipped)
+    _measurements(config, network, tables)  # what estimate builds to solve
     return EXIT_OK
 
 
@@ -197,24 +204,18 @@ def _write_json(path, doc) -> None:
 def cmd_estimate(config: RunConfig) -> int:
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    network = topology.load_network(config.network_path)
-    routing = topology.validate_routing(network)
+    network, routing, tables = _read_bundle(config)
     if not routing.ok:
         print(str(routing), file=sys.stderr)
         return EXIT_VALIDATION
-    applied, loads, dfs, areas = _read_datasets(config)
-    if dfs is None:
+    if "delivery_factors" not in config.dataset_paths:
         raise ValueError("estimation requires a delivery_factors dataset")
     timings["load_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    capabilities = topology.instantiate_capabilities(network)
-    delivery = measurement.compute_delivery_model(
-        network, dfs, areas, missing_policy=config.missing_df_policy)
-    system, fit_rows, skipped = measurement.assemble_system(
-        network, capabilities, applied, loads, delivery)
+    capabilities, system, fit_rows, skipped = _measurements(
+        config, network, tables)
     constraints = measurement.expand_constraints(system, config.k_steps)
-    _warn(skipped)
     problem = estimator.assemble_problem(
         build_incidence(capabilities, network.n_buffers), constraints,
         dt=config.dt_years, alpha=config.alpha, beta=config.beta)
@@ -306,17 +307,12 @@ def cmd_synth(n_outlets: int, branching: int, seed: int, out_dir: str,
 
 
 def cmd_report(solution_path: str, config: RunConfig) -> int:
-    network = topology.load_network(config.network_path)
-    applied, loads, dfs, areas = _read_datasets(config)
+    network, routing, tables = _read_bundle(config)
+    if not routing.ok:
+        print(str(routing), file=sys.stderr)
+        return EXIT_VALIDATION
     flows = report.flows_from_tabular(report.import_tabular(solution_path))
-    delivery = None
-    if dfs is not None:
-        delivery = measurement.compute_delivery_model(
-            network, dfs, areas, missing_policy=config.missing_df_policy)
-    capabilities = topology.instantiate_capabilities(network)
-    _, fit_rows, skipped = measurement.assemble_system(
-        network, capabilities, applied, loads, delivery)
-    _warn(skipped)
+    capabilities, _, fit_rows, _ = _measurements(config, network, tables)
     fit = report.build_fit_report(
         fit_rows, report.flow_totals(flows, capabilities, network),
         nrmse_normalizer=config.nrmse_normalizer)

@@ -95,6 +95,10 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
         raise ValueError("n_outlets must be >= 1")
     if branching < 1:
         raise ValueError("branching must be >= 1")
+    lo, hi = land_per_outlet
+    if not 1 <= lo <= hi:
+        raise ValueError(f"land_per_outlet must be (lo, hi) with "
+                         f"1 <= lo <= hi, got {land_per_outlet!r}")
     if county_mode not in ("per-segment", "grouped"):
         raise ValueError(f"unknown county_mode {county_mode!r}")
     rng = random.Random(seed)
@@ -149,7 +153,6 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
     df_rows: list[tuple] = []
     area_rows: list[tuple] = []
     used_land_ids: set[str] = set()
-    lo, hi = land_per_outlet
     county_pool_size = max(1, (n_outlets * (lo + hi)) // 6)
     for i in range(n_outlets):
         n_land = rng.randint(lo, hi)

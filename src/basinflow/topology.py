@@ -423,7 +423,8 @@ def derive_connectivity_from_names(
     segment's own number is the last 4 characters of its id once the
     pointer (and any separator such as "_") is stripped, left-padded with
     zeros when shorter.  Example: "EL0_4557_0000" is estuarine segment
-    4557; "EL0_4830_4557" drains into it.
+    4557; "EL0_4830_4557" drains into it.  Two ids that share a number
+    raise ``ValueError``.
 
     Returns ``(links, unresolved)`` where each link is ``(segment,
     downstream_segment)`` with ``None`` standing for the estuary, and
@@ -438,7 +439,10 @@ def derive_connectivity_from_names(
                 f"downstream pointer"
             )
         stem = seg[:-4].rstrip("_-")
-        own_key[stem[-4:].rjust(4, "0")] = seg
+        number = stem[-4:].rjust(4, "0")
+        if own_key.setdefault(number, seg) != seg:
+            raise ValueError(f"segment ids {own_key[number]!r} and {seg!r} "
+                             f"share the number {number!r}")
 
     links: list[tuple[str, Optional[str]]] = []
     unresolved: list[tuple[str, str]] = []

@@ -123,6 +123,14 @@ def synth_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def synth30_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bundle30")
+    assert run(["synth", "--outlets", "30", "--seed", "7",
+                "--out", str(out)]) == 0
+    return out
+
+
 class TestSynth:
     def test_bundle_files(self, synth_dir):
         for name in ("network.json", "applied.csv", "loads.csv",
@@ -308,6 +316,22 @@ class TestEstimate:
         assert code == 2
         assert "solver error: KKT system is singular" in capsys.readouterr().err
 
+    def test_unreachable_tolerance_exits_2(self, synth30_dir, tmp_path,
+                                          capsys):
+        # the refinement rounds run out, and estimate still writes its
+        # results before it reports the failure
+        out = tmp_path / "res"
+        code = run(["estimate", "--config", str(synth30_dir / "config.json"),
+                    "--tol", "1e-300", "--output-dir", str(out)])
+        assert code == 2
+        assert "solver did not reach tolerance" in capsys.readouterr().err
+        summary = json.loads((out / "run_summary.json").read_text())
+        assert summary["solution"]["converged"] is False
+        assert summary["solver"]["refinement_rounds"] == \
+            est.MAX_REFINEMENT_ROUNDS
+        assert len(summary["solver"]["refinement_residuals"]) == \
+            est.MAX_REFINEMENT_ROUNDS + 1
+
     def test_non_finite_datum_names_file_and_line(self, synth_dir, tmp_path,
                                                   capsys):
         applied = tmp_path / "applied.csv"
@@ -448,6 +472,69 @@ class TestValidateFailures:
     def test_missing_network_file(self, tmp_path):
         assert run(["validate", "--network",
                     str(tmp_path / "nothing.json")]) == 3
+
+
+@pytest.mark.parametrize("command", ["validate", "estimate", "report"])
+class TestEveryCommandChecksTheBundle:
+    """The three commands read, check and assemble a bundle the same way, so
+    each accepts and rejects the same inputs."""
+
+    @staticmethod
+    def run_on(command, bundle, tmp_path):
+        argv = [command, "--config", str(bundle / "config.json"),
+                "--output-dir", str(tmp_path / "out")]
+        if command == "report":
+            argv += ["--solution", str(bundle / "ground_truth.csv")]
+        return run(argv)
+
+    def test_orphan_outlet(self, synth30_dir, tmp_path, capsys, command):
+        bundle = bundle_copy(synth30_dir, tmp_path)
+        doc = json.loads((bundle / "network.json").read_text())
+        orphan = doc["river_links"].pop(0)["from_outlet"]
+        (bundle / "network.json").write_text(json.dumps(doc))
+        assert self.run_on(command, bundle, tmp_path) == 1
+        captured = capsys.readouterr()
+        assert (f"[orphan_outlet] {orphan}: outlet has no downstream river "
+                f"link") in captured.out + captured.err
+        assert not (tmp_path / "out" / "fit_report.csv").exists()
+
+    def test_missing_delivery_factors(self, synth30_dir, tmp_path, capsys,
+                                      command):
+        bundle = bundle_copy(synth30_dir, tmp_path)
+        segment = drop_first_land_factors(bundle)
+        assert self.run_on(command, bundle, tmp_path) == 1
+        assert (f"land segment {segment!r} has no landToWater delivery "
+                f"factors") in capsys.readouterr().err
+
+    def test_unknown_operand(self, synth30_dir, tmp_path, capsys, command):
+        bundle = bundle_copy(synth30_dir, tmp_path)
+        applied = bundle / "applied.csv"
+        with open(applied, "a", encoding="utf-8") as fh:
+            fh.write("alpha,developed,Oxygen,5\n")
+        line = len(applied.read_text().splitlines())
+        assert self.run_on(command, bundle, tmp_path) == 1
+        assert f"{applied} line {line}: unknown operand 'Oxygen'" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("factors", [True, False],
+                             ids=["with_factors", "without_factors"])
+    def test_stray_county_warned(self, synth30_dir, tmp_path, capsys,
+                                 command, factors):
+        # the rows are built whether or not a delivery model can be
+        bundle = bundle_copy(synth30_dir, tmp_path)
+        with open(bundle / "applied.csv", "a", encoding="utf-8") as fh:
+            fh.write(NOWHERE_APPLIED)
+        if not factors:
+            config = json.loads((bundle / "config.json").read_text())
+            del config["datasets"]["delivery_factors"]
+            (bundle / "config.json").write_text(json.dumps(config))
+            if command == "estimate":
+                assert self.run_on(command, bundle, tmp_path) == 1
+                assert "estimation requires a delivery_factors dataset" in \
+                    capsys.readouterr().err
+                return
+        assert self.run_on(command, bundle, tmp_path) == 0
+        assert capsys.readouterr().err == NOWHERE_WARNING
 
 
 def test_import_skips_sparse_solver():

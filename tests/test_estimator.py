@@ -218,6 +218,14 @@ class TestFactorizationDiagnostics:
         assert residuals[-1] <= d["tol"] * (1.0 + np.abs(problem.rhs).max())
         assert solution.converged
 
+    def test_unreachable_tolerance_exhausts_refinement(self):
+        _, _, _, _, _, problem = assemble_bundle(30, seed=7)
+        solution = est.solve(problem, tol=1e-300)
+        d = solution.diagnostics
+        assert d["refinement_rounds"] == est.MAX_REFINEMENT_ROUNDS
+        assert len(d["refinement_residuals"]) == est.MAX_REFINEMENT_ROUNDS + 1
+        assert not solution.converged
+
     @pytest.mark.parametrize("planted", [0, 2, 4])
     def test_suspect_rows_name_planted_row(self, planted):
         # Rows r: x_r + x_{r+1} = r + 1, except the planted row, which puts

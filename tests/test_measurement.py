@@ -622,8 +622,11 @@ class TestParsing:
          "s1,forest,riverToBay,-0.5\n", "delivery factor must be >= 0"),
         (ms.read_areas, "segment,load_source,acres\n"
          "s1,forest,-1\n", "area must be >= 0"),
+        (ms.read_applied, "county,sector,operand,mass\n"
+         "alpha,developed,Oxygen,5\n",
+         "unknown operand 'Oxygen'; expected nitrogen or phosphorus"),
     ], ids=["sector", "applied_mass", "kind", "load_mass", "stage", "factor",
-            "area"])
+            "area", "operand"])
     def test_rejected_record_names_file_and_line(self, tmp_path, read,
                                                  content, message):
         path = tmp_path / "bad.csv"
@@ -709,6 +712,21 @@ class TestDeliveryModelPolicies:
                 missing_policy="passthrough")
         assert model.land_factor.tolist() == [1.0]
         assert model.link_ratio.tolist() == [1.0]
+
+    def test_factors_without_areas(self, chain_network):
+        dfs = ms.table(ms.DELIVERY_FACTORS, [
+            ("land-1", "row_crops", stage, 0.5) for stage in ms.DF_STAGES])
+        no_areas = ms.table(ms.AREAS)
+        with pytest.raises(ValueError, match="'land-1' has delivery factors "
+                                             "but no load-source areas"):
+            ms.compute_delivery_model(chain_network, dfs, no_areas)
+        with pytest.warns(ms.DataConsistencyWarning) as record:
+            model = ms.compute_delivery_model(chain_network, dfs, no_areas,
+                                              missing_policy="passthrough")
+        assert [str(w.message) for w in record] == [
+            f"land segment 'land-1': no areas to weight {stage} factors, "
+            f"defaulting to 1.0" for stage in ms.DF_STAGES]
+        assert model.land_factor.tolist() == [1.0]
 
     def test_areas_fall_back_to_network(self, chain_network):
         dfs = ms.table(ms.DELIVERY_FACTORS, [

@@ -458,6 +458,18 @@ class TestFitReport:
         fit = rp.build_fit_report(rows, np.array(flows))
         assert fit.lookup(family, "nitrogen", rp.METRIC_REL) == 1.0  # |0 - 4| / 4
 
+    def test_one_row_family_has_no_r_squared(self):
+        # one observed value has zero variance: the metric is NaN, with the
+        # reason as its note, and the rest of the report is still written
+        rows = measurement_system(
+            [({(1, 0): 1.0}, 5.0, "accept/alpha/agricultural/nitrogen")], 1)
+        fit = rp.build_fit_report(rows, np.array([4.0]))
+        r2 = next(row for row in fit.rows if row.metric == rp.METRIC_R2)
+        assert math.isnan(r2.value)
+        assert r2.note == "observed values have zero variance"
+        assert fit.lookup("applied", "nitrogen", rp.METRIC_NRMSE) == \
+            pytest.approx(0.2, rel=1e-12)
+
     def test_csv_round_trip(self, tmp_path):
         rows = (rp.FitRow("applied", "nitrogen", rp.METRIC_R2, 0.91),
                 rp.FitRow("eos", "phosphorus", rp.METRIC_R2, -0.072))

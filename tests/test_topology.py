@@ -72,6 +72,18 @@ class TestLoadNetwork:
         with pytest.raises(NetworkSchemaError, match="claimed by 2 outlets"):
             network_from_dict(chain_network_doc)
 
+    def test_problems_beyond_five_counted(self, chain_network_doc):
+        # two empty records miss four fields each: five shown, three counted
+        chain_network_doc["land_segments"] = [{}, {}]
+        with pytest.raises(NetworkSchemaError) as caught:
+            network_from_dict(chain_network_doc)
+        assert len(caught.value.violations) == 8
+        assert str(caught.value).startswith(
+            "invalid network file: land_segments[0]: missing field "
+            "'external_id'; ")
+        assert str(caught.value).endswith(
+            "land_segments[1]: missing field 'external_id'; ... (3 more)")
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json {")
@@ -311,6 +323,14 @@ class TestDeriveConnectivity:
         with pytest.raises(ValueError, match="too short"):
             derive_connectivity_from_names(["A000"])
 
+    def test_shared_number_rejected(self):
+        # either id could own 0001, so C's pointer names no one segment
+        with pytest.raises(ValueError, match=re.escape(
+                "segment ids 'A_0001_0000' and 'B_0001_0000' share the "
+                "number '0001'")):
+            derive_connectivity_from_names(
+                ["A_0001_0000", "B_0001_0000", "C_0002_0001"])
+
     def test_generator_ids_reproduce_tree(self):
         net, _, _ = bf.generate_synthetic(25, branching=2, seed=9)
         ids = [o.river_segment_id for o in net.outlets]
@@ -459,3 +479,6 @@ class TestGenerateSynthetic:
             bf.generate_synthetic(1, branching=0)
         with pytest.raises(ValueError):
             bf.generate_synthetic(1, county_mode="nope")
+        for bad in ((3, 1), (0, 1), (0, 0)):
+            with pytest.raises(ValueError, match="land_per_outlet"):
+                bf.generate_synthetic(1, land_per_outlet=bad)
