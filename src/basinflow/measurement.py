@@ -20,6 +20,7 @@ aggregates flows.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -66,6 +67,15 @@ AREAS = np.dtype([("segment", object), ("load_source", object),
 def table(dtype: np.dtype, rows: Iterable[tuple] = ()) -> np.recarray:
     """A table of ``dtype`` from row tuples in field order."""
     return np.array(list(rows), dtype=dtype).view(np.recarray)
+
+
+def table_from_columns(dtype: np.dtype, *columns) -> np.recarray:
+    """A table of ``dtype`` from its columns in field order; a scalar fills
+    its whole column, and the last column sets the length."""
+    out = np.zeros(len(columns[-1]), dtype).view(np.recarray)
+    for name, column in zip(dtype.names, columns):
+        out[name] = column
+    return out
 
 
 # Row families in stacking order.  Transport rows are relations, which hold
@@ -303,18 +313,23 @@ def _csv_text(text: list[str]) -> list[str]:
     return ['"%s"' % v.replace('"', '""') if special(v) else v for v in text]
 
 
+# The rows that ``write_table`` joins into one write.
+WRITE_CHUNK_ROWS = 4096
+
+
 def write_table(path, dataset: np.ndarray) -> None:
     """Write a table as CSV, byte for byte as ``csv.writer`` writes it: the
     field names, then one ``\\r\\n``-ended line per row, text quoted only
-    where it must be and each number as its ``repr``.  Rows are formatted
-    as they are written, so the file is never held whole."""
+    where it must be and each number as its ``repr``.  Rows are joined and
+    written ``WRITE_CHUNK_ROWS`` at a time, so the file is never held whole."""
     names = dataset.dtype.names
     columns = [_csv_text(dataset[name].tolist()) if dataset.dtype[name] == object
                else map(repr, dataset[name].tolist()) for name in names]
-    line = ",".join(["%s"] * len(names)) + "\r\n"
+    rows = map(",".join, zip(*columns))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(line % tuple(_csv_text(list(names))))
-        fh.writelines(map(line.__mod__, zip(*columns)))
+        fh.write(",".join(_csv_text(list(names))) + "\r\n")
+        while chunk := list(itertools.islice(rows, WRITE_CHUNK_ROWS)):
+            fh.write("\r\n".join(chunk) + "\r\n")
 
 
 write_applied = write_loads = write_delivery_factors = write_areas = write_table

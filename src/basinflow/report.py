@@ -24,8 +24,8 @@ from .core_net import (
 )
 from .estimator import Solution
 from .measurement import (FAMILIES, MeasurementSystem, read_table, row_labels,
-                          table, write_table)
-from .topology import WatershedNetwork
+                          table, table_from_columns, write_table)
+from .topology import WatershedNetwork, json_numbers
 
 NRMSE_NORMALIZERS = ("mean", "range", "std")
 
@@ -136,30 +136,12 @@ TABULAR = np.dtype([("entity_id", object), ("entity_kind", object),
 TABULAR_HEADER = TABULAR.names
 
 
-def _tabular(*columns) -> np.ndarray:
-    """A ``TABULAR`` table from its columns in field order; a string fills
-    its whole column."""
-    rows = np.zeros(len(columns[-1]), TABULAR)
-    for name, column in zip(TABULAR.names, columns):
-        rows[name] = column
-    return rows
-
-
 def flow_rows(capabilities: Capabilities, network: WatershedNetwork,
               values: np.ndarray) -> np.ndarray:
     """The ``TABULAR`` table of one flow row per capability, carrying its
     flow from ``values``."""
     kind, entity, operand = capability_names(capabilities, network)
-    return _tabular(entity, kind, operand, "flow", values)
-
-
-# ``json.dumps`` spells these floats, and None, unlike ``repr``.
-_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null"}
-
-
-def _json_numbers(values: Iterable) -> list[str]:
-    """Floats, or None, as ``json.dumps`` writes them."""
-    return [_JSON_CONSTANTS.get(text, text) for text in map(repr, values)]
+    return table_from_columns(TABULAR, entity, kind, operand, "flow", values)
 
 
 # One feature of the geo export, keys in sorted order as ``json.dumps(...,
@@ -205,13 +187,14 @@ def export_results(solution: Solution, network: WatershedNetwork,
         return [value for value in column for _ in OPERAND_NAMES]
 
     if fmt == "tabular":
-        blocks = [_tabular(by_place(buffer_names), by_place(buffer_kinds),
-                           OPERAND_NAMES * network.n_buffers, "accumulation",
-                           final_q),
+        blocks = [table_from_columns(
+                      TABULAR, by_place(buffer_names), by_place(buffer_kinds),
+                      OPERAND_NAMES * network.n_buffers, "accumulation",
+                      final_q),
                   flow_rows(capabilities, network, flow_totals)]
         if constraints is not None:
-            blocks.append(_tabular(
-                row_labels(constraints), "constraint",
+            blocks.append(table_from_columns(
+                TABULAR, row_labels(constraints), "constraint",
                 [OPERAND_NAMES[o] for o in constraints.operand.tolist()],
                 "error", solution.errors))
         write_table(path, np.concatenate(blocks))
@@ -220,7 +203,7 @@ def export_results(solution: Solution, network: WatershedNetwork,
     # Each buffer's coordinates as JSON text, or None: land segments,
     # outlets, then estuaries, as buffer ids run.
     points = [None if item.coordinates is None else
-              "[%s, %s]" % tuple(_json_numbers(item.coordinates)) for item in
+              "[%s, %s]" % tuple(json_numbers(item.coordinates)) for item in
               (*network.land_segments, *network.outlets, *network.estuaries)]
     point_geometry = ["null" if point is None else
                       '{"coordinates": %s, "type": "Point"}' % point
@@ -229,7 +212,7 @@ def export_results(solution: Solution, network: WatershedNetwork,
         by_place(point_geometry), by_place(map(_json_string, buffer_names)),
         by_place(map(_json_string, buffer_kinds)),
         [*map(_json_string, OPERAND_NAMES)] * network.n_buffers,
-        _json_numbers(final_q.tolist())))
+        json_numbers(final_q.tolist())))
 
     transport = np.flatnonzero(capabilities.origin >= 0)
     kind, entity, operand = (names[transport].tolist() for names in
@@ -243,8 +226,8 @@ def export_results(solution: Solution, network: WatershedNetwork,
                               capabilities.destination[transport].tolist())]
     flows = map(_FLOW_FEATURE.__mod__, zip(
         line_geometry, map(_json_string, entity), map(_json_string, kind),
-        _json_numbers([math.log10(v) if v > 0 else None for v in values]),
-        map(_json_string, operand), _json_numbers(values)))
+        json_numbers([math.log10(v) if v > 0 else None for v in values]),
+        map(_json_string, operand), json_numbers(values)))
     features = itertools.chain(accumulations, flows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"features": [%s' % next(features, ""))

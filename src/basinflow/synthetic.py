@@ -25,11 +25,12 @@ from .measurement import (
     APPLIED,
     AREAS,
     DELIVERY_FACTORS,
+    DF_STAGES,
     LOAD_KINDS,
     LOADS,
     DeliveryModel,
     compute_delivery_model,
-    table,
+    table_from_columns,
 )
 from .topology import (
     Estuary,
@@ -72,6 +73,13 @@ def _sum_by(group: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
     order as the estimator's ``np.bincount`` sums are."""
     return np.stack([np.bincount(group, weights=column, minlength=n_groups)
                      for column in values.T], axis=1)
+
+
+def _product(*levels) -> list[np.ndarray]:
+    """The columns of the rows of ``itertools.product(*levels)``, as object
+    arrays."""
+    return [grid.ravel() for grid in np.meshgrid(
+        *(np.array(level, dtype=object) for level in levels), indexing="ij")]
 
 
 def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
@@ -149,9 +157,13 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
         else:
             outlet_rtb_target[i] = outlet_rtb_target[parent[i]] * rng.uniform(0.5, 0.8)
 
+    # Table columns are gathered per land segment as it is drawn; the rows
+    # of each table are then built whole, by column.
     lands: list[LandSegment] = []
-    df_rows: list[tuple] = []
-    area_rows: list[tuple] = []
+    area_land: list[str] = []  # per (land segment, load source)
+    area_source: list[str] = []
+    acres: list[float] = []
+    factors: list[float] = []  # per (land segment, load source, stage)
     used_land_ids: set[str] = set()
     county_pool_size = max(1, (n_outlets * (lo + hi)) // 6)
     for i in range(n_outlets):
@@ -173,39 +185,39 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
                 land_id, county, river_segment_ids[i], areas,
                 coordinates=(round(rng.uniform(-77.5, -75.0), 6),
                              round(rng.uniform(37.0, 41.0), 6))))
-            area_rows += [(land_id, src, acres) for src, acres in areas]
+            area_land += [land_id] * len(sources)
+            area_source += sources
+            acres += [area for _, area in areas]
 
             land_to_water = rng.uniform(0.1, 0.9)
             stream_to_river = rng.uniform(0.3, 0.9)
             river_to_bay = outlet_rtb_target[i] * rng.uniform(0.95, 1.05)
-            for src, _ in areas:
-                df_rows.append((land_id, src, "landToWater",
-                                land_to_water * rng.uniform(0.9, 1.1)))
-                df_rows.append((land_id, src, "streamToRiver",
-                                stream_to_river * rng.uniform(0.9, 1.1)))
-                df_rows.append((land_id, src, "riverToBay",
-                                river_to_bay * rng.uniform(0.97, 1.03)))
+            for _ in sources:  # one factor per stage, in DF_STAGES order
+                factors += [land_to_water * rng.uniform(0.9, 1.1),
+                            stream_to_river * rng.uniform(0.9, 1.1),
+                            river_to_bay * rng.uniform(0.97, 1.03)]
 
     network = WatershedNetwork(tuple(lands), outlets, river_links, estuaries)
     capabilities = instantiate_capabilities(network)
-    delivery_factors = table(DELIVERY_FACTORS, df_rows)
-    area_table = table(AREAS, area_rows)
+    area_table = table_from_columns(AREAS, area_land, area_source, acres)
+    delivery_factors = table_from_columns(
+        DELIVERY_FACTORS, np.repeat(area_table.segment, len(DF_STAGES)),
+        np.repeat(area_table.load_source, len(DF_STAGES)),
+        np.tile(np.array(DF_STAGES, dtype=object), len(area_table)), factors)
     # The exact coefficients the estimator will derive from the datasets.
     delivery = compute_delivery_model(network, delivery_factors, area_table)
 
+    # Applied masses by (land segment, operand, sector), drawn in that order.
+    mass = np.reshape([round(rng.uniform(*_LOAD_RANGE[operand]) * load_scale, 9)
+                       for _ in lands for operand in OPERAND_NAMES
+                       for _ in SECTORS], (len(lands), len(OPERAND_NAMES), -1))
+    county, operand, sector = _product([land.county for land in lands],
+                                       OPERAND_NAMES, SECTORS)
+    applied = table_from_columns(APPLIED, county, sector, operand,
+                                 mass.ravel())
     u = np.zeros(len(capabilities))
-    applied_rows: list[tuple] = []
-    land_transport = np.zeros((len(lands), len(OPERAND_NAMES)))
-    for li, land in enumerate(lands):
-        for o, operand in enumerate(OPERAND_NAMES):
-            lo_m, hi_m = _LOAD_RANGE[operand]
-            total = 0.0
-            for s, sector in enumerate(SECTORS):
-                mass = round(rng.uniform(lo_m, hi_m) * load_scale, 9)
-                applied_rows.append((land.county, sector, operand, mass))
-                u[capabilities.accept[li, s, o]] = mass
-                total += mass
-            land_transport[li, o] = delivery.land_factor[li] * total
+    u[capabilities.accept] = mass.transpose(0, 2, 1)
+    land_transport = delivery.land_factor[:, None] * mass.sum(axis=2)
     u[capabilities.land_transport] = land_transport
 
     # Upstream-first accumulation down the tree: inflow at an outlet is its
@@ -220,17 +232,16 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
     # Per county, in order of first appearance: its EoS load, and the part
     # of it that reaches the tide (telescoping link ratios reduce to the
     # outlet-level river-to-bay factor), reported as EoT and StreamToTide.
-    counties = network.county_code
+    counties = list(network.county_code)
     reaching = land_transport * delivery.outlet_river_to_bay[network.land_outlet, None]
     eos = _sum_by(network.land_county, land_transport, len(counties))
     tide = _sum_by(network.land_county, reaching, len(counties))
-    keys = [(name, operand, kind) for name in counties for operand in OPERAND_NAMES
-            for kind in LOAD_KINDS]
-    masses = np.stack([eos, tide, tide], axis=2).ravel().tolist()
-    loads = table(LOADS, (key + (mass,) for key, mass in zip(keys, masses)))
+    loads = table_from_columns(
+        LOADS, *_product(counties, OPERAND_NAMES, LOAD_KINDS),
+        np.stack([eos, tide, tide], axis=2).ravel())
 
     datasets = SyntheticDatasets(
-        applied=table(APPLIED, applied_rows),
+        applied=applied,
         loads=loads,
         delivery_factors=delivery_factors,
         areas=area_table,

@@ -14,7 +14,8 @@ import json
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from json.encoder import encode_basestring_ascii as _json_string
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -167,22 +168,84 @@ class WatershedNetwork:
         return np.array([self.county_code[land.county]
                          for land in self.land_segments], dtype=np.intp)
 
-    def to_dict(self) -> dict:
-        def record(item) -> dict:
-            doc = {key: value for key, value in vars(item).items()
-                   if value is not None}  # no coordinates: no key
-            if isinstance(item, LandSegment):
-                doc["load_source_areas"] = dict(item.load_source_areas)
-            return doc
-
-        return {"schema": SCHEMA_VERSION,
-                **{group: list(map(record, getattr(self, group))) for group in
-                   ("land_segments", "outlets", "river_links", "estuaries")}}
-
     def save(self, path) -> None:
+        """Write the network file byte for byte as ``json.dump(doc, fh,
+        indent=1, sort_keys=True)`` and a newline write it: records are
+        rendered one by one from fixed templates and streamed, with no
+        ``coordinates`` key where a record has none and each land
+        segment's areas as ``dict(load_source_areas)`` in key order."""
+        def coordinates(items) -> list[str]:
+            """Each record's coordinates member, or nothing where it has
+            none; the numbers are rendered in one pass."""
+            numbers = iter(json_numbers([value for item in items
+                                         if item.coordinates is not None
+                                         for value in item.coordinates]))
+            return ["" if item.coordinates is None else
+                    _COORDINATES % (next(numbers), next(numbers))
+                    for item in items]
+
+        def areas(lands) -> list[str]:
+            """Each land segment's areas object; the numbers are rendered
+            in one pass."""
+            pairs = [sorted(dict(land.load_source_areas).items())
+                     for land in lands]
+            acres = iter(json_numbers([value for items in pairs
+                                       for _, value in items]))
+            return ["{\n    %s\n   }" % ",\n    ".join([
+                "%s: %s" % (_json_string(source), next(acres))
+                for source, _ in items]) if items else "{}"
+                for items in pairs]
+
+        lands, outlets, estuaries = (self.land_segments, self.outlets,
+                                     self.estuaries)
+        groups = {  # in key order
+            "estuaries": (_ESTUARY_RECORD % (xy, _json_string(e.external_id))
+                          for xy, e in zip(coordinates(estuaries), estuaries)),
+            "land_segments": (_LAND_RECORD % (
+                xy, _json_string(land.county), _json_string(land.external_id),
+                acres, _json_string(land.river_segment_id))
+                for xy, acres, land in zip(coordinates(lands), areas(lands),
+                                           lands)),
+            "outlets": (_OUTLET_RECORD % (
+                xy, _json_string(o.external_id),
+                _json_string(o.river_segment_id))
+                for xy, o in zip(coordinates(outlets), outlets)),
+            "river_links": (_LINK_RECORD % (
+                _json_string(link.from_outlet), _json_string(link.to_node))
+                for link in self.river_links),
+        }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write("{\n")
+            for group, records in groups.items():
+                first = next(records, None)
+                if first is None:
+                    fh.write(f' "{group}": [],\n')
+                    continue
+                fh.write(f' "{group}": [\n{first}')
+                fh.writelines(map(",\n".__add__, records))
+                fh.write("\n ],\n")
+            fh.write(f' "schema": {SCHEMA_VERSION}\n}}\n')
+
+
+# ``json.dumps`` spells these floats, and None, unlike ``repr``.
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null"}
+
+
+def json_numbers(values: Iterable) -> list[str]:
+    """Numbers, or None, as ``json.dumps`` writes them."""
+    return [_JSON_CONSTANTS.get(text, text) for text in map(repr, values)]
+
+
+# One record of each group of the network file, as ``json.dump(...,
+# indent=1, sort_keys=True)`` writes it inside its group's list; fields
+# are JSON text, and the first is the coordinates member (``_COORDINATES``
+# filled in) or nothing.
+_COORDINATES = '\n   "coordinates": [\n    %s,\n    %s\n   ],'
+_ESTUARY_RECORD = '  {%s\n   "external_id": %s\n  }'
+_LAND_RECORD = ('  {%s\n   "county": %s,\n   "external_id": %s,\n'
+                '   "load_source_areas": %s,\n   "river_segment_id": %s\n  }')
+_OUTLET_RECORD = '  {%s\n   "external_id": %s,\n   "river_segment_id": %s\n  }'
+_LINK_RECORD = '  {\n   "from_outlet": %s,\n   "to_node": %s\n  }'
 
 
 # The largest finite float.  Python compares an int with it exactly, so a
@@ -360,7 +423,7 @@ def validate_routing(network: WatershedNetwork) -> RoutingReport:
     """Check the dendritic-tree invariants, reporting violations as data.
 
     Flags outlets with zero or multiple downstream links, cycles among
-    outlets, and outlets from which no estuary can be reached.  Cycles and
+    outlets, and other outlets from which no estuary can be reached.  Cycles and
     reachability follow one downstream link per outlet: for an outlet with
     several, the first in file order.
     """
@@ -403,8 +466,10 @@ def validate_routing(network: WatershedNetwork) -> RoutingReport:
         for visited in walk:
             reaches[visited] = ok
 
+    # An orphan is reported once, as an orphan; the outlets above it are
+    # unreachable.
     for outlet in network.outlets:
-        if not reaches[outlet.external_id]:
+        if not reaches[outlet.external_id] and out_links[outlet.external_id]:
             violations.append(RoutingViolation(
                 "unreachable_estuary", outlet.external_id,
                 "no directed path from this outlet reaches an estuary"))
@@ -423,8 +488,8 @@ def derive_connectivity_from_names(
     segment's own number is the last 4 characters of its id once the
     pointer (and any separator such as "_") is stripped, left-padded with
     zeros when shorter.  Example: "EL0_4557_0000" is estuarine segment
-    4557; "EL0_4830_4557" drains into it.  Two ids that share a number
-    raise ``ValueError``.
+    4557; "EL0_4830_4557" drains into it.  An id given twice, or two ids
+    that share a number, raise ``ValueError``.
 
     Returns ``(links, unresolved)`` where each link is ``(segment,
     downstream_segment)`` with ``None`` standing for the estuary, and
@@ -440,6 +505,8 @@ def derive_connectivity_from_names(
             )
         stem = seg[:-4].rstrip("_-")
         number = stem[-4:].rjust(4, "0")
+        if own_key.get(number) == seg:
+            raise ValueError(f"segment id {seg!r} is repeated")
         if own_key.setdefault(number, seg) != seg:
             raise ValueError(f"segment ids {own_key[number]!r} and {seg!r} "
                              f"share the number {number!r}")

@@ -13,7 +13,7 @@ from basinflow.topology import (
     WatershedNetwork,
 )
 
-from pipeline_util import capabilities_of
+from pipeline_util import capabilities_of, network_doc
 
 
 @pytest.fixture
@@ -69,4 +69,4 @@ def two_estuary_network():
 
 @pytest.fixture
 def chain_network_doc(chain_network):
-    return chain_network.to_dict()
+    return network_doc(chain_network)

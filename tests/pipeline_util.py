@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 import basinflow as bf
-from basinflow import estimator, measurement, report
+from basinflow import estimator, measurement, report, topology
 from basinflow.core_net import (
     CAPABILITY_CLASSES,
     OPERAND_NAMES,
@@ -153,9 +153,33 @@ def assemble_bundle(n_outlets, branching=3, seed=0, **kwargs):
 
 # ---------------------------------------------------------------------------
 # Reference writers: the files as ``csv.writer`` and ``json.dumps`` write
-# them, which ``measurement.write_table`` and ``report.export_results`` must
-# reproduce byte for byte.
+# them, which ``measurement.write_table``, ``report.export_results`` and
+# ``WatershedNetwork.save`` must reproduce byte for byte.
 # ---------------------------------------------------------------------------
+
+def network_doc(network) -> dict:
+    """The network file's content as a JSON document: each record's fields,
+    without ``coordinates`` where it has none, and each land segment's
+    areas as ``dict(load_source_areas)``."""
+    def record(item) -> dict:
+        doc = {key: value for key, value in vars(item).items()
+               if value is not None}
+        if isinstance(item, topology.LandSegment):
+            doc["load_source_areas"] = dict(item.load_source_areas)
+        return doc
+
+    return {"schema": topology.SCHEMA_VERSION,
+            **{group: list(map(record, getattr(network, group))) for group in
+               ("land_segments", "outlets", "river_links", "estuaries")}}
+
+
+def reference_save_network(network, path):
+    """The network file through ``json.dump(doc, indent=1, sort_keys=True)``
+    and a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(network_doc(network), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
 
 def reference_write_table(path, dataset):
     """A table through ``csv.writer``: field names, then each row with each

@@ -30,6 +30,7 @@ from pipeline_util import (
     build_constraints,
     fit_report,
     measurement_system,
+    network_doc,
     reference_export_geo,
     reference_export_tabular,
     reference_fit_report_csv,
@@ -249,7 +250,7 @@ def awkward_bundle():
     the estuary has no coordinates, so the features touching it have null
     geometry."""
     network, _, datasets = bf.generate_synthetic(4, branching=2, seed=3)
-    doc = network.to_dict()
+    doc = network_doc(network)
     for group, fields in (
             ("land_segments", ("external_id", "county", "river_segment_id")),
             ("outlets", ("external_id", "river_segment_id")),
@@ -359,6 +360,16 @@ class TestWritersMatchReference:
         ms.write_table(path / "a.csv", dataset)
         reference_write_table(path / "b.csv", dataset)
         assert (path / "a.csv").read_bytes() == (path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("n_rows", [0, 1, ms.WRITE_CHUNK_ROWS - 1,
+                                        ms.WRITE_CHUNK_ROWS,
+                                        2 * ms.WRITE_CHUNK_ROWS + 1])
+    def test_chunk_boundaries(self, tmp_path, n_rows):
+        dataset = ms.table(ms.LOADS, [(f"c,{i}", "nitrogen", "EoS", i / 7)
+                                      for i in range(n_rows)])
+        ms.write_table(tmp_path / "a.csv", dataset)
+        reference_write_table(tmp_path / "b.csv", dataset)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestFitReport:

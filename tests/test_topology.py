@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import basinflow as bf
+from basinflow import cli
 from basinflow.core_net import OPERAND_NAMES, SECTORS
 from basinflow.topology import (
     Estuary,
@@ -21,7 +22,8 @@ from basinflow.topology import (
     validate_routing,
 )
 
-from pipeline_util import buffer_walk
+from pipeline_util import buffer_walk, network_doc, reference_save_network
+from test_cli import BUNDLE_DIGESTS
 
 
 def write_network(tmp_path, doc, name="network.json"):
@@ -178,8 +180,59 @@ class TestLoadNetwork:
         path = tmp_path / "net.json"
         net.save(path)
         again = load_network(path)
-        assert again.to_dict() == net.to_dict()
+        assert network_doc(again) == network_doc(net)
         assert validate_routing(again).ok
+
+
+# Text that ``json`` escapes: a quote, a backslash, a comma, a newline, a
+# non-ASCII character and one beyond the Basic Multilingual Plane.
+AWKWARD = 'a"b\\c,d\ne\u00e9\U0001f30a'
+
+
+def awkward_network(estuaries: bool) -> WatershedNetwork:
+    """Records without coordinates, with int and non-finite ones, int and
+    non-finite areas, unsorted area keys, a repeated area key and a land
+    segment with no areas; with no estuaries when ``estuaries`` is false."""
+    return WatershedNetwork(
+        land_segments=(
+            LandSegment(f"land-{AWKWARD}", f"county-{AWKWARD}", AWKWARD,
+                        (("row_crops", 10), (f"z-{AWKWARD}", 2.5),
+                         ("forest", 0.1), ("developed", float("inf"))),
+                        coordinates=(-76, 38.25)),
+            LandSegment("land-2", "county,2", "seg-2", (),
+                        coordinates=(float("inf"), -0.0)),
+            LandSegment("land-3", "county\u00e9", "seg-2",
+                        (("pasture", 3.0), ("forest", 4), ("pasture", 5.5))),
+        ),
+        outlets=(Outlet(f"out-{AWKWARD}", AWKWARD, coordinates=(1e-7, 1e300)),
+                 Outlet("out-2", "seg-2")),
+        river_links=(RiverLink("out-2", f"out-{AWKWARD}"),
+                     RiverLink(f"out-{AWKWARD}", f"bay-{AWKWARD}")),
+        estuaries=(Estuary(f"bay-{AWKWARD}"), Estuary("bay-2", (0, -1.5)))
+        if estuaries else (),
+    )
+
+
+class TestNetworkWriterMatchesReference:
+    """``WatershedNetwork.save`` writes what ``json.dump(doc, indent=1,
+    sort_keys=True)`` writes, so a loaded network re-saves to its bytes."""
+
+    @pytest.mark.parametrize("network", [
+        awkward_network(estuaries=True), awkward_network(estuaries=False),
+        WatershedNetwork((), (), ())], ids=["awkward", "no_estuaries", "empty"])
+    def test_matches_reference(self, tmp_path, network):
+        network.save(tmp_path / "got.json")
+        reference_save_network(network, tmp_path / "want.json")
+        assert ((tmp_path / "got.json").read_bytes()
+                == (tmp_path / "want.json").read_bytes())
+
+    @pytest.mark.parametrize("args", list(BUNDLE_DIGESTS),
+                             ids=["per-segment", "grouped"])
+    def test_pinned_bundles_resave(self, tmp_path, args):
+        assert cli.main(["synth", *args, "--out", str(tmp_path)]) == 0
+        load_network(tmp_path / "network.json").save(tmp_path / "again.json")
+        assert ((tmp_path / "again.json").read_bytes()
+                == (tmp_path / "network.json").read_bytes())
 
 
 class TestNetworkArrays:
@@ -252,6 +305,31 @@ class TestValidateRouting:
         report = validate_routing(net)
         assert any(v.kind == "orphan_outlet" and v.subject == "out-2"
                    for v in report.violations)
+
+    def test_orphan_reported_once(self):
+        # the first river link of a generated tree dropped: its outlet is an
+        # orphan, and every outlet that drains through it is stranded
+        net, _, _ = bf.generate_synthetic(30, branching=3, seed=7)
+        orphan = net.river_links[0].from_outlet
+        net = dataclasses.replace(net, river_links=net.river_links[1:])
+        downstream = {link.from_outlet: link.to_node for link in net.river_links}
+
+        def drains_through_orphan(outlet):
+            while outlet in downstream:
+                outlet = downstream[outlet]
+            return outlet == orphan
+
+        upstream = {o.external_id for o in net.outlets
+                    if o.external_id != orphan
+                    and drains_through_orphan(o.external_id)}
+        assert upstream  # the case shows the stranded outlets
+        report = validate_routing(net)
+        assert [(v.kind, v.message) for v in report.violations
+                if v.subject == orphan] == [
+            ("orphan_outlet", "outlet has no downstream river link")]
+        assert {v.subject for v in report.violations
+                if v.kind == "unreachable_estuary"} == upstream
+        assert len(report.violations) == 1 + len(upstream)
 
     def test_three_cycle_detected(self):
         net = WatershedNetwork(
@@ -330,6 +408,13 @@ class TestDeriveConnectivity:
                 "number '0001'")):
             derive_connectivity_from_names(
                 ["A_0001_0000", "B_0001_0000", "C_0002_0001"])
+
+    def test_repeated_id_rejected(self):
+        # a duplicated CAST row would otherwise become a second river link
+        with pytest.raises(ValueError, match=re.escape(
+                "segment id 'A_0001_0000' is repeated")):
+            derive_connectivity_from_names(
+                ["A_0001_0000", "A_0001_0000", "C_0002_0001"])
 
     def test_generator_ids_reproduce_tree(self):
         net, _, _ = bf.generate_synthetic(25, branching=2, seed=9)
@@ -445,7 +530,7 @@ class TestGenerateSynthetic:
     def test_determinism(self):
         a = bf.generate_synthetic(8, branching=3, seed=123)
         b = bf.generate_synthetic(8, branching=3, seed=123)
-        assert a[0].to_dict() == b[0].to_dict()
+        assert network_doc(a[0]) == network_doc(b[0])
         assert (a[1].u == b[1].u).all()
         for family in ("applied", "loads", "delivery_factors", "areas"):
             assert np.array_equal(getattr(a[2], family), getattr(b[2], family))
