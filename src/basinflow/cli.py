@@ -6,10 +6,10 @@ Subcommands: ``validate`` (network, dataset and measurement-row checks),
 ``report`` (recompute fit metrics from an exported solution without
 re-solving).
 
-Exit codes: 0 success, 1 validation/configuration failure, 2 solver
-failure, 3 file I/O failure.  All numeric defaults are recorded in the
-run summary for provenance; timings go to a separate file so repeated
-runs produce byte-identical result artifacts.
+Exit codes: 0 success, 1 validation/configuration failure (a command-line
+usage error included), 2 solver failure, 3 file I/O failure.  All numeric
+defaults are recorded in the run summary for provenance; timings go to a
+separate file so repeated runs produce byte-identical result artifacts.
 """
 
 from __future__ import annotations
@@ -369,8 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its help, or its usage and error; a usage
+        # error is a configuration failure, as 2 is the solver's.
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:
         if args.command == "synth":
             return cmd_synth(args.outlets, args.branching, args.seed, args.out,
@@ -381,9 +385,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_validate(config)
         if args.command == "estimate":
             return cmd_estimate(config)
-        if args.command == "report":
-            return cmd_report(args.solution, config)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_report(args.solution, config)
     except np.linalg.LinAlgError as exc:
         # Before ValueError, which LinAlgError subclasses.
         print(f"solver error: {exc}", file=sys.stderr)
@@ -394,7 +396,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_OK
 
 
 if __name__ == "__main__":

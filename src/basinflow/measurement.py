@@ -626,22 +626,19 @@ def assemble_eot_constraints(
     eot = eot[known]
     group, keys = _key_groups(eot.operand)
     totals = np.bincount(group, weights=eot.mass, minlength=len(keys))
+    op = np.array([OPERAND_NAMES.index(key[0]) for key in keys], dtype=np.intp)
     terminal = network.buffer_kinds[network.link_to] == "estuary"
     river = capabilities.river_transport[terminal]
-    rows, cols, constants, operands = [], [], [], []
-    for (operand,), mass in zip(keys, totals.tolist()):
-        caps = river[:, OPERAND_NAMES.index(operand)]
-        if not caps.size:
-            skipped.append(
-                f"EoT record for operand {operand!r} but the network has no "
-                f"estuary-bound river transport; constraint skipped")
-            continue
-        rows += [len(operands)] * caps.size
-        cols += caps.tolist()
-        constants.append(mass)
-        operands.append(OPERAND_NAMES.index(operand))
-    return _system(rows, cols, np.ones(len(cols)), constants, EOT, operands,
-                   [()] * len(operands), capabilities.n_caps), skipped
+    if not river.size:
+        skipped += [f"EoT record for operand {key[0]!r} but the network has "
+                    f"no estuary-bound river transport; constraint skipped"
+                    for key in keys]
+        op, totals = op[:0], totals[:0]
+    # Operand o's estuary-bound transports are group o of ``river.T``.
+    rows, cols = _gather(np.arange(len(OPERAND_NAMES) + 1) * len(river),
+                         river.T.ravel(), op)
+    return _system(rows, cols, np.ones(cols.size), totals, EOT, op,
+                   [()] * op.size, capabilities.n_caps), skipped
 
 
 def assemble_transport_relations(

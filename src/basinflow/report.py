@@ -272,7 +272,6 @@ class FitRow:
 @dataclass(frozen=True)
 class FitReport:
     rows: tuple[FitRow, ...]
-    nrmse_normalizer: str = "mean"
 
     def write_csv(self, path) -> None:
         write_table(path, table(_FIT_ROWS, map(astuple, self.rows)))
@@ -361,7 +360,7 @@ def build_fit_report(system: MeasurementSystem, totals: np.ndarray,
             value, note = _safe(median_relative_error, pairs)
             rows.append(FitRow(data_type, op, METRIC_MEDIAN_REL, value,
                                note or "per county"))
-    return FitReport(tuple(rows), nrmse_normalizer)
+    return FitReport(tuple(rows))
 
 
 def flow_totals(flows: dict[tuple[str, str, str], float],

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Optional, Sequence
@@ -271,6 +272,56 @@ def _parse_coordinates(raw, where: str, problems: list[str]):
     return None
 
 
+def _parse_areas(raw: dict, where: str, problems: list[str]):
+    areas = []
+    for src, acres in raw.items():
+        if not _is_number(acres) or not 0 <= acres <= _FLOAT_MAX:
+            problems.append(f"{where}: area for load source {src!r} must be "
+                            f"a finite non-negative number, got {acres!r}")
+        else:
+            areas.append((str(src), float(acres)))
+    return tuple(areas)
+
+
+# The network file's groups, in the order they are read; each group's record
+# class is its records' schema.
+_GROUPS = {"land_segments": LandSegment, "outlets": Outlet,
+           "river_links": RiverLink, "estuaries": Estuary}
+# A record field's JSON type (None: the field is optional) and the parser of
+# its value; any other field is a required JSON string, kept as it is.
+_FIELDS = {"load_source_areas": (dict, _parse_areas),
+           "coordinates": (None, _parse_coordinates)}
+
+
+def _read_group(group: str, raw: list, problems: list[str]) -> list:
+    """The records of ``group``, read field by field through its record
+    class.  A record that is not an object, or has a missing or mistyped
+    field, is noted and skipped before its areas and coordinates are
+    parsed."""
+    cls = _GROUPS[group]
+    schema = [(f.name, *_FIELDS.get(f.name, (str, None))) for f in fields(cls)]
+    required = [(name, kind) for name, kind, _ in schema if kind is not None]
+    items = []
+    for i, record in enumerate(raw):
+        where = f"{group}[{i}]"
+        if not isinstance(record, dict):
+            problems.append(f"{where}: record must be an object")
+            continue
+        known = len(problems)
+        for name, kind in required:
+            if name not in record:
+                problems.append(f"{where}: missing field {name!r}")
+            elif not isinstance(record[name], kind):
+                problems.append(f"{where}: {name} must be "
+                                f"{'a string' if kind is str else 'an object'}, "
+                                f"got {record[name]!r}")
+        if len(problems) == known:
+            items.append(cls(*[record[name] if parse is None else
+                               parse(record.get(name), where, problems)
+                               for name, _, parse in schema]))
+    return items
+
+
 def network_from_dict(doc: dict) -> WatershedNetwork:
     """Build and check a network from parsed file content.
 
@@ -280,88 +331,16 @@ def network_from_dict(doc: dict) -> WatershedNetwork:
     problems: list[str] = []
     if not isinstance(doc, dict):
         raise NetworkSchemaError(["top level must be an object"])
-    if doc.get("schema") != SCHEMA_VERSION:
-        problems.append(
-            f"schema version must be {SCHEMA_VERSION}, got {doc.get('schema')!r}"
-        )
-    for key in ("land_segments", "outlets", "river_links", "estuaries"):
+    schema = doc.get("schema")
+    if schema != SCHEMA_VERSION or isinstance(schema, bool):
+        problems.append(f"schema version must be {SCHEMA_VERSION}, got {schema!r}")
+    for key in _GROUPS:
         if not isinstance(doc.get(key), list):
             problems.append(f"missing or non-array field {key!r}")
     if problems:
         raise NetworkSchemaError(problems)
-
-    def records(group: str):
-        """(where, record) for each record of ``group`` that is an object;
-        any other is noted once."""
-        for i, record in enumerate(doc[group]):
-            where = f"{group}[{i}]"
-            if isinstance(record, dict):
-                yield where, record
-            else:
-                problems.append(f"{where}: record must be an object")
-
-    def need(record: dict, key: str, where: str, kind: type = str):
-        """``record[key]``, or None with the problem noted when the record
-        lacks it or it is not a JSON string (an object, for ``kind=dict``)."""
-        if key not in record:
-            problems.append(f"{where}: missing field {key!r}")
-            return None
-        if not isinstance(record[key], kind):
-            problems.append(f"{where}: {key} must be "
-                            f"{'a string' if kind is str else 'an object'}, "
-                            f"got {record[key]!r}")
-            return None
-        return record[key]
-
-    lands: list[LandSegment] = []
-    for where, rec in records("land_segments"):
-        ext = need(rec, "external_id", where)
-        county = need(rec, "county", where)
-        rseg = need(rec, "river_segment_id", where)
-        areas_raw = need(rec, "load_source_areas", where, dict)
-        if None in (ext, county, rseg, areas_raw):
-            continue
-        areas = []
-        for src, acres in areas_raw.items():
-            if not _is_number(acres) or not 0 <= acres <= _FLOAT_MAX:
-                problems.append(
-                    f"{where}: area for load source {src!r} must be a "
-                    f"finite non-negative number, got {acres!r}"
-                )
-            else:
-                areas.append((str(src), float(acres)))
-        lands.append(LandSegment(
-            ext, county, rseg, tuple(areas),
-            _parse_coordinates(rec.get("coordinates"), where, problems),
-        ))
-
-    outlets: list[Outlet] = []
-    for where, rec in records("outlets"):
-        ext = need(rec, "external_id", where)
-        rseg = need(rec, "river_segment_id", where)
-        if None in (ext, rseg):
-            continue
-        outlets.append(Outlet(
-            ext, rseg,
-            _parse_coordinates(rec.get("coordinates"), where, problems),
-        ))
-
-    links: list[RiverLink] = []
-    for where, rec in records("river_links"):
-        frm = need(rec, "from_outlet", where)
-        to = need(rec, "to_node", where)
-        if None in (frm, to):
-            continue
-        links.append(RiverLink(frm, to))
-
-    estuaries: list[Estuary] = []
-    for where, rec in records("estuaries"):
-        ext = need(rec, "external_id", where)
-        if ext is None:
-            continue
-        estuaries.append(Estuary(
-            ext, _parse_coordinates(rec.get("coordinates"), where, problems),
-        ))
+    lands, outlets, links, estuaries = (_read_group(group, doc[group], problems)
+                                        for group in _GROUPS)
 
     # Identifier uniqueness across the whole buffer namespace; to_node
     # references are only unambiguous when outlet and estuary ids never clash.
@@ -386,9 +365,7 @@ def network_from_dict(doc: dict) -> WatershedNetwork:
                 f"node {link.to_node!r}"
             )
 
-    rseg_counts: dict[str, int] = {}
-    for outlet in outlets:
-        rseg_counts[outlet.river_segment_id] = rseg_counts.get(outlet.river_segment_id, 0) + 1
+    rseg_counts = Counter(o.river_segment_id for o in outlets)
     for rseg, count in rseg_counts.items():
         if count > 1:
             problems.append(

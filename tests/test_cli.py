@@ -13,8 +13,11 @@ import pytest
 
 import basinflow as bf
 from basinflow import estimator as est
+from basinflow import measurement
 from basinflow import report as rp
-from basinflow.cli import main
+from basinflow.cli import DATASET_FAMILIES, main
+from basinflow.core_net import OPERAND_NAMES
+from basinflow.measurement import FAMILIES
 
 from pipeline_util import assemble_bundle, dense_oracle_solve, fit_report
 
@@ -535,6 +538,88 @@ class TestEveryCommandChecksTheBundle:
                 return
         assert self.run_on(command, bundle, tmp_path) == 0
         assert capsys.readouterr().err == NOWHERE_WARNING
+
+
+class TestUsageErrors:
+    """A command line argparse rejects exits 1, as a configuration failure
+    does; 2 is the solver's."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate", "--k-steps", "x"], "invalid int value: 'x'"),
+        (["estimate", "--missing-df-policy", "bogus"],
+         "invalid choice: 'bogus'"),
+        (["bogus"], "invalid choice: 'bogus'")],
+        ids=["bad_type", "bad_choice", "unknown_command"])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: basinflow")
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_help_exits_0(self, capsys):
+        assert run(["estimate", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: basinflow estimate")
+
+
+class TestNrmseNormalizer:
+    """``nrmse_normalizer``, from the flag or the config key, picks the
+    NRMSE rows' denominator in ``estimate`` and in ``report``."""
+
+    @staticmethod
+    def fit_rows(path) -> dict:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return {(row["data_type"], row["operand"]): row
+                    for row in csv.DictReader(fh)
+                    if row["metric"] == rp.METRIC_NRMSE}
+
+    @staticmethod
+    def expected(bundle, solution, normalizer) -> dict:
+        """``report.nrmse`` of each applied and EoS operand's rows, the
+        flows read from ``solution``."""
+        network = bf.load_network(bundle / "network.json")
+        applied, loads, dfs, areas = (
+            getattr(measurement, f"read_{family}")(bundle / f"{family}.csv")
+            for family in DATASET_FAMILIES)
+        capabilities = bf.instantiate_capabilities(network)
+        _, rows, _ = measurement.assemble_system(
+            network, capabilities, applied, loads,
+            measurement.compute_delivery_model(network, dfs, areas))
+        totals = rp.flow_totals(rp.flows_from_tabular(
+            rp.import_tabular(solution)), capabilities, network)
+        predicted = rows.d @ totals
+        want = {}
+        for family, data_type in (("accept", "applied"), ("eos", "eos")):
+            for code, operand in enumerate(OPERAND_NAMES):
+                picked = np.flatnonzero(
+                    (rows.family == FAMILIES.index(family))
+                    & (rows.operand == code))
+                want[(data_type, operand)] = rp.nrmse(
+                    predicted[picked], rows.constant[picked], normalizer)
+        return want
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_range(self, synth30_dir, tmp_path, source):
+        bundle = bundle_copy(synth30_dir, tmp_path)
+        argv = ["--config", str(bundle / "config.json")]
+        if source == "flag":
+            argv += ["--nrmse-normalizer", "range"]
+        else:
+            config = json.loads((bundle / "config.json").read_text())
+            config["nrmse_normalizer"] = "range"
+            (bundle / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "est"
+        assert run(["estimate", *argv, "--output-dir", str(out)]) == 0
+        got = self.fit_rows(out / "fit_report.csv")
+        want = self.expected(bundle, out / "solution.csv", "range")
+        assert sorted(got) == sorted(want)
+        for key, row in got.items():
+            assert row["note"] == "normalizer=range"
+            assert float(row["value"]) == pytest.approx(want[key], rel=1e-12)
+        assert run(["report", *argv, "--solution", str(out / "solution.csv"),
+                    "--output-dir", str(tmp_path / "rep")]) == 0
+        assert (tmp_path / "rep" / "fit_report.csv").read_bytes() == \
+            (out / "fit_report.csv").read_bytes()
 
 
 def test_import_skips_sparse_solver():

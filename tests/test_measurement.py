@@ -58,6 +58,32 @@ class TestCapabilityAggregation:
         assert len(system) == 0
         assert "no estuary-bound river transport" in skipped[0]
 
+    def test_empty_group_notes_in_order(self):
+        # the county notes first, then one note per operand, each in order
+        # of first appearance
+        net = WatershedNetwork(
+            land_segments=(LandSegment("land-1", "alpha", "seg-1", ()),),
+            outlets=(Outlet("out-1", "seg-1"), Outlet("out-2", "seg-2")),
+            river_links=(RiverLink("out-1", "out-2"), RiverLink("out-2", "out-1")),
+            estuaries=(Estuary("bay"),),
+        )
+        system, skipped = ms.assemble_eot_constraints(
+            ms.table(ms.LOADS, [("alpha", "phosphorus", "EoT", 4.0),
+                                ("nowhere", "nitrogen", "EoT", 1.0),
+                                ("alpha", "nitrogen", "EoT", 2.0),
+                                ("elsewhere", "nitrogen", "EoT", 3.0)]),
+            net, instantiate_capabilities(net))
+        assert len(system) == 0 and system.d.nnz == 0
+        assert skipped == [
+            "EoT record for county 'nowhere' matches no land segment; left "
+            "out of the end-of-tide total",
+            "EoT record for county 'elsewhere' matches no land segment; left "
+            "out of the end-of-tide total",
+            "EoT record for operand 'phosphorus' but the network has no "
+            "estuary-bound river transport; constraint skipped",
+            "EoT record for operand 'nitrogen' but the network has no "
+            "estuary-bound river transport; constraint skipped"]
+
     def test_identity_grouping(self):
         # one county per land segment: every accept and EoS row selects
         # exactly one capability, and no two rows share one

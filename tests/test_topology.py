@@ -61,6 +61,87 @@ class TestLoadNetwork:
         with pytest.raises(NetworkSchemaError, match="schema"):
             network_from_dict(chain_network_doc)
 
+    def test_boolean_schema_rejected(self, chain_network_doc):
+        # True == 1 in Python, so the version check once accepted it
+        chain_network_doc["schema"] = True
+        with pytest.raises(NetworkSchemaError) as info:
+            network_from_dict(chain_network_doc)
+        assert info.value.violations == ["schema version must be 1, got True"]
+
+    def test_every_fault_reported_in_order(self):
+        # A fault in every field of every group.  Within a record, missing
+        # or mistyped fields come first, in field order, then bad areas, then
+        # bad coordinates; a record with a missing or mistyped field is not
+        # read further, so land_segments[0]'s areas and coordinates and
+        # outlets[1]'s coordinates go unreported.
+        doc = {
+            "schema": 1,
+            "land_segments": [
+                {"county": 7, "river_segment_id": "seg-1",
+                 "load_source_areas": {"row_crops": -1.0}, "coordinates": [1]},
+                {"external_id": "land-2", "county": "c",
+                 "river_segment_id": None, "load_source_areas": None},
+                "land-3",
+                {"external_id": "land-4", "county": "c",
+                 "river_segment_id": "seg-1",
+                 "load_source_areas": {"row_crops": "many", "pasture": 2.0,
+                                       "urban": float("nan")},
+                 "coordinates": [0.0, float("inf")]},
+                {"external_id": "land-5", "county": "c",
+                 "river_segment_id": "seg-none", "load_source_areas": {}},
+            ],
+            "outlets": [
+                {"external_id": "out-1", "river_segment_id": "seg-1",
+                 "coordinates": "here"},
+                {"river_segment_id": ["seg-2"], "coordinates": [1, 2, 3]},
+                None,
+                {"external_id": "land-4", "river_segment_id": "seg-2"},
+                {"external_id": "out-5", "river_segment_id": "seg-1"},
+            ],
+            "river_links": [
+                {"from_outlet": "out-1"},
+                {"from_outlet": 1, "to_node": "bay"},
+                [],
+                {"from_outlet": "out-1", "to_node": "bay"},
+                {"from_outlet": "out-9", "to_node": "sea"},
+            ],
+            "estuaries": [
+                {"external_id": "bay", "coordinates": [True, 1.0]},
+                {"coordinates": [0, 0]},
+                {"external_id": {}, "coordinates": "x"},
+            ],
+        }
+        with pytest.raises(NetworkSchemaError) as info:
+            network_from_dict(doc)
+        area = "must be a finite non-negative number, got"
+        assert info.value.violations == [
+            "land_segments[0]: missing field 'external_id'",
+            "land_segments[0]: county must be a string, got 7",
+            "land_segments[1]: river_segment_id must be a string, got None",
+            "land_segments[1]: load_source_areas must be an object, got None",
+            "land_segments[2]: record must be an object",
+            f"land_segments[3]: area for load source 'row_crops' {area} 'many'",
+            f"land_segments[3]: area for load source 'urban' {area} nan",
+            "land_segments[3]: coordinates must be finite, got [0.0, inf]",
+            "outlets[0]: coordinates must be a [x, y] pair",
+            "outlets[1]: missing field 'external_id'",
+            "outlets[1]: river_segment_id must be a string, got ['seg-2']",
+            "outlets[2]: record must be an object",
+            "river_links[0]: missing field 'to_node'",
+            "river_links[1]: from_outlet must be a string, got 1",
+            "river_links[2]: record must be an object",
+            "estuaries[0]: coordinates must be a [x, y] pair",
+            "estuaries[1]: missing field 'external_id'",
+            "estuaries[2]: external_id must be a string, got {}",
+            "duplicate external_id 'land-4' (outlet)",
+            "river link references unknown outlet 'out-9'",
+            "river link from 'out-9' references unknown node 'sea'",
+            "river segment 'seg-1' is claimed by 2 outlets; land segments "
+            "cannot be mapped unambiguously",
+            "land segment 'land-5' references river segment 'seg-none' with "
+            "no outlet",
+        ]
+
     def test_land_without_outlet(self, chain_network_doc):
         chain_network_doc["land_segments"][0]["river_segment_id"] = "seg-none"
         with pytest.raises(NetworkSchemaError, match="seg-none"):
