@@ -9,12 +9,14 @@ on the system it is given) normalizes its squared error by the magnitude
 of the datum it checks.
 
 ``D`` is the paper's capability aggregation D_E, one sparse row per datum
-or transport relation and one column per capability.  ``assemble_system``
-stacks the row families every command uses, and ``expand_constraints``
-lifts them onto a K-step horizon with the temporal aggregation D_T.  The
-fit report scores flows through the same rows, plus StreamToTide rows that
-never enter the estimation, so only this module knows how a datum
-aggregates flows.
+or transport relation and one column per capability, gathered through
+aggregation matrices: a county row sums over its land segments, and a
+transport relation reads ``transport - ratio * inflow into its origin
+place``.  ``assemble_system`` stacks the row families every command uses,
+and ``expand_constraints`` lifts them onto a K-step horizon with the
+temporal aggregation D_T.  The fit report scores flows through the same
+rows, plus StreamToTide rows that never enter the estimation, so only this
+module knows how a datum aggregates flows.
 """
 
 from __future__ import annotations
@@ -185,13 +187,18 @@ def _first(flags) -> Optional[int]:
 
 def _parse_numbers(raw: list[str], problems: list) -> np.ndarray:
     """``raw`` as floats; the first value that is not a number and the first
-    that is not finite go to ``problems`` as (row, message)."""
+    that is not finite go to ``problems`` as (row, message).  ``1_000`` and
+    non-ASCII digits, which ``float`` reads but no CSV writer writes, are not."""
     try:
+        if "_" in (text := "".join(raw)) or not text.isascii():
+            raise ValueError(text)
         values = np.array(list(map(float, raw)), dtype=float)
     except ValueError:
         values = np.full(len(raw), math.nan)
         for i, text in enumerate(raw):
             try:
+                if "_" in text or not text.isascii():
+                    raise ValueError(text)
                 values[i] = float(text)
             except ValueError:
                 problems.append((i, f"{text!r} is not a number"))
@@ -447,9 +454,9 @@ def compute_delivery_model(network: "WatershedNetwork",
                      f"factors, defaulting to 1.0")
             continue
         for i in np.flatnonzero(unmatched & (group == g)).tolist():
-            warnings.warn(
-                f"load source {sources[i]!r} has a delivery factor but no "
-                f"area; skipped", DataConsistencyWarning, stacklevel=2)
+            warnings.warn(f"land segment {land_id!r} stage {stage}: load source "
+                          f"{sources[i]!r} has a delivery factor but no area; "
+                          f"skipped", DataConsistencyWarning, stacklevel=2)
         if not n_shared[g]:
             raise ValueError("no load source has both a delivery factor and "
                              "an area")
@@ -472,17 +479,15 @@ def compute_delivery_model(network: "WatershedNetwork",
                  f"outlet {outlets[j].external_id!r} has no contributing land "
                  f"segments; river-to-bay factor defaulted to 1.0")
 
-    # An estuary link keeps the upstream factor: downstream of it the factor
-    # is 1 at the bay.
-    link_to = network.link_to
-    to_outlet = network.buffer_kinds[link_to] == "outlet_point"
-    up = outlet_rtb[network.link_from - len(lands)]
-    down = np.ones(link_to.size)
-    down[to_outlet] = outlet_rtb[link_to[to_outlet] - len(lands)]
+    # The river-to-bay factor by buffer, 1 at an estuary, so an estuary link
+    # keeps its upstream factor.
+    rtb = np.concatenate([np.ones(len(lands)), outlet_rtb,
+                          np.ones(len(network.estuaries))])
+    up, down = rtb[network.link_from], rtb[network.link_to]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = up / down
     for i in np.flatnonzero((down == 0) | (ratio > 1.0)).tolist():
-        segment = network.buffer_names[link_to[i]]
+        segment = network.buffer_names[network.link_to[i]]
         if down[i] == 0:
             raise ValueError(f"downstream river-to-bay delivery factor is "
                              f"zero for segment {segment!r}")
@@ -497,19 +502,12 @@ def compute_delivery_model(network: "WatershedNetwork",
 # Measurement-system assembly (one step; see expand_constraints)
 # ---------------------------------------------------------------------------
 
-def _groups(keys: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group positions by key: group g is ``members[ptr[g]:ptr[g + 1]]``."""
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n_groups))))
-    return ptr, np.argsort(keys, kind="stable")
-
-
-def _gather(ptr: np.ndarray, members: np.ndarray,
-            groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, member) pairs listing the members of group ``groups[row]``."""
-    counts = ptr[groups + 1] - ptr[groups]
-    rows = np.repeat(np.arange(groups.size), counts)
-    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    return rows, members[np.repeat(ptr[groups], counts) + offsets]
+def _members(keys: np.ndarray, n_groups: int) -> sp.csr_matrix:
+    """The aggregation matrix whose row g has a 1 at every position keyed g:
+    ``_members(keys, n)[groups].nonzero()`` lists (row, member) pairs, the
+    members of group ``groups[row]`` in position order."""
+    return sp.csr_matrix((np.ones(keys.size), (keys, np.arange(keys.size))),
+                         shape=(n_groups, keys.size))
 
 
 def _system(rows, cols, values, constant, family: int, operand, key,
@@ -539,14 +537,13 @@ def _county_rows(records: np.recarray, columns: Sequence[str], network,
                               records.operand)
     totals = np.bincount(group, weights=records.mass, minlength=len(keys))
     codes = network.county_code
-    ptr, members = _groups(network.land_county, len(codes))
     kept = [i for i, key in enumerate(keys) if key[0] in codes]
     skipped = [f"{what} record for county {key[0]!r} matches no land segment; "
                f"constraint skipped" for key in keys if key[0] not in codes]
     op = np.array([OPERAND_NAMES.index(keys[i][-1]) for i in kept], dtype=np.intp)
     keys = [keys[i][:-1] for i in kept]
-    rows, lands = _gather(ptr, members,
-                          np.array([codes[key[0]] for key in keys], dtype=np.intp))
+    rows, lands = _members(network.land_county, len(codes))[
+        np.array([codes[key[0]] for key in keys], dtype=np.intp)].nonzero()
     return keys, op, totals[kept], rows, lands, skipped
 
 
@@ -634,10 +631,9 @@ def assemble_eot_constraints(
                     f"no estuary-bound river transport; constraint skipped"
                     for key in keys]
         op, totals = op[:0], totals[:0]
-    # Operand o's estuary-bound transports are group o of ``river.T``.
-    rows, cols = _gather(np.arange(len(OPERAND_NAMES) + 1) * len(river),
-                         river.T.ravel(), op)
-    return _system(rows, cols, np.ones(cols.size), totals, EOT, op,
+    cols = river.T[op].ravel()  # row o: operand o's estuary-bound transports
+    return _system(np.repeat(np.arange(op.size), len(river)), cols,
+                   np.ones(cols.size), totals, EOT, op,
                    [()] * op.size, capabilities.n_caps), skipped
 
 
@@ -646,39 +642,30 @@ def assemble_transport_relations(
     capabilities: Capabilities,
     delivery: DeliveryModel,
 ) -> MeasurementSystem:
-    """Zero-constant rows tying each transport firing to its inflow.
-
-    Land rows: transport - land_factor * (segment accepts) = error.
-    River rows: link flow - link_ratio * (inflow to the upstream outlet,
-    i.e. its land transports plus upstream links) = error.  Rows run land
-    by land, then link by link, operands fastest.
-    """
-    land, land_op = np.indices(capabilities.land_transport.shape).reshape(2, -1)
-    r, sector = np.indices((land.size, len(SECTORS))).reshape(2, -1)
-    rows = [np.arange(land.size), r]
-    cols = [capabilities.land_transport[land, land_op],
-            capabilities.accept[land[r], sector, land_op[r]]]
-    values = [np.ones(land.size), -delivery.land_factor[land[r]]]
-
-    link, link_op = np.indices(capabilities.river_transport.shape).reshape(2, -1)
-    up = network.link_from[link]
-    base = land.size
-    rows.append(base + np.arange(link.size))
-    cols.append(capabilities.river_transport[link, link_op])
-    values.append(np.ones(link.size))
-    for source, keys in ((capabilities.land_transport,
-                          len(network.land_segments) + network.land_outlet),
-                         (capabilities.river_transport, network.link_to)):
-        r, member = _gather(*_groups(keys, network.n_buffers), up)
-        rows.append(base + r)
-        cols.append(source[member, link_op[r]])
-        values.append(-delivery.link_ratio[link[r]])
-
-    keys = [("land", name) for name in network.buffer_names[land].tolist()]
-    keys += [("river", name) for name in network.link_names[link].tolist()]
-    return _system(np.concatenate(rows), np.concatenate(cols),
-                   np.concatenate(values), np.zeros(len(keys)), TRANSPORT,
-                   np.concatenate([land_op, link_op]), keys, capabilities.n_caps)
+    """One zero-constant row per transport, ``transport - ratio * inflow =
+    error``, the inflow being every firing into the transport's origin place
+    and the ratio its land segment's ``land_factor`` or its river link's
+    ``link_ratio``.  Rows run land by land, then link by link, operands
+    fastest."""
+    n_ops = len(OPERAND_NAMES)
+    transport = np.concatenate([capabilities.land_transport.ravel(),
+                                capabilities.river_transport.ravel()])
+    ratio = np.repeat(np.concatenate([delivery.land_factor,
+                                      delivery.link_ratio]), n_ops)
+    operand = capabilities.operand[transport]
+    # Row p of ``inflow`` holds the firings into place p: M's positive part.
+    inflow = _members(capabilities.destination * n_ops + capabilities.operand,
+                      network.n_buffers * n_ops)
+    rows, member = inflow[capabilities.origin[transport] * n_ops + operand].nonzero()
+    keys = [(kind, name) for kind, names in (
+                ("land", network.buffer_names[:len(network.land_segments)]),
+                ("river", network.link_names))
+            for name in names.tolist() for _ in OPERAND_NAMES]
+    return _system(np.concatenate([np.arange(transport.size), rows]),
+                   np.concatenate([transport, member]),
+                   np.concatenate([np.ones(transport.size), -ratio[rows]]),
+                   np.zeros(len(keys)), TRANSPORT, operand, keys,
+                   capabilities.n_caps)
 
 
 def assemble_system(network: "WatershedNetwork", capabilities: Capabilities,

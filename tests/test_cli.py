@@ -403,6 +403,32 @@ class TestValidateFailures:
         assert run(["validate", "--config", str(bundle / "config.json")]) == 0
         assert capsys.readouterr().err == NOWHERE_WARNING
 
+    def test_unmatched_areas_warn_per_segment(self, synth30_dir, tmp_path):
+        # Python prints a warning text once, so each warning must name its
+        # own land segment and stage for every dropped area to show
+        bundle = bundle_copy(synth30_dir, tmp_path)
+        header, *rows = (bundle / "areas.csv").read_text().splitlines(
+            keepends=True)
+        dropped = [row.split(",")[:2] for row in rows
+                   if row.split(",")[1] == "developed_low"][:2]
+        dropped += [row.split(",")[:2] for row in rows
+                    if row.split(",")[1] == "developed_high"][:1]
+        (bundle / "areas.csv").write_text("".join(
+            [header] + [row for row in rows if row.split(",")[:2] not in dropped]))
+        src = str(Path(bf.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "basinflow.cli", "validate", "--config",
+             str(bundle / "config.json")], env=env, capture_output=True,
+            text=True)
+        assert result.returncode == 0
+        for segment, source in dropped:
+            for stage in measurement.DF_STAGES:
+                assert (f"land segment {segment!r} stage {stage}: load source "
+                        f"{source!r} has a delivery factor but no area; "
+                        f"skipped") in result.stderr
+
     def test_bad_config_key(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"network": "net.json", "k_step": 2}))

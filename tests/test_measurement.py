@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -17,8 +18,10 @@ from basinflow.topology import (
     RiverLink,
     WatershedNetwork,
     instantiate_capabilities,
+    load_network,
 )
 
+from basinflow.cli import main
 from pipeline_util import build_constraints
 
 
@@ -320,6 +323,25 @@ class TestAcceptConstraints:
         supports = [set(dict(c.coefficients)) for c in constraints]
         assert supports[0].isdisjoint(supports[1])
 
+    def test_repeated_records_add_up(self, chain_network, tmp_path):
+        # applied and loads records have no key: repeats of one key sum in
+        # row order, where a repeated delivery factor or area is an error
+        applied, loads = tmp_path / "applied.csv", tmp_path / "loads.csv"
+        applied.write_text("county,sector,operand,mass\n"
+                           "alpha,agricultural,nitrogen,1.5\n"
+                           "alpha,developed,nitrogen,4.0\n"
+                           "alpha,agricultural,nitrogen,2.25\n")
+        loads.write_text("county,operand,kind,mass\n"
+                         "alpha,nitrogen,EoS,1.5\nalpha,nitrogen,EoT,0.5\n"
+                         "alpha,nitrogen,EoS,2.25\nalpha,nitrogen,EoT,0.25\n")
+        system, _, _ = ms.assemble_system(
+            chain_network, chain_caps(chain_network), ms.read_applied(applied),
+            ms.read_loads(loads), None)
+        assert list(zip(ms.row_labels(system), system.constant.tolist())) == [
+            ("accept/alpha/agricultural/nitrogen", 3.75),
+            ("accept/alpha/developed/nitrogen", 4.0),
+            ("eos/alpha/nitrogen", 3.75), ("eot/nitrogen", 0.75)]
+
     def test_unknown_county_skipped(self, chain_network):
         caps = chain_caps(chain_network)
         records = ms.table(ms.APPLIED,
@@ -538,6 +560,54 @@ class TestFamilyInvariants:
             assert abs(lhs - con.constant) <= 1e-10 * scale
 
 
+def rows_digest(system):
+    """sha256 of a system's D (``indptr``, ``indices``, ``data``) and its
+    constants, families, operands and keys; integers are hashed as int64,
+    so the digest pins the values, not the index width scipy picks."""
+    digest = hashlib.sha256()
+    for array, dtype in ((system.d.indptr, np.int64),
+                         (system.d.indices, np.int64),
+                         (system.d.data, np.float64),
+                         (system.constant, np.float64),
+                         (system.family, np.int64),
+                         (system.operand, np.int64)):
+        digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    digest.update(repr(system.key).encode())
+    return digest.hexdigest()
+
+
+# sha256 (``rows_digest``) of the rows the fit report scores, which hold
+# the whole measurement system, for the ``synth`` bundles that
+# ``test_cli.BUNDLE_DIGESTS`` pins, one step and lifted onto three.
+ROW_DIGESTS = {
+    ("--outlets", "30", "--seed", "7"): {
+        1: "518c14040f752164602c2be750d52a9ea5e1716a001f81e14f304b23d27158d2",
+        3: "7ef8e8fbb2ba677277178ba09fd514e6fd35187cf116c876e2506f10f5f3f7bb",
+    },
+    ("--outlets", "30", "--seed", "7", "--county-mode", "grouped",
+     "--land-per-outlet", "2", "4"): {
+        1: "de451109e313b3a25d2b466964be2648ae0b42ba6a77f8359479d2324ea5abeb",
+        3: "8c4b54a7b1e74fb2e2b730317821af1684a4d842441208aa6a97b85e220a22a2",
+    },
+}
+
+
+@pytest.mark.parametrize("args", list(ROW_DIGESTS),
+                         ids=["per-segment", "grouped"])
+def test_pinned_row_digests(tmp_path, args):
+    assert main(["synth", *args, "--out", str(tmp_path)]) == 0
+    network = load_network(tmp_path / "network.json")
+    delivery = ms.compute_delivery_model(
+        network, ms.read_delivery_factors(tmp_path / "delivery_factors.csv"),
+        ms.read_areas(tmp_path / "areas.csv"))
+    _, fit_rows, _ = ms.assemble_system(
+        network, instantiate_capabilities(network),
+        ms.read_applied(tmp_path / "applied.csv"),
+        ms.read_loads(tmp_path / "loads.csv"), delivery)
+    got = {k: rows_digest(ms.expand_constraints(fit_rows, k)) for k in (1, 3)}
+    assert got == ROW_DIGESTS[args]
+
+
 class TestExpandConstraints:
     def test_single_step_passthrough(self, chain_network):
         caps = chain_caps(chain_network)
@@ -624,13 +694,17 @@ class TestParsing:
         with pytest.raises(ms.DatasetFormatError, match="line 4: 2 fields"):
             ms.read_applied(path)
 
-    def test_bad_number(self, tmp_path):
+    # ``float`` reads "1_000" as 1000.0 and Arabic-Indic digits as 12.0, but
+    # no CSV writer spells a number either way
+    @pytest.mark.parametrize("raw", ["lots", "1_000", "\u0661\u0662"],
+                             ids=["lots", "underscore", "arabic-indic"])
+    def test_bad_number(self, tmp_path, raw):
         # the blank line 2 counts, so the bad value is named on line 3
         path = tmp_path / "bad.csv"
         path.write_text("county,sector,operand,mass\n\n"
-                        "alpha,agricultural,nitrogen,lots\n")
+                        f"alpha,agricultural,nitrogen,{raw}\n", encoding="utf-8")
         with pytest.raises(ms.DatasetFormatError,
-                           match=re.escape(f"{path} line 3: 'lots' is not a number")):
+                           match=re.escape(f"{path} line 3: {raw!r} is not a number")):
             ms.read_applied(path)
 
     @pytest.mark.parametrize("read, content, message", [
