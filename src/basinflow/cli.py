@@ -7,19 +7,23 @@ Subcommands: ``validate`` (network, dataset and measurement-row checks),
 re-solving).
 
 Exit codes: 0 success, 1 validation/configuration failure (a command-line
-usage error included), 2 solver failure, 3 file I/O failure.  All numeric
-defaults are recorded in the run summary for provenance; timings go to a
-separate file so repeated runs produce byte-identical result artifacts.
+usage error included), 2 solver failure, 3 file I/O failure.  Skipped
+records and data-consistency warnings print to stderr as ``warning:``
+lines.  All numeric defaults are recorded in the run summary for
+provenance; timings go to a separate file so repeated runs produce
+byte-identical result artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import estimator, measurement, report, synthetic, topology
 from .core_net import build_incidence
-from .measurement import DatasetFormatError
+from .measurement import DataConsistencyWarning, DatasetFormatError
 from .topology import NetworkSchemaError
 
 EXIT_OK = 0
@@ -369,6 +373,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # The pipeline's data hold no reference cycles, so the cyclic collector
+    # would only walk the many short-lived rows a command makes; it is
+    # paused for the command and left as it was found.
+    collecting = gc.isenabled()
+    gc.disable()
+    formatwarning = warnings.formatwarning
+
+    def format_warning(message, category, *where):
+        # A data-consistency warning reads like the skipped-record notes.
+        if issubclass(category, DataConsistencyWarning):
+            return f"warning: {message}\n"
+        return formatwarning(message, category, *where)
+
+    warnings.formatwarning = format_warning
+    try:
+        return _main(argv)
+    finally:
+        warnings.formatwarning = formatwarning
+        if collecting:
+            gc.enable()
+
+
+def _main(argv: Optional[list[str]]) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

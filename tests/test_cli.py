@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import basinflow as bf
+from basinflow import cli
 from basinflow import estimator as est
 from basinflow import measurement
 from basinflow import report as rp
@@ -564,6 +566,113 @@ class TestEveryCommandChecksTheBundle:
                 return
         assert self.run_on(command, bundle, tmp_path) == 0
         assert capsys.readouterr().err == NOWHERE_WARNING
+
+    def test_data_consistency_warnings_printed_as_notes(
+            self, synth30_dir, tmp_path, command):
+        # the delivery model's warnings read like the skipped-record notes,
+        # in a child process, where Python rather than pytest prints them
+        bundle = bundle_copy(synth30_dir, tmp_path)
+        header, *rows = (bundle / "areas.csv").read_text().splitlines(
+            keepends=True)
+        first = next(i for i, row in enumerate(rows)
+                     if row.split(",")[1] == "developed_low")
+        segment = rows.pop(first).split(",")[0]
+        (bundle / "areas.csv").write_text("".join([header] + rows))
+        argv = [command, "--config", str(bundle / "config.json"),
+                "--output-dir", str(tmp_path / "out")]
+        if command == "report":
+            argv += ["--solution", str(bundle / "ground_truth.csv")]
+        src = str(Path(bf.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-m", "basinflow.cli", *argv],
+                                env=env, capture_output=True, text=True)
+        assert result.returncode == 0
+        assert result.stderr == "".join(
+            f"warning: land segment {segment!r} stage {stage}: load source "
+            f"'developed_low' has a delivery factor but no area; skipped\n"
+            for stage in measurement.DF_STAGES)
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic collector for the length of one command
+    and leaves it as it found it, however the command ends."""
+
+    @pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
+    def collecting(self, request):
+        found = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if found else gc.disable)()
+
+    def test_paused_during_command(self, synth_dir, monkeypatch, collecting):
+        seen = []
+        validate = cli.cmd_validate
+
+        def spy(config):
+            seen.append(gc.isenabled())
+            return validate(config)
+
+        monkeypatch.setattr(cli, "cmd_validate", spy)
+        assert run(["validate", "--config", str(synth_dir / "config.json")]) == 0
+        assert seen == [False]
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("case", [
+        "ok", "configuration", "solver", "io", "usage", "help"])
+    def test_restored_on_exit(self, synth_dir, tmp_path, monkeypatch, capsys,
+                              collecting, case):
+        config = str(synth_dir / "config.json")
+        argv, code = {
+            "ok": (["validate", "--config", config], 0),
+            "configuration": (["validate", "--config", config,
+                               "--tol", "-1"], 1),
+            "solver": (["estimate", "--config", config,
+                        "--output-dir", str(tmp_path / "res")], 2),
+            "io": (["validate", "--network", str(tmp_path / "none.json")], 3),
+            "usage": (["estimate", "--k-steps", "x"], 1),
+            "help": (["estimate", "--help"], 0),
+        }[case]
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("KKT system is singular")
+
+        monkeypatch.setattr(est, "solve", singular)
+        assert run(argv) == code
+        assert gc.isenabled() is collecting
+
+    def test_restored_when_an_exception_propagates(self, synth_dir,
+                                                   monkeypatch, collecting):
+        def unexpected(config):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(cli, "cmd_validate", unexpected)
+        with pytest.raises(RuntimeError, match="unexpected"):
+            run(["validate", "--config", str(synth_dir / "config.json")])
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("collecting", [False], ids=["collector_off"],
+                             indirect=True)
+    def test_garbage_does_not_grow_with_the_bundle(self, synth30_dir,
+                                                   tmp_path, collecting):
+        # The pause is safe only while the pipeline's data hold no reference
+        # cycles: what a command leaves for the collector must not grow with
+        # the number of records.
+        big = tmp_path / "bundle300"
+        assert run(["synth", "--outlets", "300", "--seed", "7",
+                    "--out", str(big)]) == 0
+        garbage = {}
+        for name, bundle in (("30", synth30_dir), ("300", big)):
+            out = tmp_path / f"out{name}"
+            for command, extra in (
+                    ("estimate", []),
+                    ("report", ["--solution", str(out / "solution.csv")])):
+                gc.collect()
+                assert run([command, "--config", str(bundle / "config.json"),
+                            "--output-dir", str(out), *extra]) == 0
+                garbage[name, command] = gc.collect()
+        for command in ("estimate", "report"):
+            assert garbage["30", command] == garbage["300", command]
 
 
 class TestUsageErrors:
