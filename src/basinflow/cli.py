@@ -246,12 +246,8 @@ def cmd_estimate(config: RunConfig) -> int:
 
     summary = {
         "config": dataclasses.asdict(config),
-        "network": {
-            "land_segments": len(network.land_segments),
-            "outlets": len(network.outlets),
-            "river_links": len(network.river_links),
-            "estuaries": len(network.estuaries),
-        },
+        "network": {group: len(getattr(network, group))
+                    for group in topology.GROUPS},
         "problem": {
             "variables": problem.n_variables + len(constraints),
             "equality_rows": problem.n_rows,

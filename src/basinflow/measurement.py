@@ -389,17 +389,17 @@ def compute_delivery_model(network: "WatershedNetwork",
     """
     if missing_policy not in ("error", "passthrough"):
         raise ValueError(f"unknown missing_policy {missing_policy!r}")
-    lands = network.land_segments
+    land_ids = network.land_segments.external_id.tolist()
     if areas is None:
-        areas = table(AREAS, ((land.external_id, source, acres)
-                              for land in lands
-                              for source, acres in land.load_source_areas))
-    position = {land.external_id: i for i, land in enumerate(lands)}
+        pairs = network.land_segments.load_source_areas.tolist()
+        areas = table(AREAS, ((land, *pair) for land, items in
+                              zip(land_ids, pairs) for pair in items))
+    position = dict(zip(land_ids, range(len(land_ids))))
     area_of = dict(zip(zip(areas.segment.tolist(), areas.load_source.tolist()),
                        areas.acres.tolist()))
     area_land = np.array([position.get(s, -1) for s in areas.segment.tolist()],
                          dtype=np.intp)
-    has_area = np.bincount(area_land[area_land >= 0], minlength=len(lands)) > 0
+    has_area = np.bincount(area_land[area_land >= 0], minlength=len(land_ids)) > 0
     land = np.array([position.get(s, -1) for s in factors.segment.tolist()],
                     dtype=np.intp)
     for what, rows, where in (("delivery-factor", factors, land),
@@ -422,7 +422,7 @@ def compute_delivery_model(network: "WatershedNetwork",
                       zip(factors.segment[on_network].tolist(), sources)])
     factor = factors.factor[on_network]
     shared = ~np.isnan(acres)
-    n_groups = len(lands) * n_stages
+    n_groups = len(land_ids) * n_stages
     n_factors = np.bincount(group, minlength=n_groups)
     total = np.bincount(group[shared], weights=acres[shared], minlength=n_groups)
     weighted = np.bincount(group[shared], weights=(factor * acres)[shared],
@@ -437,7 +437,7 @@ def compute_delivery_model(network: "WatershedNetwork",
     problem = ~ok
     problem[group[unmatched]] = True
     for g in np.flatnonzero(problem).tolist():
-        land_id, stage = lands[g // n_stages].external_id, DF_STAGES[g % n_stages]
+        land_id, stage = land_ids[g // n_stages], DF_STAGES[g % n_stages]
         if not n_factors[g]:
             _missing(missing_policy,
                      f"land segment {land_id!r} has no {stage} delivery "
@@ -462,9 +462,9 @@ def compute_delivery_model(network: "WatershedNetwork",
                              "an area")
         if not ok[g]:
             raise ValueError("total area over shared load sources is zero")
-    stage_factor = stage_factor.reshape(len(lands), n_stages)
+    stage_factor = stage_factor.reshape(len(land_ids), n_stages)
 
-    outlets = network.outlets
+    outlets = network.outlets.external_id
     land_outlet = network.land_outlet
     n_lands = np.bincount(land_outlet, minlength=len(outlets))
     outlet_rtb = np.ones(len(outlets))
@@ -472,16 +472,16 @@ def compute_delivery_model(network: "WatershedNetwork",
     outlet_rtb[drained] = (np.bincount(land_outlet, weights=stage_factor[:, 2],
                                        minlength=len(outlets))[drained]
                            / n_lands[drained])
-    for j in np.flatnonzero(~drained).tolist():
+    for outlet in outlets[~drained].tolist():
         _missing(missing_policy,
-                 f"outlet {outlets[j].external_id!r} has no contributing land "
+                 f"outlet {outlet!r} has no contributing land "
                  f"segments to average a river-to-bay factor from",
-                 f"outlet {outlets[j].external_id!r} has no contributing land "
+                 f"outlet {outlet!r} has no contributing land "
                  f"segments; river-to-bay factor defaulted to 1.0")
 
     # The river-to-bay factor by buffer, 1 at an estuary, so an estuary link
     # keeps its upstream factor.
-    rtb = np.concatenate([np.ones(len(lands)), outlet_rtb,
+    rtb = np.concatenate([np.ones(len(land_ids)), outlet_rtb,
                           np.ones(len(network.estuaries))])
     up, down = rtb[network.link_from], rtb[network.link_to]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -202,9 +202,10 @@ def export_results(solution: Solution, network: WatershedNetwork,
 
     # Each buffer's coordinates as JSON text, or None: land segments,
     # outlets, then estuaries, as buffer ids run.
-    points = [None if item.coordinates is None else
-              "[%s, %s]" % tuple(json_numbers(item.coordinates)) for item in
-              (*network.land_segments, *network.outlets, *network.estuaries)]
+    points = [None if xy is None else "[%s, %s]" % tuple(json_numbers(xy))
+              for group in (network.land_segments, network.outlets,
+                            network.estuaries)
+              for xy in group.coordinates.tolist()]
     point_geometry = ["null" if point is None else
                       '{"coordinates": %s, "type": "Point"}' % point
                       for point in points]

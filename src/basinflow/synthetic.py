@@ -30,16 +30,10 @@ from .measurement import (
     LOADS,
     DeliveryModel,
     compute_delivery_model,
+    table,
     table_from_columns,
 )
-from .topology import (
-    Estuary,
-    LandSegment,
-    Outlet,
-    RiverLink,
-    WatershedNetwork,
-    instantiate_capabilities,
-)
+from .topology import GROUPS, WatershedNetwork, instantiate_capabilities
 
 LOAD_SOURCE_POOL = ("row_crops", "pasture", "developed_low",
                     "developed_high", "forest")
@@ -134,19 +128,15 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
         down = 0 if parent[i] == -1 else seg_number(parent[i])
         river_segment_ids.append(f"SYN0_{seg_number(i):04d}_{down:04d}")
 
-    outlets = tuple(
-        Outlet(f"outlet-{seg_number(i):04d}", river_segment_ids[i],
-               coordinates=(round(rng.uniform(-77.5, -75.0), 6),
-                            round(rng.uniform(37.0, 41.0), 6)))
-        for i in range(n_outlets)
-    )
-    river_links = tuple(
-        RiverLink(outlets[i].external_id,
-                  estuary_id if parent[i] == -1
-                  else outlets[parent[i]].external_id)
-        for i in range(n_outlets)
-    )
-    estuaries = (Estuary(estuary_id, coordinates=(-76.2, 37.5)),)
+    outlet_ids = [f"outlet-{seg_number(i):04d}" for i in range(n_outlets)]
+    outlets = table(GROUPS["outlets"], [
+        (outlet_id, segment, (round(rng.uniform(-77.5, -75.0), 6),
+                              round(rng.uniform(37.0, 41.0), 6)))
+        for outlet_id, segment in zip(outlet_ids, river_segment_ids)])
+    river_links = table(GROUPS["river_links"], [
+        (outlet_ids[i], estuary_id if parent[i] == -1 else outlet_ids[parent[i]])
+        for i in range(n_outlets)])
+    estuaries = table(GROUPS["estuaries"], [(estuary_id, (-76.2, 37.5))])
 
     # River-to-bay targets shrink upstream so aggregated link ratios stay
     # below one (no inconsistency warnings on clean data).
@@ -159,7 +149,7 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
 
     # Table columns are gathered per land segment as it is drawn; the rows
     # of each table are then built whole, by column.
-    lands: list[LandSegment] = []
+    lands: list[tuple] = []  # land segment records, in GROUPS field order
     area_land: list[str] = []  # per (land segment, load source)
     area_source: list[str] = []
     acres: list[float] = []
@@ -181,10 +171,9 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
             sources = sorted(rng.sample(LOAD_SOURCE_POOL, rng.randint(1, 3)))
             areas = tuple((src, round(rng.uniform(20.0, 2000.0), 3))
                           for src in sources)
-            lands.append(LandSegment(
-                land_id, county, river_segment_ids[i], areas,
-                coordinates=(round(rng.uniform(-77.5, -75.0), 6),
-                             round(rng.uniform(37.0, 41.0), 6))))
+            lands.append((land_id, county, river_segment_ids[i], areas,
+                          (round(rng.uniform(-77.5, -75.0), 6),
+                           round(rng.uniform(37.0, 41.0), 6))))
             area_land += [land_id] * len(sources)
             area_source += sources
             acres += [area for _, area in areas]
@@ -197,7 +186,8 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
                             stream_to_river * rng.uniform(0.9, 1.1),
                             river_to_bay * rng.uniform(0.97, 1.03)]
 
-    network = WatershedNetwork(tuple(lands), outlets, river_links, estuaries)
+    network = WatershedNetwork(table(GROUPS["land_segments"], lands), outlets,
+                               river_links, estuaries)
     capabilities = instantiate_capabilities(network)
     area_table = table_from_columns(AREAS, area_land, area_source, acres)
     delivery_factors = table_from_columns(
@@ -211,7 +201,7 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
     mass = np.reshape([round(rng.uniform(*_LOAD_RANGE[operand]) * load_scale, 9)
                        for _ in lands for operand in OPERAND_NAMES
                        for _ in SECTORS], (len(lands), len(OPERAND_NAMES), -1))
-    county, operand, sector = _product([land.county for land in lands],
+    county, operand, sector = _product(network.land_segments.county,
                                        OPERAND_NAMES, SECTORS)
     applied = table_from_columns(APPLIED, county, sector, operand,
                                  mass.ravel())

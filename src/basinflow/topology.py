@@ -3,9 +3,11 @@
 A network is a dendritic (tree-shaped) graph: every land segment drains to
 exactly one outlet point through its river segment, every outlet has exactly
 one downstream river link, and all water ultimately reaches an estuary.
-Loading performs schema and reference checks; :func:`validate_routing`
-reports structural violations (cycles, braids, unreachable estuaries) as
-data rather than raising.
+Each group of the network file is a table, an ``np.recarray`` of its
+``GROUPS`` dtype, as each dataset family is, so readers take whole columns
+(``network.land_segments.county``).  Loading performs schema and reference
+checks; :func:`validate_routing` reports structural violations (cycles,
+braids, unreachable estuaries) as data rather than raising.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Optional, Sequence
@@ -27,10 +29,25 @@ from .core_net import (
     Capabilities,
     CapabilityClass,
 )
+from .measurement import table
 
 SCHEMA_VERSION = 1
 # A buffer's kind, by where its record lies in the network.
 BUFFER_KINDS = ("land_segment", "outlet_point", "estuary")
+
+
+# The network file's groups, in the order they are read, each with its
+# table's dtype, the group's whole schema.  Field names are the record keys,
+# in the order a record's problems are reported.  Every field holds Python
+# objects: text; a land segment's areas as a tuple of (load source, acres)
+# pairs; coordinates as an (x, y) pair, or None.
+GROUPS = {group: np.dtype([(name, object) for name in names.split()])
+          for group, names in (
+              ("land_segments", "external_id county river_segment_id "
+                                "load_source_areas coordinates"),
+              ("outlets", "external_id river_segment_id coordinates"),
+              ("river_links", "from_outlet to_node"),
+              ("estuaries", "external_id coordinates"))}
 
 
 class NetworkSchemaError(ValueError):
@@ -43,34 +60,6 @@ class NetworkSchemaError(ValueError):
         if more > 0:
             preview += f"; ... ({more} more)"
         super().__init__(f"invalid network file: {preview}")
-
-
-@dataclass(frozen=True)
-class LandSegment:
-    external_id: str
-    county: str
-    river_segment_id: str
-    load_source_areas: tuple[tuple[str, float], ...]
-    coordinates: Optional[tuple[float, float]] = None
-
-
-@dataclass(frozen=True)
-class Outlet:
-    external_id: str
-    river_segment_id: str
-    coordinates: Optional[tuple[float, float]] = None
-
-
-@dataclass(frozen=True)
-class RiverLink:
-    from_outlet: str
-    to_node: str
-
-
-@dataclass(frozen=True)
-class Estuary:
-    external_id: str
-    coordinates: Optional[tuple[float, float]] = None
 
 
 @dataclass(frozen=True)
@@ -101,26 +90,28 @@ class RoutingReport:
 class WatershedNetwork:
     """The instantiated system form. Immutable after construction.
 
-    Buffer ids (used for all place vectors) run over land segments first in
-    file order, then outlets, then estuaries.  The network resolves its
-    references once, into arrays by position: ``buffer_names`` and
-    ``buffer_kinds`` (a ``BUFFER_KINDS`` entry) by buffer id; ``link_from``
-    and ``link_to``, the buffer ids of each river link's ends, and
-    ``link_names``, each link as "from->to"; ``land_outlet`` and
-    ``land_county``, each land segment's outlet position and county code.
+    Each group is a table of its ``GROUPS`` dtype.  Buffer ids (used for
+    all place vectors) run over land segments first in file order, then
+    outlets, then estuaries.  The network resolves its references once,
+    into arrays by position: ``buffer_names`` and ``buffer_kinds`` (a
+    ``BUFFER_KINDS`` entry) by buffer id; ``link_from`` and ``link_to``,
+    the buffer ids of each river link's ends, and ``link_names``, each link
+    as "from->to"; ``land_outlet`` and ``land_county``, each land segment's
+    outlet position and county code; ``downstream``, the tree.
     ``buffer_id`` and ``county_code`` map names to ids and codes, counties
     coded in order of first appearance.
     """
 
-    land_segments: tuple[LandSegment, ...]
-    outlets: tuple[Outlet, ...]
-    river_links: tuple[RiverLink, ...]
-    estuaries: tuple[Estuary, ...] = field(default_factory=tuple)
+    land_segments: np.recarray
+    outlets: np.recarray
+    river_links: np.recarray
+    estuaries: np.recarray
 
     @cached_property
     def buffer_names(self) -> np.ndarray:
-        return np.array([item.external_id for item in (
-            *self.land_segments, *self.outlets, *self.estuaries)], dtype=object)
+        return np.concatenate([self.land_segments.external_id,
+                               self.outlets.external_id,
+                               self.estuaries.external_id])
 
     @cached_property
     def buffer_kinds(self) -> np.ndarray:
@@ -137,87 +128,76 @@ class WatershedNetwork:
 
     @cached_property
     def link_from(self) -> np.ndarray:
-        return np.array([self.buffer_id[link.from_outlet]
-                         for link in self.river_links], dtype=np.intp)
+        return _lookup(self.buffer_id, self.river_links.from_outlet)
 
     @cached_property
     def link_to(self) -> np.ndarray:
-        return np.array([self.buffer_id[link.to_node]
-                         for link in self.river_links], dtype=np.intp)
+        return _lookup(self.buffer_id, self.river_links.to_node)
 
     @cached_property
     def link_names(self) -> np.ndarray:
-        return np.array([f"{link.from_outlet}->{link.to_node}"
-                         for link in self.river_links], dtype=object)
+        return self.river_links.from_outlet + "->" + self.river_links.to_node
 
     @cached_property
     def land_outlet(self) -> np.ndarray:
         """Position in ``outlets`` of each land segment's outlet."""
-        position = {o.river_segment_id: j for j, o in enumerate(self.outlets)}
-        return np.array([position[land.river_segment_id]
-                         for land in self.land_segments], dtype=np.intp)
+        segments = self.outlets.river_segment_id.tolist()
+        return _lookup(dict(zip(segments, range(len(segments)))),
+                       self.land_segments.river_segment_id)
 
     @cached_property
     def county_code(self) -> dict[str, int]:
-        codes: dict[str, int] = {}
-        for land in self.land_segments:
-            codes.setdefault(land.county, len(codes))
-        return codes
+        counties = dict.fromkeys(self.land_segments.county.tolist())
+        return dict(zip(counties, range(len(counties))))
 
     @cached_property
     def land_county(self) -> np.ndarray:
-        return np.array([self.county_code[land.county]
-                         for land in self.land_segments], dtype=np.intp)
+        return _lookup(self.county_code, self.land_segments.county)
+
+    @cached_property
+    def downstream(self) -> np.ndarray:
+        """Each buffer's first downstream buffer in file order, or -1: a
+        land segment's outlet, the far end of an outlet's first river link,
+        and -1 at an estuary or at an outlet with no link."""
+        n_land = len(self.land_segments)
+        down = np.full(self.n_buffers, -1, dtype=np.intp)
+        down[:n_land] = n_land + self.land_outlet
+        outlets, first = np.unique(self.link_from, return_index=True)
+        down[outlets] = self.link_to[first]
+        return down
 
     def save(self, path) -> None:
         """Write the network file byte for byte as ``json.dump(doc, fh,
         indent=1, sort_keys=True)`` and a newline write it: records are
-        rendered one by one from fixed templates and streamed, with no
-        ``coordinates`` key where a record has none and each land
+        rendered by column from their group's template and streamed, with
+        no ``coordinates`` key where a record has none and each land
         segment's areas as ``dict(load_source_areas)`` in key order."""
-        def coordinates(items) -> list[str]:
-            """Each record's coordinates member, or nothing where it has
-            none; the numbers are rendered in one pass."""
-            numbers = iter(json_numbers([value for item in items
-                                         if item.coordinates is not None
-                                         for value in item.coordinates]))
-            return ["" if item.coordinates is None else
-                    _COORDINATES % (next(numbers), next(numbers))
-                    for item in items]
+        def json_text(field: str, values: list) -> Iterable[str]:
+            """A field's values as JSON text; the numbers of coordinates
+            and areas are rendered in one pass."""
+            if field == "coordinates":
+                numbers = iter(json_numbers([
+                    value for xy in values if xy is not None for value in xy]))
+                return ["" if xy is None else
+                        _COORDINATES % (next(numbers), next(numbers))
+                        for xy in values]
+            if field == "load_source_areas":
+                pairs = [sorted(dict(items).items()) for items in values]
+                acres = iter(json_numbers([value for items in pairs
+                                           for _, value in items]))
+                return ["{\n    %s\n   }" % ",\n    ".join([
+                    "%s: %s" % (_json_string(source), next(acres))
+                    for source, _ in items]) if items else "{}"
+                    for items in pairs]
+            return map(_json_string, values)
 
-        def areas(lands) -> list[str]:
-            """Each land segment's areas object; the numbers are rendered
-            in one pass."""
-            pairs = [sorted(dict(land.load_source_areas).items())
-                     for land in lands]
-            acres = iter(json_numbers([value for items in pairs
-                                       for _, value in items]))
-            return ["{\n    %s\n   }" % ",\n    ".join([
-                "%s: %s" % (_json_string(source), next(acres))
-                for source, _ in items]) if items else "{}"
-                for items in pairs]
-
-        lands, outlets, estuaries = (self.land_segments, self.outlets,
-                                     self.estuaries)
-        groups = {  # in key order
-            "estuaries": (_ESTUARY_RECORD % (xy, _json_string(e.external_id))
-                          for xy, e in zip(coordinates(estuaries), estuaries)),
-            "land_segments": (_LAND_RECORD % (
-                xy, _json_string(land.county), _json_string(land.external_id),
-                acres, _json_string(land.river_segment_id))
-                for xy, acres, land in zip(coordinates(lands), areas(lands),
-                                           lands)),
-            "outlets": (_OUTLET_RECORD % (
-                xy, _json_string(o.external_id),
-                _json_string(o.river_segment_id))
-                for xy, o in zip(coordinates(outlets), outlets)),
-            "river_links": (_LINK_RECORD % (
-                _json_string(link.from_outlet), _json_string(link.to_node))
-                for link in self.river_links),
-        }
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("{\n")
-            for group, records in groups.items():
+            for group in sorted(GROUPS):
+                rows = getattr(self, group)
+                records = map(_RECORDS[group].__mod__, zip(*(
+                    json_text(field, rows[field].tolist())
+                    for field in sorted(GROUPS[group].names))))
                 first = next(records, None)
                 if first is None:
                     fh.write(f' "{group}": [],\n')
@@ -226,6 +206,12 @@ class WatershedNetwork:
                 fh.writelines(map(",\n".__add__, records))
                 fh.write("\n ],\n")
             fh.write(f' "schema": {SCHEMA_VERSION}\n}}\n')
+
+
+def _lookup(codes: dict, names: np.ndarray) -> np.ndarray:
+    """The code of each of ``names``, as an index array."""
+    return np.fromiter(map(codes.__getitem__, names.tolist()), np.intp,
+                       len(names))
 
 
 # ``json.dumps`` spells these floats, and None, unlike ``repr``.
@@ -238,15 +224,15 @@ def json_numbers(values: Iterable) -> list[str]:
 
 
 # One record of each group of the network file, as ``json.dump(...,
-# indent=1, sort_keys=True)`` writes it inside its group's list; fields
-# are JSON text, and the first is the coordinates member (``_COORDINATES``
-# filled in) or nothing.
+# indent=1, sort_keys=True)`` writes it inside its group's list, its fields
+# as JSON text in key order; the coordinates member, which sorts first, is
+# ``_COORDINATES`` filled in, or nothing.
 _COORDINATES = '\n   "coordinates": [\n    %s,\n    %s\n   ],'
-_ESTUARY_RECORD = '  {%s\n   "external_id": %s\n  }'
-_LAND_RECORD = ('  {%s\n   "county": %s,\n   "external_id": %s,\n'
-                '   "load_source_areas": %s,\n   "river_segment_id": %s\n  }')
-_OUTLET_RECORD = '  {%s\n   "external_id": %s,\n   "river_segment_id": %s\n  }'
-_LINK_RECORD = '  {\n   "from_outlet": %s,\n   "to_node": %s\n  }'
+_RECORDS = {
+    group: "  {%s%s\n  }" % ("%s" * ("coordinates" in dtype.names), ",".join(
+        f'\n   "{field}": %s' for field in sorted(dtype.names)
+        if field != "coordinates"))
+    for group, dtype in GROUPS.items()}
 
 
 # The largest finite float.  Python compares an int with it exactly, so a
@@ -283,25 +269,20 @@ def _parse_areas(raw: dict, where: str, problems: list[str]):
     return tuple(areas)
 
 
-# The network file's groups, in the order they are read; each group's record
-# class is its records' schema.
-_GROUPS = {"land_segments": LandSegment, "outlets": Outlet,
-           "river_links": RiverLink, "estuaries": Estuary}
-# A record field's JSON type (None: the field is optional) and the parser of
-# its value; any other field is a required JSON string, kept as it is.
+# A field's JSON type (None: the field is optional) and the parser of its
+# value; any other field is a required JSON string, kept as it is.
 _FIELDS = {"load_source_areas": (dict, _parse_areas),
            "coordinates": (None, _parse_coordinates)}
 
 
-def _read_group(group: str, raw: list, problems: list[str]) -> list:
-    """The records of ``group``, read field by field through its record
-    class.  A record that is not an object, or has a missing or mistyped
-    field, is noted and skipped before its areas and coordinates are
-    parsed."""
-    cls = _GROUPS[group]
-    schema = [(f.name, *_FIELDS.get(f.name, (str, None))) for f in fields(cls)]
+def _read_group(group: str, raw: list, problems: list[str]) -> np.recarray:
+    """The table of ``group``, read field by field through its dtype.  A
+    record that is not an object, or has a missing or mistyped field, is
+    noted and skipped before its areas and coordinates are parsed."""
+    schema = [(name, *_FIELDS.get(name, (str, None)))
+              for name in GROUPS[group].names]
     required = [(name, kind) for name, kind, _ in schema if kind is not None]
-    items = []
+    rows = []
     for i, record in enumerate(raw):
         where = f"{group}[{i}]"
         if not isinstance(record, dict):
@@ -316,10 +297,10 @@ def _read_group(group: str, raw: list, problems: list[str]) -> list:
                                 f"{'a string' if kind is str else 'an object'}, "
                                 f"got {record[name]!r}")
         if len(problems) == known:
-            items.append(cls(*[record[name] if parse is None else
+            rows.append(tuple([record[name] if parse is None else
                                parse(record.get(name), where, problems)
                                for name, _, parse in schema]))
-    return items
+    return table(GROUPS[group], rows)
 
 
 def network_from_dict(doc: dict) -> WatershedNetwork:
@@ -334,55 +315,50 @@ def network_from_dict(doc: dict) -> WatershedNetwork:
     schema = doc.get("schema")
     if schema != SCHEMA_VERSION or isinstance(schema, bool):
         problems.append(f"schema version must be {SCHEMA_VERSION}, got {schema!r}")
-    for key in _GROUPS:
+    for key in GROUPS:
         if not isinstance(doc.get(key), list):
             problems.append(f"missing or non-array field {key!r}")
     if problems:
         raise NetworkSchemaError(problems)
-    lands, outlets, links, estuaries = (_read_group(group, doc[group], problems)
-                                        for group in _GROUPS)
+    groups = {group: _read_group(group, doc[group], problems)
+              for group in GROUPS}
+    lands, outlets, links, estuaries = groups.values()
 
     # Identifier uniqueness across the whole buffer namespace; to_node
     # references are only unambiguous when outlet and estuary ids never clash.
     seen: set[str] = set()
     for kind, items in (("land segment", lands), ("outlet", outlets),
                         ("estuary", estuaries)):
-        for item in items:
-            if item.external_id in seen:
-                problems.append(f"duplicate external_id {item.external_id!r} ({kind})")
-            seen.add(item.external_id)
+        for name in items.external_id.tolist():
+            if name in seen:
+                problems.append(f"duplicate external_id {name!r} ({kind})")
+            seen.add(name)
 
-    outlet_ids = {o.external_id for o in outlets}
-    node_ids = outlet_ids | {e.external_id for e in estuaries}
-    for link in links:
-        if link.from_outlet not in outlet_ids:
-            problems.append(
-                f"river link references unknown outlet {link.from_outlet!r}"
-            )
-        if link.to_node not in node_ids:
-            problems.append(
-                f"river link from {link.from_outlet!r} references unknown "
-                f"node {link.to_node!r}"
-            )
+    outlet_ids = set(outlets.external_id.tolist())
+    node_ids = outlet_ids | set(estuaries.external_id.tolist())
+    for source, target in zip(links.from_outlet.tolist(),
+                              links.to_node.tolist()):
+        if source not in outlet_ids:
+            problems.append(f"river link references unknown outlet {source!r}")
+        if target not in node_ids:
+            problems.append(f"river link from {source!r} references unknown "
+                            f"node {target!r}")
 
-    rseg_counts = Counter(o.river_segment_id for o in outlets)
+    rseg_counts = Counter(outlets.river_segment_id.tolist())
     for rseg, count in rseg_counts.items():
         if count > 1:
-            problems.append(
-                f"river segment {rseg!r} is claimed by {count} outlets; land "
-                f"segments cannot be mapped unambiguously"
-            )
-    for land in lands:
-        if land.river_segment_id not in rseg_counts:
-            problems.append(
-                f"land segment {land.external_id!r} references river segment "
-                f"{land.river_segment_id!r} with no outlet"
-            )
+            problems.append(f"river segment {rseg!r} is claimed by {count} "
+                            f"outlets; land segments cannot be mapped "
+                            f"unambiguously")
+    for name, rseg in zip(lands.external_id.tolist(),
+                          lands.river_segment_id.tolist()):
+        if rseg not in rseg_counts:
+            problems.append(f"land segment {name!r} references river segment "
+                            f"{rseg!r} with no outlet")
 
     if problems:
         raise NetworkSchemaError(problems)
-    return WatershedNetwork(tuple(lands), tuple(outlets), tuple(links),
-                            tuple(estuaries))
+    return WatershedNetwork(**groups)
 
 
 def load_network(path) -> WatershedNetwork:
@@ -401,24 +377,29 @@ def validate_routing(network: WatershedNetwork) -> RoutingReport:
 
     Flags outlets with zero or multiple downstream links, cycles among
     outlets, and other outlets from which no estuary can be reached.  Cycles and
-    reachability follow one downstream link per outlet: for an outlet with
-    several, the first in file order.
+    reachability follow ``network.downstream``: for an outlet with several
+    links, the first in file order.  The walk relies on the reference checks
+    of :func:`network_from_dict`: every river link runs from an outlet to an
+    outlet or an estuary, and every land segment's river segment has an
+    outlet.
     """
     violations: list[RoutingViolation] = []
-    out_links: dict[str, list[str]] = {o.external_id: [] for o in network.outlets}
-    for link in network.river_links:
-        if link.from_outlet in out_links:
-            out_links[link.from_outlet].append(link.to_node)
+    names = network.buffer_names.tolist()
+    down = network.downstream.tolist()
+    n_land, n_outlets = len(network.land_segments), len(network.outlets)
+    estuary = n_land + n_outlets  # the first estuary's buffer id
 
-    for outlet in network.outlets:
-        targets = out_links[outlet.external_id]
+    n_down = np.bincount(network.link_from - n_land, minlength=n_outlets)
+    for outlet in (n_land + np.flatnonzero(n_down != 1)).tolist():
+        targets = [names[b] for b in
+                   network.link_to[network.link_from == outlet].tolist()]
         if not targets:
             violations.append(RoutingViolation(
-                "orphan_outlet", outlet.external_id,
+                "orphan_outlet", names[outlet],
                 "outlet has no downstream river link"))
-        elif len(targets) > 1:
+        else:
             violations.append(RoutingViolation(
-                "multiple_downstream", outlet.external_id,
+                "multiple_downstream", names[outlet],
                 f"outlet has {len(targets)} downstream links "
                 f"({', '.join(targets)}); the network must be dendritic"))
 
@@ -426,29 +407,28 @@ def validate_routing(network: WatershedNetwork) -> RoutingReport:
     # walk down from each outlet either reaches an estuary, stops at an
     # orphan, or closes on itself; each cycle is reported by the walk that
     # first closes it.  Every outlet on a walk shares its end's verdict.
-    estuaries = {e.external_id for e in network.estuaries}
-    reaches: dict[str, bool] = {}
-    for start in out_links:
-        walk: dict[str, int] = {}
-        node: Optional[str] = start
-        while node in out_links and node not in reaches and node not in walk:
+    reaches: dict[int, bool] = {}
+    for start in range(n_land, estuary):
+        walk: dict[int, int] = {}
+        node = start
+        while n_land <= node < estuary and node not in reaches and node not in walk:
             walk[node] = len(walk)
-            targets = out_links[node]
-            node = targets[0] if targets else None
+            node = down[node]
         if node in walk:
-            cycle = list(walk)[walk[node]:] + [node]
+            cycle = [names[b] for b in list(walk)[walk[node]:]] + [names[node]]
             violations.append(RoutingViolation(
-                "cycle", node, "river links form a cycle: " + " -> ".join(cycle)))
-        ok = reaches[node] if node in reaches else node in estuaries
+                "cycle", names[node],
+                "river links form a cycle: " + " -> ".join(cycle)))
+        ok = reaches[node] if node in reaches else node >= estuary
         for visited in walk:
             reaches[visited] = ok
 
     # An orphan is reported once, as an orphan; the outlets above it are
     # unreachable.
-    for outlet in network.outlets:
-        if not reaches[outlet.external_id] and out_links[outlet.external_id]:
+    for outlet in range(n_land, estuary):
+        if not reaches[outlet] and down[outlet] >= 0:
             violations.append(RoutingViolation(
-                "unreachable_estuary", outlet.external_id,
+                "unreachable_estuary", names[outlet],
                 "no directed path from this outlet reaches an estuary"))
 
     return RoutingReport(tuple(violations))
@@ -516,8 +496,7 @@ def instantiate_capabilities(network: WatershedNetwork) -> Capabilities:
     outlet_buf = n_land + network.land_outlet
     link_from, link_to = network.link_from, network.link_to
     land_name = network.buffer_names[:n_land]
-    link_segment = np.array([o.river_segment_id for o in network.outlets],
-                            dtype=object)[link_from - n_land]
+    link_segment = network.outlets.river_segment_id[link_from - n_land]
 
     def code(action: str, sector: Optional[str], operand: str) -> int:
         return CAPABILITY_CLASSES.index(CapabilityClass((action, sector, operand)))

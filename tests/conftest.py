@@ -5,15 +5,8 @@ from basinflow.core_net import (
     CapabilitySpec,
     build_incidence,
 )
-from basinflow.topology import (
-    Estuary,
-    LandSegment,
-    Outlet,
-    RiverLink,
-    WatershedNetwork,
-)
 
-from pipeline_util import capabilities_of, network_doc
+from pipeline_util import capabilities_of, make_network, network_doc
 
 
 @pytest.fixture
@@ -38,12 +31,12 @@ def mini_chain_incidence(mini_chain_caps):
 @pytest.fixture
 def chain_network():
     """Smallest valid network: one land segment, one outlet, one estuary."""
-    return WatershedNetwork(
-        land_segments=(LandSegment("land-1", "alpha", "seg-1",
-                                   (("row_crops", 100.0),)),),
-        outlets=(Outlet("out-1", "seg-1"),),
-        river_links=(RiverLink("out-1", "bay"),),
-        estuaries=(Estuary("bay"),),
+    return make_network(
+        land_segments=[("land-1", "alpha", "seg-1", (("row_crops", 100.0),),
+                        None)],
+        outlets=[("out-1", "seg-1", None)],
+        river_links=[("out-1", "bay")],
+        estuaries=[("bay", None)],
     )
 
 
@@ -52,18 +45,18 @@ def two_estuary_network():
     """Three outlets draining to two estuaries, ``river_links`` out of
     outlet order: out-3 -> out-1 -> bay-1 and out-2 -> bay-2.  Counties
     first appear in the order b, a, c."""
-    return WatershedNetwork(
-        land_segments=(
-            LandSegment("land-1", "b", "seg-2", (("row_crops", 10.0),)),
-            LandSegment("land-2", "a", "seg-1", (("pasture", 20.0),)),
-            LandSegment("land-3", "b", "seg-3", (("row_crops", 30.0),)),
-            LandSegment("land-4", "c", "seg-1", (("forest", 40.0),)),
-        ),
-        outlets=(Outlet("out-1", "seg-1"), Outlet("out-2", "seg-2"),
-                 Outlet("out-3", "seg-3")),
-        river_links=(RiverLink("out-3", "out-1"), RiverLink("out-2", "bay-2"),
-                     RiverLink("out-1", "bay-1")),
-        estuaries=(Estuary("bay-1"), Estuary("bay-2")),
+    return make_network(
+        land_segments=[
+            ("land-1", "b", "seg-2", (("row_crops", 10.0),), None),
+            ("land-2", "a", "seg-1", (("pasture", 20.0),), None),
+            ("land-3", "b", "seg-3", (("row_crops", 30.0),), None),
+            ("land-4", "c", "seg-1", (("forest", 40.0),), None),
+        ],
+        outlets=[("out-1", "seg-1", None), ("out-2", "seg-2", None),
+                 ("out-3", "seg-3", None)],
+        river_links=[("out-3", "out-1"), ("out-2", "bay-2"),
+                     ("out-1", "bay-1")],
+        estuaries=[("bay-1", None), ("bay-2", None)],
     )
 
 

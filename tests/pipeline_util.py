@@ -24,6 +24,15 @@ from basinflow.core_net import (
 DENSE_ORACLE_MAX_VARS = 2000
 
 
+def make_network(land_segments=(), outlets=(), river_links=(), estuaries=()):
+    """A network from each group's row tuples, fields in the order of the
+    group's ``topology.GROUPS`` dtype."""
+    return topology.WatershedNetwork(*(
+        measurement.table(dtype, rows) for dtype, rows in zip(
+            topology.GROUPS.values(),
+            (land_segments, outlets, river_links, estuaries))))
+
+
 def buffer_walk(network) -> list[tuple[str, str]]:
     """(external id, kind) of each buffer in buffer-id order, from a walk
     over the network's records."""
@@ -161,16 +170,17 @@ def network_doc(network) -> dict:
     """The network file's content as a JSON document: each record's fields,
     without ``coordinates`` where it has none, and each land segment's
     areas as ``dict(load_source_areas)``."""
-    def record(item) -> dict:
-        doc = {key: value for key, value in vars(item).items()
+    def record(names, row) -> dict:
+        doc = {key: value for key, value in zip(names, row)
                if value is not None}
-        if isinstance(item, topology.LandSegment):
-            doc["load_source_areas"] = dict(item.load_source_areas)
+        if "load_source_areas" in doc:
+            doc["load_source_areas"] = dict(doc["load_source_areas"])
         return doc
 
     return {"schema": topology.SCHEMA_VERSION,
-            **{group: list(map(record, getattr(network, group))) for group in
-               ("land_segments", "outlets", "river_links", "estuaries")}}
+            **{group: [record(dtype.names, row)
+                       for row in getattr(network, group).tolist()]
+               for group, dtype in topology.GROUPS.items()}}
 
 
 def reference_save_network(network, path):

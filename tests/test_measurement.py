@@ -11,18 +11,10 @@ from hypothesis import strategies as st
 import basinflow as bf
 from basinflow import measurement as ms
 from basinflow.core_net import OPERAND_NAMES
-from basinflow.topology import (
-    Estuary,
-    LandSegment,
-    Outlet,
-    RiverLink,
-    WatershedNetwork,
-    instantiate_capabilities,
-    load_network,
-)
+from basinflow.topology import instantiate_capabilities, load_network
 
 from basinflow.cli import main
-from pipeline_util import build_constraints
+from pipeline_util import build_constraints, make_network
 
 
 class TestCapabilityAggregation:
@@ -48,12 +40,12 @@ class TestCapabilityAggregation:
     def test_empty_group_rejected(self):
         # a datum whose capability group is empty gives no row, only a note:
         # two outlets that drain into each other leave no estuary-bound link
-        net = WatershedNetwork(
-            land_segments=(LandSegment("land-1", "alpha", "seg-1",
-                                       (("row_crops", 100.0),)),),
-            outlets=(Outlet("out-1", "seg-1"), Outlet("out-2", "seg-2")),
-            river_links=(RiverLink("out-1", "out-2"), RiverLink("out-2", "out-1")),
-            estuaries=(Estuary("bay"),),
+        net = make_network(
+            land_segments=[("land-1", "alpha", "seg-1",
+                            (("row_crops", 100.0),), None)],
+            outlets=[("out-1", "seg-1", None), ("out-2", "seg-2", None)],
+            river_links=[("out-1", "out-2"), ("out-2", "out-1")],
+            estuaries=[("bay", None)],
         )
         system, skipped = ms.assemble_eot_constraints(
             ms.table(ms.LOADS, [("alpha", "nitrogen", "EoT", 4.0)]),
@@ -64,11 +56,11 @@ class TestCapabilityAggregation:
     def test_empty_group_notes_in_order(self):
         # the county notes first, then one note per operand, each in order
         # of first appearance
-        net = WatershedNetwork(
-            land_segments=(LandSegment("land-1", "alpha", "seg-1", ()),),
-            outlets=(Outlet("out-1", "seg-1"), Outlet("out-2", "seg-2")),
-            river_links=(RiverLink("out-1", "out-2"), RiverLink("out-2", "out-1")),
-            estuaries=(Estuary("bay"),),
+        net = make_network(
+            land_segments=[("land-1", "alpha", "seg-1", (), None)],
+            outlets=[("out-1", "seg-1", None), ("out-2", "seg-2", None)],
+            river_links=[("out-1", "out-2"), ("out-2", "out-1")],
+            estuaries=[("bay", None)],
         )
         system, skipped = ms.assemble_eot_constraints(
             ms.table(ms.LOADS, [("alpha", "phosphorus", "EoT", 4.0),
@@ -202,12 +194,12 @@ class TestWeightedDeliveryFactor:
 
 def two_outlet_network():
     """land-1 -> out-1 -> out-2 -> bay, and land-2 -> out-2."""
-    return WatershedNetwork(
-        land_segments=(LandSegment("land-1", "alpha", "seg-1", ()),
-                       LandSegment("land-2", "beta", "seg-2", ())),
-        outlets=(Outlet("out-1", "seg-1"), Outlet("out-2", "seg-2")),
-        river_links=(RiverLink("out-1", "out-2"), RiverLink("out-2", "bay")),
-        estuaries=(Estuary("bay"),),
+    return make_network(
+        land_segments=[("land-1", "alpha", "seg-1", (), None),
+                       ("land-2", "beta", "seg-2", (), None)],
+        outlets=[("out-1", "seg-1", None), ("out-2", "seg-2", None)],
+        river_links=[("out-1", "out-2"), ("out-2", "bay")],
+        estuaries=[("bay", None)],
     )
 
 
@@ -254,15 +246,14 @@ class TestOutletDeliveryFactor:
     segments draining to it."""
 
     def outlet_factor(self, factors):
-        lands = tuple(LandSegment(f"land-{i}", "alpha", "seg-1", ())
-                      for i in range(len(factors)))
-        network = WatershedNetwork(lands, (Outlet("out-1", "seg-1"),),
-                                   (RiverLink("out-1", "bay"),), (Estuary("bay"),))
+        lands = [f"land-{i}" for i in range(len(factors))]
+        network = make_network(
+            [(land, "alpha", "seg-1", (), None) for land in lands],
+            [("out-1", "seg-1", None)], [("out-1", "bay")], [("bay", None)])
         model = delivery_model(
             network,
-            [(land.external_id, "a", f) for land, f in zip(lands, factors)],
-            [(land.external_id, "a", 10.0 * (i + 1))
-             for i, land in enumerate(lands)])
+            [(land, "a", f) for land, f in zip(lands, factors)],
+            [(land, "a", 10.0 * (i + 1)) for i, land in enumerate(lands)])
         return model.outlet_river_to_bay[0]
 
     def test_single(self):

@@ -14,21 +14,14 @@ from basinflow.core_net import OPERAND_NAMES
 from basinflow import measurement as ms
 from basinflow.core_net import build_incidence
 from basinflow.measurement import row_labels
-from basinflow.topology import (
-    Estuary,
-    LandSegment,
-    Outlet,
-    RiverLink,
-    WatershedNetwork,
-    instantiate_capabilities,
-    network_from_dict,
-)
+from basinflow.topology import instantiate_capabilities, network_from_dict
 
 from pipeline_util import (
     assemble_bundle,
     buffer_walk,
     build_constraints,
     fit_report,
+    make_network,
     measurement_system,
     network_doc,
     reference_export_geo,
@@ -422,12 +415,12 @@ class TestFitReport:
         # land-1 -> out-1 -> out-2 -> bay and land-2 -> out-2, one county:
         # the row weights each land transport by its outlet's river-to-bay
         # factor, 0.3 at out-1 and 0.6 at out-2
-        network = WatershedNetwork(
-            land_segments=(LandSegment("land-1", "alpha", "seg-1", ()),
-                           LandSegment("land-2", "alpha", "seg-2", ())),
-            outlets=(Outlet("out-1", "seg-1"), Outlet("out-2", "seg-2")),
-            river_links=(RiverLink("out-1", "out-2"), RiverLink("out-2", "bay")),
-            estuaries=(Estuary("bay"),),
+        network = make_network(
+            land_segments=[("land-1", "alpha", "seg-1", (), None),
+                           ("land-2", "alpha", "seg-2", (), None)],
+            outlets=[("out-1", "seg-1", None), ("out-2", "seg-2", None)],
+            river_links=[("out-1", "out-2"), ("out-2", "bay")],
+            estuaries=[("bay", None)],
         )
         caps = instantiate_capabilities(network)
         delivery = bf.measurement.DeliveryModel(

@@ -7,13 +7,11 @@ import pytest
 
 import basinflow as bf
 from basinflow import cli
+from basinflow import measurement as ms
 from basinflow.core_net import OPERAND_NAMES, SECTORS
 from basinflow.topology import (
-    Estuary,
-    LandSegment,
+    GROUPS,
     NetworkSchemaError,
-    Outlet,
-    RiverLink,
     WatershedNetwork,
     derive_connectivity_from_names,
     instantiate_capabilities,
@@ -22,7 +20,7 @@ from basinflow.topology import (
     validate_routing,
 )
 
-from pipeline_util import buffer_walk, network_doc, reference_save_network
+from pipeline_util import make_network, network_doc, reference_save_network
 from test_cli import BUNDLE_DIGESTS
 
 
@@ -274,23 +272,21 @@ def awkward_network(estuaries: bool) -> WatershedNetwork:
     """Records without coordinates, with int and non-finite ones, int and
     non-finite areas, unsorted area keys, a repeated area key and a land
     segment with no areas; with no estuaries when ``estuaries`` is false."""
-    return WatershedNetwork(
-        land_segments=(
-            LandSegment(f"land-{AWKWARD}", f"county-{AWKWARD}", AWKWARD,
-                        (("row_crops", 10), (f"z-{AWKWARD}", 2.5),
-                         ("forest", 0.1), ("developed", float("inf"))),
-                        coordinates=(-76, 38.25)),
-            LandSegment("land-2", "county,2", "seg-2", (),
-                        coordinates=(float("inf"), -0.0)),
-            LandSegment("land-3", "county\u00e9", "seg-2",
-                        (("pasture", 3.0), ("forest", 4), ("pasture", 5.5))),
-        ),
-        outlets=(Outlet(f"out-{AWKWARD}", AWKWARD, coordinates=(1e-7, 1e300)),
-                 Outlet("out-2", "seg-2")),
-        river_links=(RiverLink("out-2", f"out-{AWKWARD}"),
-                     RiverLink(f"out-{AWKWARD}", f"bay-{AWKWARD}")),
-        estuaries=(Estuary(f"bay-{AWKWARD}"), Estuary("bay-2", (0, -1.5)))
-        if estuaries else (),
+    return make_network(
+        land_segments=[
+            (f"land-{AWKWARD}", f"county-{AWKWARD}", AWKWARD,
+             (("row_crops", 10), (f"z-{AWKWARD}", 2.5), ("forest", 0.1),
+              ("developed", float("inf"))), (-76, 38.25)),
+            ("land-2", "county,2", "seg-2", (), (float("inf"), -0.0)),
+            ("land-3", "county\u00e9", "seg-2",
+             (("pasture", 3.0), ("forest", 4), ("pasture", 5.5)), None),
+        ],
+        outlets=[(f"out-{AWKWARD}", AWKWARD, (1e-7, 1e300)),
+                 ("out-2", "seg-2", None)],
+        river_links=[("out-2", f"out-{AWKWARD}"),
+                     (f"out-{AWKWARD}", f"bay-{AWKWARD}")],
+        estuaries=[(f"bay-{AWKWARD}", None), ("bay-2", (0, -1.5))]
+        if estuaries else [],
     )
 
 
@@ -300,7 +296,7 @@ class TestNetworkWriterMatchesReference:
 
     @pytest.mark.parametrize("network", [
         awkward_network(estuaries=True), awkward_network(estuaries=False),
-        WatershedNetwork((), (), ())], ids=["awkward", "no_estuaries", "empty"])
+        make_network()], ids=["awkward", "no_estuaries", "empty"])
     def test_matches_reference(self, tmp_path, network):
         network.save(tmp_path / "got.json")
         reference_save_network(network, tmp_path / "want.json")
@@ -316,37 +312,60 @@ class TestNetworkWriterMatchesReference:
                 == (tmp_path / "network.json").read_bytes())
 
 
+def parsed(field: str, value):
+    """A field's value in a network table, from its JSON value."""
+    if field == "load_source_areas":
+        return tuple((source, float(acres)) for source, acres in value.items())
+    if field == "coordinates" and value is not None:
+        return tuple(map(float, value))
+    return value
+
+
 class TestNetworkArrays:
     @pytest.fixture(params=["grouped", "two_estuaries"])
-    def network(self, request):
+    def document(self, request, tmp_path):
+        """A network file's parsed JSON document."""
         if request.param == "two_estuaries":
-            return request.getfixturevalue("two_estuary_network")
-        net, _, _ = bf.generate_synthetic(40, branching=3, seed=7,
-                                          county_mode="grouped",
-                                          land_per_outlet=(2, 4))
-        return net
+            net = request.getfixturevalue("two_estuary_network")
+        else:
+            net, _, _ = bf.generate_synthetic(40, branching=3, seed=7,
+                                              county_mode="grouped",
+                                              land_per_outlet=(2, 4))
+        net.save(tmp_path / "network.json")
+        return json.loads((tmp_path / "network.json").read_text())
 
-    def test_arrays_match_a_record_walk(self, network):
-        walk = buffer_walk(network)
+    def test_arrays_match_a_record_walk(self, document):
+        network = network_from_dict(document)
+        lands, outlets, links = (document[group] for group in
+                                 ("land_segments", "outlets", "river_links"))
+        walk = [(record["external_id"], kind) for kind, group in (
+            ("land_segment", "land_segments"), ("outlet_point", "outlets"),
+            ("estuary", "estuaries")) for record in document[group]]
         position = {name: b for b, (name, _) in enumerate(walk)}
-        lands, links = network.land_segments, network.river_links
-        counties = list(dict.fromkeys(land.county for land in lands))
-        outlet_of = {o.river_segment_id: j for j, o in enumerate(network.outlets)}
+        counties = list(dict.fromkeys(land["county"] for land in lands))
+        outlet_of = {o["river_segment_id"]: j for j, o in enumerate(outlets)}
+        for group, dtype in GROUPS.items():
+            for field in dtype.names:
+                assert getattr(network, group)[field].tolist() == [
+                    parsed(field, record.get(field))
+                    for record in document[group]]
         assert network.n_buffers == len(walk)
         assert network.buffer_names.tolist() == [name for name, _ in walk]
         assert network.buffer_kinds.tolist() == [kind for _, kind in walk]
         assert network.buffer_id == position
-        assert network.link_from.tolist() == [position[l.from_outlet] for l in links]
-        assert network.link_to.tolist() == [position[l.to_node] for l in links]
-        assert network.link_names.tolist() == [f"{l.from_outlet}->{l.to_node}"
-                                               for l in links]
+        assert network.link_from.tolist() == [position[l["from_outlet"]]
+                                              for l in links]
+        assert network.link_to.tolist() == [position[l["to_node"]]
+                                            for l in links]
+        assert network.link_names.tolist() == [
+            f"{l['from_outlet']}->{l['to_node']}" for l in links]
         assert network.county_code == {c: i for i, c in enumerate(counties)}
-        assert network.land_county.tolist() == [counties.index(l.county)
+        assert network.land_county.tolist() == [counties.index(l["county"])
                                                 for l in lands]
-        assert network.land_outlet.tolist() == [outlet_of[l.river_segment_id]
-                                                for l in lands]
+        assert network.land_outlet.tolist() == [
+            outlet_of[l["river_segment_id"]] for l in lands]
         for ids in (network.link_from, network.link_to, network.land_county,
-                    network.land_outlet):
+                    network.land_outlet, network.downstream):
             assert ids.dtype == np.intp
 
     def test_two_estuaries_by_hand(self, two_estuary_network):
@@ -359,6 +378,33 @@ class TestNetworkArrays:
                                            "out-1->bay-1"]
         assert list(net.county_code) == ["b", "a", "c"]
         assert net.land_county.tolist() == [0, 1, 0, 2]
+        assert net.downstream.tolist() == [5, 4, 6, 4, 7, 8, 4, -1, -1]
+
+    def test_downstream_follows_the_first_link(self):
+        # buffers: land-1 0, out-1..3 1-3, bay 4; out-2 is an orphan and
+        # out-3's first link, in file order, is the one to the bay
+        net = make_network(
+            land_segments=[("land-1", "a", "seg-2", (), None)],
+            outlets=[("out-1", "seg-1", None), ("out-2", "seg-2", None),
+                     ("out-3", "seg-3", None)],
+            river_links=[("out-3", "bay"), ("out-1", "bay"), ("out-3", "out-1")],
+            estuaries=[("bay", None)])
+        assert net.downstream.tolist() == [2, 4, -1, 4, -1]
+        assert [(v.kind, v.subject, v.message)
+                for v in validate_routing(net).violations] == [
+            ("orphan_outlet", "out-2", "outlet has no downstream river link"),
+            ("multiple_downstream", "out-3", "outlet has 2 downstream links "
+             "(bay, out-1); the network must be dendritic")]
+
+    def test_groups_name_the_saved_keys(self, tmp_path):
+        # every generated land segment, outlet and estuary has coordinates
+        net, _, _ = bf.generate_synthetic(3, branching=2, seed=1)
+        net.save(tmp_path / "network.json")
+        doc = json.loads((tmp_path / "network.json").read_text())
+        for group, dtype in GROUPS.items():
+            assert doc[group]
+            for record in doc[group]:
+                assert sorted(record) == sorted(dtype.names)
 
 
 class TestValidateRouting:
@@ -369,7 +415,8 @@ class TestValidateRouting:
         net = WatershedNetwork(
             chain_network.land_segments,
             chain_network.outlets,
-            chain_network.river_links + (RiverLink("out-1", "bay"),),
+            ms.table(GROUPS["river_links"], [*chain_network.river_links.tolist(),
+                                             ("out-1", "bay")]),
             chain_network.estuaries,
         )
         report = validate_routing(net)
@@ -379,7 +426,8 @@ class TestValidateRouting:
     def test_orphan_outlet(self, chain_network):
         net = WatershedNetwork(
             chain_network.land_segments,
-            chain_network.outlets + (Outlet("out-2", "seg-2"),),
+            ms.table(GROUPS["outlets"], [*chain_network.outlets.tolist(),
+                                         ("out-2", "seg-2", None)]),
             chain_network.river_links,
             chain_network.estuaries,
         )
@@ -413,12 +461,11 @@ class TestValidateRouting:
         assert len(report.violations) == 1 + len(upstream)
 
     def test_three_cycle_detected(self):
-        net = WatershedNetwork(
-            land_segments=(),
-            outlets=(Outlet("o1", "s1"), Outlet("o2", "s2"), Outlet("o3", "s3")),
-            river_links=(RiverLink("o1", "o2"), RiverLink("o2", "o3"),
-                         RiverLink("o3", "o1")),
-            estuaries=(Estuary("bay"),),
+        net = make_network(
+            land_segments=[],
+            outlets=[("o1", "s1", None), ("o2", "s2", None), ("o3", "s3", None)],
+            river_links=[("o1", "o2"), ("o2", "o3"), ("o3", "o1")],
+            estuaries=[("bay", None)],
         )
         report = validate_routing(net)
         cycles = [v for v in report.violations if v.kind == "cycle"]
@@ -431,12 +478,11 @@ class TestValidateRouting:
 
     def test_tail_into_cycle(self):
         # a drains into the cycle b -> c -> b: one cycle, all three stranded
-        net = WatershedNetwork(
-            land_segments=(),
-            outlets=(Outlet("a", "sa"), Outlet("b", "sb"), Outlet("c", "sc")),
-            river_links=(RiverLink("a", "b"), RiverLink("b", "c"),
-                         RiverLink("c", "b")),
-            estuaries=(Estuary("bay"),),
+        net = make_network(
+            land_segments=[],
+            outlets=[("a", "sa", None), ("b", "sb", None), ("c", "sc", None)],
+            river_links=[("a", "b"), ("b", "c"), ("c", "b")],
+            estuaries=[("bay", None)],
         )
         report = validate_routing(net)
         cycles = [v for v in report.violations if v.kind == "cycle"]
@@ -517,7 +563,7 @@ class TestInstantiateCapabilities:
         assert len(caps) == 8  # 6 per land segment + 2 per river link
 
     def test_empty_network(self):
-        net = WatershedNetwork((), (), (), (Estuary("bay"),))
+        net = make_network(estuaries=[("bay", None)])
         assert len(instantiate_capabilities(net)) == 0
 
     def test_formula_matches_enumeration(self):
