@@ -7,6 +7,21 @@ datasets by solving a sparse equality-constrained weighted least-squares
 program.
 """
 
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
+
+import numpy
+
+# Run on first use, not by scipy.sparse's array-API shim: 0.15 s, 8 MB per
+# start-up.  Bound on numpy like a submodule, or numpy's __getattr__ recurses.
+LAZY_MODULES = ("numpy.f2py", "numpy.testing")
+for _name in LAZY_MODULES:
+    if _name not in sys.modules and (_spec := find_spec(_name)):
+        _spec.loader = LazyLoader(_spec.loader)
+        sys.modules[_name] = _module = module_from_spec(_spec)
+        _spec.loader.exec_module(_module)
+        setattr(numpy, _name.rpartition(".")[2], _module)
+
 from .core_net import (
     Capabilities,
     CapabilityClass,

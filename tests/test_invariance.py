@@ -3,14 +3,17 @@
 Each relation turns a ``synth`` bundle into an equivalent one: (a) the rows
 of every dataset file shuffled, (b) the records of every network group
 shuffled, (c) every id renamed through a bijection (a permutation of the
-names, then a prefix).  ``estimate`` then runs on both bundles, and what the
-data determine must agree to roundoff:
+names, then a prefix), (d) every applied and load record split into two rows
+that sum to it.  ``estimate`` then runs on both bundles, and what the data
+determine must agree to roundoff:
 
 - per-segment counties: every flow by entity, at K=1 and as horizon totals
   at K=12, to 1e-10 relative;
 - grouped counties: each accept, EoS and EoT row's prediction ``d @
   totals``, to 1e-10 relative (the flows themselves are not determined);
 - ``fit_report.csv``'s applied, EoS and EoT values, to 1e-10 absolute.
+
+Under (c), the skipped-record notes on stderr must name the same records.
 
 The record order sets the factorization's pivot order, so what the data do
 not determine (grouped flows, per-step splits) may move and is not gated.
@@ -21,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import random
+import re
 import shutil
 
 import numpy as np
@@ -117,8 +121,26 @@ def rename_ids(bundle, rng):
     return {value: key for key, value in rename.items()}
 
 
+def split_records(bundle, rng):
+    """(d) Split each applied and load record of mass m into two rows, x and
+    m - x with x = m * r for a random r in [0, 1)."""
+    for family in ("applied", "loads"):
+        path = bundle / f"{family}.csv"
+        header, *rows = _read_csv(path)
+        mass = header.index("mass")
+        split = []
+        for row in rows:
+            m = float(row[mass])
+            x = m * rng.random()
+            split += [[*row[:mass], repr(part), *row[mass + 1:]]
+                      for part in (x, m - x)]
+        _write_csv(path, [header, *split])
+    return {}
+
+
 RELATIONS = {"shuffle_datasets": shuffle_datasets,
-             "shuffle_network": shuffle_network, "rename_ids": rename_ids}
+             "shuffle_network": shuffle_network, "rename_ids": rename_ids,
+             "split_records": split_records}
 
 
 def estimate(bundle, k_steps, names, determined):
@@ -192,3 +214,29 @@ def test_estimate_is_invariant(case, relation, tmp_path):
     for key, value in fit.items():
         if key[0] in data_types:
             assert abs(got_fit[key] - value) <= ABSOLUTE, key
+
+
+def test_skipped_notes_name_the_same_records_after_renaming(tmp_path, capsys):
+    # an applied record for a county with no land segment is skipped with a
+    # note; after (c) the note names the renamed county, which maps back
+    bundle = tmp_path / "bundle"
+    assert cli.main(["synth", "--outlets", "30", "--seed", "7",
+                     "--out", str(bundle)]) == 0
+    with open(bundle / "applied.csv", "a", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(["county-nowhere", "agricultural", "nitrogen",
+                                 "5.0"])
+    renamed = tmp_path / "renamed"
+    shutil.copytree(bundle, renamed, ignore=shutil.ignore_patterns("results"))
+    names = rename_ids(renamed, random.Random(11))
+
+    def notes(bundle, names):
+        capsys.readouterr()
+        assert cli.main(["estimate", "--config", str(bundle / "config.json"),
+                         "--output-dir", str(bundle / "results")]) == 0
+        return sorted(re.sub(r"'([^']*)'", lambda m: repr(names.get(
+            m[1], m[1])), line) for line in capsys.readouterr().err.splitlines())
+
+    want = notes(bundle, {})
+    assert ("warning: applied record for county 'county-nowhere' matches no "
+            "land segment; constraint skipped") in want
+    assert notes(renamed, names) == want
