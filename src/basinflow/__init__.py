@@ -12,9 +12,9 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 
 import numpy
 
-# Run on first use, not by scipy.sparse's array-API shim: 0.15 s, 8 MB per
+# Run on first use, not by scipy.sparse's array-API shim: 0.16 s, 10 MB per
 # start-up.  Bound on numpy like a submodule, or numpy's __getattr__ recurses.
-LAZY_MODULES = ("numpy.f2py", "numpy.testing")
+LAZY_MODULES = ("numpy.f2py", "numpy.testing", "numpy.ma", "numpy.polynomial")
 for _name in LAZY_MODULES:
     if _name not in sys.modules and (_spec := find_spec(_name)):
         _spec.loader = LazyLoader(_spec.loader)

@@ -1,5 +1,6 @@
 """Shared helpers: full constraint assembly over a synthetic bundle, a
-dense oracle for the KKT solve, and reference writers for the exports."""
+dense oracle for the KKT solve, reference writers for the exports, and a
+fresh interpreter that imports this checkout's package."""
 
 from __future__ import annotations
 
@@ -7,6 +8,10 @@ import csv
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,6 +24,16 @@ from basinflow.core_net import (
     Capabilities,
     build_incidence,
 )
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this checkout's
+    package, its output captured as text."""
+    src = str(Path(bf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
 
 
 DENSE_ORACLE_MAX_VARS = 2000

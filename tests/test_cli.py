@@ -3,10 +3,7 @@ import gc
 import hashlib
 import io
 import json
-import os
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +18,12 @@ from basinflow.cli import DATASET_FAMILIES, main
 from basinflow.core_net import OPERAND_NAMES
 from basinflow.measurement import FAMILIES
 
-from pipeline_util import assemble_bundle, dense_oracle_solve, fit_report
+from pipeline_util import (
+    assemble_bundle,
+    dense_oracle_solve,
+    fit_report,
+    fresh_python,
+)
 
 
 def run(argv):
@@ -417,13 +419,8 @@ class TestValidateFailures:
                     if row.split(",")[1] == "developed_high"][:1]
         (bundle / "areas.csv").write_text("".join(
             [header] + [row for row in rows if row.split(",")[:2] not in dropped]))
-        src = str(Path(bf.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "basinflow.cli", "validate", "--config",
-             str(bundle / "config.json")], env=env, capture_output=True,
-            text=True)
+        result = fresh_python("-m", "basinflow.cli", "validate", "--config",
+                              str(bundle / "config.json"))
         assert result.returncode == 0
         for segment, source in dropped:
             for stage in measurement.DF_STAGES:
@@ -582,11 +579,7 @@ class TestEveryCommandChecksTheBundle:
                 "--output-dir", str(tmp_path / "out")]
         if command == "report":
             argv += ["--solution", str(bundle / "ground_truth.csv")]
-        src = str(Path(bf.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run([sys.executable, "-m", "basinflow.cli", *argv],
-                                env=env, capture_output=True, text=True)
+        result = fresh_python("-m", "basinflow.cli", *argv)
         assert result.returncode == 0
         assert result.stderr == "".join(
             f"warning: land segment {segment!r} stage {stage}: load source "
@@ -675,6 +668,54 @@ class TestCollectorPause:
             assert garbage["30", command] == garbage["300", command]
 
 
+class TestProcessEntry:
+    """``run`` is the process entry: it exits with ``main``'s code and
+    freezes the heap first, so finalization's collection skips it.
+    ``main`` never freezes."""
+
+    @pytest.mark.parametrize("case, code", [
+        ("ok", 0), ("usage", 1), ("io", 3)])
+    def test_exits_with_main_code_after_freezing(self, synth30_dir, tmp_path,
+                                                 case, code):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"network": "missing.json"}))
+        argv = {
+            "ok": ["estimate", "--config", str(synth30_dir / "config.json"),
+                   "--output-dir", str(tmp_path / "out")],
+            "usage": ["estimate", "--k-steps", "x"],
+            "io": ["validate", "--config", str(config)],
+        }[case]
+        probe = f"""
+import atexit, gc, sys
+from basinflow import cli
+atexit.register(lambda: print(gc.get_freeze_count() > 0))
+sys.argv = ["basinflow", *{argv!r}]
+cli.run()
+"""
+        result = fresh_python("-c", probe)
+        assert result.returncode == code, result.stderr
+        assert result.stdout.splitlines()[-1] == "True"
+
+    def test_module_run_prints_every_fit_row(self, synth30_dir, tmp_path,
+                                             capsys):
+        argv = ["report", "--config", str(synth30_dir / "config.json"),
+                "--solution", str(synth30_dir / "ground_truth.csv")]
+        assert run([*argv, "--output-dir", str(tmp_path / "in")]) == 0
+        expected = capsys.readouterr().out
+        result = fresh_python("-m", "basinflow.cli", *argv,
+                              "--output-dir", str(tmp_path / "fresh"))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == expected
+        assert len(expected.splitlines()) > 1
+        assert (tmp_path / "fresh" / "fit_report.csv").read_bytes() == \
+            (tmp_path / "in" / "fit_report.csv").read_bytes()
+
+    def test_main_leaves_freeze_count(self, synth_dir):
+        frozen = gc.get_freeze_count()
+        assert run(["validate", "--config", str(synth_dir / "config.json")]) == 0
+        assert gc.get_freeze_count() == frozen
+
+
 class TestUsageErrors:
     """A command line argparse rejects exits 1, as a configuration failure
     does; 2 is the solver's."""
@@ -760,12 +801,9 @@ class TestNrmseNormalizer:
 def test_import_skips_sparse_solver():
     # ``report`` and ``validate`` never factorize, so importing the command
     # line must not import the sparse solver
-    src = str(Path(bf.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = "import sys, basinflow.cli; print('scipy.sparse.linalg' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
+    result = fresh_python("-c", probe)
+    assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
 
 

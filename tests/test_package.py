@@ -1,10 +1,12 @@
-import os
-import subprocess
-import sys
+import tomllib
 from pathlib import Path
+
+import pytest
 
 import basinflow
 from basinflow import cli
+
+from pipeline_util import fresh_python
 
 
 def test_public_names_resolve():
@@ -20,11 +22,7 @@ def test_public_names_resolve():
 def run_fresh(probe: str) -> str:
     """Run ``probe`` in a fresh interpreter that imports this checkout's
     package; returns its stdout."""
-    src = str(Path(basinflow.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True)
+    result = fresh_python("-c", probe)
     assert result.returncode == 0, result.stderr
     return result.stdout
 
@@ -52,12 +50,43 @@ print(callable(numpy.f2py.run_main))
     assert run_fresh(probe).splitlines()[-2:] == ["[]", "True"]
 
 
-def test_numpy_testing_imported_first_is_kept():
-    probe = """
+def test_report_leaves_numpy_ma_and_polynomial_unexecuted(tmp_path):
+    # The shim would execute numpy.ma and numpy.polynomial too; both still
+    # work on first use.
+    bundle = tmp_path / "bundle"
+    assert cli.main(["synth", "--outlets", "30", "--seed", "7",
+                     "--out", str(bundle)]) == 0
+    probe = f"""
 import sys
-import numpy.testing
-first = sys.modules["numpy.testing"]
+from basinflow import cli
+assert cli.main(["report", "--config", {str(bundle / "config.json")!r},
+                 "--solution", {str(bundle / "ground_truth.csv")!r},
+                 "--output-dir", {str(tmp_path / "rep")!r}]) == 0
+print(sorted({{"numpy.ma.core", "numpy.polynomial.polynomial"}}
+             & sys.modules.keys()))
+import numpy
+print(numpy.ma.masked_array([1.0, 2.0]).sum() == 3.0,
+      numpy.polynomial.Polynomial([1, 2])(1.0) == 3.0)
+"""
+    assert run_fresh(probe).splitlines()[-2:] == ["[]", "True True"]
+
+
+@pytest.mark.parametrize("name", basinflow.LAZY_MODULES)
+def test_lazy_module_imported_first_is_kept(name):
+    # A lazy module imported before the package keeps its identity.
+    probe = f"""
+import sys
+import {name}
+first = sys.modules[{name!r}]
 import basinflow
-print(sys.modules["numpy.testing"] is first, numpy.testing is first)
+print(sys.modules[{name!r}] is first, {name} is first)
 """
     assert run_fresh(probe).split() == ["True", "True"]
+
+
+def test_console_script_is_the_process_entry():
+    pyproject = Path(basinflow.__file__).resolve().parents[2] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["basinflow"]
+    module, _, name = target.partition(":")
+    assert module == cli.__name__ and getattr(cli, name) is cli.run
