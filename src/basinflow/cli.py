@@ -220,6 +220,7 @@ def cmd_estimate(config: RunConfig) -> int:
     t0 = time.perf_counter()
     capabilities, system, fit_rows, skipped = _measurements(
         config, network, tables)
+    del tables  # nothing reads the dataset tables again; free them to solve
     constraints = measurement.expand_constraints(system, config.k_steps)
     problem = estimator.assemble_problem(
         build_incidence(capabilities, network.n_buffers), constraints,

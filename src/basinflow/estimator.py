@@ -297,6 +297,7 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
                 "the constraint matrix is rank deficient"
             )
 
+    # lu.L and lu.U build cached CSC copies: +190 MB at 1000 outlets, K=12.
     diagnostics["lu_nnz"] = lu.L.nnz + lu.U.nnz
     diagnostics["fill_ratio"] = diagnostics["lu_nnz"] / diagnostics["kkt_nnz"]
     suspects = _suspect_rows(problem, lu)

@@ -215,7 +215,8 @@ def read_table(path, dtype: np.dtype, nonnegative: str = "",
 
     The header must name every field; other columns, blank lines and a
     leading byte-order mark are ignored.  Text is stripped, and ``sector``
-    and ``operand`` lowercased.  Numbers must be finite, and nonnegative
+    and ``operand`` lowercased; equal text values in a column are one
+    shared ``str``.  Numbers must be finite, and nonnegative
     when ``nonnegative`` names them for the message.  No two rows may share
     their ``key`` columns.  The first row that breaks a rule, or has fewer
     fields than the header, is reported with the file and line that hold
@@ -241,8 +242,13 @@ def read_table(path, dtype: np.dtype, nonnegative: str = "",
     for name in dtype.names:
         if name not in numbers:
             i = header.index(name)
-            text = [row[i].strip() for row in rows]
-            out[name] = [v.lower() for v in text] if name in _LOWERCASE else text
+            fold = str.lower if name in _LOWERCASE else str
+            # Each distinct raw value is normalized once, and every row that
+            # holds a value shares one str: one str per value, not per cell.
+            shared: dict[str, str] = {}
+            vocab = {raw: shared.setdefault(text := fold(raw.strip()), text)
+                     for raw in {row[i] for row in rows}}
+            out[name] = [vocab[row[i]] for row in rows]
     # Checks in the order a row reports them: operand, numbers, choices.
     if "operand" in dtype.names:
         bad = _first([v not in OPERAND_NAMES for v in out.operand])

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import shutil
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -666,6 +667,45 @@ class TestCollectorPause:
                 garbage[name, command] = gc.collect()
         for command in ("estimate", "report"):
             assert garbage["30", command] == garbage["300", command]
+
+
+class TestDatasetTables:
+    """Equal text values in a table are one shared ``str``, and ``estimate``
+    frees the dataset tables before it solves."""
+
+    def test_equal_text_is_one_shared_str(self, synth30_dir):
+        columns = []
+        for family in DATASET_FAMILIES:
+            table = getattr(measurement, f"read_{family}")(
+                synth30_dir / f"{family}.csv")
+            columns += [table[name].tolist() for name in table.dtype.names
+                        if table.dtype[name] == object]
+        # import_tabular's keys are the text columns of the table it reads
+        columns += zip(*rp.import_tabular(synth30_dir / "ground_truth.csv"))
+        for column in columns:
+            assert len({id(v) for v in column}) == len(set(column))
+
+    def test_estimate_frees_tables_before_solving(self, synth30_dir, tmp_path,
+                                                  monkeypatch):
+        tables = []
+        for family in DATASET_FAMILIES:
+            def read(path, read=getattr(measurement, f"read_{family}")):
+                table = read(path)
+                tables.append(weakref.ref(table))
+                return table
+
+            monkeypatch.setattr(measurement, f"read_{family}", read)
+        alive = []
+        solve = est.solve
+
+        def spy(*args, **kwargs):
+            alive.append([ref() is not None for ref in tables])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(est, "solve", spy)
+        assert run(["estimate", "--config", str(synth30_dir / "config.json"),
+                    "--output-dir", str(tmp_path / "results")]) == 0
+        assert alive == [[False] * len(DATASET_FAMILIES)]
 
 
 class TestProcessEntry:

@@ -4,8 +4,10 @@ Each relation turns a ``synth`` bundle into an equivalent one: (a) the rows
 of every dataset file shuffled, (b) the records of every network group
 shuffled, (c) every id renamed through a bijection (a permutation of the
 names, then a prefix), (d) every applied and load record split into two rows
-that sum to it.  ``estimate`` then runs on both bundles, and what the data
-determine must agree to roundoff:
+that sum to it, (f) every text field of the dataset files padded with
+spaces and every sector and operand upper-cased.  (Relation (e), every mass
+scaled by one factor, waits for stated row variances.)  ``estimate`` then
+runs on both bundles, and what the data determine must agree to roundoff:
 
 - per-segment counties: every flow by entity, at K=1 and as horizon totals
   at K=12, to 1e-10 relative;
@@ -138,9 +140,28 @@ def split_records(bundle, rng):
     return {}
 
 
+def respell_text(bundle, rng):
+    """(f) Pad every text field of the dataset files with up to two spaces on
+    each side, and upper-case the sector and operand values; ids, kinds and
+    stages are case-sensitive, so they are only padded."""
+    for family in cli.DATASET_FAMILIES:
+        path = bundle / f"{family}.csv"
+        dtype = getattr(measurement, family.upper())
+        header, *rows = _read_csv(path)
+        text = [header.index(name) for name in dtype.names
+                if dtype[name] == object]
+        for row in rows:
+            for i in text:
+                value = (row[i].upper() if header[i] in ("sector", "operand")
+                         else row[i])
+                row[i] = " " * rng.randint(0, 2) + value + " " * rng.randint(0, 2)
+        _write_csv(path, [header, *rows])
+    return {}
+
+
 RELATIONS = {"shuffle_datasets": shuffle_datasets,
              "shuffle_network": shuffle_network, "rename_ids": rename_ids,
-             "split_records": split_records}
+             "split_records": split_records, "respell_text": respell_text}
 
 
 def estimate(bundle, k_steps, names, determined):

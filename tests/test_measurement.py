@@ -739,6 +739,19 @@ class TestParsing:
         path.write_text("county,sector,operand,mass\nalpha,agricultural,Nitrogen,5\n")
         assert ms.read_applied(path)[0].operand == "nitrogen"
 
+    def test_equal_text_is_one_shared_str(self, tmp_path):
+        # the spellings normalize to one value, held once by every row
+        path = tmp_path / "a.csv"
+        path.write_text("county,sector,operand,mass\n"
+                        "alpha,agricultural,Nitrogen,1\n"
+                        " alpha ,Agricultural, nitrogen ,2\n"
+                        "alpha,AGRICULTURAL,NITROGEN,3\n")
+        table = ms.read_applied(path)
+        for name, value in (("county", "alpha"), ("sector", "agricultural"),
+                            ("operand", "nitrogen")):
+            assert table[name].tolist() == [value] * 3
+            assert len({id(v) for v in table[name]}) == 1, name
+
     def test_unsupported_sector_rejected(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text("county,sector,operand,mass\nalpha,septic,nitrogen,5\n")
