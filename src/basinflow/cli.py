@@ -33,7 +33,7 @@ import numpy as np
 
 from . import estimator, measurement, report, synthetic, topology
 from .core_net import build_incidence
-from .measurement import DataConsistencyWarning, DatasetFormatError
+from .measurement import MISSING_POLICIES, DataConsistencyWarning, DatasetFormatError
 from .topology import NetworkSchemaError
 
 EXIT_OK = 0
@@ -70,10 +70,10 @@ class RunConfig:
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{key} must be a finite number > 0, got {value!r}")
-        if self.missing_df_policy not in ("error", "passthrough"):
+        if self.missing_df_policy not in MISSING_POLICIES:
             raise ValueError(
-                f"missing_df_policy must be 'error' or 'passthrough', got "
-                f"{self.missing_df_policy!r}")
+                f"missing_df_policy must be {' or '.join(map(repr, MISSING_POLICIES))}"
+                f", got {self.missing_df_policy!r}")
         if self.nrmse_normalizer not in report.NRMSE_NORMALIZERS:
             raise ValueError(
                 f"nrmse_normalizer must be one of {report.NRMSE_NORMALIZERS}, "
@@ -85,11 +85,9 @@ class RunConfig:
                     f"{DATASET_FAMILIES}")
 
 
-_CONFIG_KEYS = {
-    "network": str, "datasets": dict, "k_steps": int, "dt_years": float,
-    "alpha": float, "beta": float, "tol": float, "missing_df_policy": str,
-    "nrmse_normalizer": str, "output_dir": str,
-}
+# The config file's keys: the two paths, then each setting, of its default's type.
+_CONFIG_KEYS = {"network": str, "datasets": dict, **{
+    f.name: type(f.default) for f in dataclasses.fields(RunConfig)[2:]}}
 
 
 def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig:
@@ -104,7 +102,12 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
     if path is not None:
         base = Path(path).parent
         with open(path, "r", encoding="utf-8-sig") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ValueError("config file must hold a JSON object")
         for key, value in doc.items():
@@ -346,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", type=float, help="buffer penalty")
         p.add_argument("--tol", type=float, help="solver residual tolerance")
         p.add_argument("--missing-df-policy", dest="missing_df_policy",
-                       choices=("error", "passthrough"))
+                       choices=MISSING_POLICIES)
         p.add_argument("--nrmse-normalizer", dest="nrmse_normalizer",
                        choices=report.NRMSE_NORMALIZERS)
         p.add_argument("--output-dir", dest="output_dir")
@@ -361,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", required=True)
     synth.add_argument("--land-per-outlet", type=int, nargs=2, default=(1, 3),
                        metavar=("LO", "HI"))
-    synth.add_argument("--county-mode", choices=("per-segment", "grouped"),
+    synth.add_argument("--county-mode", choices=synthetic.COUNTY_MODES,
                        default="per-segment")
 
     rep = sub.add_parser("report", help="recompute fit metrics from an export")

@@ -31,10 +31,14 @@ NITROGEN = "nitrogen"
 PHOSPHORUS = "phosphorus"
 SECTORS = ("agricultural", "developed")
 OPERAND_NAMES = (NITROGEN, PHOSPHORUS)
+# What a capability does, as exports name it.  A capability class's code, its
+# position in ``CapabilityClass``, is ``kind * len(OPERAND_NAMES) + operand``.
+CAPABILITY_KINDS = ("accept_agricultural", "accept_developed",
+                    "transport_land_to_outlet", "transport_river")
 
 
 class CapabilityClass(Enum):
-    """The eight capability classes of the watershed architecture.
+    """The eight capability classes of the watershed architecture, in code order.
 
     Accepts inject nutrient mass applied by an economic sector onto a land
     segment; land transports move it from a land segment to its outlet;

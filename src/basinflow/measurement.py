@@ -38,6 +38,7 @@ if TYPE_CHECKING:
 
 LOAD_KINDS = ("EoS", "EoT", "StreamToTide")
 DF_STAGES = ("landToWater", "streamToRiver", "riverToBay")
+MISSING_POLICIES = ("error", "passthrough")
 
 WEIGHT_FLOOR = 2.0  # lbs^2; constants below sqrt(2) share the cap weight 1/2
 
@@ -220,16 +221,21 @@ def read_table(path, dtype: np.dtype, nonnegative: str = "",
     when ``nonnegative`` names them for the message.  No two rows may share
     their ``key`` columns.  The first row that breaks a rule, or has fewer
     fields than the header, is reported with the file and line that hold
-    it.
+    it, as is a field beyond ``csv.field_size_limit()``; a file not in UTF-8 is named.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [name for name in dtype.names if name not in header]
-        if missing:
-            raise DatasetFormatError(
-                f"{path}: missing required column(s) {', '.join(missing)}")
-        rows = [row for row in reader if row]
+        try:
+            header = next(reader, [])
+            missing = [name for name in dtype.names if name not in header]
+            if missing:
+                raise DatasetFormatError(
+                    f"{path}: missing required column(s) {', '.join(missing)}")
+            rows = [row for row in reader if row]
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        except csv.Error as exc:  # a field beyond csv.field_size_limit()
+            raise DatasetFormatError(f"{path} line {reader.line_num}: {exc}") from exc
     problems: list[tuple[int, str]] = []
     if rows and min(map(len, rows)) < len(header):
         short = _first([len(row) < len(header) for row in rows])
@@ -255,7 +261,7 @@ def read_table(path, dtype: np.dtype, nonnegative: str = "",
         if bad is not None:
             raw = rows[bad][header.index("operand")]
             problems.append((bad, f"unknown operand {raw!r}; expected "
-                                  f"nitrogen or phosphorus"))
+                                  f"{' or '.join(OPERAND_NAMES)}"))
     for name in numbers:
         i = header.index(name)
         out[name] = _parse_numbers([row[i] for row in rows], problems)
@@ -393,7 +399,7 @@ def compute_delivery_model(network: "WatershedNetwork",
     areas for a stage is an error by default; ``missing_policy=
     "passthrough"`` substitutes 1.0 with a warning per segment.  Sums run in row order (``np.bincount``).
     """
-    if missing_policy not in ("error", "passthrough"):
+    if missing_policy not in MISSING_POLICIES:
         raise ValueError(f"unknown missing_policy {missing_policy!r}")
     land_ids = network.land_segments.external_id.tolist()
     if areas is None:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .core_net import (
     CAPABILITY_CLASSES,
+    CAPABILITY_KINDS,
     OPERAND_NAMES,
     Capabilities,
     CapabilitySpec,
@@ -27,7 +28,9 @@ from .measurement import (FAMILIES, MeasurementSystem, read_table, row_labels,
                           table, table_from_columns, write_table)
 from .topology import WatershedNetwork, json_numbers
 
-NRMSE_NORMALIZERS = ("mean", "range", "std")
+# The scale of the observations each NRMSE normalizer divides by.
+_NRMSE_SCALES = {"mean": np.mean, "range": np.ptp, "std": np.std}
+NRMSE_NORMALIZERS = tuple(_NRMSE_SCALES)
 
 METRIC_R2 = "r_squared"
 METRIC_NRMSE = "nrmse"
@@ -57,15 +60,10 @@ def nrmse(predicted, observed, normalizer: str = "mean") -> float:
     obs = np.asarray(observed, dtype=float)
     if pred.shape != obs.shape or pred.size == 0:
         raise ValueError("predicted and observed must be equal-length and nonempty")
-    if normalizer == "mean":
-        scale = float(obs.mean())
-    elif normalizer == "range":
-        scale = float(obs.max() - obs.min())
-    elif normalizer == "std":
-        scale = float(obs.std())
-    else:
+    if normalizer not in _NRMSE_SCALES:
         raise ValueError(f"unknown normalizer {normalizer!r}; expected one of "
                          f"{NRMSE_NORMALIZERS}")
+    scale = float(_NRMSE_SCALES[normalizer](obs))
     if scale <= 0:
         raise ValueError(f"{normalizer} of observed values must be positive")
     rmse = math.sqrt(float(((pred - obs) ** 2).mean()))
@@ -95,23 +93,15 @@ def median_relative_error(pairs: Sequence[tuple[float, float]]) -> float:
 # Entity naming shared by exports, ground-truth files and reports
 # ---------------------------------------------------------------------------
 
-_CLASS_KIND = {
-    ("accept", "agricultural"): "accept_agricultural",
-    ("accept", "developed"): "accept_developed",
-    ("transport_land", None): "transport_land_to_outlet",
-    ("transport_river", None): "transport_river",
-}
-_KIND = np.array([_CLASS_KIND[(cls.action, cls.sector)]
-                  for cls in CAPABILITY_CLASSES], dtype=object)
-_OPERAND = np.array([cls.operand_name for cls in CAPABILITY_CLASSES], dtype=object)
+# Each class code's kind: a code is ``kind * len(OPERAND_NAMES) + operand``.
+_KIND = np.repeat(np.array(CAPABILITY_KINDS, dtype=object), len(OPERAND_NAMES))
 
 
 def capability_entity(cap: CapabilitySpec,
                       network: WatershedNetwork) -> tuple[str, str]:
     """(entity_kind, entity_id) naming one capability in exports."""
-    cls = cap.capability_class
-    kind = _CLASS_KIND[(cls.action, cls.sector)]
-    if cls.action == "transport_river":
+    kind = _KIND[CAPABILITY_CLASSES.index(cap.capability_class)]
+    if kind == "transport_river":
         names = network.buffer_names
         entity = f"{names[cap.origin]}->{names[cap.destination]}"
     else:
@@ -126,7 +116,7 @@ def capability_names(capabilities: Capabilities, network: WatershedNetwork,
     kind = _KIND[capabilities.capability_class]
     entity = capabilities.resource.copy()
     entity[capabilities.river_transport] = network.link_names[:, None]
-    return kind, entity, _OPERAND[capabilities.capability_class]
+    return kind, entity, np.array(OPERAND_NAMES, dtype=object)[capabilities.operand]
 
 
 # The tabular export's rows; ``import_tabular`` reads them back.

@@ -37,6 +37,7 @@ from .topology import GROUPS, WatershedNetwork, instantiate_capabilities
 
 LOAD_SOURCE_POOL = ("row_crops", "pasture", "developed_low",
                     "developed_high", "forest")
+COUNTY_MODES = ("per-segment", "grouped")
 
 # Base applied-load ranges in lbs/yr.  The estimator divides its penalties
 # by the data's squared unit, so their bias on the recovered flows does not
@@ -101,7 +102,7 @@ def generate_synthetic(n_outlets: int, branching: int = 3, seed: int = 0,
     if not 1 <= lo <= hi:
         raise ValueError(f"land_per_outlet must be (lo, hi) with "
                          f"1 <= lo <= hi, got {land_per_outlet!r}")
-    if county_mode not in ("per-segment", "grouped"):
+    if county_mode not in COUNTY_MODES:
         raise ValueError(f"unknown county_mode {county_mode!r}")
     rng = random.Random(seed)
 

@@ -22,13 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core_net import (
-    CAPABILITY_CLASSES,
-    OPERAND_NAMES,
-    SECTORS,
-    Capabilities,
-    CapabilityClass,
-)
+from .core_net import OPERAND_NAMES, Capabilities
 from .measurement import table
 
 SCHEMA_VERSION = 1
@@ -367,8 +361,11 @@ def load_network(path) -> WatershedNetwork:
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise NetworkSchemaError(
+                [f"{path}: not UTF-8 text ({exc.reason})"]) from exc
         except json.JSONDecodeError as exc:
-            raise NetworkSchemaError([f"not valid JSON: {exc}"]) from exc
+            raise NetworkSchemaError([f"{path}: not valid JSON: {exc}"]) from exc
     return network_from_dict(doc)
 
 
@@ -498,17 +495,11 @@ def instantiate_capabilities(network: WatershedNetwork) -> Capabilities:
     land_name = network.buffer_names[:n_land]
     link_segment = network.outlets.river_segment_id[link_from - n_land]
 
-    def code(action: str, sector: Optional[str], operand: str) -> int:
-        return CAPABILITY_CLASSES.index(CapabilityClass((action, sector, operand)))
-
-    # A land segment has three slots per operand: the two accepts, then the
-    # land-to-outlet transport; a river link has one.
-    land_class = np.array([[code("accept", s, op) for s in SECTORS]
-                           + [code("transport_land", None, op)]
-                           for op in OPERAND_NAMES], dtype=np.intp)
-    link_class = np.array([code("transport_river", None, op)
-                           for op in OPERAND_NAMES], dtype=np.intp)
+    # A land segment has a slot per operand for each of the first three
+    # ``CAPABILITY_KINDS``, a river link for the last; a code is kind * n_ops + op.
     op_code = np.arange(n_ops)
+    land_class = np.arange(3) * n_ops + op_code[:, None]
+    link_class = 3 * n_ops + op_code
     no_origin = np.full(n_land, -1, dtype=np.intp)
 
     def by_id(on_land, on_link) -> np.ndarray:

@@ -503,6 +503,50 @@ class TestValidateFailures:
                     str(tmp_path / "nothing.json")]) == 3
 
 
+class TestUnreadableFiles:
+    """A file the program cannot decode or parse is named in the one error
+    line, and the command exits 1."""
+
+    @pytest.mark.parametrize("name, content, message", [
+        ("applied.csv", b"\xff" + b"county,sector,operand,mass\n",
+         "not UTF-8 text (invalid start byte)"),
+        ("network.json", b'{"schema": 1, "\xe4": []}',
+         "not UTF-8 text (invalid continuation byte)"),
+        ("network.json", b'{"schema": }',
+         "not valid JSON: Expecting value: line 1 column 12 (char 11)"),
+        ("config.json", b'{"network": "n\xe4t.json"}',
+         "not UTF-8 text (invalid continuation byte)"),
+        ("config.json", b'{"network": }',
+         "not valid JSON: Expecting value: line 1 column 13 (char 12)")],
+        ids=["dataset_not_utf8", "network_not_utf8", "network_not_json",
+             "config_not_utf8", "config_not_json"])
+    def test_named(self, synth30_dir, tmp_path, capsys, name, content,
+                   message):
+        bundle = bundle_copy(synth30_dir, tmp_path)
+        (bundle / name).write_bytes(content)
+        assert run(["validate", "--config", str(bundle / "config.json")]) == 1
+        err = capsys.readouterr().err
+        prefix = "error: invalid network file: " if name == "network.json" \
+            else "error: "
+        assert err == f"{prefix}{bundle / name}: {message}\n"
+
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    def test_field_beyond_csv_limit(self, synth30_dir, tmp_path, capsys,
+                                    command):
+        bundle = bundle_copy(synth30_dir, tmp_path)
+        path = bundle / ("applied.csv" if command == "validate"
+                         else "ground_truth.csv")
+        header, first, *rest = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "x" * 200_000 + first + "".join(rest))
+        argv = [command, "--config", str(bundle / "config.json"),
+                "--output-dir", str(tmp_path / "out")]
+        if command == "report":
+            argv += ["--solution", str(path)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path} line 2: field larger than field limit (131072)\n")
+
+
 @pytest.mark.parametrize("command", ["validate", "estimate", "report"])
 class TestEveryCommandChecksTheBundle:
     """The three commands read, check and assemble a bundle the same way, so

@@ -5,13 +5,19 @@ from hypothesis import strategies as st
 
 import basinflow as bf
 from basinflow.core_net import (
+    CAPABILITY_CLASSES,
+    CAPABILITY_KINDS,
     OPERAND_NAMES,
+    SECTORS,
     CapabilityClass,
     CapabilitySpec,
     build_incidence,
 )
+from basinflow.cli import main
+from basinflow.topology import instantiate_capabilities, load_network
 
 from pipeline_util import capabilities_of
+from test_cli import BUNDLE_DIGESTS
 
 
 class TestBuildIncidence:
@@ -136,3 +142,39 @@ class TestSpecs:
         with pytest.raises(ValueError):
             CapabilitySpec(0, CapabilityClass.TRANSPORT_RIVER_N, 0,
                            origin=None, destination=1, resource_id="s")
+
+
+class TestClassCodes:
+    """A class's code, its position in ``CapabilityClass``, is ``kind *
+    len(OPERAND_NAMES) + operand``."""
+
+    # The export kind of each (action, sector) the enum declares.
+    KIND = {("accept", sector): f"accept_{sector}" for sector in SECTORS} | {
+        ("transport_land", None): "transport_land_to_outlet",
+        ("transport_river", None): "transport_river"}
+
+    def test_code_rule(self):
+        n_ops = len(OPERAND_NAMES)
+        assert len(CAPABILITY_CLASSES) == len(CAPABILITY_KINDS) * n_ops
+        for code, cls in enumerate(CAPABILITY_CLASSES):
+            assert cls.operand_name == OPERAND_NAMES[code % n_ops], cls
+            assert self.KIND[cls.action, cls.sector] \
+                == CAPABILITY_KINDS[code // n_ops], cls
+
+    @pytest.mark.parametrize("args", list(BUNDLE_DIGESTS),
+                             ids=["per-segment", "grouped"])
+    def test_instantiated_codes_match_enum_lookup(self, tmp_path, args):
+        assert main(["synth", *args, "--out", str(tmp_path)]) == 0
+        caps = instantiate_capabilities(load_network(tmp_path / "network.json"))
+
+        def code(*value):
+            return CAPABILITY_CLASSES.index(CapabilityClass(value))
+
+        want = np.full(caps.n_caps, -1)
+        for o, op in enumerate(OPERAND_NAMES):
+            for s, sector in enumerate(SECTORS):
+                want[caps.accept[:, s, o]] = code("accept", sector, op)
+            want[caps.land_transport[:, o]] = code("transport_land", None, op)
+            want[caps.river_transport[:, o]] = code("transport_river", None, op)
+        assert (want >= 0).all()
+        assert caps.capability_class.tolist() == want.tolist()

@@ -802,6 +802,16 @@ class TestParsing:
         with pytest.raises(ms.DatasetFormatError, match="line 3: applied mass"):
             ms.read_applied(path)
 
+    def test_undecodable_row_past_first_chunk_names_file(self, tmp_path):
+        # the codec's position counts from the chunk it decodes, not from
+        # the start of the file, so the message names the file only
+        path = tmp_path / "latin.csv"
+        text = "county,sector,operand,mass\n" + "alpha,developed,nitrogen,1\n" * 800
+        path.write_bytes(text.encode() + b"\xff,developed,nitrogen,1\n")
+        with pytest.raises(ms.DatasetFormatError) as caught:
+            ms.read_applied(path)
+        assert str(caught.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
 
 class TestDeliveryModelPolicies:
     def test_missing_factor_errors_by_default(self, chain_network):
