@@ -196,7 +196,7 @@ def cmd_validate(config: RunConfig) -> int:
     for name, records in zip(DATASET_FAMILIES, tables):
         if records is not None:
             print(f"dataset {name}: {len(records)} records")
-    print(str(routing))
+    print(str(routing), file=sys.stdout if routing.ok else sys.stderr)
     if not routing.ok:
         return EXIT_VALIDATION
     _measurements(config, network, tables)  # what estimate builds to solve

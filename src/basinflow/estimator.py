@@ -19,10 +19,13 @@ The solver factorizes Hachtel's augmented matrix ``[[H, A^T], [A,
 equations, whose conditioning collapses under the tiny penalties).  It is
 the bordered KKT matrix of the problem with ``e`` as variables, after
 stationarity in ``e`` gives ``e = lambda_m / w`` for the measurement rows'
-multipliers.  The matrix is factorized after symmetric max-norm
-equilibration, with iterative refinement when the first solve misses
-tolerance.  Columns are ordered by COLAMD, whose fill-in stays near-flat in
-the horizon K where minimum degree on ``A^T + A`` grows with it.
+multipliers.  No row couples two operands, so the matrix is factorized one
+block at a time, a connected component of A's pattern (one per operand),
+each after symmetric max-norm equilibration and freed before the next.
+Iterative refinement runs until both the residual and the last correction
+are negligible.  Columns are ordered by COLAMD, whose fill-in stays
+near-flat in the horizon K where minimum degree on ``A^T + A`` grows with
+it.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .measurement import FAMILIES, WEIGHT_FLOOR, MeasurementSystem, row_labels
 DEFAULT_FLOW_PENALTY = 1e-10
 DEFAULT_BUFFER_PENALTY = 1e-12
 DEFAULT_TOL = 1e-8
-MAX_REFINEMENT_ROUNDS = 2
+MAX_REFINEMENT_ROUNDS = 5
 # Fill ratio nnz(L + U) / nnz(KKT) of the reduced KKT on a 300-outlet tree
 # at K=8: 4.8 with COLAMD, 30 with MMD_AT_PLUS_A; at K=1 1.6 and 1.5.
 # SuperLU is called with panel_size=1: its panel workspace grows with
@@ -191,19 +194,26 @@ def assemble_problem(m: sp.spmatrix,
 # KKT solvers
 # ---------------------------------------------------------------------------
 
-def _kkt_matrix(problem: EstimationProblem, dual_shift: float = 0.0) -> sp.csc_matrix:
-    """``[[H, A^T], [A, -(W^-1 + dual_shift I)]]``, with ``W^-1`` zero on
-    the hard rows."""
-    a = problem.constraint_matrix
+def _dual_diagonal(problem: EstimationProblem, dual_shift: float) -> np.ndarray:
+    """``W^-1 + dual_shift I``, with ``W^-1`` zero on the hard rows."""
     dual = np.full(problem.n_rows, dual_shift)
     dual[problem.n_hard_rows:] += 1.0 / problem.weight
+    return dual
+
+
+def _kkt(h: np.ndarray, a: sp.csr_matrix, dual: np.ndarray) -> sp.csc_matrix:
+    """``[[diag(h), A^T], [A, -diag(dual)]]``, storing only nonzero duals."""
     on = np.flatnonzero(dual)
-    lower_right = sp.csc_matrix((-dual[on], (on, on)),
-                                shape=(problem.n_rows,) * 2)
-    kkt = sp.bmat([[sp.diags(problem.hessian_diag), a.T], [a, lower_right]],
-                  format="csc")
+    lower_right = sp.csc_matrix((-dual[on], (on, on)), shape=(dual.size,) * 2)
+    kkt = sp.bmat([[sp.diags(h), a.T], [a, lower_right]], format="csc")
     kkt.sort_indices()
     return kkt
+
+
+def _kkt_matrix(problem: EstimationProblem) -> sp.csc_matrix:
+    """The whole KKT matrix ``[[H, A^T], [A, -W^-1]]``."""
+    return _kkt(problem.hessian_diag, problem.constraint_matrix,
+                _dual_diagonal(problem, 0.0))
 
 
 def _equilibrate(kkt: sp.csc_matrix) -> np.ndarray:
@@ -213,34 +223,27 @@ def _equilibrate(kkt: sp.csc_matrix) -> np.ndarray:
     return 1.0 / np.sqrt(row_max)
 
 
-def _suspect_rows(problem: EstimationProblem, lu) -> list[str]:
-    """Name measurement rows whose pivots collapsed during factorization.
-
-    SuperLU factors ``Pr A Pc = L U`` with ``Pc[j, perm_c[j]] = 1``, so
-    pivot i sits in the original column j with ``perm_c[j] == i``; the
-    dual columns follow the primal ones.
-    """
-    n = problem.n_variables
-    diag = np.abs(lu.U.diagonal())
-    scale = diag.max() if diag.size else 0.0
-    if scale == 0.0:
-        return []
-    tiny = np.nonzero(diag < 1e-10 * scale)[0]
-    pivot_column = np.argsort(lu.perm_c)
-    labels = []
-    for i in tiny:
-        col = int(pivot_column[i])
-        if col >= n:
-            r = col - n - problem.n_balance_rows
-            if r >= 0:
-                labels.append(problem.measurement_row_label(r))
-            else:
-                labels.append(f"balance row {col - n}")
+def _suspect_rows(problem: EstimationProblem, pivots: np.ndarray,
+                  pivot_index: np.ndarray) -> list[str]:
+    """Name measurement rows whose pivots collapsed during factorization:
+    ``pivots`` is ``|diag(U)|`` over every block, ``pivot_index`` the KKT
+    index each eliminated, and a pivot collapsed below ``1e-10`` times the
+    largest."""
+    n, labels = problem.n_variables, []
+    for col in pivot_index[pivots < 1e-10 * pivots.max(initial=0.0)]:
+        r = int(col) - n - problem.n_balance_rows
+        if r >= 0:
+            labels.append(problem.measurement_row_label(r))
+        elif col >= n:
+            labels.append(f"balance row {col - n}")
     return labels
 
 
 def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
-    """Solve via sparse LU of the equilibrated augmented KKT system.
+    """Solve via sparse LU of the equilibrated augmented KKT system, one
+    block at a time: a block is a connected component of A's pattern (one
+    per operand, as no row couples two), and its factor is dropped before
+    the next block is factored.
 
     The errors are recovered from the soft rows' multipliers as ``e =
     lambda_m / w``.  Residuals are those of the problem with the errors as
@@ -248,76 +251,102 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
     lambda_m]``; convergence means ``||r||_inf <= tol * (1 + ||b||_inf)``
     and ``||g||_inf <= tol * (1 + ||[A^T lambda; -lambda_m]||_inf)``.  Up to
     ``MAX_REFINEMENT_ROUNDS`` rounds of iterative refinement are applied
-    while the KKT residual of the factored system misses the first bound;
-    on a singular factorization the dual block is shifted by ``-delta I``
+    while a block's KKT residual misses the first bound or the last
+    correction moved its solution ``y`` by more than ``tol * ||y||_inf``;
+    if any block is singular, every dual block is shifted by ``-delta I``
     (delta = 1e-12 * ||A||_inf) and the shift is surfaced in the
     diagnostics together with the suspect rows.
 
     The diagnostics also record the factorization: ``ordering``,
-    ``kkt_nnz`` (the factored matrix), ``lu_nnz`` (``L.nnz + U.nnz``),
-    ``fill_ratio`` (their quotient), and ``refinement_residuals``, the
-    factored system's residual inf-norm after the first solve and after
-    each round.
+    ``kkt_nnz`` (the factored matrices), ``lu_nnz`` (``L.nnz + U.nnz``),
+    both summed over the blocks, ``fill_ratio`` (their quotient),
+    ``refinement_rounds`` (the most of any block), and
+    ``refinement_residuals``, the factored system's residual inf-norm after
+    the first solve and after each round.
     """
-    # Imported here: commands that never factorize skip its import cost.
+    # Imported here: commands that never factorize skip their import cost.
     import scipy.sparse.linalg as spla
+    from scipy.sparse.csgraph import connected_components
 
     if np.any(problem.hessian_diag <= 0):
         raise ValueError("hessian diagonal must be strictly positive")
     a = problem.constraint_matrix
-    n = problem.n_variables
+    n, size = problem.n_variables, problem.n_variables + problem.n_rows
     rhs = np.concatenate([np.zeros(n), problem.rhs])
-    diagnostics: dict = {"regularized": False, "refinement_rounds": 0,
-                         "suspect_rows": [], "tol": tol,
+    b_scale = 1.0 + np.abs(problem.rhs).max(initial=0.0)
+    diagnostics: dict = {"regularized": False, "suspect_rows": [], "tol": tol,
                          "ordering": KKT_ORDERING}
 
-    def factorize(dual_shift: float):
-        kkt = _kkt_matrix(problem, dual_shift)
-        s = _equilibrate(kkt)
-        scaled = (sp.diags(s) @ kkt @ sp.diags(s)).tocsc()
-        diagnostics["kkt_nnz"] = scaled.nnz
-        try:
-            lu = spla.splu(scaled, permc_spec=KKT_ORDERING, panel_size=1,
-                           options=dict(SymmetricMode=True,
-                                        DiagPivotThresh=0.001))
-        except RuntimeError:
-            return None, kkt, s
-        return lu, kkt, s
+    # The bipartite graph of A's pattern: variables, then rows.
+    indptr = np.concatenate([np.zeros(n, a.indptr.dtype), a.indptr])
+    n_blocks, labels = connected_components(sp.csr_matrix(
+        (np.ones(a.nnz), a.indices, indptr), (size, size)), directed=False)
+    # Each block's variables, then its rows, as contiguous runs.
+    order = np.argsort(labels, kind="stable")
+    cols, rows = order[order < n], order[order >= n] - n
+    col_start = np.searchsorted(labels[cols], np.arange(n_blocks + 1))
+    row_start = np.searchsorted(labels[n + rows], np.arange(n_blocks + 1))
+    a_blocks = a[rows][:, cols].tocsr()
 
-    lu, kkt, s = factorize(0.0)
-    if lu is None:
-        norm_a = spla.norm(a, np.inf) if a.nnz else 1.0
-        delta = 1e-12 * max(norm_a, 1.0)
-        diagnostics["regularized"] = True
-        diagnostics["dual_shift"] = delta
-        lu, kkt, s = factorize(delta)
-        if lu is None:
-            raise np.linalg.LinAlgError(
-                "KKT system is singular even after dual regularization; "
-                "the constraint matrix is rank deficient"
-            )
+    def solve_blocks(dual: np.ndarray):
+        """``y`` and each block's diagnostics; None if a block is singular."""
+        y, blocks = np.empty(size), []
+        for c0, c1, r0, r1 in zip(col_start, col_start[1:],
+                                  row_start, row_start[1:]):
+            index = np.r_[cols[c0:c1], n + rows[r0:r1]]
+            kkt = _kkt(problem.hessian_diag[cols[c0:c1]],
+                       a_blocks[r0:r1, c0:c1], dual[rows[r0:r1]])
+            s = _equilibrate(kkt)
+            scaled = (sp.diags(s) @ kkt @ sp.diags(s)).tocsc()
+            try:
+                lu = spla.splu(scaled, permc_spec=KKT_ORDERING, panel_size=1,
+                               options=dict(SymmetricMode=True,
+                                            DiagPivotThresh=0.001))
+            except RuntimeError:
+                return None
+            y_b = correction = s * lu.solve(s * rhs[index])
+            history = []
+            while True:
+                residual = rhs[index] - kkt @ y_b
+                history.append(float(np.abs(residual).max(initial=0.0)))
+                negligible = (np.abs(correction).max(initial=0.0)
+                              <= tol * np.abs(y_b).max(initial=0.0))
+                if (history[-1] <= tol * b_scale and negligible
+                        or len(history) > MAX_REFINEMENT_ROUNDS):
+                    break
+                correction = s * lu.solve(s * residual)
+                y_b = y_b + correction
+            y[index], kkt_nnz = y_b, scaled.nnz
+            # lu.L and lu.U build CSC copies that live with the factor, the
+            # solve's peak, so the block's matrices go first.  SuperLU
+            # factors Pr K Pc = L U: pivot i eliminates column perm_c == i.
+            del kkt, scaled
+            blocks.append((kkt_nnz, lu.L.nnz + lu.U.nnz, history,
+                           np.abs(lu.U.diagonal()), index[np.argsort(lu.perm_c)]))
+            del lu
+        return y, blocks
 
-    # lu.L and lu.U build cached CSC copies: +190 MB at 1000 outlets, K=12.
-    diagnostics["lu_nnz"] = lu.L.nnz + lu.U.nnz
-    diagnostics["fill_ratio"] = diagnostics["lu_nnz"] / diagnostics["kkt_nnz"]
-    suspects = _suspect_rows(problem, lu)
+    delta = 1e-12 * max(spla.norm(a, np.inf) if a.nnz else 1.0, 1.0)
+    result = solve_blocks(_dual_diagonal(problem, 0.0))
+    if result is None:
+        diagnostics.update(regularized=True, dual_shift=delta)
+        result = solve_blocks(_dual_diagonal(problem, delta))
+    if result is None:
+        raise np.linalg.LinAlgError(
+            "KKT system is singular even after dual regularization; "
+            "the constraint matrix is rank deficient")
+    y, blocks = result
+    kkt_nnz, lu_nnz, histories, pivots, pivot_index = zip(*blocks)
+    rounds = max(map(len, histories)) - 1
+    diagnostics.update(
+        kkt_nnz=sum(kkt_nnz), lu_nnz=sum(lu_nnz),
+        fill_ratio=sum(lu_nnz) / sum(kkt_nnz), refinement_rounds=rounds,
+        refinement_residuals=[max(h[min(i, len(h) - 1)] for h in histories)
+                              for i in range(rounds + 1)])
+    suspects = _suspect_rows(problem, np.concatenate(pivots),
+                             np.concatenate(pivot_index))
     if suspects and not diagnostics["regularized"]:
         diagnostics["suspect_rows"] = suspects
-
-    def kkt_solve(vec: np.ndarray) -> np.ndarray:
-        return s * lu.solve(s * vec)
-
-    y = kkt_solve(rhs)
-    b_scale = 1.0 + np.abs(problem.rhs).max(initial=0.0)
-    residuals = diagnostics["refinement_residuals"] = []
-    while True:
-        residual = rhs - kkt @ y
-        residuals.append(float(np.abs(residual).max(initial=0.0)))
-        if (residuals[-1] <= tol * b_scale
-                or diagnostics["refinement_rounds"] == MAX_REFINEMENT_ROUNDS):
-            break
-        y = y + kkt_solve(residual)
-        diagnostics["refinement_rounds"] += 1
 
     lam = y[n:]
     return _extract_solution(problem, y[:n], lam[problem.n_hard_rows:]

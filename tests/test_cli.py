@@ -369,7 +369,7 @@ class TestValidateFailures:
         path = tmp_path / "net.json"
         path.write_text(json.dumps(doc))
         assert run(["validate", "--network", str(path)]) == 1
-        assert "cycle" in capsys.readouterr().out
+        assert "cycle" in capsys.readouterr().err
 
     def test_missing_column_named(self, synth_dir, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -568,7 +568,7 @@ class TestEveryCommandChecksTheBundle:
         assert self.run_on(command, bundle, tmp_path) == 1
         captured = capsys.readouterr()
         assert (f"[orphan_outlet] {orphan}: outlet has no downstream river "
-                f"link") in captured.out + captured.err
+                f"link") in captured.err
         assert not (tmp_path / "out" / "fit_report.csv").exists()
 
     def test_missing_delivery_factors(self, synth30_dir, tmp_path, capsys,

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 import basinflow as bf
 from basinflow import estimator as est
 from basinflow import measurement as ms
+from basinflow.cli import main
 from basinflow.core_net import OPERAND_NAMES, build_incidence
+from basinflow.topology import instantiate_capabilities, load_network
 
 from pipeline_util import (
     DENSE_ORACLE_MAX_VARS,
@@ -20,6 +23,7 @@ from pipeline_util import (
     measurement_system,
     perturb_eot_nitrogen,
 )
+from test_cli import BUNDLE_DIGESTS
 
 MINI_CHAIN_ROWS = [
     ({(1, 0): 1.0}, 100.0, "accept/alpha/agricultural/nitrogen"),
@@ -373,6 +377,31 @@ class TestRecovery:
         assert solution.converged
         assert (np.abs(solution.u[0] - truth.u) / np.abs(truth.u)).max() <= 1e-6
 
+    @pytest.mark.parametrize("seed", [3, 5, 11])
+    def test_recovery_independent_of_index_order(self, seed):
+        # At CAST magnitudes the pivot order of the factor can swap a flow
+        # whose scaled diagonal is ~1e-25 with a soft row; the flows must
+        # not depend on it.  Variables, hard rows and soft rows are each
+        # shuffled, and the solution mapped back.
+        _, truth, _, _, _, problem = assemble_bundle(100, 3, seed,
+                                                     load_scale=1e6)
+        n_hard = problem.n_hard_rows
+        for draw in range(4):
+            rng = np.random.RandomState(draw)
+            cols = rng.permutation(problem.n_variables)
+            soft = rng.permutation(problem.weight.size)
+            rows = np.concatenate([rng.permutation(n_hard), n_hard + soft])
+            shuffled = est.solve(replace(
+                problem, hessian_diag=problem.hessian_diag[cols],
+                constraint_matrix=problem.constraint_matrix[rows][:, cols].tocsr(),
+                rhs=problem.rhs[rows], weight=problem.weight[soft],
+                constraints=None))
+            x = np.empty_like(shuffled.x)
+            x[cols] = shuffled.x
+            u = x[problem.n_steps * problem.n_places:]
+            error = float((np.abs(u - truth.u) / np.abs(truth.u)).max())
+            assert error <= 1e-6, (draw, error)
+
     def test_perturbed_eot_matches_oracle(self):
         network, truth, datasets, _, incidence, _ = assemble_bundle(1, 1, seed=42)
         perturbed = replace(datasets, loads=perturb_eot_nitrogen(datasets.loads))
@@ -474,10 +503,10 @@ class TestReducedKKT:
         problem = bundle_problem(k_steps)
         factored = factored_matrices(monkeypatch)
         solution = est.solve(problem)
-        [matrix] = factored
-        size = problem.n_variables + problem.n_rows
-        assert matrix.shape == (size, size)
-        assert solution.diagnostics["kkt_nnz"] == matrix.nnz
+        assert all(m.shape[0] == m.shape[1] for m in factored)
+        assert sum(m.shape[0] for m in factored) \
+            == problem.n_variables + problem.n_rows
+        assert solution.diagnostics["kkt_nnz"] == sum(m.nnz for m in factored)
         assert solution.converged
         # the dual diagonal is -1/w on the soft rows and empty on the hard ones
         dual = est._kkt_matrix(problem).diagonal()[problem.n_variables:]
@@ -515,6 +544,59 @@ class TestReducedKKT:
                                           lam, est.DEFAULT_TOL, {})
         assert perturbed.constraint_residual == solution.constraint_residual
         assert not perturbed.converged
+
+
+def synth_problem(out, args, k_steps):
+    """The problem ``estimate`` assembles for the bundle ``synth args``
+    writes to ``out``, over ``k_steps`` steps."""
+    assert main(["synth", *args, "--out", str(out)]) == 0
+    network = load_network(out / "network.json")
+    capabilities = instantiate_capabilities(network)
+    delivery = ms.compute_delivery_model(
+        network, ms.read_delivery_factors(out / "delivery_factors.csv"),
+        ms.read_areas(out / "areas.csv"))
+    system, _, _ = ms.assemble_system(
+        network, capabilities, ms.read_applied(out / "applied.csv"),
+        ms.read_loads(out / "loads.csv"), delivery)
+    return est.assemble_problem(build_incidence(capabilities, network.n_buffers),
+                                ms.expand_constraints(system, k_steps))
+
+
+def references(held: list) -> list[int]:
+    """``sys.getrefcount`` of each item of ``held``."""
+    return [sys.getrefcount(item) for item in held]
+
+
+class TestOperandBlocks:
+    @pytest.mark.parametrize("k_steps", [1, 3])
+    @pytest.mark.parametrize("args", list(BUNDLE_DIGESTS),
+                             ids=["per-segment", "grouped"])
+    def test_one_factor_per_operand_alive_at_a_time(self, tmp_path, monkeypatch,
+                                                    args, k_steps):
+        # No row couples two operands, so solve factors one block per
+        # operand and drops each factor before it factors the next.
+        import scipy.sparse.linalg as spla
+
+        problem = synth_problem(tmp_path, args, k_steps)
+        splu = spla.splu
+        # an object held by one list only, as the factors must be
+        held_once = references([object()])[0]
+        factored, factors = [], []
+
+        def record(matrix, *rest, **options):
+            assert references(factors) == [held_once] * len(factors)
+            factored.append(matrix)
+            factors.append(splu(matrix, *rest, **options))
+            return factors[-1]
+
+        monkeypatch.setattr(spla, "splu", record)
+        solution = est.solve(problem)
+        assert references(factors) == [held_once] * len(factors)
+        assert len(factored) == len(OPERAND_NAMES)
+        assert sum(m.shape[0] for m in factored) \
+            == problem.n_variables + problem.n_rows
+        assert sum(m.nnz for m in factored) == solution.diagnostics["kkt_nnz"]
+        assert solution.converged
 
 
 class TestUniqueness:
