@@ -7,8 +7,15 @@ datasets by solving a sparse equality-constrained weighted least-squares
 program.
 """
 
+import os
 import sys
 from importlib.util import LazyLoader, find_spec, module_from_spec
+
+# OpenBLAS reads this once, when numpy's and scipy's copies load.  A run's
+# only BLAS work is SuperLU's small kernels, and idle workers spin against
+# the Python glue: on 2 CPUs one thread took a fresh 1500-outlet `estimate`
+# from 1.08 to 0.81 s (BENCH_27.json).  A caller's own value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy
 

@@ -171,6 +171,15 @@ def _read_bundle(config: RunConfig) -> tuple:
         if family in paths else None for family in DATASET_FAMILIES)
 
 
+def _check_routing(routing: topology.RoutingReport) -> None:
+    """Print a failed routing check's violations on stderr, then raise the
+    ``error:`` line that ends the command with exit 1."""
+    if not routing.ok:
+        print(str(routing), file=sys.stderr)
+        raise ValueError(f"routing check failed: "
+                         f"{len(routing.violations)} violation(s)")
+
+
 def _measurements(config: RunConfig, network, tables) -> tuple:
     """The capabilities, the measurement system, the rows the fit report
     scores and the skipped-record notes, each printed as a warning.  Only
@@ -196,9 +205,8 @@ def cmd_validate(config: RunConfig) -> int:
     for name, records in zip(DATASET_FAMILIES, tables):
         if records is not None:
             print(f"dataset {name}: {len(records)} records")
-    print(str(routing), file=sys.stdout if routing.ok else sys.stderr)
-    if not routing.ok:
-        return EXIT_VALIDATION
+    _check_routing(routing)
+    print(str(routing))
     _measurements(config, network, tables)  # what estimate builds to solve
     return EXIT_OK
 
@@ -213,9 +221,7 @@ def cmd_estimate(config: RunConfig) -> int:
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     network, routing, tables = _read_bundle(config)
-    if not routing.ok:
-        print(str(routing), file=sys.stderr)
-        return EXIT_VALIDATION
+    _check_routing(routing)
     if "delivery_factors" not in config.dataset_paths:
         raise ValueError("estimation requires a delivery_factors dataset")
     timings["load_s"] = time.perf_counter() - t0
@@ -313,9 +319,7 @@ def cmd_synth(n_outlets: int, branching: int, seed: int, out_dir: str,
 
 def cmd_report(solution_path: str, config: RunConfig) -> int:
     network, routing, tables = _read_bundle(config)
-    if not routing.ok:
-        print(str(routing), file=sys.stderr)
-        return EXIT_VALIDATION
+    _check_routing(routing)
     flows = report.flows_from_tabular(report.import_tabular(solution_path))
     capabilities, _, fit_rows, _ = _measurements(config, network, tables)
     fit = report.build_fit_report(

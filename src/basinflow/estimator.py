@@ -373,7 +373,9 @@ def _extract_solution(problem: EstimationProblem, x: np.ndarray,
     constraint_residual = float(np.abs(row_residual).max(initial=0.0))
     stationarity_residual = float(np.abs(grad_residual).max(initial=0.0))
     kkt_residual = max(stationarity_residual, constraint_residual)
-    objective = 0.5 * float(z @ (h * z))
+    # np.sum, not a BLAS dot: threaded OpenBLAS splits a dot's sum by
+    # thread, so its last digits would follow the thread count.
+    objective = 0.5 * float(np.sum(z * (h * z)))
     converged = bool(
         constraint_residual <= tol * (1.0 + np.abs(problem.rhs).max(initial=0.0))
         and stationarity_residual
@@ -397,9 +399,10 @@ def _extract_solution(problem: EstimationProblem, x: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _stats(values: np.ndarray) -> dict:
+    # l2 sums with np.sum for the reason the objective does.
     return {"count": int(values.size), "min": float(values.min()),
             "median": float(np.median(values)), "max": float(values.max()),
-            "l2": float(np.linalg.norm(values))}
+            "l2": float(np.sqrt(np.sum(values * values)))}
 
 
 def residual_report(problem: EstimationProblem, solution: Solution) -> list[dict]:

@@ -26,11 +26,18 @@ from basinflow.core_net import (
 )
 
 
-def fresh_python(*args: str) -> subprocess.CompletedProcess:
+def fresh_python(*args: str,
+                 **environ: str | None) -> subprocess.CompletedProcess:
     """``python *args`` in a fresh interpreter that imports this checkout's
-    package, its output captured as text."""
+    package, its output captured as text.  ``environ`` sets variables of
+    its environment, or removes those given as None."""
     src = str(Path(bf.__file__).resolve().parents[1])
     env = dict(os.environ)
+    for key, value in environ.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True)

@@ -96,6 +96,39 @@ class TestRunConfigMessages:
                               "per-segment", "grouped"]
 
 
+CYCLE_NETWORK = {
+    "schema": 1,
+    "land_segments": [],
+    "outlets": [{"external_id": f"o{i}", "river_segment_id": f"s{i}"}
+                for i in (1, 2, 3)],
+    "river_links": [{"from_outlet": "o1", "to_node": "o2"},
+                    {"from_outlet": "o2", "to_node": "o3"},
+                    {"from_outlet": "o3", "to_node": "o1"}],
+    "estuaries": [{"external_id": "bay"}],
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "estimate", "report"])
+def test_routing_failure_ends_with_an_error_line(tmp_path, capsys, command):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(CYCLE_NETWORK))
+    argv = [command, "--network", str(path),
+            "--output-dir", str(tmp_path / "out")]
+    if command == "report":
+        argv += ["--solution", str(tmp_path / "solution.csv")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "network: 0 land segments, 3 outlets, 3 links, 1 estuaries\n"
+        if command == "validate" else "")
+    unreachable = "no directed path from this outlet reaches an estuary"
+    assert captured.err == (
+        "[cycle] o1: river links form a cycle: o1 -> o2 -> o3 -> o1\n"
+        + "".join(f"[unreachable_estuary] o{i}: {unreachable}\n"
+                  for i in (1, 2, 3))
+        + "error: routing check failed: 4 violation(s)\n")
+
+
 class TestLibraryGuards:
     def test_missing_policy(self, chain_network):
         factors = ms.table(ms.DELIVERY_FACTORS)

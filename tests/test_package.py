@@ -1,3 +1,5 @@
+import json
+import os
 import tomllib
 from pathlib import Path
 
@@ -19,10 +21,10 @@ def test_public_names_resolve():
     assert set(basinflow.__all__) <= namespace.keys()
 
 
-def run_fresh(probe: str) -> str:
+def run_fresh(probe: str, **environ: str | None) -> str:
     """Run ``probe`` in a fresh interpreter that imports this checkout's
-    package; returns its stdout."""
-    result = fresh_python("-c", probe)
+    package, with ``fresh_python``'s ``environ``; returns its stdout."""
+    result = fresh_python("-c", probe, **environ)
     assert result.returncode == 0, result.stderr
     return result.stdout
 
@@ -82,6 +84,52 @@ import basinflow
 print(sys.modules[{name!r}] is first, {name} is first)
 """
     assert run_fresh(probe).split() == ["True", "True"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads in /proc/self/task")
+def test_blas_runs_on_one_thread():
+    # numpy's and scipy's OpenBLAS copies would each start a worker pool
+    # sized to the CPUs; the package caps both before numpy loads.
+    probe = """
+import os
+import basinflow.cli
+import scipy.sparse.linalg
+print(len(os.listdir("/proc/self/task")))
+"""
+    assert run_fresh(probe, OPENBLAS_NUM_THREADS=None).split() == ["1"]
+
+
+def test_caller_blas_thread_count_wins():
+    probe = "import os, basinflow; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert run_fresh(probe, OPENBLAS_NUM_THREADS="2").split() == ["2"]
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # A 100-outlet mainstem at K=12 has enough variables that threaded
+    # OpenBLAS splits a dot product over them by thread.
+    bundle = tmp_path / "bundle"
+    assert cli.main(["synth", "--outlets", "100", "--branching", "1",
+                     "--land-per-outlet", "1", "1", "--seed", "7",
+                     "--out", str(bundle)]) == 0
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        result = fresh_python(
+            "-m", "basinflow.cli", "estimate", "--config",
+            str(bundle / "config.json"), "--k-steps", "12", "--output-dir",
+            str(out), OPENBLAS_NUM_THREADS=threads)
+        assert result.returncode == 0, result.stderr
+        outputs.append(out)
+    names = sorted(path.name for path in outputs[0].iterdir())
+    assert names == sorted(path.name for path in outputs[1].iterdir())
+    for name in names:
+        if name == "timings.json":
+            continue
+        # run_summary.json records its own output directory.
+        one, two = ((out / name).read_bytes().replace(
+            json.dumps(str(out)).encode(), b'"-"') for out in outputs)
+        assert one == two, name
 
 
 def test_console_script_is_the_process_entry():
