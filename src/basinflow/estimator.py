@@ -170,14 +170,15 @@ def assemble_problem(m: sp.spmatrix,
     constant = constraints.constant
     weight = measurement.compute_weights(constant)
     data = constant[constant != 0]
-    u0_sq = max(float(np.median(data * data)) if data.size else 0.0,
-                WEIGHT_FLOOR)
+    u0_sq = max(_median(data * data) if data.size else 0.0, WEIGHT_FLOOR)
     h = np.concatenate([np.full(k_steps * n_places, beta / u0_sq),
                         np.full(k_steps * n_caps, alpha / u0_sq)])
     # Q_B[k + 1] - Q_B[k] with the zero initial state eliminated.
-    q_k = sp.kron(sp.eye(k_steps, k=-1) - sp.identity(k_steps),
-                  sp.identity(n_places))
-    a = sp.bmat([[q_k, sp.kron(sp.identity(k_steps), m * dt)],
+    n_b = k_steps * n_places
+    i, j = np.arange(n_b), np.arange(n_places, n_b)
+    q_k = sp.csr_matrix((np.r_[np.full(n_b, -1.0), np.ones(j.size)],
+                         (np.r_[i, j], np.r_[i, j - n_places])), shape=(n_b, n_b))
+    a = sp.bmat([[q_k, sp.kron(measurement.diagonal(np.ones(k_steps)), m * dt)],
                  [None, constraints.d]], format="csr")
     a.sum_duplicates()
     a.sort_indices()
@@ -202,10 +203,12 @@ def _dual_diagonal(problem: EstimationProblem, dual_shift: float) -> np.ndarray:
 
 
 def _kkt(h: np.ndarray, a: sp.csr_matrix, dual: np.ndarray) -> sp.csc_matrix:
-    """``[[diag(h), A^T], [A, -diag(dual)]]``, storing only nonzero duals."""
+    """``[[diag(h), A^T], [A, -diag(dual)]]``, with no stored zeros."""
     on = np.flatnonzero(dual)
     lower_right = sp.csc_matrix((-dual[on], (on, on)), shape=(dual.size,) * 2)
-    kkt = sp.bmat([[sp.diags(h), a.T], [a, lower_right]], format="csc")
+    kkt = sp.bmat([[measurement.diagonal(h), a.T], [a, lower_right]],
+                  format="csc")
+    kkt.eliminate_zeros()  # SuperLU would order and fill around them
     kkt.sort_indices()
     return kkt
 
@@ -216,34 +219,38 @@ def _kkt_matrix(problem: EstimationProblem) -> sp.csc_matrix:
                 _dual_diagonal(problem, 0.0))
 
 
-def _equilibrate(kkt: sp.csc_matrix) -> np.ndarray:
-    """Symmetric max-norm scaling: s_i = 1/sqrt(max_j |K_ij|)."""
-    row_max = np.abs(kkt).max(axis=1).toarray().ravel()
+def _equilibrate(kkt: sp.csc_matrix) -> tuple[np.ndarray, sp.csc_matrix]:
+    """Symmetric max-norm scaling ``s_i = 1/sqrt(max_j |K_ij|)`` and
+    ``diag(s) K diag(s)``, a new data array on ``kkt``'s own pattern."""
+    row_max = np.zeros(kkt.shape[0])
+    np.maximum.at(row_max, kkt.indices, np.abs(kkt.data))
     row_max[row_max == 0] = 1.0
-    return 1.0 / np.sqrt(row_max)
+    s = 1.0 / np.sqrt(row_max)
+    data = (kkt.data * s[kkt.indices]) * np.repeat(s, np.diff(kkt.indptr))
+    return s, sp.csc_matrix((data, kkt.indices, kkt.indptr), shape=kkt.shape)
 
 
 def _suspect_rows(problem: EstimationProblem, pivots: np.ndarray,
                   pivot_index: np.ndarray) -> list[str]:
-    """Name measurement rows whose pivots collapsed during factorization:
+    """Name the rows whose pivots collapsed during factorization:
     ``pivots`` is ``|diag(U)|`` over every block, ``pivot_index`` the KKT
     index each eliminated, and a pivot collapsed below ``1e-10`` times the
-    largest."""
+    largest.  Collapsed primal pivots name no row and are dropped first."""
     n, labels = problem.n_variables, []
-    for col in pivot_index[pivots < 1e-10 * pivots.max(initial=0.0)]:
-        r = int(col) - n - problem.n_balance_rows
-        if r >= 0:
-            labels.append(problem.measurement_row_label(r))
-        elif col >= n:
-            labels.append(f"balance row {col - n}")
+    collapsed = pivot_index[pivots < 1e-10 * pivots.max(initial=0.0)]
+    for col in collapsed[collapsed >= n].tolist():
+        r = col - n - problem.n_balance_rows
+        labels.append(problem.measurement_row_label(r) if r >= 0
+                      else f"balance row {col - n}")
     return labels
 
 
 def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
     """Solve via sparse LU of the equilibrated augmented KKT system, one
     block at a time: a block is a connected component of A's pattern (one
-    per operand, as no row couples two), and its factor is dropped before
-    the next block is factored.
+    per operand, as no row couples two).  Its slice of A, KKT matrix and
+    scaled copy are built only then; the copy is dropped once factored, the
+    rest before the next block.
 
     The errors are recovered from the soft rows' multipliers as ``e =
     lambda_m / w``.  Residuals are those of the problem with the errors as
@@ -255,7 +262,8 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
     correction moved its solution ``y`` by more than ``tol * ||y||_inf``;
     if any block is singular, every dual block is shifted by ``-delta I``
     (delta = 1e-12 * ||A||_inf) and the shift is surfaced in the
-    diagnostics together with the suspect rows.
+    diagnostics.  ``suspect_rows`` names the rows whose pivots collapsed
+    (see ``_suspect_rows``), with or without the shift.
 
     The diagnostics also record the factorization: ``ordering``,
     ``kkt_nnz`` (the factored matrices), ``lu_nnz`` (``L.nnz + U.nnz``),
@@ -286,24 +294,24 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
     cols, rows = order[order < n], order[order >= n] - n
     col_start = np.searchsorted(labels[cols], np.arange(n_blocks + 1))
     row_start = np.searchsorted(labels[n + rows], np.arange(n_blocks + 1))
-    a_blocks = a[rows][:, cols].tocsr()
 
     def solve_blocks(dual: np.ndarray):
         """``y`` and each block's diagnostics; None if a block is singular."""
         y, blocks = np.empty(size), []
         for c0, c1, r0, r1 in zip(col_start, col_start[1:],
                                   row_start, row_start[1:]):
-            index = np.r_[cols[c0:c1], n + rows[r0:r1]]
-            kkt = _kkt(problem.hessian_diag[cols[c0:c1]],
-                       a_blocks[r0:r1, c0:c1], dual[rows[r0:r1]])
-            s = _equilibrate(kkt)
-            scaled = (sp.diags(s) @ kkt @ sp.diags(s)).tocsc()
+            c, r = cols[c0:c1], rows[r0:r1]
+            index = np.r_[c, n + r]
+            kkt = _kkt(problem.hessian_diag[c], a[r][:, c], dual[r])
+            s, scaled = _equilibrate(kkt)
             try:
                 lu = spla.splu(scaled, permc_spec=KKT_ORDERING, panel_size=1,
                                options=dict(SymmetricMode=True,
                                             DiagPivotThresh=0.001))
             except RuntimeError:
                 return None
+            # SuperLU keeps no reference to it; refinement reads kkt.
+            del scaled
             y_b = correction = s * lu.solve(s * rhs[index])
             history = []
             while True:
@@ -316,11 +324,12 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
                     break
                 correction = s * lu.solve(s * residual)
                 y_b = y_b + correction
-            y[index], kkt_nnz = y_b, scaled.nnz
+            y[index], kkt_nnz = y_b, kkt.nnz
             # lu.L and lu.U build CSC copies that live with the factor, the
-            # solve's peak, so the block's matrices go first.  SuperLU
-            # factors Pr K Pc = L U: pivot i eliminates column perm_c == i.
-            del kkt, scaled
+            # solve's peak, so the block's matrix and vectors go first; none
+            # is left for the next block to factor around.  SuperLU factors
+            # Pr K Pc = L U: pivot i eliminates column perm_c == i.
+            del kkt, y_b, correction, residual
             blocks.append((kkt_nnz, lu.L.nnz + lu.U.nnz, history,
                            np.abs(lu.U.diagonal()), index[np.argsort(lu.perm_c)]))
             del lu
@@ -343,10 +352,8 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
         fill_ratio=sum(lu_nnz) / sum(kkt_nnz), refinement_rounds=rounds,
         refinement_residuals=[max(h[min(i, len(h) - 1)] for h in histories)
                               for i in range(rounds + 1)])
-    suspects = _suspect_rows(problem, np.concatenate(pivots),
-                             np.concatenate(pivot_index))
-    if suspects and not diagnostics["regularized"]:
-        diagnostics["suspect_rows"] = suspects
+    diagnostics["suspect_rows"] = _suspect_rows(
+        problem, np.concatenate(pivots), np.concatenate(pivot_index))
 
     lam = y[n:]
     return _extract_solution(problem, y[:n], lam[problem.n_hard_rows:]
@@ -398,10 +405,19 @@ def _extract_solution(problem: EstimationProblem, x: np.ndarray,
 # Residual reporting
 # ---------------------------------------------------------------------------
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a nonempty array, to the bit on finite values,
+    without its NaN check, which executes numpy.ma.  Its mean adds from
+    +0.0, so a lone -0.0 comes out as 0.0."""
+    lo, hi = (values.size - 1) // 2, values.size // 2
+    part = np.partition(values, [lo, hi])
+    return float((0.0 + part[lo] + part[hi]) / 2 if lo < hi else 0.0 + part[hi])
+
+
 def _stats(values: np.ndarray) -> dict:
     # l2 sums with np.sum for the reason the objective does.
     return {"count": int(values.size), "min": float(values.min()),
-            "median": float(np.median(values)), "max": float(values.max()),
+            "median": _median(values), "max": float(values.max()),
             "l2": float(np.sqrt(np.sum(values * values)))}
 
 

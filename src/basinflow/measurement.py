@@ -715,6 +715,13 @@ def compute_weights(constant: np.ndarray) -> np.ndarray:
     return 1.0 / np.maximum(constant * constant, WEIGHT_FLOOR)
 
 
+def diagonal(values: np.ndarray) -> sp.csr_matrix:
+    """``diag(values)`` from index arrays: scipy's ``dia`` constructors
+    (``sp.diags``, ``sp.eye``, ``sp.identity``) execute numpy.ma."""
+    n = values.size
+    return sp.csr_matrix((values, np.arange(n), np.arange(n + 1)), shape=(n, n))
+
+
 def expand_constraints(system: MeasurementSystem,
                        k_steps: int) -> MeasurementSystem:
     """Lift single-step rows onto a ``k_steps`` horizon (the paper's D_T).
@@ -735,7 +742,8 @@ def expand_constraints(system: MeasurementSystem,
     data = np.flatnonzero(~relation)
     rel = np.flatnonzero(relation)
     d = sp.vstack([sp.kron(np.ones((1, k_steps)), system.d[data]),
-                   sp.kron(sp.identity(k_steps), system.d[rel])], format="csr")
+                   sp.kron(diagonal(np.ones(k_steps)), system.d[rel])],
+                  format="csr")
     src = np.concatenate([data, np.tile(rel, k_steps)])
     step = np.concatenate([np.zeros(data.size, dtype=np.intp),
                            np.repeat(np.arange(k_steps), rel.size)])

@@ -1,5 +1,6 @@
 import math
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -205,8 +206,19 @@ class TestSolveBasics:
         solution = est.solve(problem)
         assert solution.diagnostics["regularized"]
         assert "dual_shift" in solution.diagnostics
+        # the shift keeps the duplicate's pivot small, and it is surfaced
+        assert solution.diagnostics["suspect_rows"] == ["row 1"]
         assert solution.x[0] == pytest.approx(1.0, rel=1e-9)
         assert solution.converged
+
+    def test_explicit_zeros_are_not_factored(self):
+        # a bundle's zero delivery factors store zero coefficients in D
+        a = sp.csr_matrix((np.array([1.0, 0.0, 1.0]), np.array([0, 1, 1]),
+                           np.array([0, 2, 3])), shape=(2, 2))
+        solution = est.solve(hard_problem([1.0, 1.0], a, [1.0, 2.0]))
+        # diag(h) and the two stored nonzeros, each once in A and once in A^T
+        assert solution.diagnostics["kkt_nnz"] == 2 + 2 * 2
+        assert solution.x == pytest.approx([1.0, 2.0], rel=1e-12)
 
 
 class TestFactorizationDiagnostics:
@@ -567,6 +579,61 @@ def references(held: list) -> list[int]:
     return [sys.getrefcount(item) for item in held]
 
 
+class TestEquilibration:
+    @staticmethod
+    def reference(kkt):
+        """The scaling and the scaled matrix as scipy's own operations
+        compute them."""
+        row_max = np.abs(kkt).max(axis=1).toarray().ravel()
+        row_max[row_max == 0] = 1.0
+        s = 1.0 / np.sqrt(row_max)
+        return s, (sp.diags(s) @ kkt @ sp.diags(s)).tocsc()
+
+    def assert_bit_identical(self, kkt):
+        s, scaled = est._equilibrate(kkt)
+        want_s, want = self.reference(kkt)
+        assert np.array_equal(s, want_s)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(scaled, name), getattr(want, name))
+
+    @pytest.mark.parametrize("k_steps", [1, 3])
+    @pytest.mark.parametrize("args", list(BUNDLE_DIGESTS),
+                             ids=["per-segment", "grouped"])
+    def test_block_scaling_matches_scipy(self, tmp_path, monkeypatch, args,
+                                         k_steps):
+        problem = synth_problem(tmp_path, args, k_steps)
+        kkt, blocks = est._kkt, []
+
+        def record(*operands):
+            blocks.append(kkt(*operands))
+            return blocks[-1]
+
+        monkeypatch.setattr(est, "_kkt", record)
+        est.solve(problem)
+        assert len(blocks) == len(OPERAND_NAMES)
+        for block in blocks:
+            self.assert_bit_identical(block)
+
+    def test_empty_row_keeps_unit_scale(self):
+        # the second constraint row has no entries and a zero dual
+        block = est._kkt(np.array([4.0]), sp.csr_matrix([[2.0], [0.0]]),
+                         np.zeros(2))
+        assert block.getnnz(axis=1).tolist() == [2, 1, 0]
+        self.assert_bit_identical(block)
+        assert est._equilibrate(block)[0][2] == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                              min_value=-1e300, max_value=1e300),
+                    min_size=1, max_size=12)
+           | st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0]),
+                      min_size=1, max_size=12))
+    def test_median_matches_numpy_bit_for_bit(self, values):
+        values = np.array(values)
+        assert np.float64(est._median(values)).tobytes() \
+            == np.median(values).tobytes()
+
+
 class TestOperandBlocks:
     @pytest.mark.parametrize("k_steps", [1, 3])
     @pytest.mark.parametrize("args", list(BUNDLE_DIGESTS),
@@ -597,6 +664,30 @@ class TestOperandBlocks:
             == problem.n_variables + problem.n_rows
         assert sum(m.nnz for m in factored) == solution.diagnostics["kkt_nnz"]
         assert solution.converged
+
+    def test_scaled_matrix_freed_once_factored(self, tmp_path, monkeypatch):
+        # SuperLU keeps no reference to the matrix it factored, so the
+        # scaled copy is gone before the factor's first solve.
+        import scipy.sparse.linalg as spla
+
+        problem = synth_problem(tmp_path, list(BUNDLE_DIGESTS)[0], 3)
+        splu, alive = spla.splu, []
+
+        class Factor:
+            def __init__(self, matrix, *rest, **options):
+                self.lu = splu(matrix, *rest, **options)
+                self.matrix = weakref.ref(matrix)
+
+            def __getattr__(self, name):
+                return getattr(self.lu, name)
+
+            def solve(self, rhs):
+                alive.append(self.matrix() is not None)
+                return self.lu.solve(rhs)
+
+        monkeypatch.setattr(spla, "splu", Factor)
+        assert est.solve(problem).converged
+        assert alive and not any(alive)
 
 
 class TestUniqueness:

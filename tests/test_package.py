@@ -73,6 +73,24 @@ print(numpy.ma.masked_array([1.0, 2.0]).sum() == 3.0,
     assert run_fresh(probe).splitlines()[-2:] == ["[]", "True True"]
 
 
+@pytest.mark.parametrize("k_steps", ["1", "3"])
+def test_estimate_leaves_numpy_ma_and_polynomial_unexecuted(tmp_path, k_steps):
+    # np.median and scipy's dia matrices would execute numpy.ma; K=3 lifts
+    # the relation rows onto the horizon as well.
+    bundle = tmp_path / "bundle"
+    assert cli.main(["synth", "--outlets", "30", "--seed", "7",
+                     "--out", str(bundle)]) == 0
+    probe = f"""
+import sys
+from basinflow import cli
+assert cli.main(["estimate", "--config", {str(bundle / "config.json")!r},
+                 "--k-steps", {k_steps!r}]) == 0
+print(sorted({{"numpy.ma.core", "numpy.polynomial.polynomial"}}
+             & sys.modules.keys()))
+"""
+    assert run_fresh(probe).splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("name", basinflow.LAZY_MODULES)
 def test_lazy_module_imported_first_is_kept(name):
     # A lazy module imported before the package keeps its identity.
