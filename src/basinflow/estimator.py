@@ -221,7 +221,9 @@ def _kkt_matrix(problem: EstimationProblem) -> sp.csc_matrix:
 
 def _equilibrate(kkt: sp.csc_matrix) -> tuple[np.ndarray, sp.csc_matrix]:
     """Symmetric max-norm scaling ``s_i = 1/sqrt(max_j |K_ij|)`` and
-    ``diag(s) K diag(s)``, a new data array on ``kkt``'s own pattern."""
+    ``diag(s) K diag(s)``, a new data array on ``kkt``'s own pattern, made
+    canonical first: ``splu`` sorts an unsorted input's indices in place."""
+    kkt.sum_duplicates()
     row_max = np.zeros(kkt.shape[0])
     np.maximum.at(row_max, kkt.indices, np.abs(kkt.data))
     row_max[row_max == 0] = 1.0

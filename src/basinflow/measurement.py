@@ -186,7 +186,7 @@ def _first(flags) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
-def _parse_numbers(raw: list[str], problems: list) -> np.ndarray:
+def _parse_numbers(raw: Sequence[str], problems: list) -> np.ndarray:
     """``raw`` as floats; the first value that is not a number and the first
     that is not finite go to ``problems`` as (row, message).  ``1_000`` and
     non-ASCII digits, which ``float`` reads but no CSV writer writes, are not."""
@@ -210,6 +210,10 @@ def _parse_numbers(raw: list[str], problems: list) -> np.ndarray:
     return values
 
 
+# The rows that ``read_table`` parses at a time.
+READ_CHUNK_ROWS = 4096
+
+
 def read_table(path, dtype: np.dtype, nonnegative: str = "",
                key: Sequence[str] = ()) -> np.recarray:
     """Read a CSV file into a table of ``dtype``.
@@ -222,7 +226,65 @@ def read_table(path, dtype: np.dtype, nonnegative: str = "",
     their ``key`` columns.  The first row that breaks a rule, or has fewer
     fields than the header, is reported with the file and line that hold
     it, as is a field beyond ``csv.field_size_limit()``; a file not in UTF-8 is named.
+    Rows are parsed ``READ_CHUNK_ROWS`` at a time, and no row list outlives
+    its chunk.
     """
+    numbers = [name for name in dtype.names if dtype[name] != object]
+    # Per text column, each distinct raw value's shared str and the shared
+    # strs by value, kept across chunks: each raw value is normalized once,
+    # and every row that holds a value shares one str.
+    vocab = {name: ({}, {}) for name in dtype.names if name not in numbers}
+    # ``problems`` holds (row, message), or (row, message, repeated row).
+    seen, parts, problems = {}, [], []
+
+    def parse(rows: list[list[str]], start: int) -> np.ndarray:
+        """Rows ``start`` on, as a table; their problems go to ``problems``."""
+        found = []
+        if min(map(len, rows)) < len(header):
+            short = _first([len(row) < len(header) for row in rows])
+            found.append((short, f"{len(rows[short])} fields, the header has "
+                                 f"{len(header)}"))
+            del rows[short:]
+        columns = list(zip(*rows)) or [()] * len(header)
+        # np.zeros, not np.empty: several times faster for object fields.
+        out = np.zeros(len(rows), dtype)
+        for name, (shared_of, shared) in vocab.items():
+            fold = str.lower if name in _LOWERCASE else str
+            column = columns[header.index(name)]
+            for raw in set(column).difference(shared_of):
+                shared_of[raw] = shared.setdefault(text := fold(raw.strip()), text)
+            out[name] = [shared_of[raw] for raw in column]
+        # Checks in the order a row reports them: operand, numbers, choices.
+        if "operand" in dtype.names:
+            bad = _first([v not in OPERAND_NAMES for v in out["operand"]])
+            if bad is not None:
+                raw = columns[header.index("operand")][bad]
+                found.append((bad, f"unknown operand {raw!r}; expected "
+                                   f"{' or '.join(OPERAND_NAMES)}"))
+        for name in numbers:
+            out[name] = _parse_numbers(columns[header.index(name)], found)
+        for name, (allowed, message) in _CHOICES.items():
+            if name in dtype.names:
+                bad = _first([v not in allowed for v in out[name]])
+                if bad is not None:
+                    found.append((bad, message(out[name][bad])))
+        for name in numbers if nonnegative else ():
+            bad = _first(out[name] < 0)
+            if bad is not None:
+                found.append((bad, f"{nonnegative} must be >= 0, got "
+                                   f"{float(out[name][bad])}"))
+        for i, values in enumerate(zip(*(out[name].tolist() for name in key)),
+                                   start):
+            first = seen.setdefault(values, i)
+            # The first line is named once the whole file is read: reading
+            # it for line numbers now could meet a csv error first.
+            if first != i:
+                found.append((i - start, f"repeats the ({', '.join(key)}) key "
+                                         f"{values} of line", first))
+                break
+        problems.extend((start + row, *rest) for row, *rest in found)
+        return out
+
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -231,62 +293,25 @@ def read_table(path, dtype: np.dtype, nonnegative: str = "",
             if missing:
                 raise DatasetFormatError(
                     f"{path}: missing required column(s) {', '.join(missing)}")
-            rows = [row for row in reader if row]
+            rows, start = filter(None, reader), 0
+            # No row after a problem's chunk can come first, so later chunks
+            # are only read: a csv or UTF-8 error in them still wins.
+            while chunk := list(itertools.islice(rows, READ_CHUNK_ROWS)):
+                if not problems:
+                    parts.append(parse(chunk, start))
+                start += len(chunk)
+                del chunk  # before the next is read
         except UnicodeDecodeError as exc:
             raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
         except csv.Error as exc:  # a field beyond csv.field_size_limit()
             raise DatasetFormatError(f"{path} line {reader.line_num}: {exc}") from exc
-    problems: list[tuple[int, str]] = []
-    if rows and min(map(len, rows)) < len(header):
-        short = _first([len(row) < len(header) for row in rows])
-        problems.append((short, f"{len(rows[short])} fields, the header has "
-                                f"{len(header)}"))
-        del rows[short:]
-    # np.zeros, not np.empty: several times faster for object fields.
-    out = np.zeros(len(rows), dtype).view(np.recarray)
-    numbers = [name for name in dtype.names if dtype[name] != object]
-    for name in dtype.names:
-        if name not in numbers:
-            i = header.index(name)
-            fold = str.lower if name in _LOWERCASE else str
-            # Each distinct raw value is normalized once, and every row that
-            # holds a value shares one str: one str per value, not per cell.
-            shared: dict[str, str] = {}
-            vocab = {raw: shared.setdefault(text := fold(raw.strip()), text)
-                     for raw in {row[i] for row in rows}}
-            out[name] = [vocab[row[i]] for row in rows]
-    # Checks in the order a row reports them: operand, numbers, choices.
-    if "operand" in dtype.names:
-        bad = _first([v not in OPERAND_NAMES for v in out.operand])
-        if bad is not None:
-            raw = rows[bad][header.index("operand")]
-            problems.append((bad, f"unknown operand {raw!r}; expected "
-                                  f"{' or '.join(OPERAND_NAMES)}"))
-    for name in numbers:
-        i = header.index(name)
-        out[name] = _parse_numbers([row[i] for row in rows], problems)
-    for name, (allowed, message) in _CHOICES.items():
-        if name in dtype.names:
-            bad = _first([v not in allowed for v in out[name]])
-            if bad is not None:
-                problems.append((bad, message(out[name][bad])))
-    for name in numbers if nonnegative else ():
-        bad = _first(out[name] < 0)
-        if bad is not None:
-            problems.append((bad, f"{nonnegative} must be >= 0, got "
-                                  f"{float(out[name][bad])}"))
-    if key:
-        seen: dict[tuple, int] = {}
-        for i, values in enumerate(zip(*(out[name].tolist() for name in key))):
-            first = seen.setdefault(values, i)
-            if first != i:
-                problems.append((i, f"repeats the ({', '.join(key)}) key "
-                                    f"{values} of line {_lines(path)[first]}"))
-                break
     if problems:
-        row, message = min(problems, key=lambda problem: problem[0])
-        raise DatasetFormatError(f"{path} line {_lines(path)[row]}: {message}")
-    return out
+        lines = _lines(path)
+        row, message, *first = min(problems, key=lambda problem: problem[0])
+        if first:
+            message += f" {lines[first[0]]}"
+        raise DatasetFormatError(f"{path} line {lines[row]}: {message}")
+    return np.concatenate(parts or [np.zeros(0, dtype)]).view(np.recarray)
 
 
 def _lines(path) -> list[int]:
@@ -688,7 +713,8 @@ def assemble_system(network: "WatershedNetwork", capabilities: Capabilities,
     system and the report-only StreamToTide rows) and the skipped-record
     notes.  Blocks stack in ``FAMILIES`` order.  Without a delivery model
     the transport-relation and StreamToTide rows are left out; a missing
-    applied or loads table gives no rows."""
+    applied or loads table gives no rows.  The system is the report rows'
+    leading rows and shares their arrays, so neither may be mutated."""
     if applied is None:
         applied = table(APPLIED)
     if loads is None:
@@ -703,11 +729,17 @@ def assemble_system(network: "WatershedNetwork", capabilities: Capabilities,
     if delivery is None:
         system = stack_systems(blocks)
         return system, system, skipped
-    system = stack_systems(blocks + [assemble_transport_relations(
-        network, capabilities, delivery)])
+    blocks.append(assemble_transport_relations(network, capabilities, delivery))
     stream, notes = assemble_stream_to_tide(loads, network, capabilities,
                                             delivery)
-    return system, stack_systems([system, stream]), skipped + notes
+    # One copy of the rows: the system is the report rows' leading n, as views.
+    n, fit_rows = sum(map(len, blocks)), stack_systems(blocks + [stream])
+    d = fit_rows.d
+    system = MeasurementSystem(
+        sp.csr_matrix((d.data, d.indices, d.indptr[:n + 1]), shape=(n, d.shape[1])),
+        fit_rows.constant[:n], fit_rows.family[:n], fit_rows.operand[:n],
+        fit_rows.key[:n])
+    return system, fit_rows, skipped + notes
 
 
 def compute_weights(constant: np.ndarray) -> np.ndarray:

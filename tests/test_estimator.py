@@ -614,6 +614,31 @@ class TestEquilibration:
         for block in blocks:
             self.assert_bit_identical(block)
 
+    def test_unsorted_kkt_survives_its_factorization(self, monkeypatch):
+        # The scaled matrix shares kkt's pattern, and splu sorts the indices
+        # of a matrix it is given unsorted in place, so kkt is made
+        # canonical first; else refinement reads data off a moved pattern.
+        kkt, blocks = est._kkt, []
+
+        def unsorted(*operands):
+            block = kkt(*operands)
+            # each column's entries in reverse: the same matrix, unsorted
+            column = np.repeat(np.arange(block.shape[1]), np.diff(block.indptr))
+            order = np.lexsort((-np.arange(block.nnz), column))
+            block = sp.csc_matrix((block.data[order], block.indices[order],
+                                   block.indptr), shape=block.shape)
+            assert not block.has_sorted_indices
+            blocks.append((block, block.toarray()))
+            return block
+
+        monkeypatch.setattr(est, "_kkt", unsorted)
+        solution = est.solve(bundle_problem(3))
+        assert len(blocks) == len(OPERAND_NAMES)
+        for block, dense in blocks:
+            assert np.array_equal(block.toarray(), dense)
+        assert solution.converged
+        assert solution.diagnostics["refinement_residuals"][-1] <= 1e-12
+
     def test_empty_row_keeps_unit_scale(self):
         # the second constraint row has no entries and a zero dual
         block = est._kkt(np.array([4.0]), sp.csr_matrix([[2.0], [0.0]]),

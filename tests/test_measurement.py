@@ -1,6 +1,10 @@
+import contextlib
+import csv
 import hashlib
 import math
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 
 import basinflow as bf
 from basinflow import measurement as ms
+from basinflow import report
 from basinflow.core_net import OPERAND_NAMES
 from basinflow.topology import instantiate_capabilities, load_network
 
@@ -599,6 +604,27 @@ def test_pinned_row_digests(tmp_path, args):
     assert got == ROW_DIGESTS[args]
 
 
+def test_system_is_the_leading_fit_rows():
+    # one copy of the one-step rows: the system is a view of the report
+    # rows, which add StreamToTide rows after it
+    net, truth, datasets = bf.generate_synthetic(10, branching=3, seed=21)
+    delivery = ms.compute_delivery_model(net, datasets.delivery_factors,
+                                         datasets.areas)
+    system, fit_rows, _ = ms.assemble_system(
+        net, truth.capabilities, datasets.applied, datasets.loads, delivery)
+    n = len(system)
+    assert fit_rows.family[n:].tolist() == [ms.STREAM_TO_TIDE] * (len(fit_rows) - n)
+    assert ms.STREAM_TO_TIDE not in system.family
+    for name in ("data", "indices"):
+        assert np.shares_memory(getattr(system.d, name), getattr(fit_rows.d, name))
+    for name in ("constant", "family", "operand"):
+        assert np.shares_memory(getattr(system, name), getattr(fit_rows, name))
+    leading = ms.MeasurementSystem(fit_rows.d[:n], fit_rows.constant[:n],
+                                   fit_rows.family[:n], fit_rows.operand[:n],
+                                   fit_rows.key[:n])
+    assert rows_digest(system) == rows_digest(leading)
+
+
 class TestExpandConstraints:
     def test_single_step_passthrough(self, chain_network):
         caps = chain_caps(chain_network)
@@ -811,6 +837,175 @@ class TestParsing:
         with pytest.raises(ms.DatasetFormatError) as caught:
             ms.read_applied(path)
         assert str(caught.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+
+GOOD = "alpha,developed,nitrogen,1"
+
+
+def applied_file(path, *rows):
+    """An applied-mass file at ``path`` holding ``rows`` after its header."""
+    path.write_text("county,sector,operand,mass\n"
+                    + "".join(row + "\n" for row in rows), encoding="utf-8")
+    return path
+
+
+@contextlib.contextmanager
+def field_size_limit(limit):
+    old = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
+class TestChunkedReading:
+    """``read_table`` parses ``READ_CHUNK_ROWS`` rows at a time; with chunks
+    of two and three rows every rule names the line a whole file names."""
+
+    @pytest.fixture(autouse=True, params=[2, 3])
+    def tiny_chunks(self, request, monkeypatch):
+        monkeypatch.setattr(ms, "READ_CHUNK_ROWS", request.param)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("e,developed,nitrogen,lots", "'lots' is not a number"),
+        ("e,developed,nitrogen,inf", "'inf' is not a finite number"),
+        ("e,developed,Oxygen,1", "unknown operand 'Oxygen'"),
+        ("e,septic,nitrogen,1", "sector 'septic' not supported"),
+        ("e,developed,nitrogen,-1", "applied mass must be >= 0"),
+    ], ids=["number", "finite", "operand", "choice", "nonnegative"])
+    def test_problem_in_a_later_chunk_names_its_line(self, tmp_path, bad,
+                                                     message):
+        # row 5 lies in the second or third chunk, and a blank line counts
+        path = applied_file(tmp_path / "a.csv", GOOD, GOOD, "", GOOD, GOOD,
+                            bad, GOOD, bad)
+        with pytest.raises(ms.DatasetFormatError,
+                           match=re.escape(f"{path} line 7: {message}")):
+            ms.read_applied(path)
+
+    def test_short_row_beats_a_later_chunk(self, tmp_path):
+        path = applied_file(tmp_path / "a.csv", GOOD, "beta,developed", GOOD,
+                            GOOD, GOOD, "e,developed,nitrogen,lots")
+        with pytest.raises(ms.DatasetFormatError,
+                           match=re.escape(f"{path} line 3: 2 fields, the "
+                                           f"header has 4")):
+            ms.read_applied(path)
+
+    def test_oversize_field_after_a_short_row_wins(self, tmp_path):
+        # the chunks after a short row are read, not kept
+        path = applied_file(tmp_path / "a.csv", GOOD, "beta,developed", GOOD,
+                            GOOD, GOOD, "x" * 100 + ",developed,nitrogen,1")
+        with field_size_limit(50), pytest.raises(
+                ms.DatasetFormatError,
+                match=re.escape(f"{path} line 7: field larger than field "
+                                f"limit (50)")):
+            ms.read_applied(path)
+
+    def test_undecodable_bytes_after_a_short_row_win(self, tmp_path):
+        # past the decoder's first block, so only reading on meets them
+        path = applied_file(tmp_path / "a.csv", GOOD, "beta,developed",
+                            *[GOOD] * 800)
+        path.write_bytes(path.read_bytes() + b"\xff,developed,nitrogen,1\n")
+        with pytest.raises(ms.DatasetFormatError) as caught:
+            ms.read_applied(path)
+        assert str(caught.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+    def test_repeated_key_names_a_line_of_an_earlier_chunk(self, tmp_path):
+        path = tmp_path / "areas.csv"
+        path.write_text("segment,load_source,acres\n"
+                        "s1,forest,1\ns2,forest,1\n\ns3,forest,1\ns1,forest,2\n")
+        with pytest.raises(ms.DatasetFormatError, match=re.escape(
+                f"{path} line 6: repeats the (segment, load_source) key "
+                f"('s1', 'forest') of line 2")):
+            ms.read_areas(path)
+
+    def test_oversize_field_after_a_repeated_key_wins(self, tmp_path):
+        # the repeat's first line is looked up only once the file is read
+        path = tmp_path / "areas.csv"
+        path.write_text("segment,load_source,acres\ns1,forest,1\ns2,forest,1\n"
+                        "s1,forest,2\ns3,forest,1\ns4,forest,1\ns5,forest,1\n"
+                        + "x" * 100 + ",forest,1\n")
+        with field_size_limit(50), pytest.raises(
+                ms.DatasetFormatError,
+                match=re.escape(f"{path} line 8: field larger than field "
+                                f"limit (50)")):
+            ms.read_areas(path)
+
+    def test_blank_lines_at_a_chunk_boundary_skipped(self, tmp_path):
+        path = applied_file(tmp_path / "a.csv", GOOD, GOOD, "", "", "", GOOD,
+                            GOOD, "", "e,developed,nitrogen,lots")
+        with pytest.raises(ms.DatasetFormatError,
+                           match=re.escape(f"{path} line 10: 'lots'")):
+            ms.read_applied(path)
+        applied_file(path, GOOD, GOOD, "", "", "", GOOD, "", GOOD, "")
+        assert ms.read_applied(path).mass.tolist() == [1.0] * 4
+
+    @pytest.mark.parametrize("bad, message", [
+        ("e,septic,Oxygen,lots", "unknown operand 'Oxygen'"),
+        ("e,septic,nitrogen,lots", "'lots' is not a number"),
+        ("e,septic,nitrogen,-1", "sector 'septic' not supported"),
+    ], ids=["operand", "number", "choice"])
+    def test_one_row_reports_in_the_whole_file_order(self, tmp_path, bad,
+                                                     message):
+        path = applied_file(tmp_path / "a.csv", GOOD, GOOD, GOOD, bad)
+        with pytest.raises(ms.DatasetFormatError,
+                           match=re.escape(f"{path} line 5: {message}")):
+            ms.read_applied(path)
+
+    def test_equal_text_across_chunks_is_one_str(self, tmp_path):
+        path = applied_file(tmp_path / "a.csv", "alpha,agricultural,Nitrogen,1",
+                            "beta,developed,phosphorus,2",
+                            " alpha ,Agricultural, nitrogen ,3",
+                            "gamma,developed,phosphorus,4",
+                            "alpha,AGRICULTURAL,NITROGEN,5")
+        table = ms.read_applied(path)
+        for name in ("county", "sector", "operand"):
+            column = table[name]
+            assert column[0] is column[2] is column[4], name
+            assert column[1] is column[3] or name == "county"
+        assert table.mass.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(
+    ["a,developed,nitrogen,1", " B ,Developed,PHOSPHORUS,2.5", "",
+     "c,agricultural,nitrogen,-1", "d,septic,nitrogen,1", "e,developed,oxygen,1",
+     "f,developed,nitrogen,x", "g,developed,nitrogen,nan", "h,developed",
+     "i,developed,nitrogen,1,extra"]), max_size=12),
+    st.integers(1, 4))
+def test_any_chunk_size_reads_as_one_chunk(tmp_path_factory, rows, chunk):
+    path = applied_file(tmp_path_factory.mktemp("chunks") / "a.csv", *rows)
+
+    def read(chunk_rows):
+        with mock.patch.object(ms, "READ_CHUNK_ROWS", chunk_rows):
+            try:
+                table = ms.read_applied(path)
+            except ms.DatasetFormatError as exc:
+                return str(exc)
+            return table.tolist(), [len(set(map(id, table[name])))
+                                    for name in ("county", "sector", "operand")]
+
+    assert read(chunk) == read(len(rows) + 1)
+
+
+def test_reading_peaks_within_three_tables(tmp_path):
+    # No row list outlives its chunk, so a 45,000-row table is read without
+    # holding its rows as lists of cells: the peak stays near the table.
+    n = 45_000
+    written = ms.table_from_columns(
+        report.TABULAR, [f"county-{i // 2:05d}_SYN0_{i // 2:05d}_0000"
+                         for i in range(n)],
+        "land_segment", ["nitrogen", "phosphorus"] * (n // 2), "flow",
+        np.random.default_rng(0).random(n) * 100.0)
+    path = tmp_path / "solution.csv"
+    ms.write_table(path, written)
+    tracemalloc.start()
+    try:
+        table = ms.read_table(path, report.TABULAR)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(table, written)
+    assert peak <= 3 * kept, (peak, kept)
 
 
 class TestDeliveryModelPolicies:
