@@ -37,7 +37,6 @@ from .core_net import (
 )
 from .topology import (
     WatershedNetwork,
-    derive_connectivity_from_names,
     instantiate_capabilities,
     load_network,
     validate_routing,
@@ -79,8 +78,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Capabilities", "CapabilityClass", "CapabilitySpec",
     "build_incidence",
-    "WatershedNetwork", "derive_connectivity_from_names",
-    "instantiate_capabilities", "load_network", "validate_routing",
+    "WatershedNetwork", "instantiate_capabilities", "load_network",
+    "validate_routing",
     "MeasurementConstraint", "MeasurementSystem",
     "assemble_accept_constraints", "assemble_eos_constraints",
     "assemble_eot_constraints", "assemble_stream_to_tide",

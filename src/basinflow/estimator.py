@@ -213,12 +213,6 @@ def _kkt(h: np.ndarray, a: sp.csr_matrix, dual: np.ndarray) -> sp.csc_matrix:
     return kkt
 
 
-def _kkt_matrix(problem: EstimationProblem) -> sp.csc_matrix:
-    """The whole KKT matrix ``[[H, A^T], [A, -W^-1]]``."""
-    return _kkt(problem.hessian_diag, problem.constraint_matrix,
-                _dual_diagonal(problem, 0.0))
-
-
 def _equilibrate(kkt: sp.csc_matrix) -> tuple[np.ndarray, sp.csc_matrix]:
     """Symmetric max-norm scaling ``s_i = 1/sqrt(max_j |K_ij|)`` and
     ``diag(s) K diag(s)``, a new data array on ``kkt``'s own pattern, made

@@ -495,10 +495,11 @@ def compute_delivery_model(network: "WatershedNetwork",
                           f"{sources[i]!r} has a delivery factor but no area; "
                           f"skipped", DataConsistencyWarning, stacklevel=2)
         if not n_shared[g]:
-            raise ValueError("no load source has both a delivery factor and "
-                             "an area")
+            raise ValueError(f"land segment {land_id!r} stage {stage}: no load "
+                             f"source has both a delivery factor and an area")
         if not ok[g]:
-            raise ValueError("total area over shared load sources is zero")
+            raise ValueError(f"land segment {land_id!r} stage {stage}: total "
+                             f"area over shared load sources is zero")
     stage_factor = stage_factor.reshape(len(land_ids), n_stages)
 
     outlets = network.outlets.external_id

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -429,53 +429,6 @@ def validate_routing(network: WatershedNetwork) -> RoutingReport:
                 "no directed path from this outlet reaches an estuary"))
 
     return RoutingReport(tuple(violations))
-
-
-def derive_connectivity_from_names(
-    segment_ids: Sequence[str],
-) -> tuple[list[tuple[str, Optional[str]]], list[tuple[str, str]]]:
-    """Derive river links from CAST-style segment identifiers.
-
-    CAST river segment ids end in a 4-character pointer naming the
-    downstream segment's own 4-character number; the reserved pointer
-    "0000" marks a segment that drains directly to the estuary.  A
-    segment's own number is the last 4 characters of its id once the
-    pointer (and any separator such as "_") is stripped, left-padded with
-    zeros when shorter.  Example: "EL0_4557_0000" is estuarine segment
-    4557; "EL0_4830_4557" drains into it.  An id given twice, or two ids
-    that share a number, raise ``ValueError``.
-
-    Returns ``(links, unresolved)`` where each link is ``(segment,
-    downstream_segment)`` with ``None`` standing for the estuary, and
-    ``unresolved`` lists ``(segment, pointer)`` pairs whose pointer matched
-    no known segment.
-    """
-    own_key: dict[str, str] = {}
-    for seg in segment_ids:
-        if len(seg) < 5:
-            raise ValueError(
-                f"segment id {seg!r} too short for a trailing 4-character "
-                f"downstream pointer"
-            )
-        stem = seg[:-4].rstrip("_-")
-        number = stem[-4:].rjust(4, "0")
-        if own_key.get(number) == seg:
-            raise ValueError(f"segment id {seg!r} is repeated")
-        if own_key.setdefault(number, seg) != seg:
-            raise ValueError(f"segment ids {own_key[number]!r} and {seg!r} "
-                             f"share the number {number!r}")
-
-    links: list[tuple[str, Optional[str]]] = []
-    unresolved: list[tuple[str, str]] = []
-    for seg in segment_ids:
-        pointer = seg[-4:]
-        if pointer == "0000":
-            links.append((seg, None))
-        elif pointer in own_key:
-            links.append((seg, own_key[pointer]))
-        else:
-            unresolved.append((seg, pointer))
-    return links, unresolved
 
 
 def instantiate_capabilities(network: WatershedNetwork) -> Capabilities:

@@ -227,7 +227,9 @@ class TestFactorizationDiagnostics:
         solution = est.solve(problem)
         d = solution.diagnostics
         assert d["ordering"] == "COLAMD"
-        assert d["kkt_nnz"] == est._kkt_matrix(problem).nnz
+        kkt = est._kkt(problem.hessian_diag, problem.constraint_matrix,
+                       est._dual_diagonal(problem, 0.0))
+        assert d["kkt_nnz"] == kkt.nnz
         assert d["fill_ratio"] == d["lu_nnz"] / d["kkt_nnz"]
         residuals = d["refinement_residuals"]
         assert len(residuals) == d["refinement_rounds"] + 1
@@ -521,7 +523,9 @@ class TestReducedKKT:
         assert solution.diagnostics["kkt_nnz"] == sum(m.nnz for m in factored)
         assert solution.converged
         # the dual diagonal is -1/w on the soft rows and empty on the hard ones
-        dual = est._kkt_matrix(problem).diagonal()[problem.n_variables:]
+        kkt = est._kkt(problem.hessian_diag, problem.constraint_matrix,
+                       est._dual_diagonal(problem, 0.0))
+        dual = kkt.diagonal()[problem.n_variables:]
         assert np.array_equal(dual, np.concatenate(
             [np.zeros(problem.n_balance_rows), -1.0 / problem.weight]))
 

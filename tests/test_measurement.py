@@ -1070,3 +1070,31 @@ class TestDeliveryModelPolicies:
             with pytest.raises(ValueError, match=f"{segment!r} has no "
                                                  f"landToWater delivery factors"):
                 ms.compute_delivery_model(net, factors, datasets.areas)
+
+    def test_zero_total_area_names_segment_and_stage(self):
+        # the second segment's acres are all zero; the first is left intact
+        net, _, datasets = bf.generate_synthetic(3, seed=11)
+        segment = net.land_segments[1].external_id
+        areas = datasets.areas.copy()
+        areas.acres[areas.segment == segment] = 0.0
+        with pytest.raises(ValueError) as info:
+            ms.compute_delivery_model(net, datasets.delivery_factors, areas)
+        assert str(info.value) == (
+            f"land segment {segment!r} stage landToWater: total area over "
+            f"shared load sources is zero")
+
+    def test_no_shared_source_names_segment_and_stage(self):
+        # the second segment's areas name load sources no factor names
+        net, _, datasets = bf.generate_synthetic(3, seed=11)
+        segment = net.land_segments[1].external_id
+        areas = datasets.areas.copy()
+        mine = areas.segment == segment
+        areas.load_source[mine] = [f"{source}-elsewhere"
+                                   for source in areas.load_source[mine]]
+        with pytest.warns(ms.DataConsistencyWarning,
+                          match="has a delivery factor but no area"):
+            with pytest.raises(ValueError) as info:
+                ms.compute_delivery_model(net, datasets.delivery_factors, areas)
+        assert str(info.value) == (
+            f"land segment {segment!r} stage landToWater: no load source has "
+            f"both a delivery factor and an area")

@@ -13,7 +13,6 @@ from basinflow.topology import (
     GROUPS,
     NetworkSchemaError,
     WatershedNetwork,
-    derive_connectivity_from_names,
     instantiate_capabilities,
     load_network,
     network_from_dict,
@@ -491,70 +490,6 @@ class TestValidateRouting:
         unreachable = {v.subject for v in report.violations
                        if v.kind == "unreachable_estuary"}
         assert unreachable == {"a", "b", "c"}
-
-
-class TestDeriveConnectivity:
-    def test_single_estuarine_segment(self):
-        links, unresolved = derive_connectivity_from_names(["A0000"])
-        assert links == [("A0000", None)]
-        assert unresolved == []
-
-    def test_pointer_chain(self):
-        links, unresolved = derive_connectivity_from_names(["A0000", "B000A"])
-        assert ("A0000", None) in links
-        assert ("B000A", "A0000") in links
-        assert unresolved == []
-
-    def test_cast_style_ids(self):
-        # underscore-separated ids: 4-digit own number before a 4-digit
-        # downstream pointer
-        ids = ["CB3_0001_0000", "SL9_2720_0001", "XU0_4650_2720"]
-        links, unresolved = derive_connectivity_from_names(ids)
-        assert links == [("CB3_0001_0000", None),
-                         ("SL9_2720_0001", "CB3_0001_0000"),
-                         ("XU0_4650_2720", "SL9_2720_0001")]
-        assert unresolved == []
-
-    def test_unresolved_pointer_listed(self):
-        links, unresolved = derive_connectivity_from_names(
-            ["CB3_0001_0000", "SL9_2720_9999"])
-        assert unresolved == [("SL9_2720_9999", "9999")]
-        assert links == [("CB3_0001_0000", None)]
-
-    def test_empty(self):
-        assert derive_connectivity_from_names([]) == ([], [])
-
-    def test_too_short_id(self):
-        with pytest.raises(ValueError, match="too short"):
-            derive_connectivity_from_names(["A000"])
-
-    def test_shared_number_rejected(self):
-        # either id could own 0001, so C's pointer names no one segment
-        with pytest.raises(ValueError, match=re.escape(
-                "segment ids 'A_0001_0000' and 'B_0001_0000' share the "
-                "number '0001'")):
-            derive_connectivity_from_names(
-                ["A_0001_0000", "B_0001_0000", "C_0002_0001"])
-
-    def test_repeated_id_rejected(self):
-        # a duplicated CAST row would otherwise become a second river link
-        with pytest.raises(ValueError, match=re.escape(
-                "segment id 'A_0001_0000' is repeated")):
-            derive_connectivity_from_names(
-                ["A_0001_0000", "A_0001_0000", "C_0002_0001"])
-
-    def test_generator_ids_reproduce_tree(self):
-        net, _, _ = bf.generate_synthetic(25, branching=2, seed=9)
-        ids = [o.river_segment_id for o in net.outlets]
-        links, unresolved = derive_connectivity_from_names(ids)
-        assert unresolved == []
-        seg_of_outlet = {o.external_id: o.river_segment_id for o in net.outlets}
-        expected = set()
-        for link in net.river_links:
-            downstream = (None if link.to_node == "bay"
-                          else seg_of_outlet[link.to_node])
-            expected.add((seg_of_outlet[link.from_outlet], downstream))
-        assert set(links) == expected
 
 
 class TestInstantiateCapabilities:
