@@ -43,11 +43,10 @@ EXIT_IO = 3
 
 DATASET_FAMILIES = ("applied", "loads", "delivery_factors", "areas")
 # The deterministic ``Solution.diagnostics`` that run_summary.json's solver
-# block records; ``regularized`` and ``negative_flow_count`` sit under
-# ``solution`` and ``tol`` under ``config``.
+# block records; ``negative_flow_count`` sits under ``solution`` and ``tol``
+# under ``config``.
 SOLVER_DIAGNOSTICS = ("ordering", "kkt_nnz", "lu_nnz", "fill_ratio",
-                      "refinement_rounds", "refinement_residuals",
-                      "suspect_rows", "dual_shift")
+                      "refinement_rounds", "refinement_residuals")
 
 
 @dataclass
@@ -272,11 +271,9 @@ def cmd_estimate(config: RunConfig) -> int:
             "converged": solution.converged,
             "max_abs_error": float(np.abs(solution.errors).max(initial=0.0)),
             "negative_flow_count": solution.diagnostics["negative_flow_count"],
-            "regularized": solution.diagnostics.get("regularized", False),
         },
         "solver": {"u0": problem.u0, **{
-            key: solution.diagnostics[key] for key in SOLVER_DIAGNOSTICS
-            if key in solution.diagnostics}},
+            key: solution.diagnostics[key] for key in SOLVER_DIAGNOSTICS}},
         "skipped_records": skipped,
     }
     _write_json(out / "run_summary.json", summary)

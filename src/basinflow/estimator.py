@@ -38,7 +38,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import measurement
-from .measurement import FAMILIES, WEIGHT_FLOOR, MeasurementSystem, row_labels
+from .core_net import OPERAND_NAMES
+from .measurement import FAMILIES, MeasurementSystem, median
 
 DEFAULT_FLOW_PENALTY = 1e-10
 DEFAULT_BUFFER_PENALTY = 1e-12
@@ -101,11 +102,6 @@ class EstimationProblem:
     def n_balance_rows(self) -> int:
         return self.n_steps * self.n_places
 
-    def measurement_row_label(self, r: int) -> str:
-        if self.constraints is not None and r < len(self.constraints):
-            return row_labels(self.constraints, [r])[0]
-        return f"row {r}"
-
 
 @dataclass
 class Solution:
@@ -146,8 +142,8 @@ def assemble_problem(m: sp.spmatrix,
     ``measurement.compute_weights`` of its constant.
 
     The penalties are divided by ``u0^2``, the median squared nonzero datum
-    floored at ``WEIGHT_FLOOR``, so the bias they put on each flow is
-    relative to the data rather than absolute.
+    floored at ``WEIGHT_FLOOR`` (``measurement.unit_squared``), so the bias
+    they put on each flow is relative to the data rather than absolute.
     """
     n_places, n_caps = m.shape
     k_steps = constraints.n_steps
@@ -169,8 +165,7 @@ def assemble_problem(m: sp.spmatrix,
 
     constant = constraints.constant
     weight = measurement.compute_weights(constant)
-    data = constant[constant != 0]
-    u0_sq = max(_median(data * data) if data.size else 0.0, WEIGHT_FLOOR)
+    u0_sq = measurement.unit_squared(constant)
     h = np.concatenate([np.full(k_steps * n_places, beta / u0_sq),
                         np.full(k_steps * n_caps, alpha / u0_sq)])
     # Q_B[k + 1] - Q_B[k] with the zero initial state eliminated.
@@ -195,10 +190,10 @@ def assemble_problem(m: sp.spmatrix,
 # KKT solvers
 # ---------------------------------------------------------------------------
 
-def _dual_diagonal(problem: EstimationProblem, dual_shift: float) -> np.ndarray:
-    """``W^-1 + dual_shift I``, with ``W^-1`` zero on the hard rows."""
-    dual = np.full(problem.n_rows, dual_shift)
-    dual[problem.n_hard_rows:] += 1.0 / problem.weight
+def _dual_diagonal(problem: EstimationProblem) -> np.ndarray:
+    """``W^-1``, zero on the hard rows."""
+    dual = np.zeros(problem.n_rows)
+    dual[problem.n_hard_rows:] = 1.0 / problem.weight
     return dual
 
 
@@ -226,21 +221,6 @@ def _equilibrate(kkt: sp.csc_matrix) -> tuple[np.ndarray, sp.csc_matrix]:
     return s, sp.csc_matrix((data, kkt.indices, kkt.indptr), shape=kkt.shape)
 
 
-def _suspect_rows(problem: EstimationProblem, pivots: np.ndarray,
-                  pivot_index: np.ndarray) -> list[str]:
-    """Name the rows whose pivots collapsed during factorization:
-    ``pivots`` is ``|diag(U)|`` over every block, ``pivot_index`` the KKT
-    index each eliminated, and a pivot collapsed below ``1e-10`` times the
-    largest.  Collapsed primal pivots name no row and are dropped first."""
-    n, labels = problem.n_variables, []
-    collapsed = pivot_index[pivots < 1e-10 * pivots.max(initial=0.0)]
-    for col in collapsed[collapsed >= n].tolist():
-        r = col - n - problem.n_balance_rows
-        labels.append(problem.measurement_row_label(r) if r >= 0
-                      else f"balance row {col - n}")
-    return labels
-
-
 def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
     """Solve via sparse LU of the equilibrated augmented KKT system, one
     block at a time: a block is a connected component of A's pattern (one
@@ -255,15 +235,14 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
     and ``||g||_inf <= tol * (1 + ||[A^T lambda; -lambda_m]||_inf)``.  Up to
     ``MAX_REFINEMENT_ROUNDS`` rounds of iterative refinement are applied
     while a block's KKT residual misses the first bound or the last
-    correction moved its solution ``y`` by more than ``tol * ||y||_inf``;
-    if any block is singular, every dual block is shifted by ``-delta I``
-    (delta = 1e-12 * ||A||_inf) and the shift is surfaced in the
-    diagnostics.  ``suspect_rows`` names the rows whose pivots collapsed
-    (see ``_suspect_rows``), with or without the shift.
+    correction moved its solution ``y`` by more than ``tol * ||y||_inf``.
+    An assembled problem's matrix is nonsingular (H > 0, the balance rows
+    have full row rank, each soft row has the dual pivot ``-1/w``), so a
+    factorization that breaks down raises ``LinAlgError`` naming its block.
 
     The diagnostics also record the factorization: ``ordering``,
-    ``kkt_nnz`` (the factored matrices), ``lu_nnz`` (``L.nnz + U.nnz``),
-    both summed over the blocks, ``fill_ratio`` (their quotient),
+    ``kkt_nnz`` (the factored matrices), ``lu_nnz`` (``SuperLU.nnz``), both
+    summed over the blocks, ``fill_ratio`` (their quotient),
     ``refinement_rounds`` (the most of any block), and
     ``refinement_residuals``, the factored system's residual inf-norm after
     the first solve and after each round.
@@ -278,8 +257,7 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
     n, size = problem.n_variables, problem.n_variables + problem.n_rows
     rhs = np.concatenate([np.zeros(n), problem.rhs])
     b_scale = 1.0 + np.abs(problem.rhs).max(initial=0.0)
-    diagnostics: dict = {"regularized": False, "suspect_rows": [], "tol": tol,
-                         "ordering": KKT_ORDERING}
+    dual = _dual_diagonal(problem)
 
     # The bipartite graph of A's pattern: variables, then rows.
     indptr = np.concatenate([np.zeros(n, a.indptr.dtype), a.indptr])
@@ -291,66 +269,51 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
     col_start = np.searchsorted(labels[cols], np.arange(n_blocks + 1))
     row_start = np.searchsorted(labels[n + rows], np.arange(n_blocks + 1))
 
-    def solve_blocks(dual: np.ndarray):
-        """``y`` and each block's diagnostics; None if a block is singular."""
-        y, blocks = np.empty(size), []
-        for c0, c1, r0, r1 in zip(col_start, col_start[1:],
-                                  row_start, row_start[1:]):
-            c, r = cols[c0:c1], rows[r0:r1]
-            index = np.r_[c, n + r]
-            kkt = _kkt(problem.hessian_diag[c], a[r][:, c], dual[r])
-            s, scaled = _equilibrate(kkt)
-            try:
-                lu = spla.splu(scaled, permc_spec=KKT_ORDERING, panel_size=1,
-                               options=dict(SymmetricMode=True,
-                                            DiagPivotThresh=0.001))
-            except RuntimeError:
-                return None
-            # SuperLU keeps no reference to it; refinement reads kkt.
-            del scaled
-            y_b = correction = s * lu.solve(s * rhs[index])
-            history = []
-            while True:
-                residual = rhs[index] - kkt @ y_b
-                history.append(float(np.abs(residual).max(initial=0.0)))
-                negligible = (np.abs(correction).max(initial=0.0)
-                              <= tol * np.abs(y_b).max(initial=0.0))
-                if (history[-1] <= tol * b_scale and negligible
-                        or len(history) > MAX_REFINEMENT_ROUNDS):
-                    break
-                correction = s * lu.solve(s * residual)
-                y_b = y_b + correction
-            y[index], kkt_nnz = y_b, kkt.nnz
-            # lu.L and lu.U build CSC copies that live with the factor, the
-            # solve's peak, so the block's matrix and vectors go first; none
-            # is left for the next block to factor around.  SuperLU factors
-            # Pr K Pc = L U: pivot i eliminates column perm_c == i.
-            del kkt, y_b, correction, residual
-            blocks.append((kkt_nnz, lu.L.nnz + lu.U.nnz, history,
-                           np.abs(lu.U.diagonal()), index[np.argsort(lu.perm_c)]))
-            del lu
-        return y, blocks
+    y, kkt_nnz, lu_nnz, histories = np.empty(size), 0, 0, []
+    for block, (c0, c1, r0, r1) in enumerate(zip(
+            col_start, col_start[1:], row_start, row_start[1:])):
+        c, r = cols[c0:c1], rows[r0:r1]
+        index = np.r_[c, n + r]
+        kkt = _kkt(problem.hessian_diag[c], a[r][:, c], dual[r])
+        s, scaled = _equilibrate(kkt)
+        try:
+            lu = spla.splu(scaled, permc_spec=KKT_ORDERING, panel_size=1,
+                           options=dict(SymmetricMode=True,
+                                        DiagPivotThresh=0.001))
+        except RuntimeError as exc:
+            soft = r[r >= problem.n_balance_rows] - problem.n_balance_rows
+            name = f"block {block}" + (
+                f" ({OPERAND_NAMES[problem.constraints.operand[soft[0]]]})"
+                if problem.constraints is not None and soft.size else "")
+            raise np.linalg.LinAlgError(
+                f"the factorization of KKT {name} broke down: {exc}") from None
+        # SuperLU keeps no reference to it; refinement reads kkt.
+        del scaled
+        y_b = correction = s * lu.solve(s * rhs[index])
+        history = []
+        while True:
+            residual = rhs[index] - kkt @ y_b
+            history.append(float(np.abs(residual).max(initial=0.0)))
+            negligible = (np.abs(correction).max(initial=0.0)
+                          <= tol * np.abs(y_b).max(initial=0.0))
+            if (history[-1] <= tol * b_scale and negligible
+                    or len(history) > MAX_REFINEMENT_ROUNDS):
+                break
+            correction = s * lu.solve(s * residual)
+            y_b = y_b + correction
+        y[index] = y_b
+        kkt_nnz, lu_nnz = kkt_nnz + kkt.nnz, lu_nnz + lu.nnz
+        histories.append(history)
+        # Nothing of this block is left for the next one to factor around.
+        del kkt, lu, y_b, correction, residual
 
-    delta = 1e-12 * max(spla.norm(a, np.inf) if a.nnz else 1.0, 1.0)
-    result = solve_blocks(_dual_diagonal(problem, 0.0))
-    if result is None:
-        diagnostics.update(regularized=True, dual_shift=delta)
-        result = solve_blocks(_dual_diagonal(problem, delta))
-    if result is None:
-        raise np.linalg.LinAlgError(
-            "KKT system is singular even after dual regularization; "
-            "the constraint matrix is rank deficient")
-    y, blocks = result
-    kkt_nnz, lu_nnz, histories, pivots, pivot_index = zip(*blocks)
     rounds = max(map(len, histories)) - 1
-    diagnostics.update(
-        kkt_nnz=sum(kkt_nnz), lu_nnz=sum(lu_nnz),
-        fill_ratio=sum(lu_nnz) / sum(kkt_nnz), refinement_rounds=rounds,
-        refinement_residuals=[max(h[min(i, len(h) - 1)] for h in histories)
-                              for i in range(rounds + 1)])
-    diagnostics["suspect_rows"] = _suspect_rows(
-        problem, np.concatenate(pivots), np.concatenate(pivot_index))
-
+    diagnostics = {
+        "tol": tol, "ordering": KKT_ORDERING, "kkt_nnz": kkt_nnz,
+        "lu_nnz": lu_nnz, "fill_ratio": lu_nnz / kkt_nnz,
+        "refinement_rounds": rounds,
+        "refinement_residuals": [max(h[min(i, len(h) - 1)] for h in histories)
+                                 for i in range(rounds + 1)]}
     lam = y[n:]
     return _extract_solution(problem, y[:n], lam[problem.n_hard_rows:]
                              / problem.weight, lam, tol, diagnostics)
@@ -401,19 +364,10 @@ def _extract_solution(problem: EstimationProblem, x: np.ndarray,
 # Residual reporting
 # ---------------------------------------------------------------------------
 
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a nonempty array, to the bit on finite values,
-    without its NaN check, which executes numpy.ma.  Its mean adds from
-    +0.0, so a lone -0.0 comes out as 0.0."""
-    lo, hi = (values.size - 1) // 2, values.size // 2
-    part = np.partition(values, [lo, hi])
-    return float((0.0 + part[lo] + part[hi]) / 2 if lo < hi else 0.0 + part[hi])
-
-
 def _stats(values: np.ndarray) -> dict:
     # l2 sums with np.sum for the reason the objective does.
     return {"count": int(values.size), "min": float(values.min()),
-            "median": _median(values), "max": float(values.max()),
+            "median": median(values), "max": float(values.max()),
             "l2": float(np.sqrt(np.sum(values * values)))}
 
 

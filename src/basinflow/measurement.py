@@ -4,9 +4,9 @@ Behavioral datasets (applied nutrient masses, edge-of-stream and
 end-of-tide loads, per-load-source delivery factors and areas) are turned
 into the measurement system ``D U - error = constant``.  Every row is
 soft, so imperfect data never makes the estimation infeasible; its weight
-``1 / max(constant^2, 2)`` (``compute_weights``, which the estimator calls
-on the system it is given) normalizes its squared error by the magnitude
-of the datum it checks.
+``1 / max(constant^2, max(2, phi u0^2))`` (``compute_weights``, which the
+estimator calls on the system it is given) normalizes its squared error by
+the magnitude of the datum it checks, floored in the data's unit ``u0``.
 
 ``D`` is the paper's capability aggregation D_E, one sparse row per datum
 or transport relation and one column per capability, gathered through
@@ -41,6 +41,8 @@ DF_STAGES = ("landToWater", "streamToRiver", "riverToBay")
 MISSING_POLICIES = ("error", "passthrough")
 
 WEIGHT_FLOOR = 2.0  # lbs^2; constants below sqrt(2) share the cap weight 1/2
+# phi: from u0^2 = WEIGHT_FLOOR / phi = 4000 lbs^2 on, the floor is phi u0^2.
+WEIGHT_FLOOR_SHARE = 5e-4
 
 
 class DataConsistencyWarning(UserWarning):
@@ -421,8 +423,9 @@ def compute_delivery_model(network: "WatershedNetwork",
     ``load_source_areas``.  Rows naming no land segment of the network are
     ignored with one warning per table, and a factor whose load source has
     no area is skipped with a warning.  A land segment lacking factors or
-    areas for a stage is an error by default; ``missing_policy=
-    "passthrough"`` substitutes 1.0 with a warning per segment.  Sums run in row order (``np.bincount``).
+    areas for a stage, or whose areas there sum to zero, is an error by
+    default; ``missing_policy="passthrough"`` substitutes 1.0 with a warning
+    per segment.  Sums run in row order (``np.bincount``).
     """
     if missing_policy not in MISSING_POLICIES:
         raise ValueError(f"unknown missing_policy {missing_policy!r}")
@@ -498,8 +501,9 @@ def compute_delivery_model(network: "WatershedNetwork",
             raise ValueError(f"land segment {land_id!r} stage {stage}: no load "
                              f"source has both a delivery factor and an area")
         if not ok[g]:
-            raise ValueError(f"land segment {land_id!r} stage {stage}: total "
-                             f"area over shared load sources is zero")
+            zero = (f"land segment {land_id!r} stage {stage}: total area over "
+                    f"shared load sources is zero")
+            _missing(missing_policy, zero, f"{zero}; defaulting to 1.0")
     stage_factor = stage_factor.reshape(len(land_ids), n_stages)
 
     outlets = network.outlets.external_id
@@ -743,9 +747,28 @@ def assemble_system(network: "WatershedNetwork", capabilities: Capabilities,
     return system, fit_rows, skipped + notes
 
 
+def median(values: np.ndarray) -> float:
+    """``np.median`` of a nonempty array, to the bit on finite values,
+    without its NaN check, which executes numpy.ma.  Its mean adds from
+    +0.0, so a lone -0.0 comes out as 0.0."""
+    lo, hi = (values.size - 1) // 2, values.size // 2
+    part = np.partition(values, [lo, hi])
+    return float((0.0 + part[lo] + part[hi]) / 2 if lo < hi else 0.0 + part[hi])
+
+
+def unit_squared(constant: np.ndarray) -> float:
+    """The data's squared unit ``u0^2``: the median squared nonzero
+    constant, floored at ``WEIGHT_FLOOR``."""
+    data = constant[constant != 0]
+    return max(median(data * data) if data.size else 0.0, WEIGHT_FLOOR)
+
+
 def compute_weights(constant: np.ndarray) -> np.ndarray:
-    """Row weights ``1 / max(constant^2, 2)`` for the rows' constants."""
-    return 1.0 / np.maximum(constant * constant, WEIGHT_FLOOR)
+    """Row weights ``1 / max(c^2, max(2, phi u0^2))`` for the rows'
+    constants ``c``: the floor grows with the data's unit, so a relation
+    row (c = 0) weighs the same against the penalties in any unit."""
+    floor = max(WEIGHT_FLOOR, WEIGHT_FLOOR_SHARE * unit_squared(constant))
+    return 1.0 / np.maximum(constant * constant, floor)
 
 
 def diagonal(values: np.ndarray) -> sp.csr_matrix:

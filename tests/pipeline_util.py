@@ -92,23 +92,13 @@ def dense_oracle_solve(problem: estimator.EstimationProblem,
     kkt[n:, :n] = a_dense
     rhs = np.concatenate([np.zeros(n), problem.rhs])
 
-    def solution(y, diagnostics):
-        return estimator._extract_solution(problem, y[:n_x], y[n_x:n], y[n:],
-                                           tol, diagnostics)
-
-    try:
-        y = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        delta = 1e-12 * max(np.abs(a_dense).sum(axis=1).max(initial=0.0), 1.0)
-        kkt[n:, n:] -= delta * np.eye(m_rows)
-        y = np.linalg.solve(kkt, rhs)
-        return solution(y, {"regularized": True, "dual_shift": delta,
-                            "dense_oracle": True, "tol": tol})
+    y = np.linalg.solve(kkt, rhs)
     residual = rhs - kkt @ y
     b_scale = 1.0 + np.abs(problem.rhs).max(initial=0.0)
     if np.abs(residual).max(initial=0.0) > tol * b_scale:
         y = y + np.linalg.solve(kkt, residual)
-    return solution(y, {"dense_oracle": True, "tol": tol})
+    return estimator._extract_solution(problem, y[:n_x], y[n_x:n], y[n:], tol,
+                                       {"dense_oracle": True, "tol": tol})
 
 
 def build_constraints(network, capabilities, datasets):

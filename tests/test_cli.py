@@ -259,7 +259,7 @@ class TestEstimate:
         summary = json.loads((out_a / "run_summary.json").read_text())
         assert sorted(summary["solver"]) == [
             "fill_ratio", "kkt_nnz", "lu_nnz", "ordering",
-            "refinement_residuals", "refinement_rounds", "suspect_rows", "u0"]
+            "refinement_residuals", "refinement_rounds", "u0"]
         assert not set(summary["solver"]) & set(summary["solution"])
 
     def test_eot_county_outside_network(self, synth_dir, tmp_path):

@@ -200,16 +200,13 @@ class TestSolveBasics:
                             + solution.errors @ (problem.weight * solution.errors))
         assert solution.objective_value == pytest.approx(recomputed, rel=1e-10)
 
-    def test_rank_deficient_rows_regularized(self):
-        # duplicated hard rows without error variables: A is rank 1
+    def test_singular_block_is_named(self):
+        # duplicated hard rows without error variables: A is rank 1, which
+        # no assembled problem is, and the factorization breaks down
         problem = hard_problem([1.0], [[1.0], [1.0]], [1.0, 1.0])
-        solution = est.solve(problem)
-        assert solution.diagnostics["regularized"]
-        assert "dual_shift" in solution.diagnostics
-        # the shift keeps the duplicate's pivot small, and it is surfaced
-        assert solution.diagnostics["suspect_rows"] == ["row 1"]
-        assert solution.x[0] == pytest.approx(1.0, rel=1e-9)
-        assert solution.converged
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"KKT block 0 broke down"):
+            est.solve(problem)
 
     def test_explicit_zeros_are_not_factored(self):
         # a bundle's zero delivery factors store zero coefficients in D
@@ -228,7 +225,7 @@ class TestFactorizationDiagnostics:
         d = solution.diagnostics
         assert d["ordering"] == "COLAMD"
         kkt = est._kkt(problem.hessian_diag, problem.constraint_matrix,
-                       est._dual_diagonal(problem, 0.0))
+                       est._dual_diagonal(problem))
         assert d["kkt_nnz"] == kkt.nnz
         assert d["fill_ratio"] == d["lu_nnz"] / d["kkt_nnz"]
         residuals = d["refinement_residuals"]
@@ -244,29 +241,29 @@ class TestFactorizationDiagnostics:
         assert len(d["refinement_residuals"]) == est.MAX_REFINEMENT_ROUNDS + 1
         assert not solution.converged
 
-    @pytest.mark.parametrize("planted", [0, 2, 4])
-    def test_suspect_rows_name_planted_row(self, planted):
-        # Rows r: x_r + x_{r+1} = r + 1, except the planted row, which puts
-        # 1e-24 on a private variable.  Its 2x2 KKT block [[1, e], [e, 0]]
-        # equilibrates to [[1, 1e-12], [1e-12, 0]]: in either elimination
-        # order the planted dual column gets a pivot below 1e-10, and the
-        # primal pivot is never labelled.
-        n_rows, n_x = 5, 7
-        a = np.zeros((n_rows, n_x))
-        rows = []
-        for r in range(n_rows):
-            cols = [n_x - 1] if r == planted else [r, r + 1]
-            coef = 1e-24 if r == planted else 1.0
-            a[r, cols] = coef
-            constant = 0.0 if r == planted else r + 1.0
-            rows.append(({(1, c): coef for c in cols}, constant,
-                         f"eot/row{r}/nitrogen"))
-        constraints = measurement_system(rows, n_x)
-        problem = hard_problem(np.ones(n_x), a, constraints.constant,
-                               constraints)
-        diagnostics = est.solve(problem).diagnostics
-        assert not diagnostics["regularized"]
-        assert diagnostics["suspect_rows"] == [f"eot/row{planted}/nitrogen"]
+    def test_factor_copies_are_never_read(self, monkeypatch):
+        # lu.L and lu.U build CSC copies of the factor that live with it;
+        # the solve and its diagnostics read neither, nor the permutation
+        import scipy.sparse.linalg as spla
+
+        _, _, _, _, _, problem = assemble_bundle(10, branching=3, seed=2)
+        want = est.solve(problem)
+        splu = spla.splu
+
+        class NoCopies:
+            def __init__(self, *args, **kwargs):
+                self.lu = splu(*args, **kwargs)
+
+            def __getattr__(self, name):
+                if name in ("L", "U", "perm_c"):
+                    raise AssertionError(f"lu.{name} read")
+                return getattr(self.lu, name)
+
+        monkeypatch.setattr(spla, "splu", NoCopies)
+        got = est.solve(problem)
+        assert got.converged
+        assert np.array_equal(got.x, want.x)
+        assert got.diagnostics == want.diagnostics
 
 
 class TestOracleAgreement:
@@ -391,14 +388,17 @@ class TestRecovery:
         assert solution.converged
         assert (np.abs(solution.u[0] - truth.u) / np.abs(truth.u)).max() <= 1e-6
 
-    @pytest.mark.parametrize("seed", [3, 5, 11])
-    def test_recovery_independent_of_index_order(self, seed):
+    @pytest.mark.parametrize("load_scale, seed", [
+        pytest.param(load_scale, seed, id=str(seed) if load_scale == 1e6
+                     else f"{load_scale:g}-{seed}")
+        for load_scale in (1e6, 1e7, 1e10) for seed in (3, 5, 11)])
+    def test_recovery_independent_of_index_order(self, load_scale, seed):
         # At CAST magnitudes the pivot order of the factor can swap a flow
         # whose scaled diagonal is ~1e-25 with a soft row; the flows must
         # not depend on it.  Variables, hard rows and soft rows are each
         # shuffled, and the solution mapped back.
         _, truth, _, _, _, problem = assemble_bundle(100, 3, seed,
-                                                     load_scale=1e6)
+                                                     load_scale=load_scale)
         n_hard = problem.n_hard_rows
         for draw in range(4):
             rng = np.random.RandomState(draw)
@@ -429,6 +429,39 @@ class TestRecovery:
             (constraints.family == ms.EOT)
             & (constraints.operand == OPERAND_NAMES.index("nitrogen")))
         assert np.abs(sparse.errors[eot_rows]).max() > 0
+
+
+class TestCastMagnitudes:
+    """Above ``u0^2 = WEIGHT_FLOOR / WEIGHT_FLOOR_SHARE`` the weight floor
+    grows with the data's unit, so the problem is the same in any unit:
+    ``load_scale`` 1e3 already puts the 100-outlet bundles there."""
+
+    GROUPED = dict(county_mode="grouped", land_per_outlet=(2, 4))
+
+    @pytest.mark.parametrize("load_scale", [1e3, 1e4, 1e7, 1e10])
+    def test_grouped_bundle_solves(self, load_scale):
+        _, _, _, _, _, problem = assemble_bundle(100, 3, 7, load_scale=load_scale,
+                                                 **self.GROUPED)
+        assert problem.u0 ** 2 > ms.WEIGHT_FLOOR / ms.WEIGHT_FLOOR_SHARE
+        assert est.solve(problem).converged
+
+    @pytest.mark.parametrize("grouped", [False, True],
+                             ids=["per-segment", "grouped"])
+    def test_flows_scale_with_the_data(self, grouped):
+        # relative to the largest flow: grouped flows the data do not
+        # determine are set by the penalties, and agree to 3e-12 of it
+        def flows(load_scale):
+            _, _, _, _, _, problem = assemble_bundle(
+                100, 3, 7, load_scale=load_scale,
+                **(self.GROUPED if grouped else {}))
+            solution = est.solve(problem)
+            assert solution.converged
+            return solution.u / load_scale
+
+        want = flows(1e3)
+        for load_scale in (1e4, 1e7, 1e10):
+            assert np.abs(flows(load_scale) - want).max() \
+                <= 1e-9 * np.abs(want).max(), load_scale
 
 
 class TestConservation:
@@ -496,35 +529,38 @@ def bundle_problem(k_steps):
         incidence, ms.expand_constraints(constraints, k_steps))
 
 
-def factored_matrices(monkeypatch) -> list:
-    """Every matrix ``splu`` is given from now on, in call order."""
+def factored_matrices(monkeypatch) -> tuple[list, list]:
+    """Every matrix ``splu`` is given from now on, and every factor it
+    returns, in call order."""
     import scipy.sparse.linalg as spla
 
-    factored = []
+    factored, factors = [], []
     splu = spla.splu
 
     def record(matrix, *args, **kwargs):
         factored.append(matrix)
-        return splu(matrix, *args, **kwargs)
+        factors.append(splu(matrix, *args, **kwargs))
+        return factors[-1]
 
     monkeypatch.setattr(spla, "splu", record)
-    return factored
+    return factored, factors
 
 
 class TestReducedKKT:
     @pytest.mark.parametrize("k_steps", [1, 3])
     def test_errors_leave_the_factored_matrix(self, k_steps, monkeypatch):
         problem = bundle_problem(k_steps)
-        factored = factored_matrices(monkeypatch)
+        factored, factors = factored_matrices(monkeypatch)
         solution = est.solve(problem)
         assert all(m.shape[0] == m.shape[1] for m in factored)
         assert sum(m.shape[0] for m in factored) \
             == problem.n_variables + problem.n_rows
         assert solution.diagnostics["kkt_nnz"] == sum(m.nnz for m in factored)
+        assert solution.diagnostics["lu_nnz"] == sum(lu.nnz for lu in factors)
         assert solution.converged
         # the dual diagonal is -1/w on the soft rows and empty on the hard ones
         kkt = est._kkt(problem.hessian_diag, problem.constraint_matrix,
-                       est._dual_diagonal(problem, 0.0))
+                       est._dual_diagonal(problem))
         dual = kkt.diagonal()[problem.n_variables:]
         assert np.array_equal(dual, np.concatenate(
             [np.zeros(problem.n_balance_rows), -1.0 / problem.weight]))
@@ -659,7 +695,7 @@ class TestEquilibration:
                       min_size=1, max_size=12))
     def test_median_matches_numpy_bit_for_bit(self, values):
         values = np.array(values)
-        assert np.float64(est._median(values)).tobytes() \
+        assert np.float64(ms.median(values)).tobytes() \
             == np.median(values).tobytes()
 
 

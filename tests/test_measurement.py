@@ -1083,6 +1083,25 @@ class TestDeliveryModelPolicies:
             f"land segment {segment!r} stage landToWater: total area over "
             f"shared load sources is zero")
 
+    def test_zero_total_area_passes_through(self):
+        # under passthrough each of the segment's stages defaults to 1.0,
+        # with a warning that names it; the other segments keep theirs
+        net, _, datasets = bf.generate_synthetic(3, seed=11)
+        segment = net.land_segments[1].external_id
+        areas = datasets.areas.copy()
+        areas.acres[areas.segment == segment] = 0.0
+        with pytest.warns(ms.DataConsistencyWarning) as record:
+            model = ms.compute_delivery_model(net, datasets.delivery_factors,
+                                              areas, missing_policy="passthrough")
+        assert [str(w.message) for w in record] == [
+            f"land segment {segment!r} stage {stage}: total area over shared "
+            f"load sources is zero; defaulting to 1.0" for stage in ms.DF_STAGES]
+        intact = ms.compute_delivery_model(net, datasets.delivery_factors,
+                                           datasets.areas)
+        assert model.land_factor[1] == 1.0
+        assert np.delete(model.land_factor, 1).tolist() \
+            == np.delete(intact.land_factor, 1).tolist()
+
     def test_no_shared_source_names_segment_and_stage(self):
         # the second segment's areas name load sources no factor names
         net, _, datasets = bf.generate_synthetic(3, seed=11)
