@@ -42,11 +42,6 @@ EXIT_SOLVER = 2
 EXIT_IO = 3
 
 DATASET_FAMILIES = ("applied", "loads", "delivery_factors", "areas")
-# The deterministic ``Solution.diagnostics`` that run_summary.json's solver
-# block records; ``negative_flow_count`` sits under ``solution`` and ``tol``
-# under ``config``.
-SOLVER_DIAGNOSTICS = ("ordering", "kkt_nnz", "lu_nnz", "fill_ratio",
-                      "refinement_rounds", "refinement_residuals")
 
 
 @dataclass
@@ -270,10 +265,9 @@ def cmd_estimate(config: RunConfig) -> int:
             "kkt_residual": solution.kkt_residual,
             "converged": solution.converged,
             "max_abs_error": float(np.abs(solution.errors).max(initial=0.0)),
-            "negative_flow_count": solution.diagnostics["negative_flow_count"],
+            "negative_flow_count": int((solution.u < 0).sum()),
         },
-        "solver": {"u0": problem.u0, **{
-            key: solution.diagnostics[key] for key in SOLVER_DIAGNOSTICS}},
+        "solver": {"u0": problem.u0, **solution.diagnostics},
         "skipped_records": skipped,
     }
     _write_json(out / "run_summary.json", summary)
@@ -325,10 +319,9 @@ def cmd_report(solution_path: str, config: RunConfig) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     fit.write_csv(out / "fit_report.csv")
-    for row in fit.rows:
-        note = f"  ({row.note})" if row.note else ""
-        print(f"{row.data_type:>20}  {row.operand:>10}  {row.metric:>22}  "
-              f"{row.value:.6g}{note}")
+    for data_type, operand, metric, value, note in fit.rows.tolist():
+        note = f"  ({note})" if note else ""
+        print(f"{data_type:>20}  {operand:>10}  {metric:>22}  {value:.6g}{note}")
     return EXIT_OK
 
 

@@ -118,15 +118,11 @@ class Capabilities:
     land_transport: np.ndarray
     river_transport: np.ndarray
 
-    @property
-    def n_caps(self) -> int:
+    def __len__(self) -> int:
         return self.operand.size
 
-    def __len__(self) -> int:
-        return self.n_caps
-
     def __getitem__(self, i: int) -> CapabilitySpec:
-        i = range(self.n_caps)[i]
+        i = range(len(self))[i]
         origin = int(self.origin[i])
         return CapabilitySpec(i, CAPABILITY_CLASSES[self.capability_class[i]],
                               int(self.operand[i]), None if origin < 0 else origin,
@@ -144,7 +140,7 @@ def build_incidence(capabilities: Capabilities, n_buffers: int) -> sp.csc_matrix
     assembly order.
     """
     n_operands = len(OPERAND_NAMES)
-    caps = np.arange(capabilities.n_caps)
+    caps = np.arange(len(capabilities))
     transports = np.flatnonzero(capabilities.origin != -1)
     operand = capabilities.operand
     for what, ids, values, bound in (

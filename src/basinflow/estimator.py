@@ -309,9 +309,8 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
 
     rounds = max(map(len, histories)) - 1
     diagnostics = {
-        "tol": tol, "ordering": KKT_ORDERING, "kkt_nnz": kkt_nnz,
-        "lu_nnz": lu_nnz, "fill_ratio": lu_nnz / kkt_nnz,
-        "refinement_rounds": rounds,
+        "ordering": KKT_ORDERING, "kkt_nnz": kkt_nnz, "lu_nnz": lu_nnz,
+        "fill_ratio": lu_nnz / kkt_nnz, "refinement_rounds": rounds,
         "refinement_residuals": [max(h[min(i, len(h) - 1)] for h in histories)
                                  for i in range(rounds + 1)]}
     lam = y[n:]
@@ -351,8 +350,6 @@ def _extract_solution(problem: EstimationProblem, x: np.ndarray,
     q_b = x[: k * n_places].reshape(k, n_places)
     u = x[k * n_places:].reshape(k, problem.n_caps)
 
-    diagnostics = dict(diagnostics)
-    diagnostics["negative_flow_count"] = int((u < 0).sum())
     return Solution(
         q_b=q_b, u=u, errors=errors, objective_value=objective,
         kkt_residual=kkt_residual, constraint_residual=constraint_residual,

@@ -437,11 +437,10 @@ def compute_delivery_model(network: "WatershedNetwork",
     position = dict(zip(land_ids, range(len(land_ids))))
     area_of = dict(zip(zip(areas.segment.tolist(), areas.load_source.tolist()),
                        areas.acres.tolist()))
-    area_land = np.array([position.get(s, -1) for s in areas.segment.tolist()],
-                         dtype=np.intp)
+    land, area_land = (np.array([position.get(s, -1) for s in
+                                 rows.segment.tolist()], dtype=np.intp)
+                       for rows in (factors, areas))
     has_area = np.bincount(area_land[area_land >= 0], minlength=len(land_ids)) > 0
-    land = np.array([position.get(s, -1) for s in factors.segment.tolist()],
-                    dtype=np.intp)
     for what, rows, where in (("delivery-factor", factors, land),
                               ("area", areas, area_land)):
         off = np.flatnonzero(where < 0)
@@ -605,7 +604,7 @@ def assemble_accept_constraints(
     sector = np.array([SECTORS.index(k[1]) for k in keys], dtype=np.intp)
     cols = capabilities.accept[lands, sector[rows], op[rows]]
     return _system(rows, cols, np.ones(cols.size), totals, ACCEPT, op, keys,
-                   capabilities.n_caps), skipped
+                   len(capabilities)), skipped
 
 
 def _county_load_rows(loads: np.recarray, kind: str, family: int,
@@ -617,7 +616,7 @@ def _county_load_rows(loads: np.recarray, kind: str, family: int,
         loads[loads.kind == kind], ("county",), network, kind)
     cols = capabilities.land_transport[lands, op[rows]]
     return _system(rows, cols, land_weight[lands], totals, family, op, keys,
-                   capabilities.n_caps), skipped
+                   len(capabilities)), skipped
 
 
 def assemble_eos_constraints(
@@ -676,7 +675,7 @@ def assemble_eot_constraints(
     cols = river.T[op].ravel()  # row o: operand o's estuary-bound transports
     return _system(np.repeat(np.arange(op.size), len(river)), cols,
                    np.ones(cols.size), totals, EOT, op,
-                   [()] * op.size, capabilities.n_caps), skipped
+                   [()] * op.size, len(capabilities)), skipped
 
 
 def assemble_transport_relations(
@@ -707,7 +706,7 @@ def assemble_transport_relations(
                    np.concatenate([transport, member]),
                    np.concatenate([np.ones(transport.size), -ratio[rows]]),
                    np.zeros(len(keys)), TRANSPORT, operand, keys,
-                   capabilities.n_caps)
+                   len(capabilities))
 
 
 def assemble_system(network: "WatershedNetwork", capabilities: Capabilities,

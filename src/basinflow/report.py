@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import statistics
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Optional, Sequence
 
@@ -24,8 +23,8 @@ from .core_net import (
     CapabilitySpec,
 )
 from .estimator import Solution
-from .measurement import (FAMILIES, MeasurementSystem, read_table, row_labels,
-                          table, table_from_columns, write_table)
+from .measurement import (FAMILIES, MeasurementSystem, median, read_table,
+                          row_labels, table, table_from_columns, write_table)
 from .topology import WatershedNetwork, json_numbers
 
 # The scale of the observations each NRMSE normalizer divides by.
@@ -86,7 +85,7 @@ def median_relative_error(pairs: Sequence[tuple[float, float]]) -> float:
         if obs == 0:
             raise ValueError(f"pair {i}: relative error undefined for observed 0")
         errors.append(abs(pred - obs) / abs(obs))
-    return statistics.median(errors)
+    return median(np.array(errors))
 
 
 # ---------------------------------------------------------------------------
@@ -251,27 +250,22 @@ _FIT_ROWS = np.dtype([("data_type", object), ("operand", object),
                       ("metric", object), ("value", float), ("note", object)])
 
 
-@dataclass(frozen=True)
-class FitRow:
-    data_type: str
-    operand: str
-    metric: str
-    value: float
-    note: str = ""
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitReport:
-    rows: tuple[FitRow, ...]
+    """The fit report's rows, a ``_FIT_ROWS`` table in report order."""
+
+    rows: np.recarray
 
     def write_csv(self, path) -> None:
-        write_table(path, table(_FIT_ROWS, map(astuple, self.rows)))
+        write_table(path, self.rows)
 
     def lookup(self, data_type: str, operand: str, metric: str) -> float:
-        for row in self.rows:
-            if (row.data_type, row.operand, row.metric) == (data_type, operand, metric):
-                return row.value
-        raise KeyError((data_type, operand, metric))
+        rows = self.rows
+        hit = np.flatnonzero((rows.data_type == data_type)
+                             & (rows.operand == operand) & (rows.metric == metric))
+        if not hit.size:
+            raise KeyError((data_type, operand, metric))
+        return float(rows.value[hit[0]])
 
 
 def _safe(metric_fn, *args, **kwargs) -> tuple[float, str]:
@@ -287,7 +281,7 @@ _DATA_TYPES = {"accept": "applied", "eos": "eos", "eot": "eot",
                "transport": "transport_relations"}
 
 
-def _relation_fit(d, totals: np.ndarray) -> list[FitRow]:
+def _relation_fit(d, totals: np.ndarray) -> list[tuple]:
     """Median relative error of each transport (a relation row's positive
     entries) against the flow its delivery factors imply (its negative
     entries, negated); rows implying no flow are not scored."""
@@ -298,8 +292,8 @@ def _relation_fit(d, totals: np.ndarray) -> list[FitRow]:
     if not pairs:
         return []
     value, note = _safe(median_relative_error, pairs)
-    return [FitRow("transport_relations", "both", METRIC_MEDIAN_REL, value,
-                   note or "estimated vs delivery-implied")]
+    return [("transport_relations", "both", METRIC_MEDIAN_REL, value,
+             note or "estimated vs delivery-implied")]
 
 
 def build_fit_report(system: MeasurementSystem, totals: np.ndarray,
@@ -317,7 +311,7 @@ def build_fit_report(system: MeasurementSystem, totals: np.ndarray,
         raise ValueError("the fit report needs the one-step system")
     predicted = system.d @ totals
     families, operands = system.family, system.operand
-    rows: list[FitRow] = []
+    rows: list[tuple] = []
     for family, data_type in _DATA_TYPES.items():
         in_family = np.flatnonzero(families == FAMILIES.index(family))
         if family == "transport":
@@ -336,22 +330,21 @@ def build_fit_report(system: MeasurementSystem, totals: np.ndarray,
             pred, obs = predicted[paired], system.constant[paired]
             if family in ("accept", "eos"):
                 value, note = _safe(r_squared, pred, obs)
-                rows.append(FitRow(data_type, op, METRIC_R2, value, note))
+                rows.append((data_type, op, METRIC_R2, value, note))
                 value, note = _safe(nrmse, pred, obs, nrmse_normalizer)
-                rows.append(FitRow(data_type, op, METRIC_NRMSE, value,
-                                   note or f"normalizer={nrmse_normalizer}"))
+                rows.append((data_type, op, METRIC_NRMSE, value,
+                             note or f"normalizer={nrmse_normalizer}"))
                 continue
             value, note = _safe(relative_error, total[code], observed[code])
             if family == "eot":
-                rows.append(FitRow(data_type, op, METRIC_REL, value, note))
+                rows.append((data_type, op, METRIC_REL, value, note))
                 continue
-            rows.append(FitRow(data_type, op, METRIC_REL, value,
-                               note or "on totals"))
+            rows.append((data_type, op, METRIC_REL, value, note or "on totals"))
             pairs = [(p, o) for p, o in zip(pred.tolist(), obs.tolist()) if o != 0]
             value, note = _safe(median_relative_error, pairs)
-            rows.append(FitRow(data_type, op, METRIC_MEDIAN_REL, value,
-                               note or "per county"))
-    return FitReport(tuple(rows))
+            rows.append((data_type, op, METRIC_MEDIAN_REL, value,
+                         note or "per county"))
+    return FitReport(table(_FIT_ROWS, rows))
 
 
 def flow_totals(flows: dict[tuple[str, str, str], float],

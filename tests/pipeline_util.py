@@ -294,4 +294,4 @@ def reference_fit_report_csv(fit, path):
         writer.writerow(["data_type", "operand", "metric", "value", "note"])
         for row in fit.rows:
             writer.writerow([row.data_type, row.operand, row.metric,
-                             repr(row.value), row.note])
+                             repr(float(row.value)), row.note])

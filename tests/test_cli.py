@@ -307,6 +307,48 @@ class TestEstimate:
         assert (tmp_path / "rep" / "fit_report.csv").read_bytes() == \
             (results / "fit_report.csv").read_bytes()
 
+    @pytest.mark.parametrize("dropped, data_types", [
+        (("applied",), {"eos", "eot", "stream_to_tide", "transport_relations"}),
+        (("loads",), {"applied", "transport_relations"}),
+        # With no data row every flow is zero, and a relation that implies
+        # no flow is not scored.
+        (("applied", "loads"), set())], ids=["applied", "loads", "both"])
+    def test_bundle_without_applied_or_loads(self, synth30_dir, tmp_path,
+                                             dropped, data_types):
+        bundle = bundle_copy(synth30_dir, tmp_path)
+        config = bundle / "config.json"
+        doc = json.loads(config.read_text())
+        for family in dropped:
+            del doc["datasets"][family]
+        config.write_text(json.dumps(doc))
+        results = bundle / "results"
+        assert run(["validate", "--config", str(config)]) == 0
+        assert run(["estimate", "--config", str(config)]) == 0
+        assert run(["report", "--config", str(config), "--solution",
+                    str(results / "solution.csv"),
+                    "--output-dir", str(tmp_path / "rep")]) == 0
+        assert (tmp_path / "rep" / "fit_report.csv").read_bytes() == \
+            (results / "fit_report.csv").read_bytes()
+        with open(results / "fit_report.csv", encoding="utf-8", newline="") as fh:
+            assert {row["data_type"] for row in csv.DictReader(fh)} == data_types
+
+    def test_solver_block_is_the_unit_and_the_diagnostics(
+            self, synth30_dir, tmp_path, monkeypatch):
+        solved, est_solve = [], est.solve
+
+        def solve(problem, **kwargs):
+            solved.append((problem, est_solve(problem, **kwargs)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(est, "solve", solve)
+        assert run(["estimate", "--config", str(synth30_dir / "config.json"),
+                    "--output-dir", str(tmp_path)]) == 0
+        [(problem, solution)] = solved
+        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        assert summary["solver"] == {"u0": problem.u0, **solution.diagnostics}
+        assert summary["solution"]["negative_flow_count"] == \
+            int((solution.u < 0).sum())
+
     def test_requires_delivery_factors(self, synth_dir, capsys):
         code = run(["estimate", "--network", str(synth_dir / "network.json"),
                     "--applied", str(synth_dir / "applied.csv")])

@@ -170,7 +170,7 @@ class TestClassCodes:
         def code(*value):
             return CAPABILITY_CLASSES.index(CapabilityClass(value))
 
-        want = np.full(caps.n_caps, -1)
+        want = np.full(len(caps), -1)
         for o, op in enumerate(OPERAND_NAMES):
             for s, sector in enumerate(SECTORS):
                 want[caps.accept[:, s, o]] = code("accept", sector, op)

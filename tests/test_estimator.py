@@ -200,6 +200,11 @@ class TestSolveBasics:
                             + solution.errors @ (problem.weight * solution.errors))
         assert solution.objective_value == pytest.approx(recomputed, rel=1e-10)
 
+    def test_zero_hessian_entry_rejected(self):
+        problem = hard_problem([1.0, 0.0], [[1.0, 1.0]], [1.0])
+        with pytest.raises(ValueError, match="strictly positive"):
+            est.solve(problem)
+
     def test_singular_block_is_named(self):
         # duplicated hard rows without error variables: A is rank 1, which
         # no assembled problem is, and the factorization breaks down
@@ -230,7 +235,7 @@ class TestFactorizationDiagnostics:
         assert d["fill_ratio"] == d["lu_nnz"] / d["kkt_nnz"]
         residuals = d["refinement_residuals"]
         assert len(residuals) == d["refinement_rounds"] + 1
-        assert residuals[-1] <= d["tol"] * (1.0 + np.abs(problem.rhs).max())
+        assert residuals[-1] <= est.DEFAULT_TOL * (1.0 + np.abs(problem.rhs).max())
         assert solution.converged
 
     def test_unreachable_tolerance_exhausts_refinement(self):

@@ -52,6 +52,32 @@ print(callable(numpy.f2py.run_main))
     assert run_fresh(probe).splitlines()[-2:] == ["[]", "True"]
 
 
+def test_commands_leave_statistics_unimported(tmp_path):
+    # The fit report's medians are measurement.median's, so neither start-up
+    # nor a command loads statistics, or the fractions and decimal it needs.
+    bundle = tmp_path / "bundle"
+    assert cli.main(["synth", "--outlets", "30", "--seed", "7",
+                     "--out", str(bundle)]) == 0
+    config, results = bundle / "config.json", bundle / "results"
+    probe = f"""
+import sys
+def loaded():
+    print("loaded", sorted({{"statistics", "fractions", "decimal"}}
+                           & sys.modules.keys()))
+from basinflow import cli
+loaded()
+assert cli.main(["estimate", "--config", {str(config)!r}]) == 0
+loaded()
+assert cli.main(["report", "--config", {str(config)!r}, "--solution",
+                 {str(results / "solution.csv")!r}, "--output-dir",
+                 {str(tmp_path / "rep")!r}]) == 0
+loaded()
+"""
+    lines = run_fresh(probe).splitlines()
+    assert [line for line in lines if line.startswith("loaded")] == \
+        ["loaded []"] * 3
+
+
 def test_report_leaves_numpy_ma_and_polynomial_unexecuted(tmp_path):
     # The shim would execute numpy.ma and numpy.polynomial too; both still
     # work on first use.

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -47,6 +48,10 @@ class TestRSquared:
         with pytest.raises(ValueError, match="variance"):
             rp.r_squared([1.0, 2.0], [5.0, 5.0])
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            rp.r_squared([1.0, 2.0], [1.0, 2.0, 3.0])
+
     def test_least_squares_repredicton_is_best_linear(self):
         rng = np.random.RandomState(7)
         obs = rng.uniform(0, 10, 12)
@@ -87,6 +92,10 @@ class TestNrmse:
         with pytest.raises(ValueError, match="positive"):
             rp.nrmse([1.0, 1.0], [-1.0, 1.0])
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            rp.nrmse([1.0, 2.0, 3.0], [1.0, 2.0])
+
 
 class TestRelativeError:
     def test_equal(self):
@@ -120,6 +129,14 @@ class TestMedianRelativeError:
     def test_empty(self):
         with pytest.raises(ValueError):
             rp.median_relative_error([])
+
+    @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(1e-3, 1e6)),
+                    min_size=1, max_size=9))
+    @settings(max_examples=60)
+    def test_matches_statistics_median_bit_for_bit(self, pairs):
+        errors = [abs(p - o) / abs(o) for p, o in pairs]
+        assert rp.median_relative_error(pairs).hex() == \
+            statistics.median(errors).hex()
 
 
 @pytest.fixture(scope="module")
@@ -474,10 +491,21 @@ class TestFitReport:
         assert fit.lookup("applied", "nitrogen", rp.METRIC_NRMSE) == \
             pytest.approx(0.2, rel=1e-12)
 
+    def test_lookup_of_an_absent_row_is_a_key_error(self):
+        rows = measurement_system(
+            [({(1, 0): 1.0}, 5.0, "accept/alpha/agricultural/nitrogen")], 1)
+        fit = rp.build_fit_report(rows, np.array([4.0]))
+        for key in (("applied", "phosphorus", rp.METRIC_R2),
+                    ("applied", "nitrogen", rp.METRIC_REL),
+                    ("eos", "nitrogen", rp.METRIC_R2)):
+            with pytest.raises(KeyError) as raised:
+                fit.lookup(*key)
+            assert raised.value.args == (key,)
+
     def test_csv_round_trip(self, tmp_path):
-        rows = (rp.FitRow("applied", "nitrogen", rp.METRIC_R2, 0.91),
-                rp.FitRow("eos", "phosphorus", rp.METRIC_R2, -0.072))
-        fit = rp.FitReport(rows)
+        fit = rp.FitReport(ms.table(rp._FIT_ROWS, [
+            ("applied", "nitrogen", rp.METRIC_R2, 0.91, ""),
+            ("eos", "phosphorus", rp.METRIC_R2, -0.072, "")]))
         path = tmp_path / "fit.csv"
         fit.write_csv(path)
         lines = path.read_text().strip().splitlines()
