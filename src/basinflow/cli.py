@@ -9,10 +9,10 @@ basinflow.cli`` and the ``basinflow`` script); ``main`` is the library call.
 
 Exit codes: 0 success, 1 validation/configuration failure (a command-line
 usage error included), 2 solver failure, 3 file I/O failure.  Skipped
-records and data-consistency warnings print to stderr as ``warning:``
-lines.  All numeric defaults are recorded in the run summary for
-provenance; timings go to a separate file so repeated runs produce
-byte-identical result artifacts.
+records, data-consistency warnings and assembly warnings print to stderr
+as ``warning:`` lines.  All numeric defaults are recorded in the run
+summary for provenance; timings go to a separate file so repeated runs
+produce byte-identical result artifacts.
 """
 
 from __future__ import annotations
@@ -376,8 +376,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     formatwarning = warnings.formatwarning
 
     def format_warning(message, category, *where):
-        # A data-consistency warning reads like the skipped-record notes.
-        if issubclass(category, DataConsistencyWarning):
+        # A data or assembly warning reads like the skipped-record notes.
+        if issubclass(category, (DataConsistencyWarning,
+                                 estimator.AssemblyWarning)):
             return f"warning: {message}\n"
         return formatwarning(message, category, *where)
 

@@ -144,6 +144,8 @@ def assemble_problem(m: sp.spmatrix,
     The penalties are divided by ``u0^2``, the median squared nonzero datum
     floored at ``WEIGHT_FLOOR`` (``measurement.unit_squared``), so the bias
     they put on each flow is relative to the data rather than absolute.
+    Rows whose constants are all zero (relations alone, or no rows) admit
+    the all-zero solution, which an ``AssemblyWarning`` says.
     """
     n_places, n_caps = m.shape
     k_steps = constraints.n_steps
@@ -157,10 +159,10 @@ def assemble_problem(m: sp.spmatrix,
         raise ValueError(f"measurement system has {constraints.d.shape[1]} "
                          f"columns; {k_steps} step(s) of {n_caps} "
                          f"capabilities need {k_steps * n_caps}")
-    if not len(constraints):
+    if not np.any(constraints.constant):
         warnings.warn(
-            "no measurement constraints: the problem admits the all-zero "
-            "trivial solution", AssemblyWarning, stacklevel=2,
+            "no measurement row has a nonzero constant: the problem admits "
+            "the all-zero trivial solution", AssemblyWarning, stacklevel=2,
         )
 
     constant = constraints.constant
@@ -268,6 +270,7 @@ def solve(problem: EstimationProblem, tol: float = DEFAULT_TOL) -> Solution:
     cols, rows = order[order < n], order[order >= n] - n
     col_start = np.searchsorted(labels[cols], np.arange(n_blocks + 1))
     row_start = np.searchsorted(labels[n + rows], np.arange(n_blocks + 1))
+    del indptr, labels, order  # the runs are known; factor without them
 
     y, kkt_nnz, lu_nnz, histories = np.empty(size), 0, 0, []
     for block, (c0, c1, r0, r1) in enumerate(zip(

@@ -359,23 +359,28 @@ def _csv_text(text: list[str]) -> list[str]:
     return ['"%s"' % v.replace('"', '""') if special(v) else v for v in text]
 
 
-# The rows that ``write_table`` joins into one write.
+# The rows that ``write_table`` renders into one write.
 WRITE_CHUNK_ROWS = 4096
 
 
-def write_table(path, dataset: np.ndarray) -> None:
-    """Write a table as CSV, byte for byte as ``csv.writer`` writes it: the
+def write_table(path, dataset: np.ndarray,
+                more: Iterable[np.ndarray] = ()) -> None:
+    """Write a table, then each table of ``more`` (of its dtype, taken one
+    at a time), as one CSV, byte for byte as ``csv.writer`` writes it: the
     field names, then one ``\\r\\n``-ended line per row, text quoted only
-    where it must be and each number as its ``repr``.  Rows are joined and
-    written ``WRITE_CHUNK_ROWS`` at a time, so the file is never held whole."""
+    where it must be and each number as its ``repr``.  Rows are rendered
+    and written ``WRITE_CHUNK_ROWS`` at a time from slices of their table,
+    so neither the file nor a whole column of text is ever held."""
     names = dataset.dtype.names
-    columns = [_csv_text(dataset[name].tolist()) if dataset.dtype[name] == object
-               else map(repr, dataset[name].tolist()) for name in names]
-    rows = map(",".join, zip(*columns))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_csv_text(list(names))) + "\r\n")
-        while chunk := list(itertools.islice(rows, WRITE_CHUNK_ROWS)):
-            fh.write("\r\n".join(chunk) + "\r\n")
+        for part in itertools.chain((dataset,), more):
+            for start in range(0, len(part), WRITE_CHUNK_ROWS):
+                chunk = part[start:start + WRITE_CHUNK_ROWS]
+                columns = [_csv_text(chunk[name].tolist())
+                           if chunk.dtype[name] == object
+                           else map(repr, chunk[name].tolist()) for name in names]
+                fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 write_applied = write_loads = write_delivery_factors = write_areas = write_table
@@ -573,7 +578,7 @@ def _county_rows(records: np.recarray, columns: Sequence[str], network,
     """Rows summing ``records.mass`` by ``columns`` and operand, the county
     first, each over its county's land segments.  A key whose county has
     none gives no row, only a note.  Keys come back without the operand,
-    which comes back as codes."""
+    which comes back as codes; the rows of one entity share one key tuple."""
     group, keys = _key_groups(*(records[name] for name in columns),
                               records.operand)
     totals = np.bincount(group, weights=records.mass, minlength=len(keys))
@@ -582,7 +587,8 @@ def _county_rows(records: np.recarray, columns: Sequence[str], network,
     skipped = [f"{what} record for county {key[0]!r} matches no land segment; "
                f"constraint skipped" for key in keys if key[0] not in codes]
     op = np.array([OPERAND_NAMES.index(keys[i][-1]) for i in kept], dtype=np.intp)
-    keys = [keys[i][:-1] for i in kept]
+    entity: dict[tuple, tuple] = {}
+    keys = [entity.setdefault(key := keys[i][:-1], key) for i in kept]
     rows, lands = _members(network.land_county, len(codes))[
         np.array([codes[key[0]] for key in keys], dtype=np.intp)].nonzero()
     return keys, op, totals[kept], rows, lands, skipped
@@ -698,10 +704,12 @@ def assemble_transport_relations(
     inflow = _members(capabilities.destination * n_ops + capabilities.operand,
                       network.n_buffers * n_ops)
     rows, member = inflow[capabilities.origin[transport] * n_ops + operand].nonzero()
-    keys = [(kind, name) for kind, names in (
+    # One key tuple per transported entity, shared by its operands' rows.
+    keys = [key for kind, names in (
                 ("land", network.buffer_names[:len(network.land_segments)]),
                 ("river", network.link_names))
-            for name in names.tolist() for _ in OPERAND_NAMES]
+            for key in zip(itertools.repeat(kind), names.tolist())
+            for _ in OPERAND_NAMES]
     return _system(np.concatenate([np.arange(transport.size), rows]),
                    np.concatenate([transport, member]),
                    np.concatenate([np.ones(transport.size), -ratio[rows]]),

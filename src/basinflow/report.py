@@ -15,6 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import measurement
 from .core_net import (
     CAPABILITY_CLASSES,
     CAPABILITY_KINDS,
@@ -94,6 +95,7 @@ def median_relative_error(pairs: Sequence[tuple[float, float]]) -> float:
 
 # Each class code's kind: a code is ``kind * len(OPERAND_NAMES) + operand``.
 _KIND = np.repeat(np.array(CAPABILITY_KINDS, dtype=object), len(OPERAND_NAMES))
+_OPERANDS = np.array(OPERAND_NAMES, dtype=object)
 
 
 def capability_entity(cap: CapabilitySpec,
@@ -115,7 +117,7 @@ def capability_names(capabilities: Capabilities, network: WatershedNetwork,
     kind = _KIND[capabilities.capability_class]
     entity = capabilities.resource.copy()
     entity[capabilities.river_transport] = network.link_names[:, None]
-    return kind, entity, np.array(OPERAND_NAMES, dtype=object)[capabilities.operand]
+    return kind, entity, _OPERANDS[capabilities.operand]
 
 
 # The tabular export's rows; ``import_tabular`` reads them back.
@@ -156,7 +158,8 @@ def export_results(solution: Solution, network: WatershedNetwork,
     firing rates summed across steps (for a single-step run, the firing
     itself), the same quantity the measurement rows constrain; error rows
     (when constraints are given) carry each measurement row's estimated
-    error.
+    error.  The blocks are written one after another, never joined, and
+    the error rows are built and labelled ``WRITE_CHUNK_ROWS`` at a time.
 
     Geo: a GeoJSON feature collection with Point features per
     (buffer, operand) accumulation and LineString features per transport
@@ -176,17 +179,22 @@ def export_results(solution: Solution, network: WatershedNetwork,
         return [value for value in column for _ in OPERAND_NAMES]
 
     if fmt == "tabular":
-        blocks = [table_from_columns(
-                      TABULAR, by_place(buffer_names), by_place(buffer_kinds),
-                      OPERAND_NAMES * network.n_buffers, "accumulation",
-                      final_q),
-                  flow_rows(capabilities, network, flow_totals)]
-        if constraints is not None:
-            blocks.append(table_from_columns(
-                TABULAR, row_labels(constraints), "constraint",
-                [OPERAND_NAMES[o] for o in constraints.operand.tolist()],
-                "error", solution.errors))
-        write_table(path, np.concatenate(blocks))
+        def more() -> Iterable[np.ndarray]:
+            """The flow rows, then the error rows one write's worth at a
+            time, so their labels are never all rendered at once."""
+            yield flow_rows(capabilities, network, flow_totals)
+            n_rows = 0 if constraints is None else len(constraints)
+            step = measurement.WRITE_CHUNK_ROWS
+            for start in range(0, n_rows, step):
+                rows = np.arange(start, min(start + step, n_rows))
+                yield table_from_columns(
+                    TABULAR, row_labels(constraints, rows), "constraint",
+                    _OPERANDS[constraints.operand[rows]], "error",
+                    solution.errors[rows])
+
+        write_table(path, table_from_columns(
+            TABULAR, by_place(buffer_names), by_place(buffer_kinds),
+            OPERAND_NAMES * network.n_buffers, "accumulation", final_q), more())
         return
 
     # Each buffer's coordinates as JSON text, or None: land segments,

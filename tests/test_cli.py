@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import shutil
+import warnings
 import weakref
 from pathlib import Path
 
@@ -323,7 +324,14 @@ class TestEstimate:
         config.write_text(json.dumps(doc))
         results = bundle / "results"
         assert run(["validate", "--config", str(config)]) == 0
-        assert run(["estimate", "--config", str(config)]) == 0
+        if not data_types:
+            # every constant is zero, so the all-zero solution fits: warned
+            with pytest.warns(est.AssemblyWarning, match="all-zero"):
+                assert run(["estimate", "--config", str(config)]) == 0
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(["estimate", "--config", str(config)]) == 0
         assert run(["report", "--config", str(config), "--solution",
                     str(results / "solution.csv"),
                     "--output-dir", str(tmp_path / "rep")]) == 0

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -149,8 +150,13 @@ class TestAssembleProblem:
         rows = [({(1, 0): 1.0}, constant, "accept/a/agricultural/nitrogen"),
                 ({(1, 1): 1.0, (1, 0): -0.5}, 0.0,
                  "transport/land/land-1/nitrogen")]
-        problem = est.assemble_problem(mini_chain_incidence,
-                                       measurement_system(rows, 3))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            problem = est.assemble_problem(mini_chain_incidence,
+                                           measurement_system(rows, 3))
+        # only when every constant is 0 does the all-zero solution fit
+        assert [w.category for w in caught] == \
+            [est.AssemblyWarning] * (constant == 0)
         assert problem.u0 == math.sqrt(ms.WEIGHT_FLOOR)
         assert (problem.hessian_diag[6:] == problem.alpha / ms.WEIGHT_FLOOR).all()
 

@@ -604,6 +604,27 @@ def test_pinned_row_digests(tmp_path, args):
     assert got == ROW_DIGESTS[args]
 
 
+@pytest.mark.parametrize("args", list(ROW_DIGESTS),
+                         ids=["per-segment", "grouped"])
+def test_operand_rows_share_their_entity_key(tmp_path, args):
+    # an entity's rows hold one key tuple between them, not one per operand
+    assert main(["synth", *args, "--out", str(tmp_path)]) == 0
+    network = load_network(tmp_path / "network.json")
+    delivery = ms.compute_delivery_model(
+        network, ms.read_delivery_factors(tmp_path / "delivery_factors.csv"),
+        ms.read_areas(tmp_path / "areas.csv"))
+    _, fit_rows, _ = ms.assemble_system(
+        network, instantiate_capabilities(network),
+        ms.read_applied(tmp_path / "applied.csv"),
+        ms.read_loads(tmp_path / "loads.csv"), delivery)
+    for family in (ms.ACCEPT, ms.EOS, ms.TRANSPORT, ms.STREAM_TO_TIDE):
+        keys = [fit_rows.key[r] for r in
+                np.flatnonzero(fit_rows.family == family).tolist()]
+        shared = {key: key for key in keys}
+        assert len(keys) == len(OPERAND_NAMES) * len(shared)
+        assert all(key is shared[key] for key in keys)
+
+
 def test_system_is_the_leading_fit_rows():
     # one copy of the one-step rows: the system is a view of the report
     # rows, which add StreamToTide rows after it

@@ -325,6 +325,33 @@ class TestWritersMatchReference:
         assert {feature["geometry"] is None for feature in doc["features"]} \
             == {True, False}
 
+    @pytest.mark.parametrize("chunk_rows", [1, 7])
+    @pytest.mark.parametrize("k_steps", [1, 3])
+    def test_tabular_across_chunk_boundaries(self, awkward_bundle, tmp_path,
+                                             monkeypatch, k_steps, chunk_rows):
+        # rows are written, and error rows labelled, a chunk at a time: the
+        # file is the reference's, and no call labels more than a chunk
+        network, caps, _, constraints, _ = awkward_bundle
+        lifted = ms.expand_constraints(constraints, k_steps)
+        solution = est.solve(est.assemble_problem(
+            build_incidence(caps, network.n_buffers), lifted))
+        labelled = []
+
+        def spy(system, rows=None):
+            labelled.append(len(system) if rows is None else len(rows))
+            return row_labels(system, rows)
+
+        monkeypatch.setattr(ms, "WRITE_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(rp, "row_labels", spy)
+        rp.export_results(solution, network, caps, tmp_path / "a.csv",
+                          constraints=lifted)
+        reference_export_tabular(solution, network, caps, tmp_path / "b.csv",
+                                 lifted)
+        assert (tmp_path / "a.csv").read_bytes() == \
+            (tmp_path / "b.csv").read_bytes()
+        assert sum(labelled) == len(lifted) > 7
+        assert max(labelled) <= chunk_rows
+
     def test_tabular_round_trip(self, awkward_bundle, tmp_path):
         network, caps, _, constraints, solution = awkward_bundle
         solution = with_values(solution, caps, SPECIAL_VALUES[:3])
@@ -379,6 +406,15 @@ class TestWritersMatchReference:
                                       for i in range(n_rows)])
         ms.write_table(tmp_path / "a.csv", dataset)
         reference_write_table(tmp_path / "b.csv", dataset)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_consecutive_tables(self, tmp_path):
+        # tables of one dtype after the first go under its header, in order
+        parts = [ms.table(ms.LOADS, [(f"c,{i}", "nitrogen", "EoS", i / 7)
+                                     for i in range(n_rows)])
+                 for n_rows in (3, 0, ms.WRITE_CHUNK_ROWS + 1, 2)]
+        ms.write_table(tmp_path / "a.csv", parts[0], iter(parts[1:]))
+        reference_write_table(tmp_path / "b.csv", np.concatenate(parts))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
